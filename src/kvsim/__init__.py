@@ -45,8 +45,6 @@ from .grid import (
 from .linear_step import (
     LinearSolveReport,
     SparseOperator,
-    assemble_heat_system,
-    assemble_velocity_system,
     solve_spd,
 )
 from .picard import (
@@ -57,7 +55,6 @@ from .picard import (
     StepperConfig,
     Trajectory,
     initial_iterate,
-    picard_step,
     run,
 )
 

@@ -44,9 +44,10 @@ Keys and their meanings::
     snapshot_every = 0       # write VTK+checkpoint every N steps; 0 = never
     snapshot_prefix = out/state
 
-Unknown sections or keys are rejected; validation reports every violation,
-not just the first.  All floating-point CSV output uses 17 significant
-digits so reruns diff bytewise.
+Unknown sections or keys and non-finite numbers (inf, nan) are rejected;
+validation reports every violation, not just the first.  All
+floating-point CSV output uses 17 significant digits so reruns diff
+bytewise.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -57,6 +58,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import glob
+import math
 import os
 import struct
 import sys
@@ -166,10 +168,14 @@ class _Parsed:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             self.complain(f"{section}.{key}", f"not a number: {raw!r}")
             return default
+        if not math.isfinite(value):
+            self.complain(f"{section}.{key}", f"not a finite number: {raw!r}")
+            return default
+        return value
 
     def get_int(self, section, key, default=None, required=False):
         raw = self.get(section, key, required=required)
@@ -186,10 +192,14 @@ class _Parsed:
         if raw is None:
             return default
         try:
-            return tuple(float(tok) for tok in raw.split())
+            values = tuple(float(tok) for tok in raw.split())
         except ValueError:
             self.complain(f"{section}.{key}", f"not a list of numbers: {raw!r}")
             return default
+        if not all(math.isfinite(v) for v in values):
+            self.complain(f"{section}.{key}", f"not all finite numbers: {raw!r}")
+            return default
+        return values
 
 
 def load_config(path):
@@ -276,15 +286,9 @@ def load_config(path):
     picard_max = parsed.get_int("stepper", "picard_max", default=50)
     cg_tol = parsed.get_float("stepper", "cg_tol", default=1e-12)
     cg_max = parsed.get_int("stepper", "cg_max", default=20000)
-    theta_floor_raw = parsed.get("stepper", "theta_floor", default="auto")
     theta_floor = None
-    if theta_floor_raw != "auto":
-        try:
-            theta_floor = float(theta_floor_raw)
-        except ValueError:
-            parsed.complain(
-                "stepper.theta_floor", f"expected 'auto' or a number: {theta_floor_raw!r}"
-            )
+    if parsed.get("stepper", "theta_floor", default="auto") != "auto":
+        theta_floor = parsed.get_float("stepper", "theta_floor")
     stepper = None
     if dt is not None and None not in (picard_tol, picard_max, cg_tol, cg_max):
         try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import DomainError, UsageError
 from .grid import (
     ScalarField,
     SymTensorField,
+    VectorField,
+    divergence,
+    gradient,
     integrate,
     laplacian_neumann,
     lp_norm,
@@ -62,55 +66,54 @@ CSV_FIELDS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
 
 
 # ---------------------------------------------------------------------------
-# pointwise helpers
+# per-state integrals
 # ---------------------------------------------------------------------------
 
-def _grad_scalar(theta):
-    grid = theta.grid
-    grads = [
-        np.gradient(theta.data, grid.h[a], axis=a, edge_order=2)
-        for a in range(grid.d)
-    ]
-    return np.stack(grads, axis=-1)
+class _Integrals(NamedTuple):
+    """The energies and the entropy of one state."""
+
+    kinetic: float
+    elastic: float
+    thermal: float
+    entropy: float
+
+    @property
+    def energy(self):
+        return self.kinetic + self.elastic + self.thermal
+
+    def availability(self, beta):
+        return self.energy - beta * self.entropy
 
 
-def _speed_squared(vec):
-    return ScalarField(vec.grid, np.sum(vec.data**2, axis=-1))
-
-
-def kinetic_energy(state):
-    return 0.5 * integrate(_speed_squared(state.v))
-
-
-def elastic_energy(state, params):
-    eps = sym_gradient(state.u)
-    stress = cons.apply_isotropic(params.lambda2, params.mu2, eps.data)
-    return 0.5 * integrate(ScalarField(state.grid, cons.ddot(stress, eps.data)))
-
-
-def thermal_energy(state, params):
-    return 0.5 * params.cv * integrate(
-        ScalarField(state.grid, state.theta.data**2)
+def _integrals(state, params):
+    """All integrals of one state, from a single strain evaluation."""
+    grid = state.grid
+    eps = sym_gradient(state.u).data
+    theta = state.theta.data
+    stress = cons.apply_isotropic(params.lambda2, params.mu2, eps)
+    return _Integrals(
+        kinetic=0.5 * integrate(
+            ScalarField(grid, np.sum(state.v.data**2, axis=-1))
+        ),
+        elastic=0.5 * integrate(ScalarField(grid, cons.ddot(stress, eps))),
+        thermal=0.5 * params.cv * integrate(ScalarField(grid, theta**2)),
+        entropy=integrate(
+            ScalarField(grid, cons.entropy_density(eps, theta, params))
+        ),
     )
 
 
 def energies(state, params):
     """(kinetic, elastic, thermal); the total energy is their exact sum."""
-    return (
-        kinetic_energy(state),
-        elastic_energy(state, params),
-        thermal_energy(state, params),
-    )
+    return _integrals(state, params)[:3]
 
 
 def total_energy(state, params):
-    return sum(energies(state, params))
+    return _integrals(state, params).energy
 
 
 def total_entropy(state, params):
-    eps = sym_gradient(state.u)
-    eta = cons.entropy_density(eps.data, state.theta.data, params)
-    return integrate(ScalarField(state.grid, eta))
+    return _integrals(state, params).entropy
 
 
 def availability(state, params, beta=None):
@@ -121,9 +124,12 @@ def availability(state, params, beta=None):
     """
     if beta is None:
         beta = params.beta
-    kin, el, th = energies(state, params)
-    return kin + el + th - beta * total_entropy(state, params)
+    return _integrals(state, params).availability(beta)
 
+
+# ---------------------------------------------------------------------------
+# per-step balances
+# ---------------------------------------------------------------------------
 
 def _midpoint_theta(state_old, state_new):
     return ScalarField(
@@ -131,102 +137,100 @@ def _midpoint_theta(state_old, state_new):
     )
 
 
-def _step_strain_rate(state_new):
-    """The step's exact mean strain rate: eps(v_new) == (eps_new-eps_old)/dt
-    by the displacement update rule."""
-    return sym_gradient(state_new.v)
+class _StepBalances(NamedTuple):
+    new: _Integrals
+    strain_rate: np.ndarray  # eps(v_new)
+    sigma: ScalarField  # entropy production density at the midpoint
+    energy_residual: float  # of E_new - E_old - dt * integral(b . u_t_new + g)
+    production: float  # dt * integral(sigma)
+    entropy_residual: float
+    clausius_duhem_defect: float
+
+
+def _step_balances(state_old, state_new, b, g, dt, params):
+    """Every balance of one step, from one strain per state.
+
+    The strain rate is eps(v_new), which equals (eps_new - eps_old)/dt by
+    the displacement update rule: the step's exact mean strain rate.
+    Entropy production and the g/theta source use the midpoint-in-time
+    temperature.  Residuals are relative with a +1 floor.
+    """
+    grid = state_old.grid
+    theta_mid = _midpoint_theta(state_old, state_new)
+    if np.min(theta_mid.data) <= 0.0 or np.min(state_old.theta.data) <= 0.0:
+        raise DomainError("the step's balances require positive temperature")
+    old = _integrals(state_old, params)
+    new = _integrals(state_new, params)
+    rate = sym_gradient(state_new.v).data
+    grad_theta = gradient(theta_mid).data
+    sigma = ScalarField(grid, cons.entropy_production(
+        rate, grad_theta, theta_mid.data, params
+    ))
+    sigma_integral = integrate(sigma)
+    work = 0.0
+    source_integral = 0.0
+    if b is not None:
+        work += integrate(
+            ScalarField(grid, np.sum(b.data * state_new.v.data, axis=-1))
+        )
+    if g is not None:
+        work += integrate(g)
+        source_integral = integrate(ScalarField(grid, g.data / theta_mid.data))
+    # The flux term of the entropy inequality integrates to a boundary
+    # contribution that the insulated walls annihilate, so for smooth
+    # solutions the Clausius-Duhem defect is O(dt + h^2).
+    flux = -params.k * grad_theta  # Fourier heat flux
+    flux_integral = integrate(divergence(
+        VectorField(grid, flux / theta_mid.data[..., None])
+    ))
+    energy_defect = new.energy - old.energy - dt * work
+    production = dt * sigma_integral
+    entropy_change = new.entropy - old.entropy
+    return _StepBalances(
+        new=new,
+        strain_rate=rate,
+        sigma=sigma,
+        energy_residual=abs(energy_defect) / (1.0 + abs(new.energy)),
+        production=production,
+        entropy_residual=abs(
+            entropy_change - production - dt * source_integral
+        ) / (1.0 + abs(new.entropy)),
+        clausius_duhem_defect=abs(
+            entropy_change / dt + flux_integral - source_integral
+            - sigma_integral
+        ),
+    )
 
 
 def entropy_production_field(state_old, state_new, dt, params):
     """Entropy production density at the step midpoint (nonnegative)."""
-    theta_mid = _midpoint_theta(state_old, state_new)
-    if np.min(theta_mid.data) <= 0.0:
-        raise DomainError("midpoint temperature is not positive")
-    eps_t = _step_strain_rate(state_new)
-    grad_theta = _grad_scalar(theta_mid)
-    sigma = cons.entropy_production(eps_t.data, grad_theta, theta_mid.data, params)
-    return ScalarField(state_old.grid, sigma)
+    return _step_balances(state_old, state_new, None, None, dt, params).sigma
 
 
 def entropy_production_integral(state_old, state_new, dt, params):
     return integrate(entropy_production_field(state_old, state_new, dt, params))
 
 
-# ---------------------------------------------------------------------------
-# balance residuals
-# ---------------------------------------------------------------------------
-
-def energy_balance_defect(state_old, state_new, b, g, dt, params):
-    """Absolute defect E_new - E_old - dt * integral(b . u_t_new + g)."""
-    work = 0.0
-    if b is not None:
-        work += integrate(
-            ScalarField(state_new.grid, np.sum(b.data * state_new.v.data, axis=-1))
-        )
-    if g is not None:
-        work += integrate(g)
-    return (
-        total_energy(state_new, params)
-        - total_energy(state_old, params)
-        - dt * work
-    )
-
-
 def energy_balance_residual(state_old, state_new, b, g, dt, params):
     """Relative conservation defect of the step (exact zero for b = g = 0
     solutions of the continuum system)."""
-    defect = energy_balance_defect(state_old, state_new, b, g, dt, params)
-    return abs(defect) / (1.0 + abs(total_energy(state_new, params)))
+    return _step_balances(state_old, state_new, b, g, dt, params).energy_residual
 
 
 def entropy_balance_residual(state_old, state_new, g, dt, params):
-    """(relative residual, dt * production) of the entropy balance.
-
-    Production and the g/theta source use midpoint-in-time evaluation.
-    """
-    theta_mid = _midpoint_theta(state_old, state_new)
-    if np.min(theta_mid.data) <= 0.0 or np.min(state_old.theta.data) <= 0.0:
-        raise DomainError("entropy balance requires positive temperature")
-    production = dt * entropy_production_integral(state_old, state_new, dt, params)
-    source = 0.0
-    if g is not None:
-        source = dt * integrate(
-            ScalarField(state_old.grid, g.data / theta_mid.data)
-        )
-    eta_new = total_entropy(state_new, params)
-    eta_old = total_entropy(state_old, params)
-    residual = abs(eta_new - eta_old - production - source) / (1.0 + abs(eta_new))
-    return residual, production
+    """(relative residual, dt * production) of the entropy balance."""
+    step = _step_balances(state_old, state_new, None, g, dt, params)
+    return step.entropy_residual, step.production
 
 
 def clausius_duhem_defect(state_old, state_new, g, dt, params):
     """Defect of integral(eta_t + div(q/theta) - g/theta - sigma) over a step.
 
-    The flux term integrates to a boundary contribution that the insulated
-    walls annihilate, so for smooth solutions the defect is O(dt + h^2); the
-    inequality form (entropy growth at least g/theta) holds within the same
-    tolerance because sigma >= 0 is kept explicit.
+    The inequality form (entropy growth at least g/theta) holds within the
+    same tolerance because sigma >= 0 is kept explicit.
     """
-    grid = state_old.grid
-    theta_mid = _midpoint_theta(state_old, state_new)
-    if np.min(theta_mid.data) <= 0.0:
-        raise DomainError("Clausius-Duhem check requires positive temperature")
-    eta_rate = (
-        total_entropy(state_new, params) - total_entropy(state_old, params)
-    ) / dt
-    flux = -params.k * _grad_scalar(theta_mid)  # Fourier heat flux
-    flux_over_theta = flux / theta_mid.data[..., None]
-    div = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        div += np.gradient(
-            flux_over_theta[..., axis], grid.h[axis], axis=axis, edge_order=2
-        )
-    flux_integral = integrate(ScalarField(grid, div))
-    sigma_integral = entropy_production_integral(state_old, state_new, dt, params)
-    source = 0.0
-    if g is not None:
-        source = integrate(ScalarField(grid, g.data / theta_mid.data))
-    return abs(eta_rate + flux_integral - source - sigma_integral)
+    step = _step_balances(state_old, state_new, None, g, dt, params)
+    return step.clausius_duhem_defect
 
 
 def entropy_form_crosscheck(state_old, state_new, g, dt, params):
@@ -273,71 +277,56 @@ def entropy_form_crosscheck(state_old, state_new, g, dt, params):
 # per-step records
 # ---------------------------------------------------------------------------
 
-def _dissipation_monitors(state_new, params):
-    """Discrete values of the two dissipative energy-estimate terms:
-    || grad(theta)/theta ||_L2  and  || eps(u_t)/sqrt(theta) ||_L2."""
-    grid = state_new.grid
-    grad_theta = _grad_scalar(state_new.theta)
-    grad_norm = math.sqrt(integrate(ScalarField(
-        grid, np.sum(grad_theta**2, axis=-1) / state_new.theta.data**2
-    )))
-    eps_t = sym_gradient(state_new.v)
-    rate_norm = math.sqrt(integrate(ScalarField(
-        grid, cons.ddot(eps_t.data, eps_t.data) / state_new.theta.data
-    )))
-    return grad_norm, rate_norm
+def _record(state, params, integrals, strain_rate, **step_fields):
+    """One CSV row for ``state``; ``step_fields`` carry the step's balances.
+
+    The dissipation columns are the discrete values of the two dissipative
+    energy-estimate terms:
+    || grad(theta)/theta ||_L2  and  || eps(u_t)/sqrt(theta) ||_L2.
+    """
+    grid = state.grid
+    theta = state.theta.data
+    grad_theta = gradient(state.theta).data
+    return DiagnosticsRecord(
+        t=state.t,
+        kinetic_energy=integrals.kinetic,
+        elastic_energy=integrals.elastic,
+        thermal_energy=integrals.thermal,
+        total_energy=integrals.energy,
+        entropy=integrals.entropy,
+        availability=integrals.availability(params.beta),
+        theta_min=float(np.min(theta)),
+        theta_max=float(np.max(theta)),
+        grad_theta_dissipation=math.sqrt(integrate(ScalarField(
+            grid, np.sum(grad_theta**2, axis=-1) / theta**2
+        ))),
+        strain_rate_dissipation=math.sqrt(integrate(ScalarField(
+            grid, cons.ddot(strain_rate, strain_rate) / theta
+        ))),
+        **step_fields,
+    )
 
 
 def record_for_step(state_old, state_new, trace, b, g, dt, params):
-    kin, el, th = energies(state_new, params)
-    entropy_residual, production = entropy_balance_residual(
-        state_old, state_new, g, dt, params
-    )
-    grad_diss, rate_diss = _dissipation_monitors(state_new, params)
-    return DiagnosticsRecord(
-        t=state_new.t,
-        kinetic_energy=kin,
-        elastic_energy=el,
-        thermal_energy=th,
-        total_energy=kin + el + th,
-        entropy=total_entropy(state_new, params),
-        availability=availability(state_new, params),
-        theta_min=float(np.min(state_new.theta.data)),
-        theta_max=float(np.max(state_new.theta.data)),
-        entropy_production=production / dt,
-        energy_residual=energy_balance_residual(
-            state_old, state_new, b, g, dt, params
-        ),
-        entropy_residual=entropy_residual,
-        clausius_duhem_defect=clausius_duhem_defect(
-            state_old, state_new, g, dt, params
-        ),
-        grad_theta_dissipation=grad_diss,
-        strain_rate_dissipation=rate_diss,
+    step = _step_balances(state_old, state_new, b, g, dt, params)
+    return _record(
+        state_new, params, step.new, step.strain_rate,
+        entropy_production=step.production / dt,
+        energy_residual=step.energy_residual,
+        entropy_residual=step.entropy_residual,
+        clausius_duhem_defect=step.clausius_duhem_defect,
         picard_iterations=trace.iterations if trace is not None else 0,
     )
 
 
 def initial_record(state, params):
     """Row for t = t0: energies and state extrema, zero residuals."""
-    kin, el, th = energies(state, params)
-    grad_diss, rate_diss = _dissipation_monitors(state, params)
-    return DiagnosticsRecord(
-        t=state.t,
-        kinetic_energy=kin,
-        elastic_energy=el,
-        thermal_energy=th,
-        total_energy=kin + el + th,
-        entropy=total_entropy(state, params),
-        availability=availability(state, params),
-        theta_min=float(np.min(state.theta.data)),
-        theta_max=float(np.max(state.theta.data)),
+    return _record(
+        state, params, _integrals(state, params), sym_gradient(state.v).data,
         entropy_production=0.0,
         energy_residual=0.0,
         entropy_residual=0.0,
         clausius_duhem_defect=0.0,
-        grad_theta_dissipation=grad_diss,
-        strain_rate_dissipation=rate_diss,
         picard_iterations=0,
     )
 
@@ -374,15 +363,15 @@ def availability_decay_check(trajectory, params, beta=None):
             "availability decay is only guaranteed for source-free runs "
             "(b = 0, g = 0); this trajectory has nonzero sources"
         )
-    series = np.array([
-        availability(s, params, beta=beta) for s in trajectory.states
-    ])
+    if beta is None:
+        beta = params.beta
+    integrals = [_integrals(s, params) for s in trajectory.states]
+    series = np.array([i.availability(beta) for i in integrals])
     worst = 0.0
     passed = True
     for k in range(1, len(series)):
-        old, new = trajectory.states[k - 1], trajectory.states[k]
-        dt = new.t - old.t
-        defect = abs(energy_balance_defect(old, new, None, None, dt, params))
+        # source-free, so the energy-balance defect is the energy change
+        defect = abs(integrals[k].energy - integrals[k - 1].energy)
         slack = 10.0 * defect + 1e-14 * (1.0 + abs(series[k]))
         violation = series[k] - series[k - 1] - slack
         if violation > 0.0:
@@ -465,7 +454,7 @@ def v2_norm(snapshots, dt):
     sup = max(lp_norm(f, 2) for f in snapshots)
     grad_sq = []
     for f in snapshots:
-        grad = _grad_scalar(f)
+        grad = gradient(f).data
         grad_sq.append(integrate(ScalarField(f.grid, np.sum(grad**2, axis=-1))))
     return float(sup + math.sqrt(sum(dt * v for v in grad_sq[:-1])))
 

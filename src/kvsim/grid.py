@@ -21,6 +21,7 @@ Operators never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +224,22 @@ def tensor_divergence(field):
     return VectorField(grid, out)
 
 
+def gradient(field):
+    """Gradient of a scalar field: g_i = d_i f."""
+    grid = field.grid
+    grads = [_deriv(field.data, grid, axis) for axis in range(grid.d)]
+    return VectorField(grid, np.stack(grads, axis=-1))
+
+
+def divergence(field):
+    """Divergence of a vector field: d_i v_i."""
+    grid = field.grid
+    out = np.zeros(grid.shape)
+    for axis in range(grid.d):
+        out += _deriv(field.data[..., axis], grid, axis)
+    return ScalarField(grid, out)
+
+
 def _d2_axis(data, grid, axis, neumann):
     """Second difference along one axis.
 
@@ -335,6 +352,20 @@ def lp_norm(field, p):
         raise UsageError(f"p must be >= 1 or inf, got {p}")
     power = np.sum(field.grid.quad_weights * np.abs(field.data) ** p)
     return float(power ** (1.0 / p))
+
+
+def l2_norm(grid, data):
+    """L2 norm sqrt(integrate(|data|^2)) of raw node data.
+
+    Vector data (one trailing axis more than the grid) sums its squared
+    components pointwise before the quadrature.  Picard's stopping rule and
+    the MMS error ladder use this arithmetic; ``lp_norm(field, 2)`` takes a
+    power instead of a square root and may differ in the last bit.
+    """
+    sq = data**2
+    if sq.ndim > grid.d:
+        sq = np.sum(sq, axis=-1)
+    return math.sqrt(integrate(ScalarField(grid, sq)))
 
 
 def magnitude(field):

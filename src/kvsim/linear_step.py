@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import constitutive as cons
-from .errors import DegeneracyError, NonConvergenceError, UsageError
+from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import ScalarField, VectorField, sym_gradient, tensor_divergence
 
 
@@ -40,7 +40,6 @@ class SparseOperator:
     """A row-compressed sparse matrix over the free unknowns."""
 
     matrix: sp.csr_matrix
-    symmetric: bool = True
 
     @property
     def size(self):
@@ -145,7 +144,7 @@ def velocity_matrix(grid, dt, lam, mu):
     q_op = sp.bmat(blocks, format="csr")
     m = q_op.shape[0]
     matrix = (sp.identity(m, format="csr") / dt - q_op).tocsr()
-    return SparseOperator(matrix=matrix, symmetric=True)
+    return SparseOperator(matrix=matrix)
 
 
 def pack_interior(grid, data):
@@ -178,13 +177,6 @@ def velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
     return pack_interior(grid, v_old.data / dt + force)
 
 
-def assemble_velocity_system(grid, dt, v_old, u_iter, theta_iter, b, params):
-    """Backward-Euler viscoelastic velocity system: (matrix, rhs)."""
-    op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
-    rhs = velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params)
-    return op, rhs
-
-
 # ---------------------------------------------------------------------------
 # heat system
 # ---------------------------------------------------------------------------
@@ -213,7 +205,7 @@ def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
     w = grid.quad_weights.ravel()
     mass = sp.diags(w * (params.cv / dt) * theta_frozen.data.ravel(), format="csr")
     matrix = (mass + params.k * stiffness).tocsr()
-    return SparseOperator(matrix=matrix, symmetric=True)
+    return SparseOperator(matrix=matrix)
 
 
 def heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params):
@@ -225,14 +217,6 @@ def heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params):
     return grid.quad_weights.ravel() * r.ravel()
 
 
-def assemble_heat_system(grid, dt, theta_old, theta_frozen, v_iter, g, params,
-                         stiffness=None):
-    """Backward-Euler frozen-coefficient heat system: (matrix, rhs)."""
-    op = heat_matrix(grid, dt, theta_frozen, params, stiffness=stiffness)
-    rhs = heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params)
-    return op, rhs
-
-
 # ---------------------------------------------------------------------------
 # conjugate gradients
 # ---------------------------------------------------------------------------
@@ -242,13 +226,19 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
 
     Converges when the true relative residual ||b - A x|| / ||b|| drops to
     ``tol``; raises :class:`NonConvergenceError` (carrying the report) when
-    ``max_iter`` is exhausted.  Deterministic given identical inputs.
+    ``max_iter`` is exhausted, and :class:`DomainError` up front when the
+    right-hand side is not finite.  Deterministic given identical inputs.
     """
     if tol <= 0.0:
         raise UsageError(f"tol must be positive, got {tol}")
     a = op.matrix
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
+    if not np.isfinite(rhs_norm):
+        raise DomainError(
+            f"right-hand side is not finite (norm {rhs_norm}); "
+            f"check the sources and the state"
+        )
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), LinearSolveReport(0, 0.0, True)
     inv_diag = 1.0 / a.diagonal()

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constitutive as cons
 from .errors import UsageError
-from .grid import Grid, ScalarField, VectorField, integrate
+from .grid import Grid, ScalarField, VectorField, l2_norm
 from .picard import SimState, Sources, StepperConfig, run
 
 
@@ -473,12 +473,7 @@ def _linf_l2_errors(problem, config, t_end):
             ("v", state.v, exact.v),
             ("theta", state.theta, exact.theta),
         ):
-            diff = got.data - want.data
-            if diff.ndim == len(problem.grid.shape):
-                sq = diff**2
-            else:
-                sq = np.sum(diff**2, axis=-1)
-            err = math.sqrt(integrate(ScalarField(problem.grid, sq)))
+            err = l2_norm(problem.grid, got.data - want.data)
             worst[key] = max(worst[key], err)
     return worst
 

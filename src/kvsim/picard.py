@@ -38,7 +38,7 @@ from .grid import (
     ScalarField,
     VectorField,
     boundary_max_abs,
-    integrate,
+    l2_norm,
     lp_norm,
 )
 
@@ -219,7 +219,7 @@ class Stepper:
                 f"initial temperature of the step is below the floor "
                 f"{floor}: min = {float(np.min(state.theta.data))}"
             )
-        scale = lp_norm(state.theta, 2) + self._vector_l2(state.v)
+        scale = lp_norm(state.theta, 2) + l2_norm(self.grid, state.v.data)
         iterate = initial_iterate(state)
         ys = []
         sizes = []
@@ -232,11 +232,12 @@ class Stepper:
                     f"temperature iterate dropped below the floor {floor} "
                     f"(min = {theta_min}) at sweep {sweep_count}"
                 )
-            y = self._vector_l2_diff(new.v, iterate.v) + self._theta_l2_diff(
-                new.theta, iterate.theta
+            y = (
+                l2_norm(self.grid, new.v.data - iterate.v.data)
+                + l2_norm(self.grid, new.theta.data - iterate.theta.data)
             )
             ys.append(y)
-            sizes.append(self._vector_l2(new.v) + lp_norm(new.theta, 2))
+            sizes.append(l2_norm(self.grid, new.v.data) + lp_norm(new.theta, 2))
             iterate = new
             if threshold is None:
                 # relative stopping rule, with a round-off floor so a step
@@ -262,27 +263,6 @@ class Stepper:
             u=iterate.u, v=iterate.v, theta=iterate.theta,
         )
         return new_state, trace
-
-    def _vector_l2(self, vec):
-        return math.sqrt(
-            integrate(ScalarField(self.grid, np.sum(vec.data**2, axis=-1)))
-        )
-
-    def _vector_l2_diff(self, a, b):
-        diff = a.data - b.data
-        return math.sqrt(
-            integrate(ScalarField(self.grid, np.sum(diff**2, axis=-1)))
-        )
-
-    def _theta_l2_diff(self, a, b):
-        diff = a.data - b.data
-        return math.sqrt(integrate(ScalarField(self.grid, diff**2)))
-
-
-def picard_step(state, params, config, b=None, g=None):
-    """Single-step convenience wrapper around :class:`Stepper`."""
-    state.validate()
-    return Stepper(state.grid, params, config).step(state, b=b, g=g)
 
 
 @dataclass

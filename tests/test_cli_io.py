@@ -313,6 +313,21 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert "elasticity range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,edit", [
+    ("sources.g_value", ("", "\n[sources]\ng = constant\ng_value = inf\n")),
+    ("sources.g_value", ("", "\n[sources]\ng = constant\ng_value = nan\n")),
+    ("sources.b_value", ("", "\n[sources]\nb = constant\nb_value = 0 -inf\n")),
+    ("material.k", ("k = 1.0", "k = 1e999")),
+    ("stepper.theta_floor", ("dt = 0.05", "dt = 0.05\ntheta_floor = nan")),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, edit):
+    old, new = edit
+    text = MINIMAL.replace(old, new) if old else MINIMAL + new
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{key}: not" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     text = run_cfg_text() + "\n[initial]\npreset = bump\ntheta_amplitude = 0.1\n"

@@ -29,8 +29,10 @@ from kvsim.diagnostics import (
     mixed_norm,
     theta_lower_bound_check,
     total_energy,
+    total_entropy,
     v2_norm,
 )
+from kvsim import diagnostics
 
 from helpers import bump_state, default_params, make_grid
 
@@ -74,6 +76,44 @@ def test_stationary_residuals_vanish(stationary, params):
     assert residual <= 1e-15 and production == 0.0
     assert clausius_duhem_defect(stationary, new, None, 0.05, params) <= 1e-13
     assert entropy_form_crosscheck(stationary, new, None, 0.05, params) <= 1e-15
+
+
+def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
+    """A step record evaluates eps(u_old), eps(u_new) and eps(v_new) once
+    each; the initial record eps(u) and eps(v)."""
+    traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.05)
+    calls = []
+
+    def counting(field):
+        calls.append(field)
+        return real(field)
+
+    real = diagnostics.sym_gradient
+    monkeypatch.setattr(diagnostics, "sym_gradient", counting)
+    diagnostics.record_for_step(traj.states[0], traj.states[1], traj.traces[0],
+                                None, None, 0.05, params)
+    assert len(calls) <= 3
+    calls.clear()
+    diagnostics.initial_record(traj.states[0], params)
+    assert len(calls) <= 2
+
+
+def test_record_fields_equal_public_functions(grid2d, params):
+    sources = Sources.constant(grid2d, b_value=(0.1, -0.05), g_value=0.3)
+    traj, records = small_run(grid2d, params, dt=0.05, t_end=0.2,
+                              sources=sources)
+    for old, new, rec in zip(traj.states, traj.states[1:], records[1:]):
+        b, g = sources.b(new.t), sources.g(new.t)
+        assert rec.energy_residual == energy_balance_residual(
+            old, new, b, g, 0.05, params)
+        residual, production = entropy_balance_residual(old, new, g, 0.05, params)
+        assert rec.entropy_residual == residual
+        assert rec.entropy_production == production / 0.05
+        assert rec.clausius_duhem_defect == clausius_duhem_defect(
+            old, new, g, 0.05, params)
+        assert rec.entropy == total_entropy(new, params)
+        assert rec.availability == availability(new, params)
+        assert rec.total_energy == total_energy(new, params)
 
 
 def test_entropy_balance_requires_positive_theta(grid2d, params):

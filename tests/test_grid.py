@@ -16,7 +16,13 @@ from kvsim import (
     tensor_divergence,
 )
 from kvsim.constitutive import COMPONENT_OF, apply_isotropic
-from kvsim.grid import SymTensorField, boundary_max_abs
+from kvsim.grid import (
+    SymTensorField,
+    boundary_max_abs,
+    divergence,
+    gradient,
+    l2_norm,
+)
 
 from helpers import make_grid, random_boundary_zero_vector
 
@@ -119,6 +125,14 @@ def test_divergence_second_order():
         errs.append(err)
     order = np.log2(errs[0] / errs[1])
     assert 1.7 <= order <= 2.3
+
+
+def test_gradient_and_divergence_exact_on_quadratics(grid2d):
+    x, y = grid2d.coords()
+    grad = gradient(ScalarField(grid2d, x**2 + 3.0 * x * y))
+    assert np.max(np.abs(grad.data[..., 0] - (2.0 * x + 3.0 * y))) <= 1e-12
+    assert np.max(np.abs(grad.data[..., 1] - 3.0 * x)) <= 1e-12
+    assert np.max(np.abs(divergence(grad).data - 2.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +279,14 @@ def test_lp_norm_variants(grid2d):
     assert lp_norm(f, 2) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(UsageError):
         lp_norm(f, 0.5)
+
+
+def test_l2_norm_sums_vector_components(grid2d):
+    data = np.zeros(grid2d.shape + (2,))
+    data[..., 0] = 3.0
+    data[..., 1] = -4.0
+    assert l2_norm(grid2d, data) == pytest.approx(5.0, rel=1e-14)
+    assert l2_norm(grid2d, data[..., 1]) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_boundary_max_abs(grid2d):

@@ -6,22 +6,23 @@ import scipy.sparse as sp
 
 from kvsim import (
     DegeneracyError,
+    DomainError,
     NonConvergenceError,
     ScalarField,
     UsageError,
     VectorField,
-    assemble_heat_system,
-    assemble_velocity_system,
     lame_operator,
     solve_spd,
 )
 from kvsim.linear_step import (
     SparseOperator,
     heat_matrix,
+    heat_rhs_vector,
     pack_interior,
     solve_spd as cg,
     unpack_interior,
     velocity_matrix,
+    velocity_rhs,
 )
 
 from helpers import make_grid, random_boundary_zero_vector
@@ -34,9 +35,8 @@ from helpers import make_grid, random_boundary_zero_vector
 def test_velocity_zero_data_gives_zero_solution(grid2d, params):
     zero_v = VectorField.zeros(grid2d)
     zero_th = ScalarField.zeros(grid2d)
-    op, rhs = assemble_velocity_system(
-        grid2d, 0.01, zero_v, zero_v, zero_th, None, params
-    )
+    op = velocity_matrix(grid2d, 0.01, params.lambda1, params.mu1)
+    rhs = velocity_rhs(grid2d, 0.01, zero_v, zero_v, zero_th, None, params)
     x, report = solve_spd(op, rhs)
     assert np.all(x == 0.0)
     assert report.converged and report.iterations == 0
@@ -80,7 +80,8 @@ def test_velocity_one_step_taylor_limit(params):
     ).copy())
     zero_v = VectorField.zeros(grid)
     zero_th = ScalarField.zeros(grid)
-    op, rhs = assemble_velocity_system(grid, dt, zero_v, zero_v, zero_th, b, params)
+    op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
+    rhs = velocity_rhs(grid, dt, zero_v, zero_v, zero_th, b, params)
     x, _ = solve_spd(op, rhs, tol=1e-13)
     v = unpack_interior(grid, x)
     xg, yg = grid.coords()
@@ -91,10 +92,8 @@ def test_velocity_one_step_taylor_limit(params):
 
 
 def test_velocity_usage_errors(grid2d, params):
-    zero_v = VectorField.zeros(grid2d)
-    zero_th = ScalarField.zeros(grid2d)
     with pytest.raises(UsageError):
-        assemble_velocity_system(grid2d, -0.1, zero_v, zero_v, zero_th, None, params)
+        velocity_matrix(grid2d, -0.1, params.lambda1, params.mu1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,8 @@ def test_velocity_usage_errors(grid2d, params):
 
 def test_heat_constant_fixed_point(grid2d, params):
     theta = ScalarField.constant(grid2d, 1.7)
-    op, rhs = assemble_heat_system(
+    op = heat_matrix(grid2d, 0.05, theta, params)
+    rhs = heat_rhs_vector(
         grid2d, 0.05, theta, theta, VectorField.zeros(grid2d), None, params
     )
     x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
@@ -114,7 +114,8 @@ def test_heat_uniform_source_update(grid2d, params):
     theta = ScalarField.constant(grid2d, 2.0)
     g = ScalarField.constant(grid2d, 0.8)
     dt = 0.05
-    op, rhs = assemble_heat_system(
+    op = heat_matrix(grid2d, dt, theta, params)
+    rhs = heat_rhs_vector(
         grid2d, dt, theta, theta, VectorField.zeros(grid2d), g, params
     )
     x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
@@ -156,7 +157,7 @@ def test_heat_matrix_degenerate_coefficient_rejected(grid2d, params):
 # ---------------------------------------------------------------------------
 
 def _as_op(matrix):
-    return SparseOperator(matrix=sp.csr_matrix(matrix), symmetric=True)
+    return SparseOperator(matrix=sp.csr_matrix(matrix))
 
 
 def test_cg_identity_single_iteration(rng):
@@ -193,6 +194,15 @@ def test_cg_residual_report_matches_recomputation(rng):
     recomputed = np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
     assert abs(report.relative_residual - recomputed) <= 1e-14
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_cg_rejects_non_finite_rhs(bad):
+    """A non-finite right-hand side is reported up front: with inf it used
+    to pass the residual test at once, with NaN it burned max_iter."""
+    rhs = np.array([1.0, bad, 0.0, 2.0])
+    with pytest.raises(DomainError):
+        cg(_as_op(np.eye(4)), rhs)
 
 
 def test_cg_nonconvergence_raises_with_report(rng):

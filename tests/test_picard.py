@@ -13,7 +13,6 @@ from kvsim import (
     StepperConfig,
     UsageError,
     initial_iterate,
-    picard_step,
     run,
 )
 from kvsim.grid import boundary_max_abs, integrate, laplacian_neumann
@@ -47,7 +46,7 @@ def test_initial_iterate_is_constant_extension(grid2d):
 
 def test_equilibrium_is_exact_fixed_point(grid2d, params):
     state = SimState.rest(grid2d, theta0=1.3)
-    new, trace = picard_step(state, params, StepperConfig(dt=0.05))
+    new, trace = Stepper(grid2d, params, StepperConfig(dt=0.05)).step(state)
     assert trace.converged and trace.iterations == 1
     assert np.array_equal(new.u.data, state.u.data)
     assert np.array_equal(new.v.data, state.v.data)
@@ -59,7 +58,7 @@ def test_contraction_ratios_below_one_and_shrink_with_dt(grid2d, params):
     state = bump_state(grid2d)
     means = {}
     for dt in (0.05, 0.025):
-        _, trace = picard_step(state, params, StepperConfig(dt=dt))
+        _, trace = Stepper(grid2d, params, StepperConfig(dt=dt)).step(state)
         ratios = trace.ratios()
         assert len(ratios) >= 2
         assert all(r < 1.0 for r in ratios)
@@ -71,7 +70,7 @@ def test_iterate_sizes_stay_bounded(grid2d, params):
     """The iterate magnitudes recorded per sweep never blow up: they stay
     within a narrow band around the accepted step's size."""
     state = bump_state(grid2d)
-    _, trace = picard_step(state, params, StepperConfig(dt=0.05))
+    _, trace = Stepper(grid2d, params, StepperConfig(dt=0.05)).step(state)
     sizes = np.asarray(trace.sizes)
     assert np.all(np.isfinite(sizes)) and np.all(sizes > 0.0)
     assert np.max(sizes) <= 2.0 * np.min(sizes)
@@ -96,7 +95,7 @@ def test_picard_nonconvergence_carries_trace(grid2d, params):
     state = bump_state(grid2d)
     config = StepperConfig(dt=0.05, picard_tol=1e-16, picard_max=2)
     with pytest.raises(NonConvergenceError) as excinfo:
-        picard_step(state, params, config)
+        Stepper(grid2d, params, config).step(state)
     assert len(excinfo.value.report.ys) == 2
 
 
@@ -104,7 +103,7 @@ def test_degeneracy_error_when_cooling_below_floor(grid2d, params):
     state = SimState.rest(grid2d, theta0=1.0)
     sink = ScalarField.constant(grid2d, -50.0)
     with pytest.raises(DegeneracyError):
-        picard_step(state, params, StepperConfig(dt=0.05), g=sink)
+        Stepper(grid2d, params, StepperConfig(dt=0.05)).step(state, g=sink)
 
 
 # ---------------------------------------------------------------------------
