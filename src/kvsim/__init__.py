@@ -54,7 +54,6 @@ from .picard import (
     Stepper,
     StepperConfig,
     Trajectory,
-    initial_iterate,
     run,
 )
 

@@ -5,7 +5,7 @@ Keys and their meanings::
 
     [grid]
     dimension = 2            # 1, 2, or 3
-    nodes = 33 33            # nodes per axis, each >= 3
+    nodes = 33 33            # nodes per axis, whole numbers >= 3
     lengths = 1.0 1.0        # box edge lengths, positive
 
     [material]
@@ -44,10 +44,10 @@ Keys and their meanings::
     snapshot_every = 0       # write VTK+checkpoint every N steps; 0 = never
     snapshot_prefix = out/state
 
-Unknown sections or keys and non-finite numbers (inf, nan) are rejected;
-validation reports every violation, not just the first.  All
-floating-point CSV output uses 17 significant digits so reruns diff
-bytewise.
+Unknown sections or keys, non-finite numbers (inf, nan) and fractional
+node counts are rejected; validation reports every violation, not just the
+first.  All floating-point CSV output uses 17 significant digits so reruns
+diff bytewise.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -250,6 +250,9 @@ def load_config(path):
     if not parsed.violations:
         if nodes is not None and dimension is not None and len(nodes) != dimension:
             parsed.complain("grid.nodes", f"expected {dimension} values")
+        if nodes is not None and not all(n.is_integer() for n in nodes):
+            raw = parsed.get("grid", "nodes")
+            parsed.complain("grid.nodes", f"not whole numbers: {raw!r}")
         if lengths is not None and dimension is not None and len(lengths) != dimension:
             parsed.complain("grid.lengths", f"expected {dimension} values")
         if not parsed.violations:

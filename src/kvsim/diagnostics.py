@@ -495,10 +495,12 @@ def gronwall_compare(traj1, traj2, params):
     c1 = gronwall_rate_constant(params)
 
     x = []
+    strains1 = []
     scale = 0.0
     for s1, s2 in zip(traj1.states, traj2.states):
         du = s1.v.data - s2.v.data
         eps1 = sym_gradient(s1.u).data
+        strains1.append(eps1)
         eps_diff = eps1 - sym_gradient(s2.u).data
         stress_diff = cons.apply_isotropic(params.lambda2, params.mu2, eps_diff)
         dtheta = s1.theta.data - s2.theta.data
@@ -527,10 +529,7 @@ def gronwall_compare(traj1, traj2, params):
         th2_t = ScalarField(
             grid, (traj2.states[k].theta.data - traj2.states[k - 1].theta.data) / dt
         )
-        eps1_t = SymTensorField(grid, (
-            sym_gradient(traj1.states[k].u).data
-            - sym_gradient(traj1.states[k - 1].u).data
-        ) / dt)
+        eps1_t = SymTensorField(grid, (strains1[k] - strains1[k - 1]) / dt)
         a[k] = (
             c1
             + params.k

@@ -50,6 +50,9 @@ class Grid:
         self.h = tuple(c / (n - 1) for c, n in zip(lengths, nodes))
         self.shape = nodes
         self.num_nodes = int(np.prod(nodes))
+        # the nodes off the boundary, where the velocity unknowns live
+        self.interior = (slice(1, -1),) * self.d
+        self.interior_shape = tuple(n - 2 for n in nodes)
         self.axes = [np.linspace(0.0, c, n) for c, n in zip(lengths, nodes)]
         self._cache = {}
 
@@ -72,13 +75,8 @@ class Grid:
     @property
     def boundary_mask(self):
         if "boundary" not in self._cache:
-            mask = np.zeros(self.shape, dtype=bool)
-            for axis in range(self.d):
-                index = [slice(None)] * self.d
-                index[axis] = 0
-                mask[tuple(index)] = True
-                index[axis] = -1
-                mask[tuple(index)] = True
+            mask = np.ones(self.shape, dtype=bool)
+            mask[self.interior] = False
             self._cache["boundary"] = mask
         return self._cache["boundary"]
 
@@ -87,23 +85,27 @@ class Grid:
         return ~self.boundary_mask
 
     @property
-    def interior_flat(self):
-        """Flat (C-order) indices of the interior nodes."""
-        if "interior_flat" not in self._cache:
-            self._cache["interior_flat"] = np.flatnonzero(self.interior_mask.ravel())
-        return self._cache["interior_flat"]
+    def axis_weights(self):
+        """Trapezoidal quadrature weights of each axis, one 1-D array each."""
+        if "axis_weights" not in self._cache:
+            weights = []
+            for h, n in zip(self.h, self.n):
+                w = np.full(n, h)
+                w[0] = 0.5 * h
+                w[-1] = 0.5 * h
+                weights.append(w)
+            self._cache["axis_weights"] = weights
+        return self._cache["axis_weights"]
 
     @property
     def quad_weights(self):
-        """Trapezoidal quadrature weights, shape ``grid.shape``."""
+        """Trapezoidal quadrature weights, shape ``grid.shape``: the outer
+        product of the axis weights."""
         if "weights" not in self._cache:
             w = np.ones(())
-            for h, n in zip(self.h, self.n):
-                w1 = np.full(n, h)
-                w1[0] = 0.5 * h
-                w1[-1] = 0.5 * h
+            for w1 in self.axis_weights:
                 w = np.multiply.outer(w, w1)
-            self._cache["weights"] = w.reshape(self.shape)
+            self._cache["weights"] = w
         return self._cache["weights"]
 
 

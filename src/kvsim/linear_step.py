@@ -5,7 +5,8 @@ frozen at the previous iterate,
 
 * an implicit (backward Euler) viscoelastic velocity system
       (1/dt) v - Q1 v = (1/dt) v_old + div[A2 eps(u) - theta * (A2 alpha)] + b
-  on the interior nodes, with homogeneous Dirichlet rows eliminated, and
+  on the interior box of nodes (the homogeneous Dirichlet values never
+  enter as unknowns), and
 
 * an implicit frozen-coefficient heat system
       (cv/dt) theta_frozen * theta - k Lap theta
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 
 from . import constitutive as cons
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
-from .grid import ScalarField, VectorField, sym_gradient, tensor_divergence
+from .grid import VectorField, sym_gradient, tensor_divergence
 
 
 @dataclass
@@ -58,7 +59,7 @@ class LinearSolveReport:
 # ---------------------------------------------------------------------------
 
 def _second_diff_1d(n, h):
-    """Standard 3-point second difference; end rows are sliced away later."""
+    """Standard 3-point second difference with Dirichlet ends."""
     inv_h2 = 1.0 / (h * h)
     return sp.diags(
         [inv_h2, -2.0 * inv_h2, inv_h2], [-1, 0, 1], shape=(n, n), format="csr"
@@ -85,36 +86,12 @@ def _stiffness_1d(n, h):
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-def _weights_1d(n, h):
-    w = np.full(n, h)
-    w[0] = 0.5 * h
-    w[-1] = 0.5 * h
-    return w
-
-
-def _lift(grid, axis, op_1d):
-    """Kronecker-lift a 1-D operator on ``axis`` to the full C-ordered grid."""
-    result = None
-    for k in range(grid.d):
-        factor = op_1d if k == axis else sp.identity(grid.n[k], format="csr")
-        result = factor if result is None else sp.kron(result, factor, format="csr")
+def _kron(factors):
+    """Kronecker product of one factor per axis, in C order (axis 0 outermost)."""
+    result = factors[0]
+    for factor in factors[1:]:
+        result = sp.kron(result, factor, format="csr")
     return result
-
-
-def _lift_weighted(grid, axis, op_1d):
-    """Like ``_lift`` but with trapezoid weights on the transverse axes."""
-    result = None
-    for k in range(grid.d):
-        if k == axis:
-            factor = op_1d
-        else:
-            factor = sp.diags(_weights_1d(grid.n[k], grid.h[k]), format="csr")
-        result = factor if result is None else sp.kron(result, factor, format="csr")
-    return result
-
-
-def _restrict(matrix, idx):
-    return matrix[idx][:, idx].tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +99,34 @@ def _restrict(matrix, idx):
 # ---------------------------------------------------------------------------
 
 def velocity_matrix(grid, dt, lam, mu):
-    """(1/dt) I - Q1 over the interior unknowns (component-major layout)."""
+    """(1/dt) I - Q1 over the interior unknowns (component-major layout).
+
+    The unknowns are the interior box, ``grid.interior_shape`` nodes per
+    component, so the Dirichlet rows never enter the matrix.
+    """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
-    idx = grid.interior_flat
-    second = [_lift(grid, k, _second_diff_1d(grid.n[k], grid.h[k])) for k in range(grid.d)]
-    central = [_lift(grid, k, _central_1d(grid.n[k], grid.h[k])) for k in range(grid.d)]
-    laplace = second[0]
-    for k in range(1, grid.d):
-        laplace = laplace + second[k]
-    blocks = []
-    for i in range(grid.d):
-        row = []
-        for j in range(grid.d):
-            if i == j:
-                block = mu * laplace + (lam + mu) * second[i]
-            else:
-                block = (lam + mu) * (central[i] @ central[j])
-            row.append(_restrict(block, idx))
-        blocks.append(row)
+
+    def lifted(op_1d, axis):
+        return _kron([
+            op_1d(n, h) if k == axis else sp.identity(n, format="csr")
+            for k, (n, h) in enumerate(zip(grid.interior_shape, grid.h))
+        ])
+
+    # the mixed blocks are matrix products, not one Kronecker product of two
+    # factors: the product's (unsorted) entry order within each row is the
+    # summation order of every matvec, so it decides the last bits of a run
+    second = [lifted(_second_diff_1d, k) for k in range(grid.d)]
+    central = [lifted(_central_1d, k) for k in range(grid.d)]
+    laplace = sum(second[1:], second[0])
+    blocks = [
+        [
+            mu * laplace + (lam + mu) * second[i] if i == j
+            else (lam + mu) * (central[i] @ central[j])
+            for j in range(grid.d)
+        ]
+        for i in range(grid.d)
+    ]
     q_op = sp.bmat(blocks, format="csr")
     m = q_op.shape[0]
     matrix = (sp.identity(m, format="csr") / dt - q_op).tocsr()
@@ -149,21 +135,16 @@ def velocity_matrix(grid, dt, lam, mu):
 
 def pack_interior(grid, data):
     """Stack the interior values of a (*shape, d) array component-major."""
-    idx = grid.interior_flat
-    d = data.shape[-1]
-    flat = data.reshape(-1, d)
-    return np.concatenate([flat[idx, i] for i in range(d)])
+    return np.moveaxis(data[grid.interior], -1, 0).flatten()
 
 
 def unpack_interior(grid, x):
     """Inverse of :func:`pack_interior`; boundary nodes are exactly zero."""
-    idx = grid.interior_flat
-    m = idx.size
-    d = x.size // m
-    out = np.zeros((grid.num_nodes, d))
-    for i in range(d):
-        out[idx, i] = x[i * m:(i + 1) * m]
-    return VectorField(grid, out.reshape(grid.shape + (d,)))
+    out = np.zeros(grid.shape + (grid.d,))
+    out[grid.interior] = np.moveaxis(
+        x.reshape((grid.d,) + grid.interior_shape), 0, -1
+    )
+    return VectorField(grid, out)
 
 
 def velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
@@ -183,11 +164,12 @@ def velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
 
 def heat_stiffness(grid):
     """Trapezoid-weighted Neumann stiffness: symmetric PSD, zero row sums."""
-    result = None
+    terms = []
     for k in range(grid.d):
-        term = _lift_weighted(grid, k, _stiffness_1d(grid.n[k], grid.h[k]))
-        result = term if result is None else result + term
-    return result.tocsr()
+        factors = [sp.diags(w, format="csr") for w in grid.axis_weights]
+        factors[k] = _stiffness_1d(grid.n[k], grid.h[k])
+        terms.append(_kron(factors))
+    return sum(terms[1:], terms[0]).tocsr()
 
 
 def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
@@ -227,7 +209,8 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     Converges when the true relative residual ||b - A x|| / ||b|| drops to
     ``tol``; raises :class:`NonConvergenceError` (carrying the report) when
     ``max_iter`` is exhausted, and :class:`DomainError` up front when the
-    right-hand side is not finite.  Deterministic given identical inputs.
+    right-hand side or the initial guess is not finite.  Deterministic given
+    identical inputs.
     """
     if tol <= 0.0:
         raise UsageError(f"tol must be positive, got {tol}")
@@ -241,8 +224,10 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
         )
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), LinearSolveReport(0, 0.0, True)
-    inv_diag = 1.0 / a.diagonal()
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("initial guess x0 is not finite")
+    inv_diag = 1.0 / a.diagonal()
     r = rhs - a @ x
     z = inv_diag * r
     p = z.copy()
@@ -278,8 +263,3 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
             report=report,
         )
     return x, report
-
-
-def scalar_field_from_solution(grid, x):
-    """Wrap a heat-system solution vector (all nodes) as a scalar field."""
-    return ScalarField(grid, np.asarray(x, dtype=float).reshape(grid.shape))

@@ -9,7 +9,8 @@ the two linear sub-problems in turn:
 2. heat solve with the frozen temperature coefficient and the previous
    iterate's strain rate.
 
-The zeroth iterate is the constant-in-time extension of the step's initial
+Iterates are :class:`SimState` objects at the new time.  The zeroth iterate
+is the step's initial state itself: the constant-in-time extension of its
 data.  Iteration stops when the difference norm
 
     Y = ||v_new - v_prev||_L2 + ||theta_new - theta_prev||_L2
@@ -139,24 +140,6 @@ class PicardTrace:
         return out
 
 
-@dataclass
-class PicardIterate:
-    """One sweep's frozen fields (u, v, theta)."""
-
-    u: VectorField
-    v: VectorField
-    theta: ScalarField
-
-
-def initial_iterate(state):
-    """Zeroth iterate: constant-in-time extension of the step's initial data.
-
-    Shares the state's arrays (the sweep never mutates them), so the fields
-    are bitwise equal to the state fields and inherit its boundary values.
-    """
-    return PicardIterate(u=state.u, v=state.v, theta=state.theta)
-
-
 class Stepper:
     """Caches the assembly work that is constant across a run.
 
@@ -173,40 +156,37 @@ class Stepper:
         )
         self.stiffness = linear_step.heat_stiffness(grid)
 
-    def _solve_velocity(self, rhs, x0):
-        x, report = linear_step.solve_spd(
-            self.velocity_op, rhs, tol=self.config.cg_tol,
-            max_iter=self.config.cg_max, x0=x0,
-        )
-        return linear_step.unpack_interior(self.grid, x), report
-
-    def _solve_heat(self, state, iterate, g):
-        op = linear_step.heat_matrix(
-            self.grid, self.config.dt, iterate.theta, self.params,
-            stiffness=self.stiffness,
-        )
-        rhs = linear_step.heat_rhs_vector(
-            self.grid, self.config.dt, state.theta, iterate.theta,
-            iterate.v, g, self.params,
-        )
-        x, report = linear_step.solve_spd(
-            op, rhs, tol=self.config.cg_tol, max_iter=self.config.cg_max,
-            x0=iterate.theta.data.ravel(),
-        )
-        return linear_step.scalar_field_from_solution(self.grid, x), report
-
     def sweep(self, state, iterate, b, g):
-        """One successive-approximation sweep; returns the next iterate."""
-        grid, dt = self.grid, self.config.dt
+        """One successive-approximation sweep; returns the next iterate.
+
+        ``iterate`` is any state of this step (the zeroth iterate is
+        ``state`` itself); the nonlinearity is frozen at its fields.
+        """
+        grid, dt, cfg = self.grid, self.config.dt, self.config
         rhs_v = linear_step.velocity_rhs(
             grid, dt, state.v, iterate.u, iterate.theta, b, self.params
         )
-        v_new, _ = self._solve_velocity(
-            rhs_v, linear_step.pack_interior(grid, iterate.v.data)
+        x_v, _ = linear_step.solve_spd(
+            self.velocity_op, rhs_v, tol=cfg.cg_tol, max_iter=cfg.cg_max,
+            x0=linear_step.pack_interior(grid, iterate.v.data),
         )
-        u_new = VectorField(grid, state.u.data + dt * v_new.data)
-        theta_new, _ = self._solve_heat(state, iterate, g)
-        return PicardIterate(u=u_new, v=v_new, theta=theta_new)
+        v_new = linear_step.unpack_interior(grid, x_v)
+        heat_op = linear_step.heat_matrix(
+            grid, dt, iterate.theta, self.params, stiffness=self.stiffness
+        )
+        rhs_h = linear_step.heat_rhs_vector(
+            grid, dt, state.theta, iterate.theta, iterate.v, g, self.params
+        )
+        x_h, _ = linear_step.solve_spd(
+            heat_op, rhs_h, tol=cfg.cg_tol, max_iter=cfg.cg_max,
+            x0=iterate.theta.data.ravel(),
+        )
+        return SimState(
+            t=state.t + dt,
+            u=VectorField(grid, state.u.data + dt * v_new.data),
+            v=v_new,
+            theta=ScalarField(grid, x_h.reshape(grid.shape)),
+        )
 
     def step(self, state, b=None, g=None):
         """Advance one time step; returns (new state, Picard trace)."""
@@ -220,7 +200,7 @@ class Stepper:
                 f"{floor}: min = {float(np.min(state.theta.data))}"
             )
         scale = lp_norm(state.theta, 2) + l2_norm(self.grid, state.v.data)
-        iterate = initial_iterate(state)
+        iterate = state
         ys = []
         sizes = []
         threshold = None
@@ -243,26 +223,16 @@ class Stepper:
                 # relative stopping rule, with a round-off floor so a step
                 # that starts at a fixed point is accepted immediately
                 threshold = max(cfg.picard_tol * ys[0], 1e-14 * (1.0 + scale))
-                if ys[0] == 0.0:
-                    trace = PicardTrace(ys, sizes, True, sweep_count, threshold)
-                    return self._accept(state, iterate, trace)
             if y <= threshold:
                 trace = PicardTrace(ys, sizes, True, sweep_count, threshold)
-                return self._accept(state, iterate, trace)
-        trace = PicardTrace(ys, sizes, False, cfg.picard_max, threshold or 0.0)
+                return iterate, trace
+        trace = PicardTrace(ys, sizes, False, cfg.picard_max, threshold)
         raise NonConvergenceError(
             f"successive approximations did not contract below "
             f"{trace.threshold:.3e} within {cfg.picard_max} sweeps "
             f"(last Y = {ys[-1]:.3e})",
             report=trace,
         )
-
-    def _accept(self, state, iterate, trace):
-        new_state = SimState(
-            t=state.t + self.config.dt,
-            u=iterate.u, v=iterate.v, theta=iterate.theta,
-        )
-        return new_state, trace
 
 
 @dataclass
@@ -274,10 +244,6 @@ class Sources:
 
     b: Optional[Callable[[float], VectorField]] = None
     g: Optional[Callable[[float], ScalarField]] = None
-
-    @classmethod
-    def none(cls):
-        return cls()
 
     @classmethod
     def constant(cls, grid, b_value=None, g_value=None):
@@ -342,7 +308,7 @@ def run(initial, params, config, t_end, sources=None, observers=()):
     if not t_end > initial.t:
         raise UsageError(f"t_end = {t_end} must exceed initial time {initial.t}")
     if sources is None:
-        sources = Sources.none()
+        sources = Sources()
     span = t_end - initial.t
     n_steps = max(1, math.ceil(span / config.dt - 1e-9))
     floor = config.theta_floor
@@ -350,25 +316,21 @@ def run(initial, params, config, t_end, sources=None, observers=()):
         floor = 0.5 * float(np.min(initial.theta.data))
     config = replace(config, theta_floor=floor)
     stepper = Stepper(initial.grid, params, config)
-    short_stepper = None
 
     traj = Trajectory(grid=initial.grid, params=params, config=config)
     traj.states.append(initial)
     state = initial
     for k in range(n_steps):
         t_new = initial.t + (k + 1) * config.dt
-        active = stepper
         if t_new > t_end + 1e-12 * max(1.0, abs(t_end)):
             # shortened final step to land exactly on t_end
-            dt_last = t_end - state.t
-            short_stepper = Stepper(
-                initial.grid, params, replace(config, dt=dt_last)
+            stepper = Stepper(
+                initial.grid, params, replace(config, dt=t_end - state.t)
             )
-            active = short_stepper
             t_new = t_end
         b_field = sources.b(t_new) if sources.b is not None else None
         g_field = sources.g(t_new) if sources.g is not None else None
-        new_state, trace = active.step(state, b=b_field, g=g_field)
+        new_state, trace = stepper.step(state, b=b_field, g=g_field)
         traj.states.append(new_state)
         traj.traces.append(trace)
         traj.b_max_abs.append(
@@ -383,7 +345,7 @@ def run(initial, params, config, t_end, sources=None, observers=()):
         for observer in observers:
             observer(StepEvent(
                 index=k, state_old=state, state_new=new_state, trace=trace,
-                b=b_field, g=g_field, dt=active.config.dt,
+                b=b_field, g=g_field, dt=stepper.config.dt,
             ))
         state = new_state
     return traj

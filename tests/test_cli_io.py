@@ -319,6 +319,7 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     ("sources.b_value", ("", "\n[sources]\nb = constant\nb_value = 0 -inf\n")),
     ("material.k", ("k = 1.0", "k = 1e999")),
     ("stepper.theta_floor", ("dt = 0.05", "dt = 0.05\ntheta_floor = nan")),
+    ("grid.nodes", ("nodes = 9 9", "nodes = 17.9 16.2")),
 ])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, edit):
     old, new = edit

@@ -433,6 +433,24 @@ def test_gronwall_perturbed_velocity(grid2d, params):
     assert not report.violation
 
 
+def test_gronwall_takes_one_strain_per_state_pair(grid2d, params, monkeypatch):
+    """X(t) and the rate A(t) share eps(u) of the first run's states."""
+    state = bump_state(grid2d)
+    base = run(state, params, StepperConfig(dt=0.05), 0.25)
+    other = run(perturb_state(state, "theta0", 1e-6), params,
+                StepperConfig(dt=0.05), 0.25)
+    calls = []
+
+    def counting(field):
+        calls.append(field)
+        return real(field)
+
+    real = diagnostics.sym_gradient
+    monkeypatch.setattr(diagnostics, "sym_gradient", counting)
+    gronwall_compare(other, base, params)
+    assert len(calls) <= 2 * len(base.states)
+
+
 def test_gronwall_rejects_mismatched_grids(params):
     a = run(SimState.rest(make_grid(n=9)), params, StepperConfig(dt=0.1), 0.2)
     b = run(SimState.rest(make_grid(n=11)), params, StepperConfig(dt=0.1), 0.2)

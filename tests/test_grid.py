@@ -44,7 +44,20 @@ def test_grid_validation(nodes, lengths):
 
 def test_masks_partition_nodes(grid2d):
     assert np.all(grid2d.boundary_mask ^ grid2d.interior_mask)
-    assert grid2d.interior_flat.size == (17 - 2) ** 2
+    assert grid2d.interior_shape == (17 - 2, 17 - 2)
+    assert np.all(grid2d.interior_mask[grid2d.interior])
+    assert np.count_nonzero(grid2d.interior_mask) == (17 - 2) ** 2
+
+
+def test_quad_weights_are_outer_product_of_axis_weights():
+    grid = Grid((5, 6, 7), (1.0, 2.0, 0.5))
+    wx, wy, wz = grid.axis_weights
+    assert [float(np.sum(w)) for w in grid.axis_weights] == pytest.approx(
+        [1.0, 2.0, 0.5], rel=1e-14
+    )
+    assert np.array_equal(
+        grid.quad_weights, wx[:, None, None] * wy[None, :, None] * wz
+    )
 
 
 def test_field_shape_validation(grid2d):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from kvsim import (
     DegeneracyError,
     DomainError,
+    Grid,
     NonConvergenceError,
     ScalarField,
     UsageError,
@@ -57,8 +58,13 @@ def test_velocity_matrix_positive_definite(rng, params):
         assert x @ (op.matrix @ x) > 0.0
 
 
-def test_velocity_matrix_matches_stencil_operator(rng, params):
-    grid = make_grid(d=2, n=11)
+@pytest.mark.parametrize("nodes,lengths", [
+    ((11, 11), (1.0, 1.0)),
+    ((7, 8, 9), (1.0, 1.2, 0.9)),
+    ((13, 19), (0.8, 1.5)),
+], ids=["square", "3d", "anisotropic"])
+def test_velocity_matrix_matches_stencil_operator(rng, params, nodes, lengths):
+    grid = Grid(nodes, lengths)
     dt = 0.03
     u = random_boundary_zero_vector(grid, rng)
     op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
@@ -68,6 +74,23 @@ def test_velocity_matrix_matches_stencil_operator(rng, params):
     assert np.max(np.abs(matrix_side - stencil_side)) <= 1e-12 * (
         1.0 + np.max(np.abs(stencil_side))
     )
+
+
+@pytest.mark.parametrize("nodes", [(7,), (6, 9), (5, 6, 7)], ids=["1d", "2d", "3d"])
+def test_pack_unpack_interior_round_trip(rng, nodes):
+    """Packing keeps exactly the interior box, component-major; unpacking
+    restores it with boundary values exactly zero."""
+    grid = Grid(nodes, (1.0,) * len(nodes))
+    data = rng.standard_normal(grid.shape + (grid.d,))
+    x = pack_interior(grid, data)
+    size = int(np.prod(grid.interior_shape))
+    assert x.shape == (grid.d * size,)
+    for i in range(grid.d):
+        block = x[i * size:(i + 1) * size].reshape(grid.interior_shape)
+        assert np.array_equal(block, data[grid.interior + (i,)])
+    back = unpack_interior(grid, x).data
+    assert np.array_equal(back[grid.interior], data[grid.interior])
+    assert np.all(back[grid.boundary_mask] == 0.0)
 
 
 def test_velocity_one_step_taylor_limit(params):
@@ -199,10 +222,14 @@ def test_cg_residual_report_matches_recomputation(rng):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_cg_rejects_non_finite_rhs(bad):
     """A non-finite right-hand side is reported up front: with inf it used
-    to pass the residual test at once, with NaN it burned max_iter."""
+    to pass the residual test at once, with NaN it burned max_iter.  So is
+    a non-finite initial guess."""
     rhs = np.array([1.0, bad, 0.0, 2.0])
     with pytest.raises(DomainError):
         cg(_as_op(np.eye(4)), rhs)
+    x0 = np.array([0.0, bad, 0.0])
+    with pytest.raises(DomainError):
+        cg(_as_op(np.diag([1.0, 2.0, 3.0])), np.ones(3), x0=x0)
 
 
 def test_cg_nonconvergence_raises_with_report(rng):

@@ -12,7 +12,6 @@ from kvsim import (
     Stepper,
     StepperConfig,
     UsageError,
-    initial_iterate,
     run,
 )
 from kvsim.grid import boundary_max_abs, integrate, laplacian_neumann
@@ -24,20 +23,6 @@ def l2_diff(a, b, grid):
     d = a.data - b.data
     sq = d**2 if d.ndim == len(grid.shape) else np.sum(d**2, axis=-1)
     return np.sqrt(integrate(ScalarField(grid, sq)))
-
-
-# ---------------------------------------------------------------------------
-# zeroth iterate
-# ---------------------------------------------------------------------------
-
-def test_initial_iterate_is_constant_extension(grid2d):
-    state = bump_state(grid2d)
-    it = initial_iterate(state)
-    assert np.array_equal(it.u.data, state.u.data)
-    assert np.array_equal(it.v.data, state.v.data)
-    assert np.array_equal(it.theta.data, state.theta.data)
-    assert boundary_max_abs(it.u) == 0.0 and boundary_max_abs(it.v) == 0.0
-    assert np.min(it.theta.data) == np.min(state.theta.data)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +68,7 @@ def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
     new, trace = stepper.step(state)
     assert trace.converged
     # two more sweeps of the same step change the answer below the threshold
-    extra = stepper.sweep(state, initial_iterate(new), None, None)
+    extra = stepper.sweep(state, new, None, None)
     moved = l2_diff(extra.v, new.v, grid2d) + l2_diff(extra.theta, new.theta, grid2d)
     assert moved <= 2.0 * trace.threshold
     again = stepper.sweep(state, extra, None, None)
