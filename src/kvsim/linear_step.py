@@ -19,14 +19,21 @@ that scaling does not change the solution but makes the Neumann part exactly
 symmetric (it is the discrete Dirichlet form), while keeping its row sums
 exactly zero.
 
-Solves use diagonally preconditioned conjugate gradients with deterministic
-reductions; a solve is single-caller but independent solves may run
-concurrently.
+Solves use conjugate gradients with deterministic reductions, preconditioned
+by fast diagonalization (Lynch, Rice & Thomas 1964): each operator carries
+the exact inverse of its separable part, applied in the Kronecker product of
+per-axis eigenbases.  For the velocity system that part drops only the mixed
+(lambda1 + mu1) d_i d_j coupling blocks; for the heat system it replaces the
+frozen temperature by its mean.  Both dropped parts are spectrally
+equivalent, so the iteration counts stay bounded as the grid is refined.  A
+solve is single-caller but independent solves may run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,9 +45,14 @@ from .grid import VectorField, sym_gradient, tensor_divergence
 
 @dataclass
 class SparseOperator:
-    """A row-compressed sparse matrix over the free unknowns."""
+    """A row-compressed sparse matrix over the free unknowns.
+
+    ``precondition`` maps a residual r to z = P^{-1} r for a symmetric
+    positive-definite P close to the matrix; None means Jacobi (P = diag).
+    """
 
     matrix: sp.csr_matrix
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def size(self):
@@ -95,6 +107,67 @@ def _kron(factors):
 
 
 # ---------------------------------------------------------------------------
+# fast diagonalization: per-axis eigenbases of the separable parts
+# ---------------------------------------------------------------------------
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _dirichlet_eigen(n, h):
+    """Eigenvalues and orthonormal eigenvectors (columns) of
+    ``-_second_diff_1d(n, h)``."""
+    return _read_only(*np.linalg.eigh(-_second_diff_1d(n, h).toarray()))
+
+
+@lru_cache(maxsize=64)
+def _neumann_eigen(h, weights):
+    """Eigenpairs of ``_stiffness_1d`` against the trapezoid ``weights``
+    (a tuple, one per node): S V = W V diag(values) with V^T W V = I."""
+    scale = 1.0 / np.sqrt(np.array(weights))
+    stiffness = _stiffness_1d(len(weights), h).toarray()
+    values, vectors = np.linalg.eigh(scale[:, None] * stiffness * scale)
+    return _read_only(values, scale[:, None] * vectors)
+
+
+def _outer_sum(values):
+    """Sum over axes of one 1-D array per axis, on their tensor grid."""
+    total = np.zeros(())
+    for v in values:
+        total = np.add.outer(total, v)
+    return total
+
+
+def _fast_diagonalization(bases, divisor):
+    """Preconditioner r -> V diag(1 / divisor) V^T r.
+
+    V is the Kronecker product of ``bases``, one matrix per trailing axis of
+    ``divisor``; a leading axis beyond them is a batch of components.  Each
+    axis but the last is one batched matrix product on a reshaped view (its
+    axis second to last), the last axis a single product of all rows.
+    """
+    shape = divisor.shape
+    lead = len(shape) - len(bases)
+    views = [shape[:lead + k + 1] + (-1,) for k in range(len(bases) - 1)]
+    inner, last = bases[:-1], bases[-1]
+    inverse = (1.0 / divisor).reshape(-1, shape[-1])
+
+    def precondition(r):
+        y = r
+        for view, v in zip(views, inner):
+            y = v.T @ y.reshape(view)
+        y = ((y.reshape(-1, shape[-1]) @ last) * inverse) @ last.T
+        for view, v in zip(views, inner):
+            y = v @ y.reshape(view)
+        return y.ravel()
+
+    return precondition
+
+
+# ---------------------------------------------------------------------------
 # velocity system
 # ---------------------------------------------------------------------------
 
@@ -102,7 +175,10 @@ def velocity_matrix(grid, dt, lam, mu):
     """(1/dt) I - Q1 over the interior unknowns (component-major layout).
 
     The unknowns are the interior box, ``grid.interior_shape`` nodes per
-    component, so the Dirichlet rows never enter the matrix.
+    component, so the Dirichlet rows never enter the matrix.  The operator
+    carries the exact inverse of its diagonal blocks as preconditioner: in
+    the eigenbasis of the 1-D second differences, component i's block is
+    1/dt + mu * sum_k l_k + (lam + mu) * l_i.
     """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
@@ -130,7 +206,18 @@ def velocity_matrix(grid, dt, lam, mu):
     q_op = sp.bmat(blocks, format="csr")
     m = q_op.shape[0]
     matrix = (sp.identity(m, format="csr") / dt - q_op).tocsr()
-    return SparseOperator(matrix=matrix)
+
+    values, vectors = zip(*(
+        _dirichlet_eigen(n, h) for n, h in zip(grid.interior_shape, grid.h)
+    ))
+    common = 1.0 / dt + mu * _outer_sum(values)
+    divisor = np.stack([
+        common + (lam + mu) * values[i].reshape(
+            [-1 if k == i else 1 for k in range(grid.d)])
+        for i in range(grid.d)
+    ])
+    precondition = _fast_diagonalization(vectors, divisor)
+    return SparseOperator(matrix=matrix, precondition=precondition)
 
 
 def pack_interior(grid, data):
@@ -162,18 +249,55 @@ def velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
 # heat system
 # ---------------------------------------------------------------------------
 
-def heat_stiffness(grid):
-    """Trapezoid-weighted Neumann stiffness: symmetric PSD, zero row sums."""
+@dataclass(frozen=True)
+class HeatStiffness:
+    """k times the trapezoid-weighted Neumann stiffness (symmetric PSD, zero
+    row sums), with what every sweep's heat matrix reuses.
+
+    ``diagonal`` indexes each row's diagonal entry in ``matrix.data``.
+    ``bases`` holds per axis the eigenvectors V of the 1-D stiffness against
+    the trapezoid weights W (V^T W V = I), and ``eigenvalues`` is k times the
+    sum of their eigenvalues over ``grid.shape``: in that basis, the heat
+    matrix of a uniform temperature is diagonal.
+    """
+
+    matrix: sp.csr_matrix
+    diagonal: np.ndarray
+    bases: tuple
+    eigenvalues: np.ndarray
+
+
+def heat_stiffness(grid, k):
+    """k times the trapezoid-weighted Neumann stiffness, with its diagonal
+    positions and eigenbasis (see :class:`HeatStiffness`)."""
     terms = []
-    for k in range(grid.d):
+    for axis in range(grid.d):
         factors = [sp.diags(w, format="csr") for w in grid.axis_weights]
-        factors[k] = _stiffness_1d(grid.n[k], grid.h[k])
+        factors[axis] = _stiffness_1d(grid.n[axis], grid.h[axis])
         terms.append(_kron(factors))
-    return sum(terms[1:], terms[0]).tocsr()
+    matrix = (k * sum(terms[1:], terms[0])).tocsr()
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    diagonal = np.flatnonzero(matrix.indices == rows)
+    values, vectors = zip(*(
+        _neumann_eigen(h, tuple(w)) for h, w in zip(grid.h, grid.axis_weights)
+    ))
+    return HeatStiffness(
+        matrix=matrix,
+        diagonal=diagonal,
+        bases=vectors,
+        eigenvalues=k * _outer_sum(values),
+    )
 
 
 def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
-    """(cv/dt) diag(w * theta_frozen) + k * weighted Neumann stiffness."""
+    """(cv/dt) diag(w * theta_frozen) + k * weighted Neumann stiffness.
+
+    ``stiffness`` is ``heat_stiffness(grid, params.k)``, built here when
+    None.  The preconditioner is the exact inverse of the same matrix with
+    theta_frozen replaced by its mean, so it is exact for a uniform
+    temperature and has condition number at most max/min of theta_frozen
+    otherwise.
+    """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
     theta_min = float(np.min(theta_frozen.data))
@@ -183,11 +307,17 @@ def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
             f"min = {theta_min}; the heat sub-problem lost parabolicity"
         )
     if stiffness is None:
-        stiffness = heat_stiffness(grid)
+        stiffness = heat_stiffness(grid, params.k)
     w = grid.quad_weights.ravel()
-    mass = sp.diags(w * (params.cv / dt) * theta_frozen.data.ravel(), format="csr")
-    matrix = (mass + params.k * stiffness).tocsr()
-    return SparseOperator(matrix=matrix)
+    matrix = stiffness.matrix.copy()
+    matrix.data[stiffness.diagonal] += (
+        w * (params.cv / dt) * theta_frozen.data.ravel()
+    )
+    mean_mass = (params.cv / dt) * float(theta_frozen.data.mean())
+    precondition = _fast_diagonalization(
+        stiffness.bases, mean_mass + stiffness.eigenvalues
+    )
+    return SparseOperator(matrix=matrix, precondition=precondition)
 
 
 def heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params):
@@ -203,14 +333,23 @@ def heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params):
 # conjugate gradients
 # ---------------------------------------------------------------------------
 
-def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
-    """Jacobi-preconditioned conjugate gradients for an SPD operator.
+# consecutive true-residual re-checks without progress before CG gives up
+_STALLED_RECHECKS = 3
 
-    Converges when the true relative residual ||b - A x|| / ||b|| drops to
-    ``tol``; raises :class:`NonConvergenceError` (carrying the report) when
-    ``max_iter`` is exhausted, and :class:`DomainError` up front when the
-    right-hand side or the initial guess is not finite.  Deterministic given
-    identical inputs.
+
+def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
+    """Preconditioned conjugate gradients for an SPD operator.
+
+    Applies ``op.precondition`` to every residual, or the inverse diagonal
+    (Jacobi) when the operator carries none.  Converges when the true
+    relative residual ||b - A x|| / ||b|| drops to ``tol``.  Raises
+    :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
+    exhausted, or when three consecutive true-residual re-checks (each
+    followed by a restart) fail to lower the best true residual: ``tol`` is
+    then below what round-off lets this system attain, and the message
+    states the attainable relative residual.  Raises :class:`DomainError` up
+    front when the right-hand side or the initial guess is not finite.
+    Deterministic given identical inputs.
     """
     if tol <= 0.0:
         raise UsageError(f"tol must be positive, got {tol}")
@@ -227,11 +366,19 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("initial guess x0 is not finite")
-    inv_diag = 1.0 / a.diagonal()
+    precondition = op.precondition
+    if precondition is None:
+        inv_diag = 1.0 / a.diagonal()
+
+        def precondition(r):
+            return inv_diag * r
+
     r = rhs - a @ x
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
+    best_true = np.inf
+    stalled = 0
     iterations = 0
     while iterations < max_iter:
         res = float(np.linalg.norm(r))
@@ -241,15 +388,27 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
             res_true = float(np.linalg.norm(r_true))
             if res_true <= tol * rhs_norm:
                 return x, LinearSolveReport(iterations, res_true / rhs_norm, True)
+            if res_true < best_true:
+                best_true, stalled = res_true, 0
+            else:
+                stalled += 1
+            if stalled >= _STALLED_RECHECKS:
+                attainable = best_true / rhs_norm
+                raise NonConvergenceError(
+                    f"conjugate gradients stagnated after {iterations} "
+                    f"iterations: the attainable relative residual "
+                    f"{attainable:.3e} is above tol={tol}",
+                    report=LinearSolveReport(iterations, attainable, False),
+                )
             r = r_true
-            z = inv_diag * r
+            z = precondition(r)
             p = z.copy()
             rz = float(r @ z)
         ap = a @ p
         alpha = rz / float(p @ ap)
         x = x + alpha * p
         r = r - alpha * ap
-        z = inv_diag * r
+        z = precondition(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next

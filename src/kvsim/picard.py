@@ -143,8 +143,9 @@ class PicardTrace:
 class Stepper:
     """Caches the assembly work that is constant across a run.
 
-    The velocity matrix depends only on (grid, dt, viscosity pair) and the
-    Neumann stiffness only on the grid, so both are built once.
+    The velocity matrix and its preconditioner depend only on (grid, dt,
+    viscosity pair), and the Neumann stiffness with its eigenbasis only on
+    the grid and the conductivity, so both are built once.
     """
 
     def __init__(self, grid, params, config):
@@ -154,7 +155,7 @@ class Stepper:
         self.velocity_op = linear_step.velocity_matrix(
             grid, config.dt, params.lambda1, params.mu1
         )
-        self.stiffness = linear_step.heat_stiffness(grid)
+        self.stiffness = linear_step.heat_stiffness(grid, params.k)
 
     def sweep(self, state, iterate, b, g):
         """One successive-approximation sweep; returns the next iterate.

@@ -1,5 +1,10 @@
 """Config parsing/validation, serialization round trips, CLI surfaces."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -336,6 +341,36 @@ def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(cfg)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_exit_code_on_cg_stagnation(tmp_path, monkeypatch, capsys):
+    """A heat solve whose tolerance lies below its attainable residual fails
+    fast with exit code 3 and names the attainable residual."""
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text() + "\n[initial]\npreset = bump\n"
+    text = text.replace("nodes = 9 9", "nodes = 17 17")
+    text = text.replace("dt = 0.05", "dt = 50").replace("t_end = 0.1", "t_end = 100")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "attainable relative residual" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """Start-up cost guard: importing the command-line module must not pull
+    in scipy.fft, scipy.special, scipy.linalg or scipy.sparse.linalg, each
+    of which adds a large share of the start-up time."""
+    heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, kvsim.cli_io; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == ""
 
 
 def test_cli_norms_and_io_error(tmp_path, monkeypatch, capsys):

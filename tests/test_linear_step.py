@@ -10,12 +10,15 @@ from kvsim import (
     Grid,
     NonConvergenceError,
     ScalarField,
+    Stepper,
+    StepperConfig,
     UsageError,
     VectorField,
     lame_operator,
     solve_spd,
 )
 from kvsim.linear_step import (
+    LinearSolveReport,
     SparseOperator,
     heat_matrix,
     heat_rhs_vector,
@@ -26,7 +29,13 @@ from kvsim.linear_step import (
     velocity_rhs,
 )
 
-from helpers import make_grid, random_boundary_zero_vector
+from helpers import bump_state, make_grid, random_boundary_zero_vector
+
+SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
+    ((9,), (1.0,)),
+    ((13, 19), (0.8, 1.5)),
+    ((7, 8, 9), (1.0, 1.2, 0.9)),
+], ids=["1d", "anisotropic", "3d"])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +182,84 @@ def test_heat_matrix_degenerate_coefficient_rejected(grid2d, params):
     theta.data[3, 3] = 0.0
     with pytest.raises(DegeneracyError):
         heat_matrix(grid2d, 0.02, theta, params)
+
+
+# ---------------------------------------------------------------------------
+# fast-diagonalization preconditioners
+# ---------------------------------------------------------------------------
+
+@SMALL_GRIDS
+def test_heat_preconditioner_exact_for_uniform_temperature(rng, params, nodes, lengths):
+    """With a uniform frozen temperature the preconditioner is the inverse of
+    the heat matrix, so CG stops after one iteration."""
+    grid = Grid(nodes, lengths)
+    op = heat_matrix(grid, 0.02, ScalarField.constant(grid, 1.3), params)
+    rhs = rng.standard_normal(op.size)
+    z = op.precondition(rhs)
+    assert np.linalg.norm(op.matrix @ z - rhs) <= 1e-13 * np.linalg.norm(rhs)
+    _, report = solve_spd(op, rhs)
+    assert report.iterations == 1
+
+
+@SMALL_GRIDS
+def test_velocity_preconditioner_inverts_diagonal_blocks(rng, params, nodes, lengths):
+    """The velocity preconditioner drops only the mixed (lambda + mu) blocks:
+    it inverts the component blocks of the velocity matrix."""
+    grid = Grid(nodes, lengths)
+    op = velocity_matrix(grid, 0.03, params.lambda1, 0.7 * params.mu1)
+    m = int(np.prod(grid.interior_shape))
+    blocks = sp.block_diag(
+        [op.matrix[i * m:(i + 1) * m, i * m:(i + 1) * m] for i in range(grid.d)],
+        format="csr",
+    )
+    x = rng.standard_normal(op.size)
+    back = op.precondition(blocks @ x)
+    assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("nodes", [(33, 33), (65, 65), (129, 129), (17, 17, 17)],
+                         ids=["33^2", "65^2", "129^2", "17^3"])
+def test_preconditioned_iterations_are_grid_independent(rng, params, nodes):
+    """Cold-start solves from a random right-hand side take a bounded number
+    of iterations on every grid (Jacobi needed 158 to 1218)."""
+    grid = Grid(nodes, (1.0,) * len(nodes))
+    velocity = velocity_matrix(grid, 0.02, params.lambda1, params.mu1)
+    _, report = solve_spd(velocity, rng.standard_normal(velocity.size))
+    assert report.iterations <= 25
+    theta = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape))
+    heat = heat_matrix(grid, 0.02, theta, params)
+    _, report = solve_spd(heat, rng.standard_normal(heat.size))
+    assert report.iterations <= 8
+
+
+def test_bare_operator_solves_with_jacobi(rng, params):
+    """An operator without a preconditioner runs Jacobi-PCG: it takes the
+    same iterations as one carrying the inverse diagonal explicitly."""
+    matrix = velocity_matrix(make_grid(d=2, n=17), 0.02,
+                             params.lambda1, params.mu1).matrix
+    inv_diag = 1.0 / matrix.diagonal()
+    rhs = rng.standard_normal(matrix.shape[0])
+    x, report = solve_spd(SparseOperator(matrix=matrix), rhs)
+    x_ref, report_ref = solve_spd(
+        SparseOperator(matrix=matrix, precondition=lambda r: inv_diag * r), rhs
+    )
+    assert report.converged and report.iterations == report_ref.iterations
+    assert np.array_equal(x, x_ref)
+
+
+def test_cg_stagnation_fails_fast(params):
+    """dt = 50 on a 17^2 bump: the heat solve's attainable residual
+    (about 2.5e-12) is above cg_tol = 1e-12.  CG gives up after a few
+    re-checks without progress instead of running out cg_max."""
+    grid = make_grid(d=2, n=17)
+    stepper = Stepper(grid, params, StepperConfig(dt=50.0))
+    with pytest.raises(NonConvergenceError) as excinfo:
+        stepper.step(bump_state(grid))
+    report = excinfo.value.report
+    assert isinstance(report, LinearSolveReport) and not report.converged
+    assert report.iterations <= 50
+    assert 1e-12 < report.relative_residual < 1e-10
+    assert "attainable relative residual" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
