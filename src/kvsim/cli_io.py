@@ -163,43 +163,49 @@ class _Parsed:
             self.complain(f"{section}.{key}", "required key is missing")
         return default
 
-    def get_float(self, section, key, default=None, required=False):
+    def get_float(self, section, key, required=False):
         raw = self.get(section, key, required=required)
         if raw is None:
-            return default
+            return None
         try:
             value = float(raw)
         except ValueError:
             self.complain(f"{section}.{key}", f"not a number: {raw!r}")
-            return default
+            return None
         if not math.isfinite(value):
             self.complain(f"{section}.{key}", f"not a finite number: {raw!r}")
-            return default
+            return None
         return value
 
-    def get_int(self, section, key, default=None, required=False):
+    def get_int(self, section, key, required=False):
         raw = self.get(section, key, required=required)
         if raw is None:
-            return default
+            return None
         try:
             return int(raw)
         except ValueError:
             self.complain(f"{section}.{key}", f"not an integer: {raw!r}")
-            return default
+            return None
 
-    def get_floats(self, section, key, default=None, required=False):
+    def get_floats(self, section, key, required=False):
         raw = self.get(section, key, required=required)
         if raw is None:
-            return default
+            return None
         try:
             values = tuple(float(tok) for tok in raw.split())
         except ValueError:
             self.complain(f"{section}.{key}", f"not a list of numbers: {raw!r}")
-            return default
+            return None
         if not all(math.isfinite(v) for v in values):
             self.complain(f"{section}.{key}", f"not all finite numbers: {raw!r}")
-            return default
+            return None
         return values
+
+    def present(self, section, getters):
+        """The valid values of the keys of ``section`` that are set, keyed
+        by name; the dataclass that takes them holds every default."""
+        values = {key: get(section, key) for key, get in getters.items()}
+        return {key: v for key, v in values.items() if v is not None}
 
 
 def load_config(path):
@@ -265,40 +271,35 @@ def load_config(path):
     material_kwargs = {}
     for key in ("lambda1", "mu1", "lambda2", "mu2", "k", "cv"):
         material_kwargs[key] = parsed.get_float("material", key, required=True)
-    alpha = parsed.get_floats("material", "alpha", default=(0.0,))
-    beta = parsed.get_float("material", "beta", default=1.0)
+    alpha = parsed.get_floats("material", "alpha")
+    if alpha is not None and len(alpha) not in (1, 6):
+        parsed.complain("material.alpha", "expected 1 or 6 values")
+    elif alpha is not None:
+        material_kwargs["alpha"] = alpha[0] if len(alpha) == 1 else np.array(alpha)
+    material_kwargs.update(parsed.present("material", {"beta": parsed.get_float}))
     params = None
-    if all(v is not None for v in material_kwargs.values()) and alpha is not None:
-        if len(alpha) not in (1, 6):
-            parsed.complain("material.alpha", "expected 1 or 6 values")
-        else:
-            try:
-                params = MaterialParams(
-                    alpha=alpha[0] if len(alpha) == 1 else np.array(alpha),
-                    beta=beta if beta is not None else 1.0,
-                    **material_kwargs,
-                )
-            except UsageError as exc:
-                for violation in str(exc).split("; "):
-                    parsed.complain("material", violation)
+    if all(v is not None for v in material_kwargs.values()):
+        try:
+            params = MaterialParams(**material_kwargs)
+        except UsageError as exc:
+            for violation in str(exc).split("; "):
+                parsed.complain("material", violation)
 
     # stepper
     dt = parsed.get_float("stepper", "dt", required=True)
     t_end = parsed.get_float("stepper", "t_end", required=True)
-    picard_tol = parsed.get_float("stepper", "picard_tol", default=1e-10)
-    picard_max = parsed.get_int("stepper", "picard_max", default=50)
-    cg_tol = parsed.get_float("stepper", "cg_tol", default=1e-12)
-    cg_max = parsed.get_int("stepper", "cg_max", default=20000)
-    theta_floor = None
-    if parsed.get("stepper", "theta_floor", default="auto") != "auto":
-        theta_floor = parsed.get_float("stepper", "theta_floor")
+    getters = {
+        "picard_tol": parsed.get_float, "picard_max": parsed.get_int,
+        "cg_tol": parsed.get_float, "cg_max": parsed.get_int,
+        "theta_floor": parsed.get_float,
+    }
+    if parsed.get("stepper", "theta_floor") == "auto":
+        del getters["theta_floor"]  # StepperConfig's default
+    stepper_kwargs = parsed.present("stepper", getters)
     stepper = None
-    if dt is not None and None not in (picard_tol, picard_max, cg_tol, cg_max):
+    if dt is not None:
         try:
-            stepper = StepperConfig(
-                dt=dt, picard_tol=picard_tol, picard_max=picard_max,
-                cg_tol=cg_tol, cg_max=cg_max, theta_floor=theta_floor,
-            )
+            stepper = StepperConfig(dt=dt, **stepper_kwargs)
         except UsageError as exc:
             for violation in str(exc).split("; "):
                 parsed.complain("stepper", violation)
@@ -306,20 +307,19 @@ def load_config(path):
         parsed.complain("stepper.t_end", f"t_end = {t_end} must be positive")
 
     # initial
-    initial = InitialSpec()
-    preset = parsed.get("initial", "preset", default="uniform")
-    initial.theta0 = parsed.get_float("initial", "theta0", default=1.0)
-    initial.velocity_amplitude = parsed.get_float(
-        "initial", "velocity_amplitude", default=0.1
-    )
-    initial.theta_amplitude = parsed.get_float(
-        "initial", "theta_amplitude", default=0.0
-    )
+    before = len(parsed.violations)
+    initial = InitialSpec(**parsed.present("initial", {
+        "theta0": parsed.get_float,
+        "velocity_amplitude": parsed.get_float,
+        "theta_amplitude": parsed.get_float,
+    }))
+    preset = parsed.get("initial", "preset", default=initial.preset)
     if preset in ("uniform", "bump"):
         initial.preset = preset
         theta0 = initial.theta0
         amp = initial.theta_amplitude if preset == "bump" else 0.0
-        if theta0 is not None and amp is not None and theta0 - abs(amp) <= 0.0:
+        # a number that failed to parse has already been reported
+        if len(parsed.violations) == before and theta0 - abs(amp) <= 0.0:
             parsed.complain(
                 "initial.theta0",
                 f"initial temperature can reach {theta0 - abs(amp)}; it must "
@@ -341,9 +341,11 @@ def load_config(path):
         parsed.complain("initial.preset", f"unknown preset {preset!r}")
 
     # sources
-    sources = SourcesSpec()
-    for slot, value_key in (("b", "b_value"), ("g", "g_value")):
-        kind = parsed.get("sources", slot, default="zero")
+    sources = SourcesSpec(
+        **parsed.present("sources", {"g_value": parsed.get_float}))
+    for slot in ("b", "g"):
+        kind = parsed.get("sources", slot,
+                          default=getattr(sources, f"{slot}_kind"))
         if kind == "zero" or kind == "constant":
             setattr(sources, f"{slot}_kind", kind)
         elif kind.startswith("manufactured:"):
@@ -358,22 +360,21 @@ def load_config(path):
                 )
         else:
             parsed.complain(f"sources.{slot}", f"unknown source kind {kind!r}")
-    b_value = parsed.get_floats("sources", "b_value", default=None)
+    b_value = parsed.get_floats("sources", "b_value")
     if b_value is not None:
         if dimension is not None and len(b_value) != dimension:
             parsed.complain("sources.b_value", f"expected {dimension} values")
         sources.b_value = b_value
     elif dimension is not None:
         sources.b_value = (0.0,) * dimension
-    g_value = parsed.get_float("sources", "g_value", default=0.0)
-    sources.g_value = g_value if g_value is not None else 0.0
 
     # output
-    output = OutputSpec()
-    output.csv = parsed.get("output", "csv", default=None)
-    output.snapshot_every = parsed.get_int("output", "snapshot_every", default=0)
-    output.snapshot_prefix = parsed.get("output", "snapshot_prefix", default="state")
-    if output.snapshot_every is not None and output.snapshot_every < 0:
+    output = OutputSpec(**parsed.present("output", {
+        "csv": parsed.get,
+        "snapshot_every": parsed.get_int,
+        "snapshot_prefix": parsed.get,
+    }))
+    if output.snapshot_every < 0:
         parsed.complain("output.snapshot_every", "must be >= 0")
 
     if parsed.violations:
@@ -510,15 +511,20 @@ def write_diagnostics_csv(records, path):
         lines.append(",".join(
             _format_value(getattr(rec, name)) for name in CSV_FIELDS
         ))
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _ensure_parent(path):
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
+
+
+def _write_lines(path, lines):
+    """Write ``lines`` to ``path`` as UTF-8, each ended by a line feed."""
+    _ensure_parent(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +570,7 @@ def write_vtk_snapshot(state, path):
     lines.append("LOOKUP_TABLE default")
     for value in _x_fastest(state.theta.data, grid.d):
         lines.append(_format_value(value))
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def save_checkpoint(state, path):
@@ -599,40 +603,36 @@ def load_checkpoint(path):
     payload, (checksum,) = blob[len(CHECKPOINT_MAGIC):-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != checksum:
         raise CheckpointError(f"checksum mismatch in {path}; file is corrupt")
-    offset = 0
-
-    def take(fmt):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, payload, offset)
-        offset += size
-        return values
-
-    version, d = take("<II")
+    version, d = struct.unpack_from("<II", payload)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
         )
-    nodes = take(f"<{d}I")
-    lengths = take(f"<{d}d")
-    (t,) = take("<d")
-    grid = Grid(nodes, lengths)
-    n = grid.num_nodes
-
-    def take_array(count):
-        nonlocal offset
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return arr.astype(float, copy=True)
-
-    u = take_array(n * d).reshape(grid.shape + (d,))
-    v = take_array(n * d).reshape(grid.shape + (d,))
-    theta = take_array(n).reshape(grid.shape)
-    if offset != len(payload):
-        raise CheckpointError(f"trailing bytes in checkpoint {path}")
+    if d not in (1, 2, 3):
+        raise CheckpointError(f"checkpoint {path} declares dimension {d}")
+    header = struct.calcsize(f"<II{d}I{d}dd")
+    if len(payload) < header:
+        raise CheckpointError(f"truncated header in checkpoint {path}")
+    *geometry, t = struct.unpack_from(f"<{d}I{d}dd", payload, 8)
+    nodes, lengths = geometry[:d], geometry[d:]
+    n = math.prod(nodes)
+    if len(payload) != header + 8 * (2 * d + 1) * n:
+        raise CheckpointError(
+            f"checkpoint {path} holds {len(payload) - header} bytes of field "
+            f"data; its header describes {8 * (2 * d + 1) * n}"
+        )
+    try:
+        grid = Grid(nodes, lengths)
+    except UsageError as exc:
+        raise CheckpointError(f"checkpoint {path} describes no valid grid: "
+                              f"{exc}") from None
+    data = np.frombuffer(payload, dtype="<f8", offset=header).astype(float)
+    u, v, theta = np.split(data, [n * d, 2 * n * d])
     state = SimState(
-        t=t, u=VectorField(grid, u), v=VectorField(grid, v),
-        theta=ScalarField(grid, theta),
+        t=t,
+        u=VectorField(grid, u.reshape(grid.shape + (d,))),
+        v=VectorField(grid, v.reshape(grid.shape + (d,))),
+        theta=ScalarField(grid, theta.reshape(grid.shape)),
     )
     return state, grid
 
@@ -706,9 +706,7 @@ def cmd_mms(args):
     text = report.format()
     print(text)
     if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_lines(args.out, [text])
     return 0
 
 
@@ -730,9 +728,7 @@ def cmd_perturb(args):
     out_path = args.out or (args.config + f".gronwall-{args.field}.csv"
                             if isinstance(args.config, str)
                             else "gronwall.csv")
-    _ensure_parent(out_path)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     verdict = "violated" if report.violation else "respected"
     print(f"perturbation of {args.field} by {args.delta:g}: "
           f"Gronwall envelope {verdict}")
@@ -767,10 +763,25 @@ def _load_trajectory_states(pattern):
     return states, float(dts[0])
 
 
+def _norm_exponent(option, raw):
+    """``inf`` or a finite number >= 1."""
+    if raw == "inf":
+        return np.inf
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 1.0):
+        raise UsageError(
+            f"{option} must be 'inf' or a finite number >= 1, got {raw!r}"
+        )
+    return value
+
+
 def cmd_norms(args):
+    p = _norm_exponent("--p", args.p)
+    p0 = _norm_exponent("--p0", args.p0)
     states, dt = _load_trajectory_states(args.traj)
-    p = np.inf if args.p == "inf" else float(args.p)
-    p0 = np.inf if args.p0 == "inf" else float(args.p0)
     quantities = {
         "theta": [s.theta for s in states],
         "|u|": [magnitude(s.u) for s in states],

@@ -164,9 +164,6 @@ class MaterialParams:
     def viscosity_bounds(self):
         return coercivity_bounds(self.lambda1, self.mu1)
 
-    def elasticity_bounds(self):
-        return coercivity_bounds(self.lambda2, self.mu2)
-
     def thermal_coupling(self):
         """The constant stress-temperature coupling tensor (elastic tensor
         applied to the thermal expansion), in 6-component storage."""

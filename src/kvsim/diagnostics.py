@@ -69,7 +69,7 @@ CSV_FIELDS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
 # per-state integrals
 # ---------------------------------------------------------------------------
 
-class _Integrals(NamedTuple):
+class StateIntegrals(NamedTuple):
     """The energies and the entropy of one state."""
 
     kinetic: float
@@ -79,19 +79,21 @@ class _Integrals(NamedTuple):
 
     @property
     def energy(self):
+        """Total energy: the exact sum kinetic + elastic + thermal."""
         return self.kinetic + self.elastic + self.thermal
 
     def availability(self, beta):
+        """integral(e + |u_t|^2/2 - beta*eta); beta = 0 gives the energy."""
         return self.energy - beta * self.entropy
 
 
-def _integrals(state, params):
+def state_integrals(state, params):
     """All integrals of one state, from a single strain evaluation."""
     grid = state.grid
     eps = sym_gradient(state.u).data
     theta = state.theta.data
     stress = cons.apply_isotropic(params.lambda2, params.mu2, eps)
-    return _Integrals(
+    return StateIntegrals(
         kinetic=0.5 * integrate(
             ScalarField(grid, np.sum(state.v.data**2, axis=-1))
         ),
@@ -103,28 +105,8 @@ def _integrals(state, params):
     )
 
 
-def energies(state, params):
-    """(kinetic, elastic, thermal); the total energy is their exact sum."""
-    return _integrals(state, params)[:3]
-
-
 def total_energy(state, params):
-    return _integrals(state, params).energy
-
-
-def total_entropy(state, params):
-    return _integrals(state, params).entropy
-
-
-def availability(state, params, beta=None):
-    """integral(e + |u_t|^2/2 - beta*eta); beta defaults to params.beta.
-
-    The beta override exists for the limiting case beta = 0, where the
-    functional degenerates to the (conserved) total energy.
-    """
-    if beta is None:
-        beta = params.beta
-    return _integrals(state, params).availability(beta)
+    return state_integrals(state, params).energy
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +119,25 @@ def _midpoint_theta(state_old, state_new):
     )
 
 
-class _StepBalances(NamedTuple):
-    new: _Integrals
+class StepBalances(NamedTuple):
+    """Every balance of one step (see :func:`step_balances`)."""
+
+    new: StateIntegrals
     strain_rate: np.ndarray  # eps(v_new)
     sigma: ScalarField  # entropy production density at the midpoint
     energy_residual: float  # of E_new - E_old - dt * integral(b . u_t_new + g)
     production: float  # dt * integral(sigma)
-    entropy_residual: float
+    entropy_residual: float  # of S_new - S_old - production - dt * int(g/theta)
+    # defect of integral(eta_t + div(q/theta) - g/theta - sigma); the
+    # inequality form holds within it because sigma >= 0 is kept explicit
     clausius_duhem_defect: float
 
 
-def _step_balances(state_old, state_new, b, g, dt, params):
+def step_balances(state_old, state_new, b, g, dt, params):
     """Every balance of one step, from one strain per state.
 
-    The strain rate is eps(v_new), which equals (eps_new - eps_old)/dt by
+    ``b`` and ``g`` are the step's sources at the new time (None when
+    absent).  The strain rate is eps(v_new), which equals (eps_new - eps_old)/dt by
     the displacement update rule: the step's exact mean strain rate.
     Entropy production and the g/theta source use the midpoint-in-time
     temperature.  Residuals are relative with a +1 floor.
@@ -159,8 +146,8 @@ def _step_balances(state_old, state_new, b, g, dt, params):
     theta_mid = _midpoint_theta(state_old, state_new)
     if np.min(theta_mid.data) <= 0.0 or np.min(state_old.theta.data) <= 0.0:
         raise DomainError("the step's balances require positive temperature")
-    old = _integrals(state_old, params)
-    new = _integrals(state_new, params)
+    old = state_integrals(state_old, params)
+    new = state_integrals(state_new, params)
     rate = sym_gradient(state_new.v).data
     grad_theta = gradient(theta_mid).data
     sigma = ScalarField(grid, cons.entropy_production(
@@ -186,7 +173,7 @@ def _step_balances(state_old, state_new, b, g, dt, params):
     energy_defect = new.energy - old.energy - dt * work
     production = dt * sigma_integral
     entropy_change = new.entropy - old.entropy
-    return _StepBalances(
+    return StepBalances(
         new=new,
         strain_rate=rate,
         sigma=sigma,
@@ -200,37 +187,6 @@ def _step_balances(state_old, state_new, b, g, dt, params):
             - sigma_integral
         ),
     )
-
-
-def entropy_production_field(state_old, state_new, dt, params):
-    """Entropy production density at the step midpoint (nonnegative)."""
-    return _step_balances(state_old, state_new, None, None, dt, params).sigma
-
-
-def entropy_production_integral(state_old, state_new, dt, params):
-    return integrate(entropy_production_field(state_old, state_new, dt, params))
-
-
-def energy_balance_residual(state_old, state_new, b, g, dt, params):
-    """Relative conservation defect of the step (exact zero for b = g = 0
-    solutions of the continuum system)."""
-    return _step_balances(state_old, state_new, b, g, dt, params).energy_residual
-
-
-def entropy_balance_residual(state_old, state_new, g, dt, params):
-    """(relative residual, dt * production) of the entropy balance."""
-    step = _step_balances(state_old, state_new, None, g, dt, params)
-    return step.entropy_residual, step.production
-
-
-def clausius_duhem_defect(state_old, state_new, g, dt, params):
-    """Defect of integral(eta_t + div(q/theta) - g/theta - sigma) over a step.
-
-    The inequality form (entropy growth at least g/theta) holds within the
-    same tolerance because sigma >= 0 is kept explicit.
-    """
-    step = _step_balances(state_old, state_new, None, g, dt, params)
-    return step.clausius_duhem_defect
 
 
 def entropy_form_crosscheck(state_old, state_new, g, dt, params):
@@ -308,7 +264,7 @@ def _record(state, params, integrals, strain_rate, **step_fields):
 
 
 def record_for_step(state_old, state_new, trace, b, g, dt, params):
-    step = _step_balances(state_old, state_new, b, g, dt, params)
+    step = step_balances(state_old, state_new, b, g, dt, params)
     return _record(
         state_new, params, step.new, step.strain_rate,
         entropy_production=step.production / dt,
@@ -322,7 +278,7 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params):
 def initial_record(state, params):
     """Row for t = t0: energies and state extrema, zero residuals."""
     return _record(
-        state, params, _integrals(state, params), sym_gradient(state.v).data,
+        state, params, state_integrals(state, params), sym_gradient(state.v).data,
         entropy_production=0.0,
         energy_residual=0.0,
         entropy_residual=0.0,
@@ -365,7 +321,7 @@ def availability_decay_check(trajectory, params, beta=None):
         )
     if beta is None:
         beta = params.beta
-    integrals = [_integrals(s, params) for s in trajectory.states]
+    integrals = [state_integrals(s, params) for s in trajectory.states]
     series = np.array([i.availability(beta) for i in integrals])
     worst = 0.0
     passed = True
@@ -389,8 +345,7 @@ def default_theta_decay_rate(params):
         c0 = |A2 alpha|^2 / (4 * a_1* * cv),
 
     with |.| the Frobenius norm and a_1* the viscosity coercivity constant.
-    The continuous theory only asserts existence of some rate, so any user
-    override is accepted by the monitor.
+    The continuous theory only asserts existence of some rate.
     """
     coupling_norm_sq = float(cons.ddot(
         params.thermal_coupling(), params.thermal_coupling()
@@ -399,8 +354,9 @@ def default_theta_decay_rate(params):
     return coupling_norm_sq / (4.0 * a1_star * params.cv)
 
 
-def theta_lower_bound_check(trajectory, params, theta_underbar=None, c0=None):
-    """Check min theta(t) >= theta_underbar * exp(-c0 * t) along the run.
+def theta_lower_bound_check(trajectory, params, theta_underbar=None):
+    """Check min theta(t) >= theta_underbar * exp(-c0 * t) along the run,
+    with c0 = :func:`default_theta_decay_rate`.
 
     Requires a nonnegative heat source throughout (the hypothesis of the
     exponential bound).  Returns (passed, margins) where margins[k] is
@@ -416,8 +372,7 @@ def theta_lower_bound_check(trajectory, params, theta_underbar=None, c0=None):
         theta_underbar = float(np.min(trajectory.states[0].theta.data))
     if theta_underbar <= 0.0:
         raise UsageError("theta_underbar must be positive")
-    if c0 is None:
-        c0 = default_theta_decay_rate(params)
+    c0 = default_theta_decay_rate(params)
     margins = []
     passed = True
     for s in trajectory.states:
@@ -440,7 +395,7 @@ def mixed_norm(snapshots, dt, p, p0):
     first-order-in-time quadrature matching the stepper's accuracy.
     """
     for q in (p, p0):
-        if q != np.inf and float(q) < 1.0:
+        if q != np.inf and not float(q) >= 1.0:
             raise UsageError(f"norm exponents must be >= 1 or inf, got {q}")
     space = [lp_norm(f, p) for f in snapshots]
     if p0 == np.inf:

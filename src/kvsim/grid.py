@@ -42,8 +42,8 @@ class Grid:
             raise UsageError("nodes and lengths must have the same dimension")
         if any(n < 3 for n in nodes):
             raise UsageError(f"need at least 3 nodes per axis, got {nodes}")
-        if any(c <= 0 for c in lengths):
-            raise UsageError(f"box lengths must be positive, got {lengths}")
+        if not all(0.0 < c < math.inf for c in lengths):
+            raise UsageError(f"box lengths must be positive and finite, got {lengths}")
         self.d = len(nodes)
         self.n = nodes
         self.lengths = lengths
@@ -133,10 +133,6 @@ class ScalarField:
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.broadcast_to(fn(*grid.coords()), grid.shape).astype(float))
-
     def copy(self):
         return ScalarField(self.grid, self.data.copy())
 
@@ -153,15 +149,6 @@ class VectorField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape + (grid.d,)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        values = fn(*grid.coords())
-        if isinstance(values, (tuple, list)):
-            values = np.stack(
-                [np.broadcast_to(v, grid.shape) for v in values], axis=-1
-            )
-        return cls(grid, np.asarray(values, dtype=float))
-
     def copy(self):
         return VectorField(self.grid, self.data.copy())
 
@@ -173,10 +160,6 @@ class SymTensorField:
 
     def __post_init__(self):
         self.data = _check_data(self.grid, self.data, (6,))
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape + (6,)))
 
     def copy(self):
         return SymTensorField(self.grid, self.data.copy())
@@ -350,7 +333,7 @@ def lp_norm(field, p):
     if p == np.inf:
         return float(np.max(np.abs(field.data)))
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise UsageError(f"p must be >= 1 or inf, got {p}")
     power = np.sum(field.grid.quad_weights * np.abs(field.data) ** p)
     return float(power ** (1.0 / p))

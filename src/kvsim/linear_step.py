@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,14 +45,17 @@ from .grid import VectorField, sym_gradient, tensor_divergence
 
 @dataclass
 class SparseOperator:
-    """A row-compressed sparse matrix over the free unknowns.
+    """A row-compressed sparse matrix over the free unknowns, with its
+    preconditioner.
 
     ``precondition`` maps a residual r to z = P^{-1} r for a symmetric
-    positive-definite P close to the matrix; None means Jacobi (P = diag).
+    positive-definite P close to the matrix.  ``velocity_matrix`` and
+    ``heat_matrix`` attach the fast-diagonalization inverse of their
+    separable parts.
     """
 
     matrix: sp.csr_matrix
-    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    precondition: Callable[[np.ndarray], np.ndarray]
 
     @property
     def size(self):
@@ -340,8 +343,7 @@ _STALLED_RECHECKS = 3
 def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     """Preconditioned conjugate gradients for an SPD operator.
 
-    Applies ``op.precondition`` to every residual, or the inverse diagonal
-    (Jacobi) when the operator carries none.  Converges when the true
+    Applies ``op.precondition`` to every residual.  Converges when the true
     relative residual ||b - A x|| / ||b|| drops to ``tol``.  Raises
     :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
     exhausted, or when three consecutive true-residual re-checks (each
@@ -367,12 +369,6 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     if not np.all(np.isfinite(x)):
         raise DomainError("initial guess x0 is not finite")
     precondition = op.precondition
-    if precondition is None:
-        inv_diag = 1.0 / a.diagonal()
-
-        def precondition(r):
-            return inv_diag * r
-
     r = rhs - a @ x
     z = precondition(r)
     p = z.copy()

@@ -22,7 +22,7 @@ forcing over a refinement ladder and fits the observed orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -144,10 +144,10 @@ class ManufacturedProblem:
         return Sources(b=self.body_force, g=self.heat_source)
 
 
-def manufacture(case, grid, params, time_span=(0.0, 1.0), samples=5):
+def manufacture(case, grid, params, time_span=(0.0, 1.0)):
     """Bind a case to a grid after verifying its boundary/positivity claims.
 
-    Sampling ``samples`` times across ``time_span``: u* must vanish on the
+    Sampling five times across ``time_span``: u* must vanish on the
     boundary, the normal derivative of theta* must vanish there, and theta*
     must stay above a positive floor.  Violations are rejected with the
     offending location.
@@ -159,7 +159,7 @@ def manufacture(case, grid, params, time_span=(0.0, 1.0), samples=5):
         )
     x = grid.coords()
     mask = grid.boundary_mask
-    times = np.linspace(time_span[0], time_span[1], samples)
+    times = np.linspace(time_span[0], time_span[1], 5)
     for t in times:
         u = np.asarray(case.u(x, t), dtype=float)
         worst = np.max(np.abs(u[mask])) if np.any(mask) else 0.0
@@ -490,10 +490,10 @@ def _fit_order(hs, errs):
     return float(slope)
 
 
-def convergence_study(case_name, params, d=2, lengths=None, resolutions=(9, 17, 33),
-                      dt0=0.05, t_end=0.25, mode="spatial", dts=None,
-                      config=None):
-    """Measure the solver's observed convergence orders against a case.
+def convergence_study(case_name, params, d=2, resolutions=(9, 17, 33),
+                      dt0=0.05, t_end=0.25, mode="spatial", dts=None):
+    """Measure the solver's observed convergence orders against a case on
+    the unit box, with the default :class:`StepperConfig` at each dt.
 
     ``mode="spatial"`` refines the grid geometrically with dt proportional
     to h^2 (so both error sources scale together at second order in h);
@@ -501,9 +501,7 @@ def convergence_study(case_name, params, d=2, lengths=None, resolutions=(9, 17, 
     """
     if len(resolutions) < 3:
         raise UsageError("a convergence ladder needs at least 3 resolutions")
-    if lengths is None:
-        lengths = (1.0,) * d
-    base_config = config or StepperConfig(dt=dt0)
+    lengths = (1.0,) * d
     levels = []
     if mode == "spatial":
         h0 = lengths[0] / (resolutions[0] - 1)
@@ -515,7 +513,7 @@ def convergence_study(case_name, params, d=2, lengths=None, resolutions=(9, 17, 
                 get_case(case_name, d, lengths), grid, params,
                 time_span=(0.0, t_end),
             )
-            errs = _linf_l2_errors(problem, replace(base_config, dt=dt), t_end)
+            errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
             levels.append(OrderLevel(n, h, dt, errs["u"], errs["v"], errs["theta"]))
         xs = [lv.h for lv in levels]
     elif mode == "temporal":
@@ -528,7 +526,7 @@ def convergence_study(case_name, params, d=2, lengths=None, resolutions=(9, 17, 
             time_span=(0.0, t_end),
         )
         for dt in dts:
-            errs = _linf_l2_errors(problem, replace(base_config, dt=dt), t_end)
+            errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
             levels.append(OrderLevel(n, grid.h[0], dt,
                                      errs["u"], errs["v"], errs["theta"]))
         xs = [lv.dt for lv in levels]

@@ -1,8 +1,10 @@
 """Config parsing/validation, serialization round trips, CLI surfaces."""
 
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from kvsim import CheckpointError, ConfigError, SimState, UsageError
 from kvsim.cli_io import (
+    CHECKPOINT_MAGIC,
     builtin_scenario,
     builtin_scenarios,
     build_initial_state,
@@ -62,8 +65,12 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     assert cfg.grid.n == (9, 9)
     assert cfg.stepper.picard_tol == 1e-10
     assert cfg.stepper.picard_max == 50
+    assert cfg.stepper.cg_tol == 1e-12
+    assert cfg.stepper.cg_max == 20000
     assert cfg.stepper.theta_floor is None
+    assert cfg.params.beta == 1.0
     assert cfg.initial.preset == "uniform"
+    assert cfg.initial.theta0 == 1.0
     assert cfg.sources.b_kind == "zero" and cfg.sources.g_kind == "zero"
     assert cfg.output.snapshot_every == 0
 
@@ -210,6 +217,30 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def _header(d, nodes, lengths):
+    return struct.pack(f"<II{d}I{d}dd", 1, d, *nodes, *lengths, 0.0)
+
+
+@pytest.mark.parametrize("payload", [
+    _header(2, (9, 9), (1.0, 1.0)),
+    _header(2, (9, 9), (1.0, 1.0)) + bytes(8 * 5 * 81 + 1),
+    struct.pack("<II", 1, 7) + bytes(200),
+    struct.pack("<II", 1, 3) + bytes(8),
+    _header(1, (2,), (1.0,)) + bytes(8 * 3 * 2),
+    _header(1, (5,), (float("nan"),)) + bytes(8 * 3 * 5),
+], ids=["no-field-data", "trailing-byte", "d=7", "truncated-header",
+        "two-nodes", "nan-length"])
+def test_checkpoint_rejects_malformed_payload_with_valid_crc(tmp_path, payload):
+    """A header that describes no valid grid and payload is a
+    CheckpointError (exit 4), even when the checksum matches."""
+    blob = CHECKPOINT_MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+    for name in ("a.ckpt", "b.ckpt"):
+        (tmp_path / name).write_bytes(blob)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "a.ckpt")
+    assert main(["norms", "--traj", str(tmp_path)]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +418,18 @@ def test_cli_norms_and_io_error(tmp_path, monkeypatch, capsys):
     blob[30] ^= 0xFF
     victim.write_bytes(bytes(blob))
     assert main(["norms", "--traj", str(tmp_path / "snaps")]) == 4
+
+
+@pytest.mark.parametrize("exponent", ["abc", "nan", "0.5"])
+def test_cli_norms_rejects_bad_exponents(tmp_path, capsys, exponent):
+    """A bad --p or --p0 is a usage error (exit 2) before any output."""
+    grid = make_grid(d=2, n=9)
+    for k in range(2):
+        save_checkpoint(SimState.rest(grid, t=0.1 * k), tmp_path / f"{k}.ckpt")
+    for option in ("--p", "--p0"):
+        assert main(["norms", "--traj", str(tmp_path), option, exponent]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and option in captured.err
 
 
 def test_cli_perturb(tmp_path, monkeypatch, capsys):

@@ -10,26 +10,24 @@ from kvsim import (
     Sources,
     StepperConfig,
     UsageError,
+    integrate,
     run,
 )
 from kvsim.cli_io import perturb_state
 from kvsim.diagnostics import (
     CSV_FIELDS,
     DiagnosticsCollector,
-    availability,
     availability_decay_check,
-    clausius_duhem_defect,
     default_theta_decay_rate,
-    energy_balance_residual,
-    entropy_balance_residual,
     entropy_form_crosscheck,
     gronwall_compare,
     gronwall_rate_constant,
     initial_record,
     mixed_norm,
+    state_integrals,
+    step_balances,
     theta_lower_bound_check,
     total_energy,
-    total_entropy,
     v2_norm,
 )
 from kvsim import diagnostics
@@ -71,10 +69,10 @@ def test_total_energy_is_exact_sum(grid2d, params):
 
 def test_stationary_residuals_vanish(stationary, params):
     new = SimState(0.05, stationary.u, stationary.v, stationary.theta)
-    assert energy_balance_residual(stationary, new, None, None, 0.05, params) <= 1e-15
-    residual, production = entropy_balance_residual(stationary, new, None, 0.05, params)
-    assert residual <= 1e-15 and production == 0.0
-    assert clausius_duhem_defect(stationary, new, None, 0.05, params) <= 1e-13
+    step = step_balances(stationary, new, None, None, 0.05, params)
+    assert step.energy_residual <= 1e-15
+    assert step.entropy_residual <= 1e-15 and step.production == 0.0
+    assert step.clausius_duhem_defect <= 1e-13
     assert entropy_form_crosscheck(stationary, new, None, 0.05, params) <= 1e-15
 
 
@@ -99,20 +97,21 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
 
 
 def test_record_fields_equal_public_functions(grid2d, params):
+    """Each record field equals the direct computation, bit for bit."""
     sources = Sources.constant(grid2d, b_value=(0.1, -0.05), g_value=0.3)
     traj, records = small_run(grid2d, params, dt=0.05, t_end=0.2,
                               sources=sources)
     for old, new, rec in zip(traj.states, traj.states[1:], records[1:]):
         b, g = sources.b(new.t), sources.g(new.t)
-        assert rec.energy_residual == energy_balance_residual(
-            old, new, b, g, 0.05, params)
-        residual, production = entropy_balance_residual(old, new, g, 0.05, params)
-        assert rec.entropy_residual == residual
-        assert rec.entropy_production == production / 0.05
-        assert rec.clausius_duhem_defect == clausius_duhem_defect(
-            old, new, g, 0.05, params)
-        assert rec.entropy == total_entropy(new, params)
-        assert rec.availability == availability(new, params)
+        step = step_balances(old, new, b, g, 0.05, params)
+        assert rec.energy_residual == step.energy_residual
+        assert rec.entropy_residual == step.entropy_residual
+        assert rec.entropy_production == step.production / 0.05
+        assert rec.clausius_duhem_defect == step.clausius_duhem_defect
+        integrals = state_integrals(new, params)
+        assert integrals == step.new
+        assert rec.entropy == integrals.entropy
+        assert rec.availability == integrals.availability(params.beta)
         assert rec.total_energy == total_energy(new, params)
 
 
@@ -121,7 +120,7 @@ def test_entropy_balance_requires_positive_theta(grid2d, params):
     bad = state.copy()
     bad.theta.data[:] = -1.0
     with pytest.raises(DomainError):
-        entropy_balance_residual(state, bad, None, 0.05, params)
+        step_balances(state, bad, None, None, 0.05, params)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def test_availability_decays_on_bump_run(grid2d, params):
 
 def test_availability_beta_zero_reduces_to_energy(grid2d, params):
     state = bump_state(grid2d)
-    assert availability(state, params, beta=0.0) == pytest.approx(
+    assert state_integrals(state, params).availability(0.0) == pytest.approx(
         total_energy(state, params), rel=1e-14
     )
     traj, _ = small_run(grid2d, params, t_end=0.25)
@@ -387,6 +386,8 @@ def test_mixed_norm_rejects_bad_exponents(grid2d):
         mixed_norm(fields, 0.1, 0.5, 2)
     with pytest.raises(UsageError):
         mixed_norm(fields, 0.1, 2, 0.0)
+    with pytest.raises(UsageError):
+        mixed_norm(fields, 0.1, np.nan, 2)
 
 
 def test_v2_norm_of_constant(grid2d):
@@ -461,7 +462,7 @@ def test_gronwall_rejects_mismatched_grids(params):
 def test_record_for_step_production_matches_sigma(grid2d, params):
     state = bump_state(grid2d)
     traj, records = small_run(grid2d, params, dt=0.05, t_end=0.1, state=state)
-    from kvsim.diagnostics import entropy_production_integral
     got = records[1].entropy_production
-    want = entropy_production_integral(traj.states[0], traj.states[1], 0.05, params)
+    step = step_balances(traj.states[0], traj.states[1], None, None, 0.05, params)
+    want = integrate(step.sigma)
     assert got == pytest.approx(want, rel=1e-12)

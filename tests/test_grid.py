@@ -36,6 +36,8 @@ from helpers import make_grid, random_boundary_zero_vector
     ((5, 5), (1.0, -1.0)),
     ((5, 5, 5, 5), (1.0,) * 4),
     ((5,), (1.0, 1.0)),
+    ((5, 5), (1.0, float("nan"))),
+    ((5,), (float("inf"),)),
 ])
 def test_grid_validation(nodes, lengths):
     with pytest.raises(UsageError):
@@ -290,8 +292,9 @@ def test_lp_norm_variants(grid2d):
     f = ScalarField.constant(grid2d, -2.0)
     assert lp_norm(f, np.inf) == 2.0
     assert lp_norm(f, 2) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(UsageError):
-        lp_norm(f, 0.5)
+    for p in (0.5, np.nan):
+        with pytest.raises(UsageError):
+            lp_norm(f, p)
 
 
 def test_l2_norm_sums_vector_components(grid2d):

@@ -232,21 +232,6 @@ def test_preconditioned_iterations_are_grid_independent(rng, params, nodes):
     assert report.iterations <= 8
 
 
-def test_bare_operator_solves_with_jacobi(rng, params):
-    """An operator without a preconditioner runs Jacobi-PCG: it takes the
-    same iterations as one carrying the inverse diagonal explicitly."""
-    matrix = velocity_matrix(make_grid(d=2, n=17), 0.02,
-                             params.lambda1, params.mu1).matrix
-    inv_diag = 1.0 / matrix.diagonal()
-    rhs = rng.standard_normal(matrix.shape[0])
-    x, report = solve_spd(SparseOperator(matrix=matrix), rhs)
-    x_ref, report_ref = solve_spd(
-        SparseOperator(matrix=matrix, precondition=lambda r: inv_diag * r), rhs
-    )
-    assert report.converged and report.iterations == report_ref.iterations
-    assert np.array_equal(x, x_ref)
-
-
 def test_cg_stagnation_fails_fast(params):
     """dt = 50 on a 17^2 bump: the heat solve's attainable residual
     (about 2.5e-12) is above cg_tol = 1e-12.  CG gives up after a few
@@ -267,7 +252,10 @@ def test_cg_stagnation_fails_fast(params):
 # ---------------------------------------------------------------------------
 
 def _as_op(matrix):
-    return SparseOperator(matrix=sp.csr_matrix(matrix))
+    """Jacobi-preconditioned operator of a small dense test matrix."""
+    matrix = sp.csr_matrix(matrix)
+    inv_diag = 1.0 / matrix.diagonal()
+    return SparseOperator(matrix=matrix, precondition=lambda r: inv_diag * r)
 
 
 def test_cg_identity_single_iteration(rng):
