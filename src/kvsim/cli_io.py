@@ -396,11 +396,6 @@ def builtin_scenario(name):
     return candidate
 
 
-def builtin_scenarios():
-    root = resources.files("kvsim") / "scenarios"
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
-
-
 # ---------------------------------------------------------------------------
 # initial data and source presets
 # ---------------------------------------------------------------------------
@@ -615,6 +610,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"truncated header in checkpoint {path}")
     *geometry, t = struct.unpack_from(f"<{d}I{d}dd", payload, 8)
     nodes, lengths = geometry[:d], geometry[d:]
+    if not math.isfinite(t):
+        raise CheckpointError(f"checkpoint {path} has time {t}")
     n = math.prod(nodes)
     if len(payload) != header + 8 * (2 * d + 1) * n:
         raise CheckpointError(

@@ -51,11 +51,6 @@ def trace(a):
     return a[..., 0] + a[..., 1] + a[..., 2]
 
 
-def frobenius(a):
-    """Frobenius norm |a| = sqrt(a : a)."""
-    return np.sqrt(ddot(a, a))
-
-
 def sym6_from_matrix(m, tol=1e-12):
     """Convert a 3x3 symmetric matrix to 6-component storage."""
     m = np.asarray(m, dtype=float)

@@ -8,11 +8,18 @@ Conventions
   6-component storage of :mod:`kvsim.constitutive` (zero-padded below 3-D).
 * First derivatives use second-order central differences at interior nodes
   and second-order one-sided differences at boundary nodes.
+* The Navier and Neumann operators are defined here once, as sparse
+  matrices: Kronecker products of three 1-D factors per axis
+  (``second_difference``, ``central_difference``, ``neumann_stiffness``).
+  ``navier_matrix`` is the Navier operator; ``neumann_terms`` are the
+  per-axis terms of the trapezoid-weighted Neumann stiffness.  The velocity
+  and heat systems of :mod:`kvsim.linear_step` are built from these, and
+  ``lame_operator`` and ``laplacian_neumann`` apply them to fields.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
   symmetric under the trapezoidal inner product and gives it exact zero row
   sums; ``integrate`` is that trapezoidal quadrature.
-* The displacement operators (``lame_operator``) act on fields that vanish on
-  the boundary and return interior values with zero boundary rows; they are
+* The displacement operator (``lame_operator``) acts on fields that vanish
+  on the boundary and returns interior values with zero boundary rows; it is
   exactly self-adjoint on such fields.
 
 Reductions sum in a fixed order, so repeated runs are bitwise reproducible.
@@ -25,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .constitutive import COMPONENT_OF, ddot
 from .errors import UsageError
@@ -225,75 +233,121 @@ def divergence(field):
     return ScalarField(grid, out)
 
 
-def _d2_axis(data, grid, axis, neumann):
-    """Second difference along one axis.
+# ---------------------------------------------------------------------------
+# the Navier and Neumann operators: 1-D factors lifted by Kronecker products
+# ---------------------------------------------------------------------------
 
-    ``neumann=True`` closes the boundary rows with mirror ghosts (zero flux);
-    otherwise boundary rows are left at zero (they are masked by the caller).
+def second_difference(n, h):
+    """3-point second difference on ``n`` nodes, with zero end rows."""
+    inv_h2 = 1.0 / (h * h)
+    lower = np.full(n - 1, inv_h2)
+    main = np.full(n, -2.0 * inv_h2)
+    upper = np.full(n - 1, inv_h2)
+    lower[-1] = main[0] = main[-1] = upper[0] = 0.0
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+
+
+def central_difference(n, h):
+    """Central difference on ``n`` nodes, with zero end rows.
+
+    Past the ends the field counts as zero, so the block of the inner nodes
+    is exactly antisymmetric.
     """
-    h2 = grid.h[axis] ** 2
-    out = np.zeros_like(data)
-    lo = [slice(None)] * grid.d
-    hi = [slice(None)] * grid.d
-    mid = [slice(None)] * grid.d
-    lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-    out[tuple(mid)] = (
-        data[tuple(lo)] - 2.0 * data[tuple(mid)] + data[tuple(hi)]
-    ) / h2
-    if neumann:
-        first = [slice(None)] * grid.d
-        second = [slice(None)] * grid.d
-        first[axis], second[axis] = 0, 1
-        out[tuple(first)] = 2.0 * (data[tuple(second)] - data[tuple(first)]) / h2
-        first[axis], second[axis] = -1, -2
-        out[tuple(first)] = 2.0 * (data[tuple(second)] - data[tuple(first)]) / h2
-    return out
+    inv_2h = 1.0 / (2.0 * h)
+    lower = np.full(n - 1, -inv_2h)
+    upper = np.full(n - 1, inv_2h)
+    lower[-1] = upper[0] = 0.0
+    return sp.diags([lower, upper], [-1, 1], format="csr")
+
+
+def neumann_stiffness(n, h):
+    """Neumann stiffness (1/h) tridiag(-1, [1, 2, ..., 2, 1], -1).
+
+    Minus the mirror-ghost second difference, weighted by the trapezoid
+    rule: symmetric positive semi-definite with exact zero row sums.
+    """
+    inv_h = 1.0 / h
+    main = np.full(n, 2.0 * inv_h)
+    main[0] = main[-1] = inv_h
+    off = np.full(n - 1, -inv_h)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def _kron(factors):
+    """Kronecker product of one factor per axis, in C order (axis 0 outermost)."""
+    result = factors[0]
+    for factor in factors[1:]:
+        result = sp.kron(result, factor, format="csr")
+    return result
+
+
+def navier_matrix(grid, lam, mu, box=slice(None)):
+    """Q = mu Lap + (lam + mu) grad div as a sparse matrix, component-major,
+    over the nodes that ``box`` selects on every axis (``slice(1, -1)``: the
+    interior box, where -Q is symmetric positive definite).
+
+    Per axis, the second difference gives the diagonal derivatives and the
+    central difference the mixed ones, both restricted to ``box``.
+    """
+    def lifted(factor, axis):
+        return _kron([
+            factor(n, h)[box, box] if k == axis
+            else sp.identity(len(range(n)[box]), format="csr")
+            for k, (n, h) in enumerate(zip(grid.n, grid.h))
+        ])
+
+    # the mixed blocks are matrix products, not one Kronecker product of two
+    # factors: the product's (unsorted) entry order within each row is the
+    # summation order of every matvec, so it decides the last bits of a run
+    second = [lifted(second_difference, k) for k in range(grid.d)]
+    central = [lifted(central_difference, k) for k in range(grid.d)]
+    laplace = sum(second[1:], second[0])
+    return sp.bmat([
+        [
+            mu * laplace + (lam + mu) * second[i] if i == j
+            else (lam + mu) * (central[i] @ central[j])
+            for j in range(grid.d)
+        ]
+        for i in range(grid.d)
+    ], format="csr")
+
+
+def neumann_terms(grid):
+    """The Neumann stiffness of each axis, weighted by the trapezoid rule of
+    the others.  Their sum is the discrete Dirichlet form: minus the
+    mirror-ghost Laplacian, scaled row-wise by ``quad_weights``."""
+    terms = []
+    for axis in range(grid.d):
+        factors = [sp.diags(w, format="csr") for w in grid.axis_weights]
+        factors[axis] = neumann_stiffness(grid.n[axis], grid.h[axis])
+        terms.append(_kron(factors))
+    return terms
 
 
 def laplacian_neumann(theta):
-    """(2d+1)-point Laplacian with homogeneous Neumann mirror ghosts."""
-    grid = theta.grid
-    out = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        out += _d2_axis(theta.data, grid, axis, neumann=True)
-    return ScalarField(grid, out)
+    """(2d+1)-point Laplacian with homogeneous Neumann mirror ghosts.
 
-
-def _central_zero_extended(data, grid, axis):
-    """Central difference along one axis with zero extension past the ends.
-
-    The end rows are (value of the single inside neighbour) / (2h); together
-    with pure central rows inside, the resulting matrix is exactly
-    antisymmetric, which is what makes the composed displacement operator
-    self-adjoint on boundary-zero fields.
+    The axes are applied one at a time: each term maps a constant to an
+    exact zero, while their summed matrix would not.
     """
-    two_h = 2.0 * grid.h[axis]
-    out = np.empty_like(data)
-    lo = [slice(None)] * grid.d
-    hi = [slice(None)] * grid.d
-    mid = [slice(None)] * grid.d
-    lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-    out[tuple(mid)] = (data[tuple(hi)] - data[tuple(lo)]) / two_h
-    first = [slice(None)] * grid.d
-    second = [slice(None)] * grid.d
-    first[axis], second[axis] = 0, 1
-    out[tuple(first)] = data[tuple(second)] / two_h
-    first[axis], second[axis] = -1, -2
-    out[tuple(first)] = -data[tuple(second)] / two_h
-    return out
+    grid = theta.grid
+    flat = theta.data.ravel()
+    out = np.zeros(grid.num_nodes)
+    for term in neumann_terms(grid):
+        out -= term @ flat
+    return ScalarField(grid, out.reshape(grid.shape) / grid.quad_weights)
 
 
 def lame_operator(u, lam, mu, check_boundary=True):
     """Navier/Lame operator mu*Lap(u) + (lam+mu)*grad(div u).
 
     Acts on displacement-like fields that vanish on the boundary; the output
-    is computed at interior nodes and has zero boundary rows.  Composed from
-    3-point second differences (diagonal derivatives) and zero-extended
-    central differences (mixed derivatives), the discrete operator is exactly
-    self-adjoint and -Q is positive semi-definite on boundary-zero fields.
+    is ``navier_matrix`` over all nodes at interior nodes and has zero
+    boundary rows.  It is exactly self-adjoint and -Q is positive
+    semi-definite on boundary-zero fields.  ``check_boundary=False`` lets a
+    field with boundary values through, which the interior rows then see.
     """
     grid = u.grid
-    d = grid.d
     if check_boundary:
         worst = boundary_max_abs(u)
         scale = 1.0 + float(np.max(np.abs(u.data))) if u.data.size else 1.0
@@ -302,19 +356,8 @@ def lame_operator(u, lam, mu, check_boundary=True):
                 f"displacement field must vanish on the boundary "
                 f"(max boundary magnitude {worst:.3e})"
             )
-    out = np.zeros(grid.shape + (d,))
-    diag_deriv = [
-        _central_zero_extended(u.data[..., j], grid, j) for j in range(d)
-    ]
-    for i in range(d):
-        acc = np.zeros(grid.shape)
-        for axis in range(d):
-            acc += mu * _d2_axis(u.data[..., i], grid, axis, neumann=False)
-        acc += (lam + mu) * _d2_axis(u.data[..., i], grid, i, neumann=False)
-        for j in range(d):
-            if j != i:
-                acc += (lam + mu) * _central_zero_extended(diag_deriv[j], grid, i)
-        out[..., i] = acc
+    q = navier_matrix(grid, lam, mu) @ np.moveaxis(u.data, -1, 0).ravel()
+    out = np.moveaxis(q.reshape((grid.d,) + grid.shape), 0, -1)
     out[grid.boundary_mask] = 0.0
     return VectorField(grid, out)
 

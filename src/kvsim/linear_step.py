@@ -13,9 +13,11 @@ frozen at the previous iterate,
           = (cv/dt) theta_frozen * theta_old + heat_rhs(theta_frozen, eps(v), g)
   on all nodes with the mirror-ghost Neumann Laplacian.
 
-Both systems are assembled as symmetric positive-definite sparse matrices.
-The heat system is scaled row-wise by the trapezoidal quadrature weights;
-that scaling does not change the solution but makes the Neumann part exactly
+Both systems are symmetric positive-definite sparse matrices built from the
+operators of :mod:`kvsim.grid`: the velocity matrix from ``navier_matrix``
+on the interior box, the heat stiffness from ``neumann_terms``.  The heat
+system is scaled row-wise by the trapezoidal quadrature weights; that
+scaling does not change the solution but makes the Neumann part exactly
 symmetric (it is the discrete Dirichlet form), while keeping its row sums
 exactly zero.
 
@@ -40,7 +42,15 @@ import scipy.sparse as sp
 
 from . import constitutive as cons
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
-from .grid import VectorField, sym_gradient, tensor_divergence
+from .grid import (
+    VectorField,
+    navier_matrix,
+    neumann_stiffness,
+    neumann_terms,
+    second_difference,
+    sym_gradient,
+    tensor_divergence,
+)
 
 
 @dataclass
@@ -70,46 +80,6 @@ class LinearSolveReport:
 
 
 # ---------------------------------------------------------------------------
-# 1-D building blocks, lifted to the grid by Kronecker products
-# ---------------------------------------------------------------------------
-
-def _second_diff_1d(n, h):
-    """Standard 3-point second difference with Dirichlet ends."""
-    inv_h2 = 1.0 / (h * h)
-    return sp.diags(
-        [inv_h2, -2.0 * inv_h2, inv_h2], [-1, 0, 1], shape=(n, n), format="csr"
-    )
-
-
-def _central_1d(n, h):
-    """Zero-extended central difference: exactly antisymmetric."""
-    inv_2h = 1.0 / (2.0 * h)
-    return sp.diags([-inv_2h, inv_2h], [-1, 1], shape=(n, n), format="csr")
-
-
-def _stiffness_1d(n, h):
-    """Neumann stiffness (1/h) tridiag(-1, [1,2,...,2,1], -1).
-
-    Equals minus the trapezoid-weighted mirror-ghost Laplacian; symmetric
-    positive semi-definite with exact zero row sums.
-    """
-    inv_h = 1.0 / h
-    main = np.full(n, 2.0 * inv_h)
-    main[0] = inv_h
-    main[-1] = inv_h
-    off = np.full(n - 1, -inv_h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _kron(factors):
-    """Kronecker product of one factor per axis, in C order (axis 0 outermost)."""
-    result = factors[0]
-    for factor in factors[1:]:
-        result = sp.kron(result, factor, format="csr")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # fast diagonalization: per-axis eigenbases of the separable parts
 # ---------------------------------------------------------------------------
 
@@ -121,17 +91,19 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=64)
 def _dirichlet_eigen(n, h):
-    """Eigenvalues and orthonormal eigenvectors (columns) of
-    ``-_second_diff_1d(n, h)``."""
-    return _read_only(*np.linalg.eigh(-_second_diff_1d(n, h).toarray()))
+    """Eigenvalues and orthonormal eigenvectors (columns) of minus the
+    interior block of ``grid.second_difference(n, h)``."""
+    block = second_difference(n, h)[1:-1, 1:-1].toarray()
+    return _read_only(*np.linalg.eigh(-block))
 
 
 @lru_cache(maxsize=64)
 def _neumann_eigen(h, weights):
-    """Eigenpairs of ``_stiffness_1d`` against the trapezoid ``weights``
-    (a tuple, one per node): S V = W V diag(values) with V^T W V = I."""
+    """Eigenpairs of ``grid.neumann_stiffness`` against the trapezoid
+    ``weights`` (a tuple, one per node): S V = W V diag(values) with
+    V^T W V = I."""
     scale = 1.0 / np.sqrt(np.array(weights))
-    stiffness = _stiffness_1d(len(weights), h).toarray()
+    stiffness = neumann_stiffness(len(weights), h).toarray()
     values, vectors = np.linalg.eigh(scale[:, None] * stiffness * scale)
     return _read_only(values, scale[:, None] * vectors)
 
@@ -175,7 +147,8 @@ def _fast_diagonalization(bases, divisor):
 # ---------------------------------------------------------------------------
 
 def velocity_matrix(grid, dt, lam, mu):
-    """(1/dt) I - Q1 over the interior unknowns (component-major layout).
+    """(1/dt) I - Q1 over the interior unknowns (component-major layout),
+    with Q1 the ``grid.navier_matrix`` of (lam, mu) on the interior box.
 
     The unknowns are the interior box, ``grid.interior_shape`` nodes per
     component, so the Dirichlet rows never enter the matrix.  The operator
@@ -185,33 +158,11 @@ def velocity_matrix(grid, dt, lam, mu):
     """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
-
-    def lifted(op_1d, axis):
-        return _kron([
-            op_1d(n, h) if k == axis else sp.identity(n, format="csr")
-            for k, (n, h) in enumerate(zip(grid.interior_shape, grid.h))
-        ])
-
-    # the mixed blocks are matrix products, not one Kronecker product of two
-    # factors: the product's (unsorted) entry order within each row is the
-    # summation order of every matvec, so it decides the last bits of a run
-    second = [lifted(_second_diff_1d, k) for k in range(grid.d)]
-    central = [lifted(_central_1d, k) for k in range(grid.d)]
-    laplace = sum(second[1:], second[0])
-    blocks = [
-        [
-            mu * laplace + (lam + mu) * second[i] if i == j
-            else (lam + mu) * (central[i] @ central[j])
-            for j in range(grid.d)
-        ]
-        for i in range(grid.d)
-    ]
-    q_op = sp.bmat(blocks, format="csr")
-    m = q_op.shape[0]
-    matrix = (sp.identity(m, format="csr") / dt - q_op).tocsr()
+    q_op = navier_matrix(grid, lam, mu, box=slice(1, -1))
+    matrix = (sp.identity(q_op.shape[0], format="csr") / dt - q_op).tocsr()
 
     values, vectors = zip(*(
-        _dirichlet_eigen(n, h) for n, h in zip(grid.interior_shape, grid.h)
+        _dirichlet_eigen(n, h) for n, h in zip(grid.n, grid.h)
     ))
     common = 1.0 / dt + mu * _outer_sum(values)
     divisor = np.stack([
@@ -271,13 +222,10 @@ class HeatStiffness:
 
 
 def heat_stiffness(grid, k):
-    """k times the trapezoid-weighted Neumann stiffness, with its diagonal
-    positions and eigenbasis (see :class:`HeatStiffness`)."""
-    terms = []
-    for axis in range(grid.d):
-        factors = [sp.diags(w, format="csr") for w in grid.axis_weights]
-        factors[axis] = _stiffness_1d(grid.n[axis], grid.h[axis])
-        terms.append(_kron(factors))
+    """k times the trapezoid-weighted Neumann stiffness (the sum of
+    ``grid.neumann_terms``), with its diagonal positions and eigenbasis (see
+    :class:`HeatStiffness`)."""
+    terms = neumann_terms(grid)
     matrix = (k * sum(terms[1:], terms[0])).tocsr()
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     diagonal = np.flatnonzero(matrix.indices == rows)
@@ -346,10 +294,11 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     Applies ``op.precondition`` to every residual.  Converges when the true
     relative residual ||b - A x|| / ||b|| drops to ``tol``.  Raises
     :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
-    exhausted, or when three consecutive true-residual re-checks (each
-    followed by a restart) fail to lower the best true residual: ``tol`` is
-    then below what round-off lets this system attain, and the message
-    states the attainable relative residual.  Raises :class:`DomainError` up
+    exhausted; when a search direction p has p.Ap <= 0 or not finite (the
+    operator is not positive definite); or when three consecutive
+    true-residual re-checks (each followed by a restart) fail to lower the
+    best true residual: ``tol`` is then below what round-off lets this
+    system attain, and the message states the attainable relative residual.  Raises :class:`DomainError` up
     front when the right-hand side or the initial guess is not finite.
     Deterministic given identical inputs.
     """
@@ -401,7 +350,15 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
             p = z.copy()
             rz = float(r @ z)
         ap = a @ p
-        alpha = rz / float(p @ ap)
+        pap = float(p @ ap)
+        if not 0.0 < pap < np.inf:
+            raise NonConvergenceError(
+                f"conjugate gradients broke down after {iterations} "
+                f"iterations: p.Ap = {pap}, so the operator is not positive "
+                f"definite or the iterate overflowed",
+                report=LinearSolveReport(iterations, res / rhs_norm, False),
+            )
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
         z = precondition(r)

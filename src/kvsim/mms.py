@@ -199,6 +199,10 @@ def manufacture(case, grid, params, time_span=(0.0, 1.0)):
 # built-in cases
 # ---------------------------------------------------------------------------
 
+# the uniform temperature that every built-in case's temperature varies about
+_THETA_BASE = 2.0
+
+
 def _zero_vector_case_parts(d):
     def zeros_vec(x, t):
         return np.zeros(np.broadcast(*x).shape + (d,))
@@ -209,12 +213,12 @@ def _zero_vector_case_parts(d):
     return zeros_vec, zeros_mat
 
 
-def rest_case(d, lengths, theta0=2.0):
-    """u* = 0, theta* = const: zero forcing, exact discrete solution."""
+def rest_case(d, lengths):
+    """u* = 0, theta* = 2: zero forcing, exact discrete solution."""
     zeros_vec, zeros_mat = _zero_vector_case_parts(d)
 
     def theta(x, t):
-        return np.full(np.broadcast(*x).shape, theta0)
+        return np.full(np.broadcast(*x).shape, _THETA_BASE)
 
     def zero_scalar(x, t):
         return np.zeros(np.broadcast(*x).shape)
@@ -227,12 +231,12 @@ def rest_case(d, lengths, theta0=2.0):
         grad_div_u=zeros_vec, grad_div_u_t=zeros_vec,
         theta=theta, theta_t=zero_scalar,
         grad_theta=zeros_vec, lap_theta=zero_scalar,
-        theta_min=theta0,
+        theta_min=_THETA_BASE,
     )
 
 
-def cooling_case(d, lengths, amplitude=0.5, base=2.0):
-    """u* = 0, theta* = base + amplitude * cos(pi x1 / L1) * exp(-t)."""
+def cooling_case(d, lengths, amplitude=0.5):
+    """u* = 0, theta* = 2 + amplitude * cos(pi x1 / L1) * exp(-t)."""
     zeros_vec, zeros_mat = _zero_vector_case_parts(d)
     w = math.pi / lengths[0]
 
@@ -240,7 +244,7 @@ def cooling_case(d, lengths, amplitude=0.5, base=2.0):
         return np.cos(w * x[0])
 
     def theta(x, t):
-        return base + amplitude * profile(x) * math.exp(-t)
+        return _THETA_BASE + amplitude * profile(x) * math.exp(-t)
 
     def theta_t(x, t):
         return -amplitude * profile(x) * math.exp(-t)
@@ -262,20 +266,21 @@ def cooling_case(d, lengths, amplitude=0.5, base=2.0):
         grad_div_u=zeros_vec, grad_div_u_t=zeros_vec,
         theta=theta, theta_t=theta_t,
         grad_theta=grad_theta, lap_theta=lap_theta,
-        theta_min=base - amplitude,
+        theta_min=_THETA_BASE - amplitude,
     )
 
 
-def default_case(d, lengths, u_amp=0.1, theta_amp=0.5, base=2.0):
+def default_case(d, lengths):
     """Product-sine displacement and product-cosine temperature profile.
 
-    u*_i = a_i sin(pi x_1/L_1) ... sin(pi x_d/L_d) cos(t)  (vanishing on the
-    boundary), theta* = base + theta_amp cos(pi x_1/L_1) ... cos(pi x_d/L_d)
+    u*_i = (0.1 / i) sin(pi x_1/L_1) ... sin(pi x_d/L_d) cos(t)  (vanishing on
+    the boundary), theta* = 2 + 0.5 cos(pi x_1/L_1) ... cos(pi x_d/L_d)
     exp(-t) (zero normal derivative on every face, positive).
     """
     lengths = tuple(lengths)
     w = [math.pi / c for c in lengths]
-    amps = np.array([u_amp / (1.0 + i) for i in range(d)])
+    amps = np.array([0.1 / (1.0 + i) for i in range(d)])
+    theta_amp = 0.5
 
     def sin_prod(x):
         out = np.sin(w[0] * x[0])
@@ -377,7 +382,7 @@ def default_case(d, lengths, u_amp=0.1, theta_amp=0.5, base=2.0):
         return _grad_div(x, t, time_u_t)
 
     def theta(x, t):
-        return base + theta_amp * cos_prod(x) * math.exp(-t)
+        return _THETA_BASE + theta_amp * cos_prod(x) * math.exp(-t)
 
     def theta_t(x, t):
         return -theta_amp * cos_prod(x) * math.exp(-t)
@@ -404,7 +409,7 @@ def default_case(d, lengths, u_amp=0.1, theta_amp=0.5, base=2.0):
         grad_div_u=grad_div_u, grad_div_u_t=grad_div_u_t,
         theta=theta, theta_t=theta_t,
         grad_theta=grad_theta, lap_theta=lap_theta,
-        theta_min=base - theta_amp,
+        theta_min=_THETA_BASE - theta_amp,
     )
 
 

@@ -1,20 +1,21 @@
 """Config parsing/validation, serialization round trips, CLI surfaces."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kvsim import CheckpointError, ConfigError, SimState, UsageError
+from kvsim import CheckpointError, ConfigError, SimState, UsageError, linear_step
 from kvsim.cli_io import (
     CHECKPOINT_MAGIC,
     builtin_scenario,
-    builtin_scenarios,
     build_initial_state,
     build_sources,
     load_checkpoint,
@@ -124,13 +125,13 @@ def test_config_missing_file():
 
 
 def test_builtin_scenarios_all_load():
-    names = builtin_scenarios()
-    assert {"rest2d", "bump2d", "bump3d", "heated2d"} <= set(names)
+    names = ["bump2d", "bump3d", "heated2d", "rest2d"]
     for name in names:
         cfg = load_config(builtin_scenario(name))
         state = build_initial_state(cfg)
         assert np.min(state.theta.data) > 0.0
-    with pytest.raises(UsageError):
+    # the message lists every shipped scenario: none is left out above
+    with pytest.raises(UsageError, match=re.escape(f"available: {names}")):
         builtin_scenario("missing")
 
 
@@ -240,6 +241,18 @@ def test_checkpoint_rejects_malformed_payload_with_valid_crc(tmp_path, payload):
         (tmp_path / name).write_bytes(blob)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "a.ckpt")
+    assert main(["norms", "--traj", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
+def test_checkpoint_rejects_non_finite_time(tmp_path, bad_t):
+    """A checkpoint whose time is not finite is a CheckpointError (exit 4)
+    although its checksum matches; `kvsim norms` used to print nan norms."""
+    grid = make_grid(d=2, n=9)
+    for k, t in enumerate((0.0, bad_t, 0.2)):
+        save_checkpoint(SimState.rest(grid, t=t), tmp_path / f"{k}.ckpt")
+    with pytest.raises(CheckpointError, match="time"):
+        load_checkpoint(tmp_path / "1.ckpt")
     assert main(["norms", "--traj", str(tmp_path)]) == 4
 
 
@@ -384,6 +397,22 @@ def test_cli_exit_code_on_cg_stagnation(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(cfg)]) == 3
     assert "attainable relative residual" in capsys.readouterr().err
+
+
+def test_cli_exit_code_on_cg_breakdown(tmp_path, monkeypatch, capsys):
+    """A velocity operator that is not positive definite stops the run at
+    its first CG iteration with exit code 3 and a breakdown message."""
+    build = linear_step.velocity_matrix
+
+    def negated(*args):
+        op = build(*args)
+        return replace(op, matrix=-op.matrix)
+
+    monkeypatch.setattr(linear_step, "velocity_matrix", negated)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, run_cfg_text() + "\n[initial]\npreset = bump\n")
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "broke down after 0 iterations" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -17,7 +17,8 @@ from kvsim import (
     internal_energy,
     stress,
 )
-from kvsim.constitutive import DDOT_WEIGHTS, IDENTITY_6, frobenius
+from kvsim.constitutive import DDOT_WEIGHTS, IDENTITY_6
+from kvsim.grid import Grid, SymTensorField, tensor_magnitude
 
 from helpers import default_params
 
@@ -279,5 +280,7 @@ def test_alpha_accepts_matrix_and_rejects_asymmetric():
 
 
 def test_frobenius_norm_weighs_offdiagonals():
+    """grid.tensor_magnitude is the pointwise Frobenius norm sqrt(a : a)."""
     a = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # single off-diagonal pair
-    assert frobenius(a) == pytest.approx(np.sqrt(2.0))
+    field = SymTensorField(Grid((3,), (1.0,)), np.tile(a, (3, 1)))
+    assert tensor_magnitude(field).data == pytest.approx([np.sqrt(2.0)] * 3)

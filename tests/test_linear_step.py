@@ -15,6 +15,7 @@ from kvsim import (
     UsageError,
     VectorField,
     lame_operator,
+    laplacian_neumann,
     solve_spd,
 )
 from kvsim.linear_step import (
@@ -22,6 +23,7 @@ from kvsim.linear_step import (
     SparseOperator,
     heat_matrix,
     heat_rhs_vector,
+    heat_stiffness,
     pack_interior,
     solve_spd as cg,
     unpack_interior,
@@ -83,6 +85,17 @@ def test_velocity_matrix_matches_stencil_operator(rng, params, nodes, lengths):
     assert np.max(np.abs(matrix_side - stencil_side)) <= 1e-12 * (
         1.0 + np.max(np.abs(stencil_side))
     )
+
+
+@SMALL_GRIDS
+def test_heat_stiffness_matches_neumann_laplacian(rng, nodes, lengths):
+    """The stiffness is minus the quadrature-weighted Neumann Laplacian."""
+    grid = Grid(nodes, lengths)
+    theta = ScalarField(grid, rng.standard_normal(grid.shape))
+    stencil_side = (grid.quad_weights * laplacian_neumann(theta).data).ravel()
+    matrix_side = -(heat_stiffness(grid, 1.0).matrix @ theta.data.ravel())
+    assert np.max(np.abs(matrix_side - stencil_side)) <= 1e-12 * np.max(
+        np.abs(stencil_side))
 
 
 @pytest.mark.parametrize("nodes", [(7,), (6, 9), (5, 6, 7)], ids=["1d", "2d", "3d"])
@@ -292,6 +305,21 @@ def test_cg_residual_report_matches_recomputation(rng):
     recomputed = np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
     assert abs(report.relative_residual - recomputed) <= 1e-14
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("op,rhs", [
+    (_as_op(np.diag([1.0, -1.0])), [1.0, 1.0]),
+    (SparseOperator(sp.csr_matrix(np.diag([1e300, 1e300])), lambda r: r),
+     [1e10, 1e10]),
+], ids=["indefinite", "overflow"])
+def test_cg_breakdown_raises_non_convergence(op, rhs):
+    """p.Ap <= 0 or not finite is a NonConvergenceError carrying the report:
+    diag(1, -1) with rhs (1, 1) used to escape as a ZeroDivisionError."""
+    with pytest.raises(NonConvergenceError, match="broke down") as excinfo:
+        cg(op, np.array(rhs))
+    report = excinfo.value.report
+    assert isinstance(report, LinearSolveReport) and not report.converged
+    assert report.iterations == 0
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
