@@ -569,7 +569,12 @@ def write_vtk_snapshot(state, path):
 
 
 def save_checkpoint(state, path):
-    """Versioned little-endian binary state dump with a trailing checksum."""
+    """Versioned little-endian binary state dump with a trailing checksum.
+
+    Raises :class:`CheckpointError`, writing nothing, when the time is not
+    finite: ``load_checkpoint`` refuses such a file."""
+    if not math.isfinite(state.t):
+        raise CheckpointError(f"cannot checkpoint a state at time {state.t}")
     grid = state.grid
     payload = bytearray()
     payload += struct.pack("<II", CHECKPOINT_VERSION, grid.d)

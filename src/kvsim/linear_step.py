@@ -295,7 +295,9 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     relative residual ||b - A x|| / ||b|| drops to ``tol``.  Raises
     :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
     exhausted; when a search direction p has p.Ap <= 0 or not finite (the
-    operator is not positive definite); or when three consecutive
+    operator is not positive definite); when a nonzero residual r has
+    r.z <= 0 or not finite for z its preconditioned residual (the
+    preconditioner is not positive definite); or when three consecutive
     true-residual re-checks (each followed by a restart) fail to lower the
     best true residual: ``tol`` is then below what round-off lets this
     system attain, and the message states the attainable relative residual.  Raises :class:`DomainError` up
@@ -349,6 +351,13 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
             z = precondition(r)
             p = z.copy()
             rz = float(r @ z)
+        if not 0.0 < rz < np.inf:
+            raise NonConvergenceError(
+                f"conjugate gradients broke down after {iterations} "
+                f"iterations: r.z = {rz} for a nonzero residual, so the "
+                f"preconditioner is not positive definite",
+                report=LinearSolveReport(iterations, res / rhs_norm, False),
+            )
         ap = a @ p
         pap = float(p @ ap)
         if not 0.0 < pap < np.inf:

@@ -247,13 +247,26 @@ def test_checkpoint_rejects_malformed_payload_with_valid_crc(tmp_path, payload):
 @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
 def test_checkpoint_rejects_non_finite_time(tmp_path, bad_t):
     """A checkpoint whose time is not finite is a CheckpointError (exit 4)
-    although its checksum matches; `kvsim norms` used to print nan norms."""
+    although its checksum matches; `kvsim norms` used to print nan norms.
+    The writer refuses such a state before writing a byte."""
     grid = make_grid(d=2, n=9)
-    for k, t in enumerate((0.0, bad_t, 0.2)):
+    for k, t in enumerate((0.0, 0.1, 0.2)):
         save_checkpoint(SimState.rest(grid, t=t), tmp_path / f"{k}.ckpt")
+    # patch the time of the middle file (it follows the magic, version,
+    # dimension, nodes and lengths) and recompute the checksum
+    path = tmp_path / "1.ckpt"
+    blob = path.read_bytes()
+    at = len(CHECKPOINT_MAGIC) + struct.calcsize("<II2I2d")
+    payload = (blob[len(CHECKPOINT_MAGIC):at] + struct.pack("<d", bad_t)
+               + blob[at + 8:-4])
+    path.write_bytes(CHECKPOINT_MAGIC + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
     with pytest.raises(CheckpointError, match="time"):
-        load_checkpoint(tmp_path / "1.ckpt")
+        load_checkpoint(path)
     assert main(["norms", "--traj", str(tmp_path)]) == 4
+    with pytest.raises(CheckpointError, match="time"):
+        save_checkpoint(SimState.rest(grid, t=bad_t), tmp_path / "bad.ckpt")
+    assert not (tmp_path / "bad.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

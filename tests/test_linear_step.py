@@ -311,10 +311,13 @@ def test_cg_residual_report_matches_recomputation(rng):
     (_as_op(np.diag([1.0, -1.0])), [1.0, 1.0]),
     (SparseOperator(sp.csr_matrix(np.diag([1e300, 1e300])), lambda r: r),
      [1e10, 1e10]),
-], ids=["indefinite", "overflow"])
+    (SparseOperator(sp.identity(2, format="csr"),
+                    lambda r: r * np.array([1.0, -1.0])), [1.0, 1.0]),
+], ids=["indefinite", "overflow", "indefinite_preconditioner"])
 def test_cg_breakdown_raises_non_convergence(op, rhs):
-    """p.Ap <= 0 or not finite is a NonConvergenceError carrying the report:
-    diag(1, -1) with rhs (1, 1) used to escape as a ZeroDivisionError."""
+    """p.Ap <= 0, r.z <= 0 or either not finite is a NonConvergenceError
+    carrying the report: diag(1, -1) with rhs (1, 1), and the identity with
+    the preconditioner diag(1, -1), used to escape as ZeroDivisionErrors."""
     with pytest.raises(NonConvergenceError, match="broke down") as excinfo:
         cg(op, np.array(rhs))
     report = excinfo.value.report

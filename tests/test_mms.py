@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from kvsim import UsageError
+from kvsim import Grid, UsageError
+from kvsim.constitutive import (
+    COMPONENT_OF,
+    apply_isotropic,
+    ddot,
+    matrix_from_sym6,
+)
 from kvsim.mms import (
-    ManufacturedCase,
+    CASES,
+    ManufacturedProblem,
     convergence_study,
     cooling_case,
     default_case,
@@ -58,208 +65,167 @@ def test_cooling_case_matches_hand_derived_forcing(params):
         assert np.max(np.abs(got_g - hand_g)) <= 1e-12
 
 
-def _fd_residuals(problem, points, t, h=1e-4):
-    """Momentum/heat residuals at selected points using finite differences
-    of the closed-form solution only (independent of the analytic
-    derivatives the case supplies)."""
-    case, params = problem.case, problem.params
-    d = case.d
+class _ShiftedGrid(Grid):
+    """A grid whose coordinates are its nodes moved by ``offset``: a case
+    bound to it is evaluated off the nodes."""
 
-    def u_at(x, tt):
-        return np.asarray(case.u(tuple(np.asarray(c) for c in x), tt), dtype=float)
+    def __init__(self, grid, offset):
+        super().__init__(grid.n, grid.lengths)
+        self.offset = offset
 
-    def theta_at(x, tt):
-        return np.asarray(case.theta(tuple(np.asarray(c) for c in x), tt), dtype=float)
-
-    def shift(x, axis, delta):
-        moved = [np.asarray(c, dtype=float).copy() for c in x]
-        moved[axis] = moved[axis] + delta
-        return tuple(moved)
-
-    residuals = []
-    from kvsim.constitutive import matrix_from_sym6
-    coupling_mat = matrix_from_sym6(params.thermal_coupling())[:d, :d]
-    for x in points:
-        x = tuple(np.asarray([c]) for c in x)
-        u_tt = (u_at(x, t + h) - 2 * u_at(x, t) + u_at(x, t - h)) / h**2
-        lap_u = sum(
-            (u_at(shift(x, a, h), t) - 2 * u_at(x, t) + u_at(shift(x, a, -h), t))
-            / h**2
-            for a in range(d)
-        )
-        lap_u_t = sum(
-            (u_at(shift(x, a, h), t + h) - 2 * u_at(x, t + h)
-             + u_at(shift(x, a, -h), t + h)
-             - u_at(shift(x, a, h), t - h) + 2 * u_at(x, t - h)
-             - u_at(shift(x, a, -h), t - h)) / (2 * h * h**2)
-            for a in range(d)
-        )
-
-        def grad_div(tt):
-            out = np.zeros((1, d))
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        out[:, i] += (
-                            u_at(shift(x, i, h), tt)[..., i]
-                            - 2 * u_at(x, tt)[..., i]
-                            + u_at(shift(x, i, -h), tt)[..., i]
-                        ) / h**2
-                    else:
-                        out[:, i] += (
-                            u_at(shift(shift(x, i, h), j, h), tt)[..., j]
-                            - u_at(shift(shift(x, i, h), j, -h), tt)[..., j]
-                            - u_at(shift(shift(x, i, -h), j, h), tt)[..., j]
-                            + u_at(shift(shift(x, i, -h), j, -h), tt)[..., j]
-                        ) / (4 * h**2)
-            return out
-
-        grad_div_u = grad_div(t)
-        grad_div_u_t = (grad_div(t + h) - grad_div(t - h)) / (2 * h)
-        grad_theta = np.stack([
-            (theta_at(shift(x, a, h), t) - theta_at(shift(x, a, -h), t)) / (2 * h)
-            for a in range(d)
-        ], axis=-1)
-        q1 = params.mu1 * lap_u_t + (params.lambda1 + params.mu1) * grad_div_u_t
-        q2 = params.mu2 * lap_u + (params.lambda2 + params.mu2) * grad_div_u
-        # sample the assembled forcing at the same physical point via the case
-        momentum = (
-            u_tt - q1 - q2 + grad_theta @ coupling_mat.T
-            - _eval_vector(problem, x, t)
-        )
-        residuals.append(np.max(np.abs(momentum)))
-    return residuals
+    def coords(self):
+        return [c + o for c, o in zip(super().coords(), self.offset)]
 
 
-def _eval_vector(problem, x, t):
-    """Evaluate the assembled body force at arbitrary points through the
-    case callables (grid-independent)."""
-    params, case = problem.params, problem.case
-    from kvsim.constitutive import matrix_from_sym6, ddot, apply_isotropic
-    out = np.asarray(case.u_tt(x, t), dtype=float).copy()
-    for lam, mu, lap, gd in (
-        (params.lambda1, params.mu1, case.lap_u_t, case.grad_div_u_t),
-        (params.lambda2, params.mu2, case.lap_u, case.grad_div_u),
-    ):
-        out -= mu * np.asarray(lap(x, t), dtype=float)
-        out -= (lam + mu) * np.asarray(gd(x, t), dtype=float)
-    coupling = matrix_from_sym6(params.thermal_coupling())[:case.d, :case.d]
-    out += np.asarray(case.grad_theta(x, t), dtype=float) @ coupling.T
-    return out
+def _closed_form(name, lengths, params, h):
+    """The grid, the problem, and ``field(t, *moves)``: (u*, theta*) at the
+    interior nodes moved by h along each (axis, sign) of ``moves``.  The
+    nodes are moved off the grid by a generic offset first, so no profile
+    sits on a zero or an extremum."""
+    d = len(lengths)
+    grid = Grid((6,) * d, lengths)
+    case = get_case(name, d, lengths)
+    base = 0.0123 * np.arange(1.0, d + 1.0)
+    cache = {}
+
+    def field(t, *moves):
+        key = (t, tuple(sorted(moves)))
+        if key not in cache:
+            offset = base.copy()
+            for axis, sign in moves:
+                offset[axis] += sign * h
+            shifted = ManufacturedProblem(case, _ShiftedGrid(grid, offset), params)
+            state = shifted.exact_state(t)
+            cache[key] = (state.u.data[grid.interior],
+                          state.theta.data[grid.interior])
+        return cache[key]
+
+    problem = ManufacturedProblem(case, _ShiftedGrid(grid, base), params)
+    return grid, problem, field
 
 
-def test_default_case_forcing_consistent_with_finite_differences(params):
-    grid = make_grid(d=2, n=9)
-    problem = manufacture(default_case(2, grid.lengths), grid, params)
-    rng = np.random.default_rng(5)
-    points = rng.uniform(0.2, 0.8, size=(10, 2))
-    residuals = _fd_residuals(problem, points, t=0.4, h=1e-4)
-    assert max(residuals) <= 1e-4
+CASES_AND_BOXES = [
+    pytest.param(name, lengths, id=f"{name}-{box}")
+    for name in sorted(CASES)
+    for box, lengths in (("1d", (1.0,)), ("2d", (1.0, 1.0)),
+                         ("3d", (1.0, 1.0, 1.0)), ("0.8x1.5", (0.8, 1.5)))
+]
 
 
-def test_default_case_heat_residual_by_finite_differences(params):
-    grid = make_grid(d=2, n=9)
-    case = default_case(2, grid.lengths)
-    problem = manufacture(case, grid, params)
-    rng = np.random.default_rng(6)
-    h = 1e-4
-    from kvsim.constitutive import apply_isotropic, ddot
+@pytest.mark.parametrize("name,lengths", CASES_AND_BOXES)
+def test_cases_meet_the_boundary_conditions(params, name, lengths):
+    """u* vanishes and theta* has zero normal derivative on every face.
+    Moving the nodes by one spacing along an axis puts a layer of interior
+    nodes (which ``exact_state`` does not clamp) onto each of its faces."""
+    d, delta = len(lengths), 1e-4
+    grid = Grid((6,) * d, lengths)
+    case = get_case(name, d, lengths)
 
-    def sym_rate(x, t):
-        d = 2
-        grad = np.zeros((1, d, d))
+    def fields(offset):
+        state = ManufacturedProblem(case, _ShiftedGrid(grid, offset),
+                                    params).exact_state(0.4)
+        return state.u.data, state.theta.data
+
+    for axis in range(d):
+        for sign, layer in ((-1, 1), (1, -2)):
+            index = list(grid.interior)
+            index[axis] = layer
+            index = tuple(index)
+            offset = np.zeros(d)
+            offset[axis] = sign * grid.h[axis]
+            u, _ = fields(offset)
+            assert np.max(np.abs(u[index])) <= 1e-14
+            offset[axis] += delta
+            _, above = fields(offset)
+            offset[axis] -= 2 * delta
+            _, below = fields(offset)
+            normal = (above[index] - below[index]) / (2 * delta)
+            assert np.max(np.abs(normal)) <= 1e-6
+
+
+@pytest.mark.parametrize("name,lengths", CASES_AND_BOXES)
+def test_default_case_forcing_consistent_with_finite_differences(
+        params, name, lengths):
+    """The body force matches u*_tt - Q1 u*_t - Q2 u* + (A2 alpha) grad
+    theta* with every derivative differenced from the closed-form fields
+    (independent of the analytic derivatives the problem uses)."""
+    h, t = 1e-3, 0.4
+    grid, problem, field = _closed_form(name, lengths, params, h)
+    d = grid.d
+
+    def u(tt, *moves):
+        return field(tt, *moves)[0]
+
+    def lap(tt):
+        return sum((u(tt, (a, 1)) - 2 * u(tt) + u(tt, (a, -1))) / h**2
+                   for a in range(d))
+
+    def grad_div(tt):
+        out = np.zeros_like(u(tt))
         for i in range(d):
             for j in range(d):
-                def u_i(xx, tt):
-                    return np.asarray(case.u(xx, tt), dtype=float)[..., i]
-                moved_p = tuple(
-                    np.asarray(c) + (h if a == j else 0.0) for a, c in enumerate(x)
-                )
-                moved_m = tuple(
-                    np.asarray(c) - (h if a == j else 0.0) for a, c in enumerate(x)
-                )
-                du = (
-                    (u_i(moved_p, t + h) - u_i(moved_m, t + h))
-                    - (u_i(moved_p, t - h) - u_i(moved_m, t - h))
-                ) / (4 * h * h)
-                grad[:, i, j] = du
-        eps = np.zeros((1, 6))
-        from kvsim.constitutive import COMPONENT_OF
-        for i in range(2):
-            for j in range(i, 2):
-                eps[:, COMPONENT_OF[(i, j)]] = 0.5 * (grad[:, i, j] + grad[:, j, i])
-        return eps
+                if i == j:
+                    second = u(tt, (i, 1)) - 2 * u(tt) + u(tt, (i, -1))
+                    out[..., i] += second[..., i] / h**2
+                else:
+                    mixed = (u(tt, (i, 1), (j, 1)) - u(tt, (i, 1), (j, -1))
+                             - u(tt, (i, -1), (j, 1)) + u(tt, (i, -1), (j, -1)))
+                    out[..., i] += mixed[..., j] / (4 * h**2)
+        return out
 
-    t = 0.3
-    for _ in range(10):
-        x = tuple(np.asarray([v]) for v in rng.uniform(0.2, 0.8, size=2))
-        theta = np.asarray(case.theta(x, t), dtype=float)
-        theta_t = (np.asarray(case.theta(x, t + h), dtype=float)
-                   - np.asarray(case.theta(x, t - h), dtype=float)) / (2 * h)
-        lap_theta = sum(
-            (np.asarray(case.theta(tuple(
-                np.asarray(c) + (h if a == k else 0.0) for a, c in enumerate(x)
-            ), t), dtype=float)
-             - 2 * theta
-             + np.asarray(case.theta(tuple(
-                np.asarray(c) - (h if a == k else 0.0) for a, c in enumerate(x)
-             ), t), dtype=float)) / h**2
-            for k in range(2)
-        )
-        rate = sym_rate(x, t)
-        coupling = params.thermal_coupling()
-        viscous = ddot(apply_isotropic(params.lambda1, params.mu1, rate), rate)
-        g_closed = (params.cv * theta * theta_t - params.k * lap_theta
-                    + theta * ddot(coupling, rate) - viscous)
-        # compare against the problem's assembled g evaluated via the case
-        g_assembled = (
-            params.cv * theta * np.asarray(case.theta_t(x, t), dtype=float)
-            - params.k * np.asarray(case.lap_theta(x, t), dtype=float)
-            + theta * ddot(coupling, _analytic_rate(case, x, t))
-            - ddot(apply_isotropic(params.lambda1, params.mu1,
-                                   _analytic_rate(case, x, t)),
-                   _analytic_rate(case, x, t))
-        )
-        assert np.max(np.abs(g_closed - g_assembled)) <= 1e-4
+    u_tt = (u(t + h) - 2 * u(t) + u(t - h)) / h**2
+    q1 = (params.mu1 * (lap(t + h) - lap(t - h))
+          + (params.lambda1 + params.mu1) * (grad_div(t + h) - grad_div(t - h))
+          ) / (2 * h)
+    q2 = params.mu2 * lap(t) + (params.lambda2 + params.mu2) * grad_div(t)
+    grad_theta = np.stack([
+        (field(t, (a, 1))[1] - field(t, (a, -1))[1]) / (2 * h) for a in range(d)
+    ], axis=-1)
+    coupling = matrix_from_sym6(params.thermal_coupling())[:d, :d]
+    b_fd = u_tt - q1 - q2 + grad_theta @ coupling.T
+    b = problem.body_force(t).data[grid.interior]
+    assert np.max(np.abs(b_fd - b)) <= 1e-5 * (1.0 + np.max(np.abs(b)))
 
 
-def _analytic_rate(case, x, t):
-    from kvsim.constitutive import COMPONENT_OF
-    grad = np.asarray(case.grad_u_t(x, t), dtype=float)
-    eps = np.zeros(grad.shape[:-2] + (6,))
-    for i in range(case.d):
-        for j in range(i, case.d):
-            eps[..., COMPONENT_OF[(i, j)]] = 0.5 * (grad[..., i, j] + grad[..., j, i])
-    return eps
+@pytest.mark.parametrize("name,lengths", CASES_AND_BOXES)
+def test_default_case_heat_residual_by_finite_differences(params, name, lengths):
+    """The heat source matches cv theta* theta*_t - k Lap theta*
+    + theta* (A2 alpha):eps(u*_t) - (A1 eps(u*_t)):eps(u*_t) with every
+    derivative differenced from the closed-form fields."""
+    h, t = 1e-3, 0.3
+    grid, problem, field = _closed_form(name, lengths, params, h)
+    d = grid.d
+
+    def theta(tt, *moves):
+        return field(tt, *moves)[1]
+
+    theta_t = (theta(t + h) - theta(t - h)) / (2 * h)
+    lap_theta = sum(
+        (theta(t, (a, 1)) - 2 * theta(t) + theta(t, (a, -1))) / h**2
+        for a in range(d)
+    )
+    # grad_u_t[j][..., i] = d/dx_j of u*_i, differenced in time and space
+    grad_u_t = [
+        ((field(t + h, (j, 1))[0] - field(t + h, (j, -1))[0])
+         - (field(t - h, (j, 1))[0] - field(t - h, (j, -1))[0])) / (4 * h * h)
+        for j in range(d)
+    ]
+    rate = np.zeros(theta(t).shape + (6,))
+    for i in range(d):
+        for j in range(i, d):
+            rate[..., COMPONENT_OF[(i, j)]] = 0.5 * (
+                grad_u_t[j][..., i] + grad_u_t[i][..., j]
+            )
+    viscous = ddot(apply_isotropic(params.lambda1, params.mu1, rate), rate)
+    g_fd = (params.cv * theta(t) * theta_t - params.k * lap_theta
+            + theta(t) * ddot(params.thermal_coupling(), rate) - viscous)
+    g = problem.heat_source(t).data[grid.interior]
+    assert np.max(np.abs(g_fd - g)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
 
 
 # ---------------------------------------------------------------------------
 # validation of case claims
 # ---------------------------------------------------------------------------
-
-def test_manufacture_rejects_dirichlet_violation(params):
-    grid = make_grid(d=2, n=9)
-    case = default_case(2, grid.lengths)
-    broken = ManufacturedCase(**{
-        **case.__dict__,
-        "u": lambda x, t: np.stack([np.ones_like(x[0]), np.zeros_like(x[0])], axis=-1),
-    })
-    with pytest.raises(UsageError, match="vanish on the boundary"):
-        manufacture(broken, grid, params)
-
-
-def test_manufacture_rejects_neumann_violation(params):
-    grid = make_grid(d=2, n=9)
-    case = default_case(2, grid.lengths)
-    broken = ManufacturedCase(**{
-        **case.__dict__,
-        "grad_theta": lambda x, t: np.stack(
-            [np.ones_like(x[0]), np.zeros_like(x[0])], axis=-1
-        ),
-    })
-    with pytest.raises(UsageError, match="normal derivative"):
-        manufacture(broken, grid, params)
-
 
 def test_manufacture_rejects_nonpositive_temperature(params):
     grid = make_grid(d=2, n=9)
