@@ -74,7 +74,9 @@ def matrix_from_sym6(a):
 def apply_isotropic(lam, mu, eps):
     """Apply the isotropic fourth-order tensor: lam*tr(eps)*I + 2*mu*eps."""
     eps = np.asarray(eps, dtype=float)
-    return lam * trace(eps)[..., None] * IDENTITY_6 + 2.0 * mu * eps
+    out = 2.0 * mu * eps
+    out += lam * trace(eps)[..., None] * IDENTITY_6
+    return out
 
 
 @dataclass(frozen=True)

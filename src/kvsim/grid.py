@@ -11,10 +11,11 @@ Conventions
 * The Navier and Neumann operators are defined here once, as sparse
   matrices: Kronecker products of three 1-D factors per axis
   (``second_difference``, ``central_difference``, ``neumann_stiffness``).
-  ``navier_matrix`` is the Navier operator; ``neumann_terms`` are the
-  per-axis terms of the trapezoid-weighted Neumann stiffness.  The velocity
-  and heat systems of :mod:`kvsim.linear_step` are built from these, and
-  ``lame_operator`` and ``laplacian_neumann`` apply them to fields.
+  ``navier_matrix`` is the Navier operator, written from the bands of its
+  1-D factors; ``neumann_terms`` are the per-axis terms of the
+  trapezoid-weighted Neumann stiffness.  The velocity and heat systems of
+  :mod:`kvsim.linear_step` are built from these, and ``lame_operator`` and
+  ``laplacian_neumann`` apply them to fields.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
   symmetric under the trapezoidal inner product and gives it exact zero row
   sums; ``integrate`` is that trapezoidal quadrature.
@@ -286,30 +287,85 @@ def navier_matrix(grid, lam, mu, box=slice(None)):
     over the nodes that ``box`` selects on every axis (``slice(1, -1)``: the
     interior box, where -Q is symmetric positive definite).
 
-    Per axis, the second difference gives the diagonal derivatives and the
-    central difference the mixed ones, both restricted to ``box``.
+    With D2_k and C_k the second and central difference of axis k restricted
+    to ``box`` and lifted to the box by Kronecker products with identities,
+    block (i, i) is mu * sum_k D2_k + (lam + mu) * D2_i and block (i, j) is
+    (lam + mu) * C_i C_j.  A row of a lifted factor holds the band values of
+    its 1-D factor at one node, so the CSR arrays are written from the bands
+    directly, with the columns of each row in ascending order.  No lifted
+    factor or block is formed: the build holds little beyond its result,
+    which matters at large grids, where the stepper keeps two such matrices.
+    An entry is stored wherever a factor has one, whatever (lam, mu) are, so
+    all Navier matrices of one grid and box have the same sparsity pattern.
     """
-    def lifted(factor, axis):
-        return _kron([
-            factor(n, h)[box, box] if k == axis
-            else sp.identity(len(range(n)[box]), format="csr")
-            for k, (n, h) in enumerate(zip(grid.n, grid.h))
-        ])
+    shape = tuple(len(range(n)[box]) for n in grid.n)
+    size = math.prod(shape)
+    stride = [math.prod(shape[k + 1:]) for k in range(grid.d)]
 
-    # the mixed blocks are matrix products, not one Kronecker product of two
-    # factors: the product's (unsorted) entry order within each row is the
-    # summation order of every matvec, so it decides the last bits of a run
-    second = [lifted(second_difference, k) for k in range(grid.d)]
-    central = [lifted(central_difference, k) for k in range(grid.d)]
-    laplace = sum(second[1:], second[0])
-    return sp.bmat([
-        [
-            mu * laplace + (lam + mu) * second[i] if i == j
-            else (lam + mu) * (central[i] @ central[j])
-            for j in range(grid.d)
-        ]
-        for i in range(grid.d)
-    ], format="csr")
+    def bands(factor, axis):
+        """Sub-, main and super-diagonal of a 1-D factor on the box, zero
+        past its ends, shaped to broadcast along ``axis``."""
+        f = factor(grid.n[axis], grid.h[axis])[box, box]
+        view = [-1 if k == axis else 1 for k in range(grid.d)]
+        return [band.reshape(view) for band in (
+            np.append(0.0, f.diagonal(-1)), f.diagonal(),
+            np.append(f.diagonal(1), 0.0))]
+
+    second = [bands(second_difference, k) for k in range(grid.d)]
+    central = [bands(central_difference, k) for k in range(grid.d)]
+    laplace = sum(band[1] for band in second)
+
+    def terms(i):
+        """(column offset, value, present) of every band of block row i, at
+        each node, in ascending column order.  Band index 0, 1, 2 (sub,
+        main, super) is column offset -1, 0, +1 along its axis.  Where a
+        band is present depends on the grid and box only."""
+        def along(k, band):
+            value = mu * second[k][band]
+            if k == i:
+                value = value + (lam + mu) * second[k][band]
+            return value, second[k][band] != 0.0
+
+        for j in range(grid.d):
+            offset = j * size
+            if j == i:
+                for k in range(grid.d):
+                    yield (offset - stride[k], *along(k, 0))
+                yield (offset, mu * laplace + (lam + mu) * second[i][1],
+                       (laplace != 0.0) | (second[i][1] != 0.0))
+                for k in reversed(range(grid.d)):
+                    yield (offset + stride[k], *along(k, 2))
+                continue
+            # C_i C_j has a band per pair of sides; taking the sides of the
+            # axis with the larger stride, min(i, j), first keeps the order
+            a, b = min(i, j), max(i, j)
+            for band_a in (0, 2):
+                for band_b in (0, 2):
+                    band = {a: band_a, b: band_b}
+                    product = central[i][band[i]] * central[j][band[j]]
+                    yield (offset + (band_a - 1) * stride[a]
+                           + (band_b - 1) * stride[b],
+                           (lam + mu) * product, product != 0.0)
+
+    counts = np.zeros((grid.d,) + shape, dtype=np.int64)
+    for i in range(grid.d):
+        for _, _, present in terms(i):
+            counts[i] += present
+    indptr = np.append(0, np.cumsum(counts))
+    index = np.int32 if indptr[-1] < 2**31 else np.int64
+    indptr = indptr.astype(index)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=index)
+    nodes = np.arange(size, dtype=index)
+    for i in range(grid.d):
+        cursor = indptr[i * size:(i + 1) * size].copy()
+        for offset, value, present in terms(i):
+            keep = np.broadcast_to(present, shape).ravel()
+            at = cursor[keep]
+            data[at] = np.broadcast_to(value, shape).ravel()[keep]
+            indices[at] = nodes[keep] + offset
+            cursor += keep
+    return sp.csr_matrix((data, indices, indptr), shape=(grid.d * size,) * 2)
 
 
 def neumann_terms(grid):

@@ -4,14 +4,24 @@ One sweep of the successive-approximation scheme solves, with coefficients
 frozen at the previous iterate,
 
 * an implicit (backward Euler) viscoelastic velocity system
-      (1/dt) v - Q1 v = (1/dt) v_old + div[A2 eps(u) - theta * (A2 alpha)] + b
+      (1/dt) v - Q1 v - dt Q2 v = (1/dt) v_old + b - Q2 (u - u_old)
+                                  + div[A2 eps(u) - theta * (A2 alpha)]
   on the interior box of nodes (the homogeneous Dirichlet values never
-  enter as unknowns), and
+  enter as unknowns), where Q1 and Q2 are the compact Navier operators of
+  the viscosity and Lame pairs.  ``velocity_matrix(grid, dt, lam, mu)`` is
+  (1/dt) I - Q(lam, mu), which :class:`kvsim.picard.Stepper` builds for
+  (lambda1 + dt lambda2, mu1 + dt mu2): Q is linear in its pair, so that is
+  the left-hand side above.  ``velocity_rhs`` is the right-hand side
+  without the Q2 term, which the stepper subtracts.  At a fixed point u =
+  u_old + dt v, the two Q2 terms cancel and the system is the one with all
+  of the elasticity explicit, (1/dt) v - Q1 v = (1/dt) v_old + b +
+  div[A2 eps(u) - theta * (A2 alpha)].  Then
 
 * an implicit frozen-coefficient heat system
       (cv/dt) theta_frozen * theta - k Lap theta
           = (cv/dt) theta_frozen * theta_old + heat_rhs(theta_frozen, eps(v), g)
-  on all nodes with the mirror-ghost Neumann Laplacian.
+  on all nodes with the mirror-ghost Neumann Laplacian, with v the
+  velocity the sweep has just solved.
 
 Both systems are symmetric positive-definite sparse matrices built from the
 operators of :mod:`kvsim.grid`: the velocity matrix from ``navier_matrix``
@@ -21,18 +31,21 @@ scaling does not change the solution but makes the Neumann part exactly
 symmetric (it is the discrete Dirichlet form), while keeping its row sums
 exactly zero.
 
-Solves use conjugate gradients with deterministic reductions, preconditioned
-by fast diagonalization (Lynch, Rice & Thomas 1964): each operator carries
-the exact inverse of its separable part, applied in the Kronecker product of
-per-axis eigenbases.  For the velocity system that part drops only the mixed
-(lambda1 + mu1) d_i d_j coupling blocks; for the heat system it replaces the
-frozen temperature by its mean.  Both dropped parts are spectrally
-equivalent, so the iteration counts stay bounded as the grid is refined.  A
-solve is single-caller but independent solves may run concurrently.
+Solves use conjugate gradients whose inner products sum in numpy's own
+order, not through BLAS, so that the result does not depend on the BLAS
+thread count.  They are preconditioned by fast diagonalization (Lynch, Rice
+& Thomas 1964): each operator carries the exact inverse of its separable
+part, applied in the Kronecker product of per-axis eigenbases.  For the
+velocity system that part drops only the mixed (lam + mu) d_i d_j coupling
+blocks; for the heat system it replaces the frozen temperature by its mean.
+Both dropped parts are spectrally equivalent, so the iteration counts stay
+bounded as the grid is refined.  A solve is single-caller but independent
+solves may run concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -43,6 +56,7 @@ import scipy.sparse as sp
 from . import constitutive as cons
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
+    SymTensorField,
     VectorField,
     navier_matrix,
     neumann_stiffness,
@@ -147,8 +161,9 @@ def _fast_diagonalization(bases, divisor):
 # ---------------------------------------------------------------------------
 
 def velocity_matrix(grid, dt, lam, mu):
-    """(1/dt) I - Q1 over the interior unknowns (component-major layout),
-    with Q1 the ``grid.navier_matrix`` of (lam, mu) on the interior box.
+    """(1/dt) I - Q over the interior unknowns (component-major layout),
+    with Q the ``grid.navier_matrix`` of (lam, mu) on the interior box, on
+    the sparsity pattern of Q.
 
     The unknowns are the interior box, ``grid.interior_shape`` nodes per
     component, so the Dirichlet rows never enter the matrix.  The operator
@@ -158,8 +173,11 @@ def velocity_matrix(grid, dt, lam, mu):
     """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
-    q_op = navier_matrix(grid, lam, mu, box=slice(1, -1))
-    matrix = (sp.identity(q_op.shape[0], format="csr") / dt - q_op).tocsr()
+    # every row of the interior box stores its diagonal entry, so setting
+    # the diagonal keeps the Navier matrix's sparsity pattern
+    matrix = navier_matrix(grid, lam, mu, box=slice(1, -1))
+    matrix.data *= -1.0
+    matrix.setdiag(matrix.diagonal() + 1.0 / dt)
 
     values, vectors = zip(*(
         _dirichlet_eigen(n, h) for n, h in zip(grid.n, grid.h)
@@ -190,10 +208,10 @@ def unpack_interior(grid, x):
 
 def velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
     """Right-hand side of the velocity system, packed over interior nodes."""
-    eps = sym_gradient(u_iter)
-    tension = cons.apply_isotropic(params.lambda2, params.mu2, eps.data)
-    tension = tension - theta_iter.data[..., None] * params.thermal_coupling()
-    force = tensor_divergence(type(eps)(grid, tension)).data
+    tension = cons.apply_isotropic(
+        params.lambda2, params.mu2, sym_gradient(u_iter).data)
+    tension -= theta_iter.data[..., None] * params.thermal_coupling()
+    force = tensor_divergence(SymTensorField(grid, tension)).data
     if b is not None:
         force = force + b.data
     return pack_interior(grid, v_old.data / dt + force)
@@ -288,6 +306,19 @@ def heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params):
 _STALLED_RECHECKS = 3
 
 
+def _dot(a, b):
+    """Inner product of two 1-D arrays in numpy's own summation order.
+
+    ``a @ b`` and ``np.linalg.norm`` call BLAS ``ddot``, which splits long
+    sums across threads, so their last bits depend on the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
 def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     """Preconditioned conjugate gradients for an SPD operator.
 
@@ -308,7 +339,7 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
         raise UsageError(f"tol must be positive, got {tol}")
     a = op.matrix
     rhs = np.asarray(rhs, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _norm(rhs)
     if not np.isfinite(rhs_norm):
         raise DomainError(
             f"right-hand side is not finite (norm {rhs_norm}); "
@@ -323,16 +354,16 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
     r = rhs - a @ x
     z = precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     best_true = np.inf
     stalled = 0
     iterations = 0
     while iterations < max_iter:
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         if res <= tol * rhs_norm:
             # guard against recurrence drift: re-check with the true residual
             r_true = rhs - a @ x
-            res_true = float(np.linalg.norm(r_true))
+            res_true = _norm(r_true)
             if res_true <= tol * rhs_norm:
                 return x, LinearSolveReport(iterations, res_true / rhs_norm, True)
             if res_true < best_true:
@@ -350,7 +381,7 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
             r = r_true
             z = precondition(r)
             p = z.copy()
-            rz = float(r @ z)
+            rz = _dot(r, z)
         if not 0.0 < rz < np.inf:
             raise NonConvergenceError(
                 f"conjugate gradients broke down after {iterations} "
@@ -359,7 +390,7 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
                 report=LinearSolveReport(iterations, res / rhs_norm, False),
             )
         ap = a @ p
-        pap = float(p @ ap)
+        pap = _dot(p, ap)
         if not 0.0 < pap < np.inf:
             raise NonConvergenceError(
                 f"conjugate gradients broke down after {iterations} "
@@ -371,11 +402,11 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
         x = x + alpha * p
         r = r - alpha * ap
         z = precondition(r)
-        rz_next = float(r @ z)
+        rz_next = _dot(r, z)
         p = z + (rz_next / rz) * p
         rz = rz_next
         iterations += 1
-    res_true = float(np.linalg.norm(rhs - a @ x)) / rhs_norm
+    res_true = _norm(rhs - a @ x) / rhs_norm
     report = LinearSolveReport(iterations, res_true, res_true <= tol)
     if not report.converged:
         raise NonConvergenceError(

@@ -1,13 +1,24 @@
 """Outer time loop and per-step successive-approximation iteration.
 
 Each time step freezes the nonlinearity at the previous iterate and solves
-the two linear sub-problems in turn:
+the two linear sub-problems in turn, in Gauss-Seidel order:
 
 1. velocity solve with frozen (u, theta), then the displacement update
    ``u_new = u_old + dt * v_new`` (which keeps the discrete compatibility
    d(eps)/dt = eps(v_new) exact),
-2. heat solve with the frozen temperature coefficient and the previous
-   iterate's strain rate.
+2. heat solve with the frozen temperature coefficient and the strain rate
+   of the velocity just solved.
+
+The elastic stress is split so that its compact part is implicit without
+moving the fixed point.  With Q2 the compact Navier operator of the Lame
+pair (``grid.navier_matrix`` on the interior box), the velocity matrix is
+(1/dt) I - Q1 - dt Q2, which is Q2 u_new = Q2 (u_old + dt v_new) moved to
+the left, and the right-hand side subtracts Q2 (u_iter - u_old) from the
+elastic divergence of the frozen displacement.  The two added terms cancel
+when u_iter = u_new, so an accepted step solves the same equations as the
+fully explicit elasticity; only the remainder between the ``np.gradient``
+divergence and Q2 is still iterated, with the thermal coupling.  For the
+zeroth iterate the subtracted term is exactly zero.
 
 Iterates are :class:`SimState` objects at the new time.  The zeroth iterate
 is the step's initial state itself: the constant-in-time extension of its
@@ -31,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linear_step
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
@@ -41,6 +53,7 @@ from .grid import (
     boundary_max_abs,
     l2_norm,
     lp_norm,
+    navier_matrix,
 )
 
 
@@ -123,10 +136,15 @@ class PicardTrace:
     ``ys`` holds the iterate difference norms that drive the stopping rule;
     ``sizes`` holds the iterate magnitudes ||v|| + ||theta|| (their uniform
     boundedness along the sweep is what keeps the iteration well posed).
+    ``velocity_solves`` and ``heat_solves`` hold each sweep's
+    :class:`~kvsim.linear_step.LinearSolveReport`: CG iterations and final
+    relative residual of the two sub-problems.
     """
 
     ys: list
     sizes: list
+    velocity_solves: list
+    heat_solves: list
     converged: bool
     iterations: int
     threshold: float
@@ -143,51 +161,73 @@ class PicardTrace:
 class Stepper:
     """Caches the assembly work that is constant across a run.
 
-    The velocity matrix and its preconditioner depend only on (grid, dt,
-    viscosity pair), and the Neumann stiffness with its eigenbasis only on
-    the grid and the conductivity, so both are built once.
+    The compact elastic operator Q2 = Q(lambda2, mu2) and the velocity
+    matrix (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with its
+    preconditioner, depend only on (grid, dt, material), and the Neumann
+    stiffness with its eigenbasis only on the grid and the conductivity, so
+    all three are built once.  Q is ``grid.navier_matrix`` on the interior
+    box; see the module docstring for the elastic split.
     """
 
     def __init__(self, grid, params, config):
         self.grid = grid
         self.params = params
         self.config = config
+        dt = config.dt
         self.velocity_op = linear_step.velocity_matrix(
-            grid, config.dt, params.lambda1, params.mu1
+            grid, dt, params.lambda1 + dt * params.lambda2,
+            params.mu1 + dt * params.mu2,
+        )
+        elastic = navier_matrix(
+            grid, params.lambda2, params.mu2, box=slice(1, -1)
+        )
+        # both are Navier matrices of the interior box, with one sparsity
+        # pattern: Q2 keeps its values on the velocity matrix's index arrays
+        matrix = self.velocity_op.matrix
+        self.elastic = sp.csr_matrix(
+            (elastic.data, matrix.indices, matrix.indptr), shape=matrix.shape
         )
         self.stiffness = linear_step.heat_stiffness(grid, params.k)
 
     def sweep(self, state, iterate, b, g):
-        """One successive-approximation sweep; returns the next iterate.
+        """One successive-approximation sweep.
 
         ``iterate`` is any state of this step (the zeroth iterate is
         ``state`` itself); the nonlinearity is frozen at its fields.
+        Returns the next iterate and the velocity and heat
+        :class:`~kvsim.linear_step.LinearSolveReport`.
         """
         grid, dt, cfg = self.grid, self.config.dt, self.config
+        pack = linear_step.pack_interior
+        # the velocity matrix holds dt Q2 v_new = Q2 (u_new - u_old); its
+        # explicit twin Q2 (u_iter - u_old) cancels it at the fixed point
         rhs_v = linear_step.velocity_rhs(
             grid, dt, state.v, iterate.u, iterate.theta, b, self.params
-        )
-        x_v, _ = linear_step.solve_spd(
+        ) - self.elastic @ pack(grid, iterate.u.data - state.u.data)
+        x_v, velocity = linear_step.solve_spd(
             self.velocity_op, rhs_v, tol=cfg.cg_tol, max_iter=cfg.cg_max,
-            x0=linear_step.pack_interior(grid, iterate.v.data),
+            x0=pack(grid, iterate.v.data),
         )
         v_new = linear_step.unpack_interior(grid, x_v)
+        # the right-hand side first, so that its temporaries are freed
+        # before the heat matrix is copied: a lower peak at large grids
+        rhs_h = linear_step.heat_rhs_vector(
+            grid, dt, state.theta, iterate.theta, v_new, g, self.params
+        )
         heat_op = linear_step.heat_matrix(
             grid, dt, iterate.theta, self.params, stiffness=self.stiffness
         )
-        rhs_h = linear_step.heat_rhs_vector(
-            grid, dt, state.theta, iterate.theta, iterate.v, g, self.params
-        )
-        x_h, _ = linear_step.solve_spd(
+        x_h, heat = linear_step.solve_spd(
             heat_op, rhs_h, tol=cfg.cg_tol, max_iter=cfg.cg_max,
             x0=iterate.theta.data.ravel(),
         )
-        return SimState(
+        new = SimState(
             t=state.t + dt,
             u=VectorField(grid, state.u.data + dt * v_new.data),
             v=v_new,
             theta=ScalarField(grid, x_h.reshape(grid.shape)),
         )
+        return new, velocity, heat
 
     def step(self, state, b=None, g=None):
         """Advance one time step; returns (new state, Picard trace)."""
@@ -204,9 +244,13 @@ class Stepper:
         iterate = state
         ys = []
         sizes = []
+        velocity_solves = []
+        heat_solves = []
         threshold = None
         for sweep_count in range(1, cfg.picard_max + 1):
-            new = self.sweep(state, iterate, b, g)
+            new, velocity, heat = self.sweep(state, iterate, b, g)
+            velocity_solves.append(velocity)
+            heat_solves.append(heat)
             theta_min = float(np.min(new.theta.data))
             if theta_min < floor:
                 raise DegeneracyError(
@@ -225,9 +269,11 @@ class Stepper:
                 # that starts at a fixed point is accepted immediately
                 threshold = max(cfg.picard_tol * ys[0], 1e-14 * (1.0 + scale))
             if y <= threshold:
-                trace = PicardTrace(ys, sizes, True, sweep_count, threshold)
+                trace = PicardTrace(ys, sizes, velocity_solves, heat_solves,
+                                    True, sweep_count, threshold)
                 return iterate, trace
-        trace = PicardTrace(ys, sizes, False, cfg.picard_max, threshold)
+        trace = PicardTrace(ys, sizes, velocity_solves, heat_solves,
+                            False, cfg.picard_max, threshold)
         raise NonConvergenceError(
             f"successive approximations did not contract below "
             f"{trace.threshold:.3e} within {cfg.picard_max} sweeps "

@@ -358,6 +358,27 @@ def test_cli_run_reruns_byte_identical(tmp_path, monkeypatch):
     assert (tmp_path / "one.csv").read_bytes() == first
 
 
+def test_cli_run_csv_independent_of_blas_threads(tmp_path):
+    """The shipped bump3d scenario writes the same CSV bytes with one and
+    with two OpenBLAS threads: its 17^3 velocity system is long enough for
+    a BLAS dot product to split its sum across threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    config = str(builtin_scenario("bump3d"))
+    csvs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "kvsim.cli_io", "run", "--config", config],
+            cwd=run_dir, env=env, check=True, capture_output=True, timeout=300,
+        )
+        csvs.append((run_dir / "out" / "bump3d.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_cli_run_writes_snapshots_at_cadence(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, run_cfg_text(snapshot_every=1))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kvsim import (
     Grid,
@@ -19,9 +20,12 @@ from kvsim.constitutive import COMPONENT_OF, apply_isotropic
 from kvsim.grid import (
     SymTensorField,
     boundary_max_abs,
+    central_difference,
     divergence,
     gradient,
     l2_norm,
+    navier_matrix,
+    second_difference,
 )
 
 from helpers import make_grid, random_boundary_zero_vector
@@ -190,6 +194,55 @@ def test_laplacian_flux_conservation(rng, grid2d):
 # ---------------------------------------------------------------------------
 # displacement operator
 # ---------------------------------------------------------------------------
+
+def _navier_by_kronecker(grid, lam, mu, box):
+    """The Navier matrix by its definition: a block matrix of Kronecker
+    products of the 1-D factors, built with scipy.sparse."""
+    def lifted(factor, axis):
+        out = sp.identity(1, format="csr")
+        for k, (n, h) in enumerate(zip(grid.n, grid.h)):
+            f = factor(n, h)[box, box] if k == axis else sp.identity(
+                len(range(n)[box]))
+            out = sp.kron(out, f, format="csr")
+        return out
+
+    second = [lifted(second_difference, k) for k in range(grid.d)]
+    central = [lifted(central_difference, k) for k in range(grid.d)]
+    laplace = sum(second[1:], second[0])
+    return sp.bmat([
+        [
+            mu * laplace + (lam + mu) * second[i] if i == j
+            else (lam + mu) * (central[i] @ central[j])
+            for j in range(grid.d)
+        ]
+        for i in range(grid.d)
+    ], format="csr")
+
+
+@pytest.mark.parametrize("nodes,lengths", [
+    ((9,), (1.0,)),
+    ((3, 3), (1.0, 1.0)),
+    ((13, 19), (0.8, 1.5)),
+    ((5, 6, 7), (1.0, 2.0, 3.0)),
+    ((4, 3, 5), (1.0, 1.0, 1.0)),
+], ids=["1d", "3x3", "anisotropic", "3d", "3d-thin"])
+@pytest.mark.parametrize("box", [slice(1, -1), slice(None)],
+                         ids=["interior", "all-nodes"])
+def test_navier_matrix_is_the_kronecker_definition(nodes, lengths, box):
+    """Written from the bands of the 1-D factors, the Navier matrix has the
+    values of its Kronecker definition, bit for bit, and ascending columns
+    in each row.  Its sparsity pattern is the same for every (lam, mu),
+    including pairs that zero some blocks."""
+    grid = Grid(nodes, lengths)
+    first = navier_matrix(grid, 1.0, 1.0, box)
+    for lam, mu in ((1.0, 1.0), (0.3, 1.7), (-1.0, 1.0), (1.0, 0.0)):
+        q = navier_matrix(grid, lam, mu, box)
+        assert q.has_sorted_indices
+        assert np.array_equal(q.toarray(),
+                              _navier_by_kronecker(grid, lam, mu, box).toarray())
+        assert np.array_equal(q.indptr, first.indptr)
+        assert np.array_equal(q.indices, first.indices)
+
 
 def test_lame_operator_zero(grid2d):
     out = lame_operator(VectorField.zeros(grid2d), 1.0, 1.0)

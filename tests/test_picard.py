@@ -14,9 +14,16 @@ from kvsim import (
     UsageError,
     run,
 )
-from kvsim.grid import boundary_max_abs, integrate, laplacian_neumann
+from kvsim import linear_step
+from kvsim.cli_io import build_initial_state, builtin_scenario, load_config
+from kvsim.grid import (
+    boundary_max_abs,
+    integrate,
+    laplacian_neumann,
+    navier_matrix,
+)
 
-from helpers import bump_state, make_grid
+from helpers import bump_state, default_params, make_grid
 
 
 def l2_diff(a, b, grid):
@@ -68,12 +75,83 @@ def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
     new, trace = stepper.step(state)
     assert trace.converged
     # two more sweeps of the same step change the answer below the threshold
-    extra = stepper.sweep(state, new, None, None)
+    extra, _, _ = stepper.sweep(state, new, None, None)
     moved = l2_diff(extra.v, new.v, grid2d) + l2_diff(extra.theta, new.theta, grid2d)
     assert moved <= 2.0 * trace.threshold
-    again = stepper.sweep(state, extra, None, None)
+    again, _, _ = stepper.sweep(state, extra, None, None)
     moved2 = l2_diff(again.v, extra.v, grid2d) + l2_diff(again.theta, extra.theta, grid2d)
     assert moved2 <= 2.0 * trace.threshold
+
+
+# ---------------------------------------------------------------------------
+# the elastic split and the sweep order on the shipped scenarios
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def shipped_runs():
+    """Each shipped bump scenario's config and trajectory, run once."""
+    runs = {}
+    for name in ("bump2d", "bump3d"):
+        cfg = load_config(builtin_scenario(name))
+        state = build_initial_state(cfg)
+        runs[name] = cfg, run(state, cfg.params, cfg.stepper, cfg.t_end)
+    return runs
+
+
+def _relative_residual(op, x, rhs):
+    return np.linalg.norm(rhs - op.matrix @ x) / np.linalg.norm(rhs)
+
+
+def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
+    """The implicit elasticity and the Gauss-Seidel sweep order leave the
+    fixed point where it was: each accepted step solves the velocity system
+    with only the viscosity implicit, and the heat system with the
+    coefficients frozen at the accepted temperature."""
+    cfg, traj = shipped_runs["bump2d"]
+    grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
+    velocity_op = linear_step.velocity_matrix(
+        grid, dt, params.lambda1, params.mu1)
+    for old, new in zip(traj.states[:10], traj.states[1:11]):
+        rhs_v = linear_step.velocity_rhs(
+            grid, dt, old.v, new.u, new.theta, None, params)
+        x_v = linear_step.pack_interior(grid, new.v.data)
+        assert _relative_residual(velocity_op, x_v, rhs_v) <= 1e-9
+        heat_op = linear_step.heat_matrix(grid, dt, new.theta, params)
+        rhs_h = linear_step.heat_rhs_vector(
+            grid, dt, old.theta, new.theta, new.v, None, params)
+        x_h = new.theta.data.ravel()
+        assert _relative_residual(heat_op, x_h, rhs_h) <= 1e-9
+
+
+@pytest.mark.parametrize("name, max_mean_sweeps", [("bump2d", 6), ("bump3d", 7)])
+def test_shipped_scenarios_sweep_and_cg_budgets(shipped_runs, name,
+                                                max_mean_sweeps):
+    """Sweeps per step and CG iterations per sweep, read from the solve
+    reports each trace keeps for every sweep."""
+    cfg, traj = shipped_runs[name]
+    sweeps = [trace.iterations for trace in traj.traces]
+    assert np.mean(sweeps) <= max_mean_sweeps
+    for trace in traj.traces:
+        assert len(trace.velocity_solves) == len(trace.heat_solves)
+        assert len(trace.velocity_solves) == trace.iterations
+        for velocity, heat in zip(trace.velocity_solves, trace.heat_solves):
+            assert velocity.converged and heat.converged
+            assert velocity.relative_residual <= cfg.stepper.cg_tol
+            assert heat.relative_residual <= cfg.stepper.cg_tol
+            assert velocity.iterations <= 25
+            assert heat.iterations <= 8
+
+
+def test_stepper_elastic_operator_shares_the_velocity_pattern(grid2d):
+    """Q2 is the compact Navier matrix of the Lame pair, stored as values on
+    the velocity matrix's index arrays."""
+    params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6)
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
+    expected = navier_matrix(grid2d, 1.3, 0.6, box=slice(1, -1))
+    assert np.array_equal(stepper.elastic.toarray(), expected.toarray())
+    velocity = stepper.velocity_op.matrix
+    assert np.shares_memory(stepper.elastic.indices, velocity.indices)
+    assert np.shares_memory(stepper.elastic.indptr, velocity.indptr)
 
 
 def test_picard_nonconvergence_carries_trace(grid2d, params):
@@ -81,7 +159,9 @@ def test_picard_nonconvergence_carries_trace(grid2d, params):
     config = StepperConfig(dt=0.05, picard_tol=1e-16, picard_max=2)
     with pytest.raises(NonConvergenceError) as excinfo:
         Stepper(grid2d, params, config).step(state)
-    assert len(excinfo.value.report.ys) == 2
+    trace = excinfo.value.report
+    assert len(trace.ys) == 2
+    assert len(trace.velocity_solves) == len(trace.heat_solves) == 2
 
 
 def test_degeneracy_error_when_cooling_below_floor(grid2d, params):
