@@ -21,11 +21,6 @@ Keys and their meanings::
     [stepper]
     dt = 0.02                # time step > 0
     t_end = 1.0
-    picard_tol = 1e-10       # relative contraction tolerance
-    picard_max = 50
-    cg_tol = 1e-12
-    cg_max = 20000
-    theta_floor = auto       # 'auto' = half the initial minimum, or a number
 
     [initial]
     preset = bump            # uniform | bump | manufactured:<case> | checkpoint:<path>
@@ -138,8 +133,7 @@ class ScenarioConfig:
 _KNOWN_KEYS = {
     "grid": {"dimension", "nodes", "lengths"},
     "material": {"lambda1", "mu1", "lambda2", "mu2", "k", "cv", "alpha", "beta"},
-    "stepper": {"dt", "t_end", "picard_tol", "picard_max", "cg_tol", "cg_max",
-                "theta_floor"},
+    "stepper": {"dt", "t_end"},
     "initial": {"preset", "theta0", "velocity_amplitude", "theta_amplitude"},
     "sources": {"b", "b_value", "g", "g_value"},
     "output": {"csv", "snapshot_every", "snapshot_prefix"},
@@ -288,18 +282,10 @@ def load_config(path):
     # stepper
     dt = parsed.get_float("stepper", "dt", required=True)
     t_end = parsed.get_float("stepper", "t_end", required=True)
-    getters = {
-        "picard_tol": parsed.get_float, "picard_max": parsed.get_int,
-        "cg_tol": parsed.get_float, "cg_max": parsed.get_int,
-        "theta_floor": parsed.get_float,
-    }
-    if parsed.get("stepper", "theta_floor") == "auto":
-        del getters["theta_floor"]  # StepperConfig's default
-    stepper_kwargs = parsed.present("stepper", getters)
     stepper = None
     if dt is not None:
         try:
-            stepper = StepperConfig(dt=dt, **stepper_kwargs)
+            stepper = StepperConfig(dt=dt)
         except UsageError as exc:
             for violation in str(exc).split("; "):
                 parsed.complain("stepper", violation)
@@ -403,10 +389,11 @@ def builtin_scenario(name):
 def _sin_profile(grid):
     """Product of axis sines; exactly zero on the boundary."""
     out = np.ones(grid.shape)
-    for axis, (coord, length) in enumerate(zip(grid.coords(), grid.lengths)):
+    for coord, length in zip(grid.coords(), grid.lengths):
         out = out * np.sin(np.pi * coord / length)
     out[grid.boundary_mask] = 0.0
     return out
+
 
 def _cos_profile(grid):
     """Product of axis cosines; zero normal derivative on every face."""
@@ -727,9 +714,7 @@ def cmd_perturb(args):
         lines.append(",".join(_format_value(v) for v in (
             report.times[k], report.x[k], report.a[k], report.bound[k]
         )))
-    out_path = args.out or (args.config + f".gronwall-{args.field}.csv"
-                            if isinstance(args.config, str)
-                            else "gronwall.csv")
+    out_path = args.out or f"{args.config}.gronwall-{args.field}.csv"
     _write_lines(out_path, lines)
     verdict = "violated" if report.violation else "respected"
     print(f"perturbation of {args.field} by {args.delta:g}: "
@@ -760,6 +745,9 @@ def _load_trajectory_states(pattern):
     states.sort(key=lambda s: s.t)
     times = np.array([s.t for s in states])
     dts = np.diff(times)
+    if np.any(dts == 0.0):  # sorted, so a repeated time is the only way
+        raise UsageError(f"checkpoint times must strictly increase; two are "
+                         f"at t = {times[1:][dts == 0.0][0]}")
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(1.0, times[-1]):
         raise UsageError("checkpoints are not uniformly spaced in time")
     return states, float(dts[0])

@@ -319,7 +319,7 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def solve_spd(op, rhs, tol=1e-12, max_iter=10000, x0=None):
+def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
     """Preconditioned conjugate gradients for an SPD operator.
 
     Applies ``op.precondition`` to every residual.  Converges when the true

@@ -26,10 +26,11 @@ data.  Iteration stops when the difference norm
 
     Y = ||v_new - v_prev||_L2 + ||theta_new - theta_prev||_L2
 
-falls below ``picard_tol`` relative to the first difference norm (with a
+falls below ``PICARD_TOL`` relative to the first difference norm (with a
 round-off floor), mirroring the contraction that makes the scheme converge
-for small dt.  The iteration aborts rather than accept a temperature at or
-below the configured floor.
+for small dt; a step that has not contracted after ``PICARD_MAX`` sweeps
+fails.  The iteration aborts rather than accept a temperature below the
+step's floor.
 
 The time loop is strictly sequential; observers receive immutable
 snapshots and must not mutate them.
@@ -55,6 +56,9 @@ from .grid import (
     lp_norm,
     navier_matrix,
 )
+
+PICARD_TOL = 1e-10  # relative contraction tolerance of a step
+PICARD_MAX = 50  # sweeps before a step fails
 
 
 @dataclass
@@ -102,27 +106,21 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Numerical knobs of the time stepper."""
+    """The time step, and the temperature floor of every step.
+
+    ``run`` sets ``theta_floor`` to half the initial minimum of the run; a
+    bare :meth:`Stepper.step` with ``theta_floor = None`` uses half the
+    step's own initial minimum.  The solver tolerances are module constants
+    (``PICARD_TOL``, ``PICARD_MAX``) and ``solve_spd``'s defaults.
+    """
 
     dt: float
-    picard_tol: float = 1e-10
-    picard_max: int = 50
-    cg_tol: float = 1e-12
-    cg_max: int = 20000
-    theta_floor: Optional[float] = None  # None = half the step's initial minimum
+    theta_floor: Optional[float] = None
 
     def __post_init__(self):
         problems = []
         if not self.dt > 0.0:
             problems.append(f"dt = {self.dt} must be positive")
-        if not self.picard_tol > 0.0:
-            problems.append(f"picard_tol = {self.picard_tol} must be positive")
-        if self.picard_max < 1:
-            problems.append(f"picard_max = {self.picard_max} must be >= 1")
-        if not self.cg_tol > 0.0:
-            problems.append(f"cg_tol = {self.cg_tol} must be positive")
-        if self.cg_max < 1:
-            problems.append(f"cg_max = {self.cg_max} must be >= 1")
         if self.theta_floor is not None and not self.theta_floor > 0.0:
             problems.append(f"theta_floor = {self.theta_floor} must be positive")
         if problems:
@@ -197,7 +195,7 @@ class Stepper:
         Returns the next iterate and the velocity and heat
         :class:`~kvsim.linear_step.LinearSolveReport`.
         """
-        grid, dt, cfg = self.grid, self.config.dt, self.config
+        grid, dt = self.grid, self.config.dt
         pack = linear_step.pack_interior
         # the velocity matrix holds dt Q2 v_new = Q2 (u_new - u_old); its
         # explicit twin Q2 (u_iter - u_old) cancels it at the fixed point
@@ -205,8 +203,7 @@ class Stepper:
             grid, dt, state.v, iterate.u, iterate.theta, b, self.params
         ) - self.elastic @ pack(grid, iterate.u.data - state.u.data)
         x_v, velocity = linear_step.solve_spd(
-            self.velocity_op, rhs_v, tol=cfg.cg_tol, max_iter=cfg.cg_max,
-            x0=pack(grid, iterate.v.data),
+            self.velocity_op, rhs_v, x0=pack(grid, iterate.v.data),
         )
         v_new = linear_step.unpack_interior(grid, x_v)
         # the right-hand side first, so that its temporaries are freed
@@ -218,8 +215,7 @@ class Stepper:
             grid, dt, iterate.theta, self.params, stiffness=self.stiffness
         )
         x_h, heat = linear_step.solve_spd(
-            heat_op, rhs_h, tol=cfg.cg_tol, max_iter=cfg.cg_max,
-            x0=iterate.theta.data.ravel(),
+            heat_op, rhs_h, x0=iterate.theta.data.ravel(),
         )
         new = SimState(
             t=state.t + dt,
@@ -231,8 +227,7 @@ class Stepper:
 
     def step(self, state, b=None, g=None):
         """Advance one time step; returns (new state, Picard trace)."""
-        cfg = self.config
-        floor = cfg.theta_floor
+        floor = self.config.theta_floor
         if floor is None:
             floor = 0.5 * float(np.min(state.theta.data))
         if float(np.min(state.theta.data)) < floor:
@@ -247,7 +242,7 @@ class Stepper:
         velocity_solves = []
         heat_solves = []
         threshold = None
-        for sweep_count in range(1, cfg.picard_max + 1):
+        for sweep_count in range(1, PICARD_MAX + 1):
             new, velocity, heat = self.sweep(state, iterate, b, g)
             velocity_solves.append(velocity)
             heat_solves.append(heat)
@@ -267,16 +262,16 @@ class Stepper:
             if threshold is None:
                 # relative stopping rule, with a round-off floor so a step
                 # that starts at a fixed point is accepted immediately
-                threshold = max(cfg.picard_tol * ys[0], 1e-14 * (1.0 + scale))
+                threshold = max(PICARD_TOL * ys[0], 1e-14 * (1.0 + scale))
             if y <= threshold:
                 trace = PicardTrace(ys, sizes, velocity_solves, heat_solves,
                                     True, sweep_count, threshold)
                 return iterate, trace
         trace = PicardTrace(ys, sizes, velocity_solves, heat_solves,
-                            False, cfg.picard_max, threshold)
+                            False, PICARD_MAX, threshold)
         raise NonConvergenceError(
             f"successive approximations did not contract below "
-            f"{trace.threshold:.3e} within {cfg.picard_max} sweeps "
+            f"{trace.threshold:.3e} within {PICARD_MAX} sweeps "
             f"(last Y = {ys[-1]:.3e})",
             report=trace,
         )

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvsim import CheckpointError, ConfigError, SimState, UsageError, linear_step
+from kvsim import (
+    CheckpointError,
+    ConfigError,
+    SimState,
+    UsageError,
+    cli_io,
+    linear_step,
+)
 from kvsim.cli_io import (
     CHECKPOINT_MAGIC,
     builtin_scenario,
@@ -64,10 +71,6 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
 def test_minimal_config_gets_documented_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, MINIMAL))
     assert cfg.grid.n == (9, 9)
-    assert cfg.stepper.picard_tol == 1e-10
-    assert cfg.stepper.picard_max == 50
-    assert cfg.stepper.cg_tol == 1e-12
-    assert cfg.stepper.cg_max == 20000
     assert cfg.stepper.theta_floor is None
     assert cfg.params.beta == 1.0
     assert cfg.initial.preset == "uniform"
@@ -90,7 +93,7 @@ def test_config_rejects_nonpositive_initial_temperature(tmp_path):
     assert any("positive" in v for v in excinfo.value.violations)
 
 
-def test_config_rejects_unknown_keys_and_sections(tmp_path):
+def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
     text = MINIMAL + "\n[mystery]\nfoo = 1\n"
     with pytest.raises(ConfigError) as excinfo:
         load_config(write_cfg(tmp_path, text))
@@ -99,6 +102,28 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path):
     with pytest.raises(ConfigError) as excinfo2:
         load_config(write_cfg(tmp_path, text2))
     assert any("unknown key" in v for v in excinfo2.value.violations)
+    # the stepper's tolerances, caps and floor are not settable
+    for line in ("picard_tol = 1e-10", "picard_max = 50", "cg_tol = 1e-12",
+                 "cg_max = 20000", "theta_floor = auto"):
+        text3 = MINIMAL.replace("dt = 0.05", f"dt = 0.05\n{line}")
+        cfg = write_cfg(tmp_path, text3)
+        assert main(["run", "--config", str(cfg)]) == 2
+        key = line.split(" = ")[0]
+        assert f"stepper.{key}: unknown key" in capsys.readouterr().err
+
+
+def test_documented_keys_are_the_accepted_keys():
+    """The key list of the module docstring is the schema the parser
+    enforces, section by section."""
+    documented = {}
+    for line in cli_io.__doc__.splitlines():
+        section = re.fullmatch(r" {4}\[(\w+)\]", line)
+        key = re.match(r" {4}(\w+) = ", line)
+        if section:
+            current = documented.setdefault(section.group(1), set())
+        elif key:
+            current.add(key.group(1))
+    assert documented == cli_io._KNOWN_KEYS
 
 
 def test_config_reports_every_violation_at_once(tmp_path):
@@ -401,7 +426,7 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     ("sources.g_value", ("", "\n[sources]\ng = constant\ng_value = nan\n")),
     ("sources.b_value", ("", "\n[sources]\nb = constant\nb_value = 0 -inf\n")),
     ("material.k", ("k = 1.0", "k = 1e999")),
-    ("stepper.theta_floor", ("dt = 0.05", "dt = 0.05\ntheta_floor = nan")),
+    ("stepper.dt", ("dt = 0.05", "dt = nan")),
     ("grid.nodes", ("nodes = 9 9", "nodes = 17.9 16.2")),
 ])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, edit):
@@ -414,8 +439,11 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, edit):
 
 def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    text = run_cfg_text() + "\n[initial]\npreset = bump\ntheta_amplitude = 0.1\n"
-    text = text.replace("dt = 0.05", "dt = 0.05\npicard_max = 1\npicard_tol = 1e-16")
+    # a 9x9 bump this fast does not contract within the sweep cap at dt 0.05
+    text = run_cfg_text() + (
+        "\n[initial]\npreset = bump\nvelocity_amplitude = 10\n"
+        "theta_amplitude = 0.1\n"
+    )
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(cfg)]) == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -493,6 +521,18 @@ def test_cli_norms_rejects_bad_exponents(tmp_path, capsys, exponent):
         assert main(["norms", "--traj", str(tmp_path), option, exponent]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and option in captured.err
+
+
+def test_cli_norms_rejects_checkpoints_that_share_a_time(tmp_path, capsys):
+    """Checkpoints at one time span no interval: a usage error (exit 2)
+    before any output, not dt = 0 and zero norms."""
+    grid = make_grid(d=2, n=9)
+    for k in range(3):
+        save_checkpoint(SimState.rest(grid, theta0=1.0 + k, t=0.1),
+                        tmp_path / f"{k}.ckpt")
+    assert main(["norms", "--traj", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "strictly increase" in captured.err
 
 
 def test_cli_perturb(tmp_path, monkeypatch, capsys):

@@ -247,8 +247,8 @@ def test_preconditioned_iterations_are_grid_independent(rng, params, nodes):
 
 def test_cg_stagnation_fails_fast(params):
     """dt = 50 on a 17^2 bump: the heat solve's attainable residual
-    (about 2.5e-12) is above cg_tol = 1e-12.  CG gives up after a few
-    re-checks without progress instead of running out cg_max."""
+    (about 2.5e-12) is above solve_spd's tol = 1e-12.  CG gives up after a
+    few re-checks without progress instead of running out max_iter."""
     grid = make_grid(d=2, n=17)
     stepper = Stepper(grid, params, StepperConfig(dt=50.0))
     with pytest.raises(NonConvergenceError) as excinfo:

@@ -1,5 +1,7 @@
 """Time loop and successive-approximation iteration."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,12 @@ from kvsim.grid import (
     laplacian_neumann,
     navier_matrix,
 )
+from kvsim.picard import PICARD_MAX
 
 from helpers import bump_state, default_params, make_grid
+
+# the tolerance every stepper solve meets: solve_spd's default
+CG_TOL = inspect.signature(linear_step.solve_spd).parameters["tol"].default
 
 
 def l2_diff(a, b, grid):
@@ -128,7 +134,7 @@ def test_shipped_scenarios_sweep_and_cg_budgets(shipped_runs, name,
                                                 max_mean_sweeps):
     """Sweeps per step and CG iterations per sweep, read from the solve
     reports each trace keeps for every sweep."""
-    cfg, traj = shipped_runs[name]
+    _, traj = shipped_runs[name]
     sweeps = [trace.iterations for trace in traj.traces]
     assert np.mean(sweeps) <= max_mean_sweeps
     for trace in traj.traces:
@@ -136,8 +142,8 @@ def test_shipped_scenarios_sweep_and_cg_budgets(shipped_runs, name,
         assert len(trace.velocity_solves) == trace.iterations
         for velocity, heat in zip(trace.velocity_solves, trace.heat_solves):
             assert velocity.converged and heat.converged
-            assert velocity.relative_residual <= cfg.stepper.cg_tol
-            assert heat.relative_residual <= cfg.stepper.cg_tol
+            assert velocity.relative_residual <= CG_TOL
+            assert heat.relative_residual <= CG_TOL
             assert velocity.iterations <= 25
             assert heat.iterations <= 8
 
@@ -154,14 +160,18 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(grid2d):
     assert np.shares_memory(stepper.elastic.indptr, velocity.indptr)
 
 
-def test_picard_nonconvergence_carries_trace(grid2d, params):
-    state = bump_state(grid2d)
-    config = StepperConfig(dt=0.05, picard_tol=1e-16, picard_max=2)
+def test_picard_nonconvergence_carries_trace(params):
+    """A 9x9 bump of velocity amplitude 10 does not contract at dt 0.05
+    (amplitude 5 converges in 31 sweeps): the step fails after the sweep
+    cap, carrying every sweep's trace."""
+    grid = make_grid(d=2, n=9)
+    state = bump_state(grid, v_amp=10.0)
     with pytest.raises(NonConvergenceError) as excinfo:
-        Stepper(grid2d, params, config).step(state)
+        Stepper(grid, params, StepperConfig(dt=0.05)).step(state)
     trace = excinfo.value.report
-    assert len(trace.ys) == 2
-    assert len(trace.velocity_solves) == len(trace.heat_solves) == 2
+    assert not trace.converged
+    assert len(trace.ys) == PICARD_MAX
+    assert len(trace.velocity_solves) == len(trace.heat_solves) == PICARD_MAX
 
 
 def test_degeneracy_error_when_cooling_below_floor(grid2d, params):
@@ -265,6 +275,6 @@ def test_stepper_config_validation():
     with pytest.raises(UsageError):
         StepperConfig(dt=-1.0)
     with pytest.raises(UsageError):
-        StepperConfig(dt=0.1, picard_max=0)
+        StepperConfig(dt=0.0)
     with pytest.raises(UsageError):
         StepperConfig(dt=0.1, theta_floor=0.0)
