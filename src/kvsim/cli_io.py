@@ -289,7 +289,7 @@ def load_config(path):
         except UsageError as exc:
             for violation in str(exc).split("; "):
                 parsed.complain("stepper", violation)
-    if t_end is not None and dt is not None and t_end <= 0.0:
+    if t_end is not None and t_end <= 0.0:
         parsed.complain("stepper.t_end", f"t_end = {t_end} must be positive")
 
     # initial
@@ -460,6 +460,8 @@ def build_sources(config):
 
 def perturb_state(state, field_name, delta):
     """Perturb one item of the initial data by a BC-compatible profile."""
+    if not math.isfinite(delta):
+        raise UsageError(f"perturbation delta must be finite, got {delta}")
     grid = state.grid
     out = state.copy()
     if field_name == "theta0":
@@ -675,8 +677,10 @@ def cmd_mms(args):
         params = load_config(args.config).params
     else:
         params = MaterialParams(**_DEFAULT_MMS_PARAMS)
+    if args.levels < 3:
+        raise UsageError(f"--levels must be at least 3, got {args.levels}")
     resolutions = [9]
-    while len(resolutions) < max(args.levels, 3):
+    while len(resolutions) < args.levels:
         resolutions.append(2 * resolutions[-1] - 1)
     if args.mode == "spatial":
         report = mms.convergence_study(
@@ -686,7 +690,7 @@ def cmd_mms(args):
         )
     else:
         # fixed fine grid so the spatial error floor stays below the dt sweep
-        dts = [0.1 / 2**i for i in range(max(args.levels, 3))]
+        dts = [0.1 / 2**i for i in range(args.levels)]
         report = mms.convergence_study(
             args.case, params, d=args.dimension,
             resolutions=(9, 17, 65), dts=dts, t_end=0.5,

@@ -271,7 +271,7 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params):
         energy_residual=step.energy_residual,
         entropy_residual=step.entropy_residual,
         clausius_duhem_defect=step.clausius_duhem_defect,
-        picard_iterations=trace.iterations if trace is not None else 0,
+        picard_iterations=trace.iterations,
     )
 
 
@@ -290,11 +290,9 @@ def initial_record(state, params):
 class DiagnosticsCollector:
     """Observer that turns step events into diagnostics records."""
 
-    def __init__(self, params, initial_state=None):
+    def __init__(self, params, initial_state):
         self.params = params
-        self.records = []
-        if initial_state is not None:
-            self.records.append(initial_record(initial_state, params))
+        self.records = [initial_record(initial_state, params)]
 
     def __call__(self, event):
         self.records.append(record_for_step(

@@ -9,12 +9,15 @@ Conventions
 * First derivatives use second-order central differences at interior nodes
   and second-order one-sided differences at boundary nodes.
 * The Navier and Neumann operators are defined here once, as sparse
-  matrices: Kronecker products of three 1-D factors per axis
-  (``second_difference``, ``central_difference``, ``neumann_stiffness``).
-  ``navier_matrix`` is the Navier operator, written from the bands of its
-  1-D factors; ``neumann_terms`` are the per-axis terms of the
-  trapezoid-weighted Neumann stiffness.  The velocity and heat systems of
-  :mod:`kvsim.linear_step` are built from these, and ``lame_operator`` and
+  matrices that are Kronecker products of 1-D factors per axis.  A factor
+  (``second_difference``, ``central_difference``, ``neumann_stiffness``) is
+  its bands, rows (sub, main, super) of a (3, n) array: row i of the factor
+  holds sub[i], main[i] and super[i] in columns i - 1, i and i + 1, and the
+  bands are zero past the ends.  One CSR writer, ``_band_csr``,
+  writes each lifted matrix from the bands: ``navier_matrix`` the Navier
+  operator, ``neumann_matrix`` the trapezoid-weighted Neumann stiffness of
+  all axes or of one.  The velocity and heat systems of
+  :mod:`kvsim.linear_step` are these matrices, and ``lame_operator`` and
   ``laplacian_neumann`` apply them to fields.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
   symmetric under the trapezoidal inner product and gives it exact zero row
@@ -235,17 +238,14 @@ def divergence(field):
 
 
 # ---------------------------------------------------------------------------
-# the Navier and Neumann operators: 1-D factors lifted by Kronecker products
+# the Navier and Neumann operators, written from the bands of 1-D factors
 # ---------------------------------------------------------------------------
 
 def second_difference(n, h):
     """3-point second difference on ``n`` nodes, with zero end rows."""
-    inv_h2 = 1.0 / (h * h)
-    lower = np.full(n - 1, inv_h2)
-    main = np.full(n, -2.0 * inv_h2)
-    upper = np.full(n - 1, inv_h2)
-    lower[-1] = main[0] = main[-1] = upper[0] = 0.0
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    bands = np.full((3, n), 1.0 / (h * h)) * [[1.0], [-2.0], [1.0]]
+    bands[:, [0, -1]] = 0.0
+    return bands
 
 
 def central_difference(n, h):
@@ -254,11 +254,9 @@ def central_difference(n, h):
     Past the ends the field counts as zero, so the block of the inner nodes
     is exactly antisymmetric.
     """
-    inv_2h = 1.0 / (2.0 * h)
-    lower = np.full(n - 1, -inv_2h)
-    upper = np.full(n - 1, inv_2h)
-    lower[-1] = upper[0] = 0.0
-    return sp.diags([lower, upper], [-1, 1], format="csr")
+    bands = np.full((3, n), 1.0 / (2.0 * h)) * [[-1.0], [0.0], [1.0]]
+    bands[:, [0, -1]] = 0.0
+    return bands
 
 
 def neumann_stiffness(n, h):
@@ -267,19 +265,53 @@ def neumann_stiffness(n, h):
     Minus the mirror-ghost second difference, weighted by the trapezoid
     rule: symmetric positive semi-definite with exact zero row sums.
     """
-    inv_h = 1.0 / h
-    main = np.full(n, 2.0 * inv_h)
-    main[0] = main[-1] = inv_h
-    off = np.full(n - 1, -inv_h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    bands = np.full((3, n), 1.0 / h) * [[-1.0], [2.0], [-1.0]]
+    bands[1, [0, -1]] = 1.0 / h
+    bands[0, 0] = bands[2, -1] = 0.0
+    return bands
 
 
-def _kron(factors):
-    """Kronecker product of one factor per axis, in C order (axis 0 outermost)."""
-    result = factors[0]
-    for factor in factors[1:]:
-        result = sp.kron(result, factor, format="csr")
-    return result
+def _along(d, axis, values):
+    """A 1-D array shaped to broadcast along ``axis`` of a d-axis grid."""
+    return values.reshape([-1 if k == axis else 1 for k in range(d)])
+
+
+def _band_csr(shape, blocks, terms):
+    """Square CSR matrix of ``blocks`` block rows over the nodes of
+    ``shape``, and the index in its ``data`` of each row's diagonal entry
+    (-1 where the row stores none).
+
+    ``terms(i)`` yields block row i as (column offset, value, present), in
+    ascending column order: at each node, ``value`` goes in the node's row
+    and column plus offset where ``present`` holds (both broadcast to
+    ``shape``).  The present entries are counted into ``indptr``, then a
+    cursor per row writes them in place.
+    """
+    size = math.prod(shape)
+    counts = np.zeros((blocks,) + shape, dtype=np.int64)
+    for i in range(blocks):
+        for _, _, present in terms(i):
+            counts[i] += present
+    indptr = np.append(0, np.cumsum(counts))
+    index = np.int32 if indptr[-1] < 2**31 else np.int64
+    indptr = indptr.astype(index)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=index)
+    diagonal = np.full(blocks * size, -1)
+    nodes = np.arange(size, dtype=index)
+    for i in range(blocks):
+        rows = slice(i * size, (i + 1) * size)
+        cursor = indptr[rows].copy()
+        for offset, value, present in terms(i):
+            keep = np.broadcast_to(present, shape).ravel()
+            at = cursor[keep]
+            data[at] = np.broadcast_to(value, shape).ravel()[keep]
+            indices[at] = nodes[keep] + offset
+            if offset == i * size:
+                diagonal[rows][keep] = at
+            cursor += keep
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(blocks * size,) * 2)
+    return matrix, diagonal
 
 
 def navier_matrix(grid, lam, mu, box=slice(None)):
@@ -291,35 +323,31 @@ def navier_matrix(grid, lam, mu, box=slice(None)):
     to ``box`` and lifted to the box by Kronecker products with identities,
     block (i, i) is mu * sum_k D2_k + (lam + mu) * D2_i and block (i, j) is
     (lam + mu) * C_i C_j.  A row of a lifted factor holds the band values of
-    its 1-D factor at one node, so the CSR arrays are written from the bands
-    directly, with the columns of each row in ascending order.  No lifted
-    factor or block is formed: the build holds little beyond its result,
-    which matters at large grids, where the stepper keeps two such matrices.
-    An entry is stored wherever a factor has one, whatever (lam, mu) are, so
-    all Navier matrices of one grid and box have the same sparsity pattern.
+    its 1-D factor at one node, so ``_band_csr`` writes the matrix from the
+    bands; no lifted factor or block is formed, which matters at large
+    grids, where the stepper keeps two such matrices.  An entry is stored
+    wherever a factor has one, whatever (lam, mu) are, so all Navier
+    matrices of one grid and box have the same sparsity pattern.
     """
     shape = tuple(len(range(n)[box]) for n in grid.n)
     size = math.prod(shape)
     stride = [math.prod(shape[k + 1:]) for k in range(grid.d)]
 
     def bands(factor, axis):
-        """Sub-, main and super-diagonal of a 1-D factor on the box, zero
-        past its ends, shaped to broadcast along ``axis``."""
-        f = factor(grid.n[axis], grid.h[axis])[box, box]
-        view = [-1 if k == axis else 1 for k in range(grid.d)]
-        return [band.reshape(view) for band in (
-            np.append(0.0, f.diagonal(-1)), f.diagonal(),
-            np.append(f.diagonal(1), 0.0))]
+        """The bands of a 1-D factor restricted to the box, zero past its
+        ends, shaped to broadcast along ``axis``."""
+        sub, main, sup = factor(grid.n[axis], grid.h[axis])[:, box]
+        sub[0] = sup[-1] = 0.0
+        return [_along(grid.d, axis, band) for band in (sub, main, sup)]
 
     second = [bands(second_difference, k) for k in range(grid.d)]
     central = [bands(central_difference, k) for k in range(grid.d)]
     laplace = sum(band[1] for band in second)
 
     def terms(i):
-        """(column offset, value, present) of every band of block row i, at
-        each node, in ascending column order.  Band index 0, 1, 2 (sub,
-        main, super) is column offset -1, 0, +1 along its axis.  Where a
-        band is present depends on the grid and box only."""
+        """The bands of block row i.  Band index 0, 1, 2 (sub, main, super)
+        is column offset -1, 0, +1 along its axis.  Where a band is present
+        depends on the grid and box only."""
         def along(k, band):
             value = mu * second[k][band]
             if k == i:
@@ -347,50 +375,47 @@ def navier_matrix(grid, lam, mu, box=slice(None)):
                            + (band_b - 1) * stride[b],
                            (lam + mu) * product, product != 0.0)
 
-    counts = np.zeros((grid.d,) + shape, dtype=np.int64)
-    for i in range(grid.d):
-        for _, _, present in terms(i):
-            counts[i] += present
-    indptr = np.append(0, np.cumsum(counts))
-    index = np.int32 if indptr[-1] < 2**31 else np.int64
-    indptr = indptr.astype(index)
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=index)
-    nodes = np.arange(size, dtype=index)
-    for i in range(grid.d):
-        cursor = indptr[i * size:(i + 1) * size].copy()
-        for offset, value, present in terms(i):
-            keep = np.broadcast_to(present, shape).ravel()
-            at = cursor[keep]
-            data[at] = np.broadcast_to(value, shape).ravel()[keep]
-            indices[at] = nodes[keep] + offset
-            cursor += keep
-    return sp.csr_matrix((data, indices, indptr), shape=(grid.d * size,) * 2)
+    return _band_csr(shape, grid.d, terms)[0]
 
 
-def neumann_terms(grid):
-    """The Neumann stiffness of each axis, weighted by the trapezoid rule of
-    the others.  Their sum is the discrete Dirichlet form: minus the
-    mirror-ghost Laplacian, scaled row-wise by ``quad_weights``."""
-    terms = []
-    for axis in range(grid.d):
-        factors = [sp.diags(w, format="csr") for w in grid.axis_weights]
-        factors[axis] = neumann_stiffness(grid.n[axis], grid.h[axis])
-        terms.append(_kron(factors))
-    return terms
+def neumann_matrix(grid, axes=None):
+    """The sum over ``axes`` (default: all) of ``neumann_stiffness`` on one
+    axis times the trapezoid weights of the others, and the index of each
+    row's diagonal in its ``data`` (see ``_band_csr``).  Over all axes it
+    is the discrete Dirichlet form: minus the mirror-ghost Laplacian, scaled
+    row-wise by ``quad_weights``.
+    """
+    axes = range(grid.d) if axes is None else axes
+    stride = [math.prod(grid.shape[k + 1:]) for k in range(grid.d)]
+    weights = [_along(grid.d, k, w) for k, w in enumerate(grid.axis_weights)]
+    # per axis, each band times the other axes' weights, multiplied in axis
+    # order as the Kronecker definition does, so that every bit matches it
+    lifted = {a: [math.prod(weights[:a] + [_along(grid.d, a, band)]
+                            + weights[a + 1:])
+                  for band in neumann_stiffness(grid.n[a], grid.h[a])]
+              for a in axes}
+
+    def terms(_):
+        for a in axes:
+            yield -stride[a], lifted[a][0], lifted[a][0] != 0.0
+        yield 0, sum(lifted[a][1] for a in axes), True
+        for a in reversed(axes):
+            yield stride[a], lifted[a][2], lifted[a][2] != 0.0
+
+    return _band_csr(grid.shape, 1, terms)
 
 
 def laplacian_neumann(theta):
     """(2d+1)-point Laplacian with homogeneous Neumann mirror ghosts.
 
-    The axes are applied one at a time: each term maps a constant to an
-    exact zero, while their summed matrix would not.
+    The axes are applied one at a time: each axis's stiffness maps a
+    constant to an exact zero, while their summed matrix would not.
     """
     grid = theta.grid
     flat = theta.data.ravel()
     out = np.zeros(grid.num_nodes)
-    for term in neumann_terms(grid):
-        out -= term @ flat
+    for axis in range(grid.d):
+        out -= neumann_matrix(grid, (axis,))[0] @ flat
     return ScalarField(grid, out.reshape(grid.shape) / grid.quad_weights)
 
 

@@ -24,8 +24,9 @@ frozen at the previous iterate,
   velocity the sweep has just solved.
 
 Both systems are symmetric positive-definite sparse matrices built from the
-operators of :mod:`kvsim.grid`: the velocity matrix from ``navier_matrix``
-on the interior box, the heat stiffness from ``neumann_terms``.  The heat
+operators of :mod:`kvsim.grid`, which writes each from the bands of its 1-D
+factors: the velocity matrix from ``navier_matrix`` on the interior box,
+the heat stiffness from ``neumann_matrix`` over all nodes.  The heat
 system is scaled row-wise by the trapezoidal quadrature weights; that
 scaling does not change the solution but makes the Neumann part exactly
 symmetric (it is the discrete Dirichlet form), while keeping its row sums
@@ -59,8 +60,8 @@ from .grid import (
     SymTensorField,
     VectorField,
     navier_matrix,
+    neumann_matrix,
     neumann_stiffness,
-    neumann_terms,
     second_difference,
     sym_gradient,
     tensor_divergence,
@@ -103,11 +104,17 @@ def _read_only(*arrays):
     return arrays
 
 
+def _dense(bands):
+    """The dense matrix of 1-D bands (sub, main, super)."""
+    sub, main, sup = bands
+    return np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+
+
 @lru_cache(maxsize=64)
 def _dirichlet_eigen(n, h):
     """Eigenvalues and orthonormal eigenvectors (columns) of minus the
     interior block of ``grid.second_difference(n, h)``."""
-    block = second_difference(n, h)[1:-1, 1:-1].toarray()
+    block = _dense(second_difference(n, h))[1:-1, 1:-1]
     return _read_only(*np.linalg.eigh(-block))
 
 
@@ -117,7 +124,7 @@ def _neumann_eigen(h, weights):
     ``weights`` (a tuple, one per node): S V = W V diag(values) with
     V^T W V = I."""
     scale = 1.0 / np.sqrt(np.array(weights))
-    stiffness = neumann_stiffness(len(weights), h).toarray()
+    stiffness = _dense(neumann_stiffness(len(weights), h))
     values, vectors = np.linalg.eigh(scale[:, None] * stiffness * scale)
     return _read_only(values, scale[:, None] * vectors)
 
@@ -240,13 +247,11 @@ class HeatStiffness:
 
 
 def heat_stiffness(grid, k):
-    """k times the trapezoid-weighted Neumann stiffness (the sum of
-    ``grid.neumann_terms``), with its diagonal positions and eigenbasis (see
-    :class:`HeatStiffness`)."""
-    terms = neumann_terms(grid)
-    matrix = (k * sum(terms[1:], terms[0])).tocsr()
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    diagonal = np.flatnonzero(matrix.indices == rows)
+    """k times the trapezoid-weighted Neumann stiffness of
+    ``grid.neumann_matrix``, with the diagonal positions that it writes and
+    the eigenbasis (see :class:`HeatStiffness`)."""
+    matrix, diagonal = neumann_matrix(grid)
+    matrix.data *= k
     values, vectors = zip(*(
         _neumann_eigen(h, tuple(w)) for h, w in zip(grid.h, grid.axis_weights)
     ))

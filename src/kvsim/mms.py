@@ -321,6 +321,8 @@ def convergence_study(case_name, params, d=2, resolutions=(9, 17, 33),
     to h^2 (so both error sources scale together at second order in h);
     ``mode="temporal"`` fixes the finest grid and sweeps ``dts``.
     """
+    if d not in (1, 2, 3):
+        raise UsageError(f"dimension must be 1, 2, or 3, got {d}")
     if len(resolutions) < 3:
         raise UsageError("a convergence ladder needs at least 3 resolutions")
     lengths = (1.0,) * d

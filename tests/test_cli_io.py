@@ -19,6 +19,7 @@ from kvsim import (
     UsageError,
     cli_io,
     linear_step,
+    mms,
 )
 from kvsim.cli_io import (
     CHECKPOINT_MAGIC,
@@ -136,6 +137,18 @@ def test_config_reports_every_violation_at_once(tmp_path):
     joined = "\n".join(excinfo.value.violations)
     assert "mu1" in joined and "k" in joined and "dt" in joined
     assert len(excinfo.value.violations) >= 3
+
+
+def test_config_reports_t_end_when_dt_does_not_parse(tmp_path):
+    text = (MINIMAL
+            .replace("dt = 0.05", "dt = abc")
+            .replace("t_end = 0.1", "t_end = -1"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_cfg(tmp_path, text))
+    assert excinfo.value.violations == [
+        "stepper.dt: not a number: 'abc'",
+        "stepper.t_end: t_end = -1.0 must be positive",
+    ]
 
 
 def test_config_parse_error_has_line_info(tmp_path):
@@ -545,6 +558,39 @@ def test_cli_perturb(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "respected" in capsys.readouterr().out
     assert out_file.read_text().splitlines()[0] == "t,x,rate,bound"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a rejected command line must not start a run")
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_cli_perturb_rejects_non_finite_delta(tmp_path, monkeypatch, capsys,
+                                              delta):
+    """A non-finite --delta is a usage error (exit 2) before either run."""
+    monkeypatch.setattr(cli_io, "run", _never)
+    cfg = write_cfg(tmp_path, run_cfg_text())
+    assert main(["perturb", "--config", str(cfg), "--delta", delta]) == 2
+    assert "perturbation delta must be finite" in capsys.readouterr().err
+
+
+def test_cli_mms_rejects_dimension_zero(monkeypatch, capsys):
+    """--dimension 0 is a usage error (exit 2), not an IndexError."""
+    monkeypatch.setattr(mms, "manufacture", _never)
+    assert main(["mms", "--dimension", "0"]) == 2
+    assert "dimension must be 1, 2, or 3, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["spatial", "temporal"])
+@pytest.mark.parametrize("levels", ["1", "-4"])
+def test_cli_mms_rejects_fewer_than_three_levels(monkeypatch, capsys, mode,
+                                                 levels):
+    """--levels below 3 is a usage error (exit 2), not a silent 3-level
+    ladder."""
+    monkeypatch.setattr(mms, "convergence_study", _never)
+    assert main(["mms", "--mode", mode, "--levels", levels]) == 2
+    assert f"--levels must be at least 3, got {levels}" in (
+        capsys.readouterr().err)
 
 
 def test_cli_mms_writes_report(tmp_path, capsys):

@@ -25,8 +25,11 @@ from kvsim.grid import (
     gradient,
     l2_norm,
     navier_matrix,
+    neumann_matrix,
+    neumann_stiffness,
     second_difference,
 )
+from kvsim.linear_step import heat_stiffness
 
 from helpers import make_grid, random_boundary_zero_vector
 
@@ -158,6 +161,72 @@ def test_gradient_and_divergence_exact_on_quadratics(grid2d):
 # Neumann Laplacian
 # ---------------------------------------------------------------------------
 
+def _sparse(bands):
+    """The 1-D factor with the given bands, as a scipy.sparse matrix."""
+    sub, main, sup = bands
+    return sp.diags([sub[1:], main, sup[:-1]], [-1, 0, 1], format="csr")
+
+
+def _neumann_by_kronecker(grid, k, axes):
+    """k times the weighted Neumann stiffness of ``axes`` by its definition:
+    per axis, the Kronecker product of its 1-D stiffness with the diagonal
+    trapezoid weights of the other axes, summed with scipy.sparse."""
+    terms = []
+    for axis in axes:
+        factors = [sp.diags(w, format="csr") for w in grid.axis_weights]
+        factors[axis] = _sparse(neumann_stiffness(grid.n[axis], grid.h[axis]))
+        term = factors[0]
+        for factor in factors[1:]:
+            term = sp.kron(term, factor, format="csr")
+        terms.append(term)
+    return (k * sum(terms[1:], terms[0])).tocsr()
+
+
+_OPERATOR_GRIDS = pytest.mark.parametrize("nodes,lengths", [
+    ((9,), (1.0,)),
+    ((3, 3), (1.0, 1.0)),
+    ((13, 19), (0.8, 1.5)),
+    ((5, 6, 7), (1.0, 2.0, 3.0)),
+    ((4, 3, 5), (1.0, 1.0, 1.0)),
+    # spacings whose products and sums round differently in another order
+    ((4, 6, 4), (0.7, 1.5, 2.1)),
+], ids=["1d", "3x3", "anisotropic", "3d", "3d-thin", "3d-irregular"])
+
+
+def _assert_same_csr(matrix, reference):
+    assert matrix.has_sorted_indices and reference.has_sorted_indices
+    assert np.array_equal(matrix.indptr, reference.indptr)
+    assert np.array_equal(matrix.indices, reference.indices)
+    assert matrix.data.tobytes() == reference.data.tobytes()
+
+
+@_OPERATOR_GRIDS
+def test_heat_stiffness_is_the_kronecker_definition(nodes, lengths):
+    """Written from the bands, the heat stiffness has the CSR arrays of its
+    Kronecker definition bit for bit, and its diagonal positions index the
+    diagonal entry of every row."""
+    grid = Grid(nodes, lengths)
+    for k in (1.0, 1.7):
+        stiffness = heat_stiffness(grid, k)
+        matrix = stiffness.matrix
+        _assert_same_csr(matrix, _neumann_by_kronecker(grid, k, range(grid.d)))
+        rows = np.repeat(np.arange(grid.num_nodes), np.diff(matrix.indptr))
+        assert np.array_equal(stiffness.diagonal,
+                              np.flatnonzero(matrix.indices == rows))
+
+
+@_OPERATOR_GRIDS
+def test_neumann_matrix_of_one_axis_is_its_kronecker_term(nodes, lengths):
+    """The per-axis matrices that ``laplacian_neumann`` applies are the
+    Kronecker terms of the stiffness, bit for bit."""
+    grid = Grid(nodes, lengths)
+    for axis in range(grid.d):
+        matrix, diagonal = neumann_matrix(grid, (axis,))
+        _assert_same_csr(matrix, _neumann_by_kronecker(grid, 1.0, (axis,)))
+        assert np.array_equal(matrix.indices[diagonal],
+                              np.arange(grid.num_nodes))
+
+
 def test_laplacian_annihilates_constants(grid2d):
     lap = laplacian_neumann(ScalarField.constant(grid2d, 4.2))
     assert np.max(np.abs(lap.data)) == 0.0
@@ -201,7 +270,7 @@ def _navier_by_kronecker(grid, lam, mu, box):
     def lifted(factor, axis):
         out = sp.identity(1, format="csr")
         for k, (n, h) in enumerate(zip(grid.n, grid.h)):
-            f = factor(n, h)[box, box] if k == axis else sp.identity(
+            f = _sparse(factor(n, h))[box, box] if k == axis else sp.identity(
                 len(range(n)[box]))
             out = sp.kron(out, f, format="csr")
         return out
@@ -219,13 +288,7 @@ def _navier_by_kronecker(grid, lam, mu, box):
     ], format="csr")
 
 
-@pytest.mark.parametrize("nodes,lengths", [
-    ((9,), (1.0,)),
-    ((3, 3), (1.0, 1.0)),
-    ((13, 19), (0.8, 1.5)),
-    ((5, 6, 7), (1.0, 2.0, 3.0)),
-    ((4, 3, 5), (1.0, 1.0, 1.0)),
-], ids=["1d", "3x3", "anisotropic", "3d", "3d-thin"])
+@_OPERATOR_GRIDS
 @pytest.mark.parametrize("box", [slice(1, -1), slice(None)],
                          ids=["interior", "all-nodes"])
 def test_navier_matrix_is_the_kronecker_definition(nodes, lengths, box):
