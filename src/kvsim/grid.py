@@ -8,17 +8,27 @@ Conventions
   6-component storage of :mod:`kvsim.constitutive` (zero-padded below 3-D).
 * First derivatives use second-order central differences at interior nodes
   and second-order one-sided differences at boundary nodes.
-* The Navier and Neumann operators are defined here once, as sparse
-  matrices that are Kronecker products of 1-D factors per axis.  A factor
-  (``second_difference``, ``central_difference``, ``neumann_stiffness``) is
-  its bands, rows (sub, main, super) of a (3, n) array: row i of the factor
-  holds sub[i], main[i] and super[i] in columns i - 1, i and i + 1, and the
-  bands are zero past the ends.  One CSR writer, ``_band_csr``,
-  writes each lifted matrix from the bands: ``navier_matrix`` the Navier
-  operator, ``neumann_matrix`` the trapezoid-weighted Neumann stiffness of
-  all axes or of one.  The velocity and heat systems of
-  :mod:`kvsim.linear_step` are these matrices, and ``lame_operator`` and
-  ``laplacian_neumann`` apply them to fields.
+* The Navier and Neumann operators, and the strain and stress-divergence
+  maps of the velocity and heat right-hand sides, are defined here once, as
+  sparse matrices that are Kronecker products of 1-D factors per axis.  A
+  factor is its bands, rows of a (2r + 1, n) array for the column offsets
+  -r..r: row i of the factor holds bands[k][i] in column i + k - r, and the
+  bands are zero past the ends.  ``second_difference``,
+  ``central_difference`` and ``neumann_stiffness`` have r = 1 (rows sub,
+  main, super); ``first_difference``, the stencils of ``np.gradient`` with
+  their second-order one-sided end rows, has r = 2.  One CSR writer,
+  ``_band_csr``, writes each lifted matrix from the bands:
+  ``navier_matrix`` the Navier operator, ``neumann_matrix`` the
+  trapezoid-weighted Neumann stiffness of all axes or of one,
+  ``strain_matrix`` the map from the packed interior velocity to the
+  d(d+1)/2 components of eps at every node (``strain_slots``), and
+  ``divergence_matrix`` the map from those components at every node to
+  the packed interior divergence d_j sigma_ij.  The velocity and heat
+  systems of :mod:`kvsim.linear_step` are these matrices, and
+  ``lame_operator`` and ``laplacian_neumann`` apply them to fields.  The
+  field functions ``sym_gradient``, ``tensor_divergence``, ``gradient``
+  and ``divergence`` apply ``np.gradient`` directly; the time step does not
+  call them.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
   symmetric under the trapezoidal inner product and gives it exact zero row
   sums; ``integrate`` is that trapezoidal quadrature.
@@ -259,6 +269,19 @@ def central_difference(n, h):
     return bands
 
 
+def first_difference(n, h):
+    """The first difference of ``np.gradient(..., edge_order=2)`` on ``n``
+    nodes: central inside, second-order one-sided on the end rows.
+
+    Bands for the column offsets -2..2; only the end rows use +-2.
+    """
+    bands = np.zeros((5, n))
+    bands[1], bands[3] = -0.5 / h, 0.5 / h
+    bands[:, 0] = np.array([0.0, 0.0, -1.5, 2.0, -0.5]) / h
+    bands[:, -1] = np.array([0.5, -2.0, 1.5, 0.0, 0.0]) / h
+    return bands
+
+
 def neumann_stiffness(n, h):
     """Neumann stiffness (1/h) tridiag(-1, [1, 2, ..., 2, 1], -1).
 
@@ -276,16 +299,18 @@ def _along(d, axis, values):
     return values.reshape([-1 if k == axis else 1 for k in range(d)])
 
 
-def _band_csr(shape, blocks, terms):
-    """Square CSR matrix of ``blocks`` block rows over the nodes of
-    ``shape``, and the index in its ``data`` of each row's diagonal entry
-    (-1 where the row stores none).
+def _band_csr(shape, blocks, terms, origin=None, width=None):
+    """CSR matrix of ``blocks`` block rows over the nodes of ``shape``, and
+    the index in its ``data`` of each row's diagonal entry (-1 where the
+    row stores none; None for a rectangular map).
 
     ``terms(i)`` yields block row i as (column offset, value, present), in
     ascending column order: at each node, ``value`` goes in the node's row
-    and column plus offset where ``present`` holds (both broadcast to
-    ``shape``).  The present entries are counted into ``indptr``, then a
-    cursor per row writes them in place.
+    and in column ``origin`` plus offset where ``present`` holds (all three
+    broadcast to ``shape``).  By default the matrix is square and a node's
+    origin is its own index; a rectangular map passes each node's origin
+    column and the number of columns, ``width``.  The present entries are
+    counted into ``indptr``, then a cursor per row writes them in place.
     """
     size = math.prod(shape)
     counts = np.zeros((blocks,) + shape, dtype=np.int64)
@@ -297,8 +322,12 @@ def _band_csr(shape, blocks, terms):
     indptr = indptr.astype(index)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index)
-    diagonal = np.full(blocks * size, -1)
-    nodes = np.arange(size, dtype=index)
+    square = origin is None
+    if square:
+        origin, width = np.arange(size, dtype=index), blocks * size
+        diagonal = np.full(blocks * size, -1, dtype=index)
+    else:
+        origin, diagonal = np.broadcast_to(origin, shape).ravel(), None
     for i in range(blocks):
         rows = slice(i * size, (i + 1) * size)
         cursor = indptr[rows].copy()
@@ -306,11 +335,12 @@ def _band_csr(shape, blocks, terms):
             keep = np.broadcast_to(present, shape).ravel()
             at = cursor[keep]
             data[at] = np.broadcast_to(value, shape).ravel()[keep]
-            indices[at] = nodes[keep] + offset
-            if offset == i * size:
+            indices[at] = origin[keep] + offset
+            if square and offset == i * size:
                 diagonal[rows][keep] = at
             cursor += keep
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(blocks * size,) * 2)
+    matrix = sp.csr_matrix((data, indices, indptr),
+                           shape=(blocks * size, width))
     return matrix, diagonal
 
 
@@ -403,6 +433,95 @@ def neumann_matrix(grid, axes=None):
             yield stride[a], lifted[a][2], lifted[a][2] != 0.0
 
     return _band_csr(grid.shape, 1, terms)
+
+
+# storage slot -> its (row, column) pair with row <= column
+_SLOT_PAIRS = [min(ij for ij, slot in COMPONENT_OF.items() if slot == c)
+               for c in range(6)]
+
+
+def strain_slots(d):
+    """The storage slots of :mod:`kvsim.constitutive` that a d-dimensional
+    symmetric tensor uses, in storage order: the d diagonal components
+    first.  The strain maps stack their components in this order."""
+    return [c for c, (i, j) in enumerate(_SLOT_PAIRS) if j < d]
+
+
+def strain_matrix(grid):
+    """The strain map: the packed interior velocity (component-major, as
+    ``linear_step.pack_interior`` stacks it; boundary values zero) to the
+    components eps_ij = (d_j u_i + d_i u_j) / 2 of ``strain_slots`` at
+    every node, component-major.
+
+    Derivatives are ``first_difference``, as ``sym_gradient`` takes them.
+    Row block c of eps_ij holds (1/2) d_j in column block i and (1/2) d_i in
+    column block j (d_i once where i = j), each the 1-D factor along its
+    axis at every node, restricted to the columns of the interior box.
+    """
+    d, inner = grid.d, grid.interior_shape
+    size = math.prod(inner)
+    stride = [math.prod(inner[k + 1:]) for k in range(d)]
+    interior = [_along(d, k, (np.arange(n) > 0) & (np.arange(n) < n - 1))
+                for k, n in enumerate(grid.n)]
+
+    def bands(axis):
+        """The 1-D factor's bands, zero where the column leaves the
+        interior box, each with where it is present: the node must be
+        interior along the other axes too."""
+        n = grid.n[axis]
+        others = math.prod(interior[:axis] + interior[axis + 1:], start=True)
+        out = first_difference(n, grid.h[axis])
+        for k, band in enumerate(out):
+            column = np.arange(n) + k - 2
+            band[(column < 1) | (column > n - 2)] = 0.0
+        return [(_along(d, axis, band), _along(d, axis, band != 0.0) & others)
+                for band in out]
+
+    diff = [bands(k) for k in range(d)]
+    # each node's own interior position, (r - 1) on every axis
+    origin = sum(_along(d, k, (np.arange(n) - 1) * stride[k])
+                 for k, n in enumerate(grid.n))
+    pairs = [_SLOT_PAIRS[c] for c in strain_slots(d)]
+
+    def terms(c):
+        i, j = pairs[c]
+        parts = [(i, i, 1.0)] if i == j else [(i, j, 0.5), (j, i, 0.5)]
+        for block, axis, scale in parts:
+            for k, (band, present) in enumerate(diff[axis]):
+                offset = block * size + (k - 2) * stride[axis]
+                yield offset, scale * band, present
+
+    return _band_csr(grid.shape, len(pairs), terms, origin, d * size)[0]
+
+
+def divergence_matrix(grid):
+    """The stress-divergence map: the components of ``strain_slots`` at
+    every node (component-major, as ``strain_matrix`` stacks them) to the
+    packed interior divergence d_j sigma_ij.
+
+    Its rows are interior nodes only, where ``tensor_divergence`` takes the
+    ``central_difference``: row block i holds, for each j, that factor
+    along axis j in the column block of sigma_ij.
+    """
+    d, nodes = grid.d, grid.num_nodes
+    stride = [math.prod(grid.shape[k + 1:]) for k in range(d)]
+    central = [[_along(d, k, band[1:-1]) for band in
+                central_difference(n, h)[::2]]
+               for k, (n, h) in enumerate(zip(grid.n, grid.h))]
+    # each interior node's own position among all nodes, (r + 1) per axis
+    origin = sum(_along(d, k, np.arange(1, n - 1) * stride[k])
+                 for k, n in enumerate(grid.n))
+    slot_of = {c: block for block, c in enumerate(strain_slots(d))}
+
+    def terms(i):
+        blocks = sorted((slot_of[COMPONENT_OF[(i, j)]], j) for j in range(d))
+        for block, j in blocks:
+            sub, sup = central[j]
+            yield block * nodes - stride[j], sub, True
+            yield block * nodes + stride[j], sup, True
+
+    width = len(slot_of) * nodes
+    return _band_csr(grid.interior_shape, d, terms, origin, width)[0]
 
 
 def laplacian_neumann(theta):

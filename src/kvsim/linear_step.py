@@ -11,17 +11,23 @@ frozen at the previous iterate,
   the viscosity and Lame pairs.  ``velocity_matrix(grid, dt, lam, mu)`` is
   (1/dt) I - Q(lam, mu), which :class:`kvsim.picard.Stepper` builds for
   (lambda1 + dt lambda2, mu1 + dt mu2): Q is linear in its pair, so that is
-  the left-hand side above.  ``velocity_rhs`` is the right-hand side
-  without the Q2 term, which the stepper subtracts.  At a fixed point u =
-  u_old + dt v, the two Q2 terms cancel and the system is the one with all
-  of the elasticity explicit, (1/dt) v - Q1 v = (1/dt) v_old + b +
-  div[A2 eps(u) - theta * (A2 alpha)].  Then
+  the left-hand side above.  The right-hand side is two fixed linear maps
+  of the iterate, eps = ``grid.strain_matrix`` and div =
+  ``grid.divergence_matrix``, which the stepper builds once: a step
+  computes ``velocity_load`` = (1/dt) v_old + b + Q2 u_old once, and each
+  sweep's ``velocity_rhs`` adds div[A2 eps(u) - theta * (A2 alpha)] - Q2 u,
+  with the material applied pointwise to the strain components.  At a
+  fixed point u = u_old + dt v, the two Q2 terms cancel and the system is
+  the one with all of the elasticity explicit, (1/dt) v - Q1 v =
+  (1/dt) v_old + b + div[A2 eps(u) - theta * (A2 alpha)].  Then
 
 * an implicit frozen-coefficient heat system
       (cv/dt) theta_frozen * theta - k Lap theta
           = (cv/dt) theta_frozen * theta_old + heat_rhs(theta_frozen, eps(v), g)
   on all nodes with the mirror-ghost Neumann Laplacian, with v the
-  velocity the sweep has just solved.
+  velocity the sweep has just solved and eps(v) its strain map.  The heat
+  matrix differs from the Neumann stiffness only on the diagonal, which
+  ``heat_matrix`` rewrites in the stiffness's own matrix each sweep.
 
 Both systems are symmetric positive-definite sparse matrices built from the
 operators of :mod:`kvsim.grid`, which writes each from the bands of its 1-D
@@ -57,14 +63,12 @@ import scipy.sparse as sp
 from . import constitutive as cons
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
-    SymTensorField,
     VectorField,
     navier_matrix,
     neumann_matrix,
     neumann_stiffness,
     second_difference,
-    sym_gradient,
-    tensor_divergence,
+    strain_slots,
 )
 
 
@@ -213,15 +217,35 @@ def unpack_interior(grid, x):
     return VectorField(grid, out)
 
 
-def velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
-    """Right-hand side of the velocity system, packed over interior nodes."""
-    tension = cons.apply_isotropic(
-        params.lambda2, params.mu2, sym_gradient(u_iter).data)
-    tension -= theta_iter.data[..., None] * params.thermal_coupling()
-    force = tensor_divergence(SymTensorField(grid, tension)).data
+def velocity_load(grid, dt, v_old, u_old, b, elastic):
+    """The part of the velocity right-hand side that a step's sweeps share,
+    packed over interior nodes: (1/dt) v_old + b + Q2 u_old, with Q2 the
+    compact elastic operator ``elastic``."""
+    data = v_old.data / dt
     if b is not None:
-        force = force + b.data
-    return pack_interior(grid, v_old.data / dt + force)
+        data = data + b.data
+    x_u = pack_interior(grid, u_old.data)
+    return pack_interior(grid, data) + elastic @ x_u
+
+
+def velocity_rhs(load, x_u, theta, strain, divergence, elastic, params):
+    """Right-hand side of the velocity system, packed over interior nodes,
+    for the packed iterate displacement ``x_u`` and temperature ``theta``:
+
+        load + div[A2 eps(u) - theta * (A2 alpha)] - Q2 u
+
+    with ``load`` from :func:`velocity_load`, eps the ``grid.strain_matrix``
+    ``strain``, div the ``grid.divergence_matrix`` ``divergence`` and Q2 =
+    ``elastic``.  The material acts pointwise on the component stack.
+    """
+    d = theta.grid.d
+    slots = strain_slots(d)
+    eps = (strain @ x_u).reshape(len(slots), -1)
+    tension = (2.0 * params.mu2) * eps
+    tension[:d] += params.lambda2 * eps[:d].sum(axis=0)
+    tension -= np.multiply.outer(
+        params.thermal_coupling()[slots], theta.data.ravel())
+    return load + divergence @ tension.ravel() - elastic @ x_u
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +257,11 @@ class HeatStiffness:
     """k times the trapezoid-weighted Neumann stiffness (symmetric PSD, zero
     row sums), with what every sweep's heat matrix reuses.
 
-    ``diagonal`` indexes each row's diagonal entry in ``matrix.data``.
+    ``matrix`` is the stiffness as built.  The heat matrix differs from it
+    only on the diagonal, so :func:`heat_matrix` makes ``matrix`` the heat
+    matrix of each sweep by rewriting its diagonal entries, whose positions
+    in ``matrix.data`` are ``diagonal`` and whose stiffness values are
+    ``diagonal_values``: the owner of a stiffness holds one heat matrix.
     ``bases`` holds per axis the eigenvectors V of the 1-D stiffness against
     the trapezoid weights W (V^T W V = I), and ``eigenvalues`` is k times the
     sum of their eigenvalues over ``grid.shape``: in that basis, the heat
@@ -242,6 +270,7 @@ class HeatStiffness:
 
     matrix: sp.csr_matrix
     diagonal: np.ndarray
+    diagonal_values: np.ndarray
     bases: tuple
     eigenvalues: np.ndarray
 
@@ -258,6 +287,7 @@ def heat_stiffness(grid, k):
     return HeatStiffness(
         matrix=matrix,
         diagonal=diagonal,
+        diagonal_values=matrix.data[diagonal],
         bases=vectors,
         eigenvalues=k * _outer_sum(values),
     )
@@ -267,10 +297,12 @@ def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
     """(cv/dt) diag(w * theta_frozen) + k * weighted Neumann stiffness.
 
     ``stiffness`` is ``heat_stiffness(grid, params.k)``, built here when
-    None.  The preconditioner is the exact inverse of the same matrix with
-    theta_frozen replaced by its mean, so it is exact for a uniform
-    temperature and has condition number at most max/min of theta_frozen
-    otherwise.
+    None.  The matrix is ``stiffness.matrix`` with its diagonal rewritten:
+    each call with one stiffness returns the same matrix, so its owner keeps
+    one heat matrix for all its sweeps.  The preconditioner is the exact
+    inverse of the same matrix with theta_frozen replaced by its mean, so
+    it is exact for a uniform temperature and has condition number at most
+    max/min of theta_frozen otherwise.
     """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
@@ -283,8 +315,8 @@ def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
     if stiffness is None:
         stiffness = heat_stiffness(grid, params.k)
     w = grid.quad_weights.ravel()
-    matrix = stiffness.matrix.copy()
-    matrix.data[stiffness.diagonal] += (
+    matrix = stiffness.matrix
+    matrix.data[stiffness.diagonal] = stiffness.diagonal_values + (
         w * (params.cv / dt) * theta_frozen.data.ravel()
     )
     mean_mass = (params.cv / dt) * float(theta_frozen.data.mean())
@@ -294,13 +326,30 @@ def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 
-def heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g, params):
-    """Weighted right-hand side of the heat system, over all nodes."""
-    eps_t = sym_gradient(v_iter).data
-    g_data = g.data if g is not None else 0.0
-    source = cons.heat_rhs(theta_frozen.data, eps_t, g_data, params)
-    r = (params.cv / dt) * theta_frozen.data * theta_old.data + source
-    return grid.quad_weights.ravel() * r.ravel()
+def heat_rhs_vector(grid, dt, theta_old, theta_frozen, x_v, strain, g, params):
+    """Weighted right-hand side of the heat system, over all nodes, for the
+    packed velocity ``x_v``, whose strain rate eps is ``strain @ x_v``:
+
+        (cv/dt) theta_frozen * theta_old - theta_frozen * (A2 alpha):eps
+            + lambda1 tr(eps)^2 + 2 mu1 eps:eps + g
+
+    (the source of ``constitutive.heat_rhs``), times the quadrature weights.
+    """
+    d = grid.d
+    slots = strain_slots(d)
+    eps = (strain @ x_v).reshape(len(slots), -1)
+    weights = cons.DDOT_WEIGHTS[slots]
+    coupling = weights * params.thermal_coupling()[slots]
+    theta = theta_frozen.data.ravel()
+    source = (
+        -theta * sum(a * e for a, e in zip(coupling, eps))
+        + params.lambda1 * eps[:d].sum(axis=0) ** 2
+        + (2.0 * params.mu1) * sum(w * e * e for w, e in zip(weights, eps))
+    )
+    if g is not None:
+        source += g.data.ravel()
+    r = (params.cv / dt) * theta * theta_old.data.ravel() + source
+    return grid.quad_weights.ravel() * r
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +453,13 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
                 report=LinearSolveReport(iterations, res / rhs_norm, False),
             )
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        # in place: the same arithmetic, one vector fewer alive at a time
+        x += alpha * p
+        r -= alpha * ap
         z = precondition(r)
         rz_next = _dot(r, z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
         iterations += 1
     res_true = _norm(rhs - a @ x) / rhs_norm

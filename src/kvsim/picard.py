@@ -16,9 +16,15 @@ pair (``grid.navier_matrix`` on the interior box), the velocity matrix is
 the left, and the right-hand side subtracts Q2 (u_iter - u_old) from the
 elastic divergence of the frozen displacement.  The two added terms cancel
 when u_iter = u_new, so an accepted step solves the same equations as the
-fully explicit elasticity; only the remainder between the ``np.gradient``
-divergence and Q2 is still iterated, with the thermal coupling.  For the
-zeroth iterate the subtracted term is exactly zero.
+fully explicit elasticity; only the remainder between the divergence of
+the strain and stress-divergence maps and Q2 is still iterated, with the
+thermal coupling.  For the zeroth iterate the subtracted term is zero up
+to round-off.
+
+The strains and the stress divergence are the ``np.gradient`` stencils
+as two matrices that the stepper builds once (``grid.strain_matrix`` and
+``grid.divergence_matrix``), so no sweep takes a field derivative; see
+:mod:`kvsim.linear_step` for the right-hand sides built from them.
 
 Iterates are :class:`SimState` objects at the new time.  The zeroth iterate
 is the step's initial state itself: the constant-in-time extension of its
@@ -38,6 +44,7 @@ snapshots and must not mutate them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -52,9 +59,11 @@ from .grid import (
     ScalarField,
     VectorField,
     boundary_max_abs,
+    divergence_matrix,
     l2_norm,
     lp_norm,
     navier_matrix,
+    strain_matrix,
 )
 
 PICARD_TOL = 1e-10  # relative contraction tolerance of a step
@@ -159,40 +168,57 @@ class PicardTrace:
 class Stepper:
     """Caches the assembly work that is constant across a run.
 
-    The compact elastic operator Q2 = Q(lambda2, mu2) and the velocity
-    matrix (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with its
-    preconditioner, depend only on (grid, dt, material), and the Neumann
-    stiffness with its eigenbasis only on the grid and the conductivity, so
-    all three are built once.  Q is ``grid.navier_matrix`` on the interior
-    box; see the module docstring for the elastic split.
+    The strain and stress-divergence maps (``grid.strain_matrix`` and
+    ``grid.divergence_matrix``) depend only on the grid.  The compact
+    elastic operator Q2 = Q(lambda2, mu2) depends on the grid and the
+    material, and the Neumann stiffness with its eigenbasis and the heat
+    matrix it owns on the grid and the conductivity.  The velocity matrix
+    (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with its
+    preconditioner, also depends on dt; :meth:`with_dt` rebuilds only it.
+    Q is ``grid.navier_matrix`` on the interior box; see the module
+    docstring for the elastic split.
     """
 
     def __init__(self, grid, params, config):
         self.grid = grid
         self.params = params
+        self.strain = strain_matrix(grid)
+        self.divergence = divergence_matrix(grid)
+        elastic = navier_matrix(
+            grid, params.lambda2, params.mu2, box=slice(1, -1)
+        )
+        self.stiffness = linear_step.heat_stiffness(grid, params.k)
+        self._set_dt(config, elastic.data)
+
+    def _set_dt(self, config, elastic_values):
         self.config = config
         dt = config.dt
         self.velocity_op = linear_step.velocity_matrix(
-            grid, dt, params.lambda1 + dt * params.lambda2,
-            params.mu1 + dt * params.mu2,
-        )
-        elastic = navier_matrix(
-            grid, params.lambda2, params.mu2, box=slice(1, -1)
+            self.grid, dt, self.params.lambda1 + dt * self.params.lambda2,
+            self.params.mu1 + dt * self.params.mu2,
         )
         # both are Navier matrices of the interior box, with one sparsity
         # pattern: Q2 keeps its values on the velocity matrix's index arrays
         matrix = self.velocity_op.matrix
         self.elastic = sp.csr_matrix(
-            (elastic.data, matrix.indices, matrix.indptr), shape=matrix.shape
+            (elastic_values, matrix.indices, matrix.indptr), shape=matrix.shape
         )
-        self.stiffness = linear_step.heat_stiffness(grid, params.k)
 
-    def sweep(self, state, iterate, b, g):
+    def with_dt(self, dt):
+        """A stepper of this grid and material for steps of ``dt``.  It
+        shares everything that does not depend on dt; only the velocity
+        matrix and its preconditioner are built."""
+        other = copy.copy(self)
+        other._set_dt(replace(self.config, dt=dt), self.elastic.data)
+        return other
+
+    def sweep(self, state, iterate, load, g):
         """One successive-approximation sweep.
 
         ``iterate`` is any state of this step (the zeroth iterate is
         ``state`` itself); the nonlinearity is frozen at its fields.
-        Returns the next iterate and the velocity and heat
+        ``load`` is the step's ``linear_step.velocity_load``.  Returns the
+        next iterate and the velocity and heat
         :class:`~kvsim.linear_step.LinearSolveReport`.
         """
         grid, dt = self.grid, self.config.dt
@@ -200,16 +226,16 @@ class Stepper:
         # the velocity matrix holds dt Q2 v_new = Q2 (u_new - u_old); its
         # explicit twin Q2 (u_iter - u_old) cancels it at the fixed point
         rhs_v = linear_step.velocity_rhs(
-            grid, dt, state.v, iterate.u, iterate.theta, b, self.params
-        ) - self.elastic @ pack(grid, iterate.u.data - state.u.data)
+            load, pack(grid, iterate.u.data), iterate.theta, self.strain,
+            self.divergence, self.elastic, self.params,
+        )
         x_v, velocity = linear_step.solve_spd(
             self.velocity_op, rhs_v, x0=pack(grid, iterate.v.data),
         )
         v_new = linear_step.unpack_interior(grid, x_v)
-        # the right-hand side first, so that its temporaries are freed
-        # before the heat matrix is copied: a lower peak at large grids
         rhs_h = linear_step.heat_rhs_vector(
-            grid, dt, state.theta, iterate.theta, v_new, g, self.params
+            grid, dt, state.theta, iterate.theta, x_v, self.strain, g,
+            self.params,
         )
         heat_op = linear_step.heat_matrix(
             grid, dt, iterate.theta, self.params, stiffness=self.stiffness
@@ -236,6 +262,8 @@ class Stepper:
                 f"{floor}: min = {float(np.min(state.theta.data))}"
             )
         scale = lp_norm(state.theta, 2) + l2_norm(self.grid, state.v.data)
+        load = linear_step.velocity_load(
+            self.grid, self.config.dt, state.v, state.u, b, self.elastic)
         iterate = state
         ys = []
         sizes = []
@@ -243,7 +271,7 @@ class Stepper:
         heat_solves = []
         threshold = None
         for sweep_count in range(1, PICARD_MAX + 1):
-            new, velocity, heat = self.sweep(state, iterate, b, g)
+            new, velocity, heat = self.sweep(state, iterate, load, g)
             velocity_solves.append(velocity)
             heat_solves.append(heat)
             theta_min = float(np.min(new.theta.data))
@@ -366,9 +394,7 @@ def run(initial, params, config, t_end, sources=None, observers=()):
         t_new = initial.t + (k + 1) * config.dt
         if t_new > t_end + 1e-12 * max(1.0, abs(t_end)):
             # shortened final step to land exactly on t_end
-            stepper = Stepper(
-                initial.grid, params, replace(config, dt=t_end - state.t)
-            )
+            stepper = stepper.with_dt(t_end - state.t)
             t_new = t_end
         b_field = sources.b(t_new) if sources.b is not None else None
         g_field = sources.g(t_new) if sources.g is not None else None

@@ -4,6 +4,9 @@ import numpy as np
 
 from kvsim import Grid, MaterialParams, ScalarField, SimState, VectorField
 from kvsim.cli_io import _cos_profile, _sin_profile
+from kvsim.constitutive import apply_isotropic, heat_rhs
+from kvsim.grid import SymTensorField, sym_gradient, tensor_divergence
+from kvsim.linear_step import pack_interior
 
 
 def default_params(**overrides):
@@ -36,3 +39,27 @@ def random_boundary_zero_vector(grid, rng):
 
 def make_grid(d=2, n=17, length=1.0):
     return Grid((n,) * d, (length,) * d)
+
+
+def reference_velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
+    """The velocity right-hand side with all of the elasticity explicit,
+    by the np.gradient field operators, packed over interior nodes:
+    (1/dt) v_old + b + div[A2 eps(u) - theta * (A2 alpha)]."""
+    tension = apply_isotropic(
+        params.lambda2, params.mu2, sym_gradient(u_iter).data)
+    tension -= theta_iter.data[..., None] * params.thermal_coupling()
+    force = tensor_divergence(SymTensorField(grid, tension)).data
+    if b is not None:
+        force = force + b.data
+    return pack_interior(grid, v_old.data / dt + force)
+
+
+def reference_heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g,
+                              params):
+    """The weighted heat right-hand side, with the strain rate of
+    ``v_iter`` by ``sym_gradient``."""
+    eps_t = sym_gradient(v_iter).data
+    g_data = g.data if g is not None else 0.0
+    source = heat_rhs(theta_frozen.data, eps_t, g_data, params)
+    r = (params.cv / dt) * theta_frozen.data * theta_old.data + source
+    return grid.quad_weights.ravel() * r.ravel()

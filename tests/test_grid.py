@@ -22,14 +22,18 @@ from kvsim.grid import (
     boundary_max_abs,
     central_difference,
     divergence,
+    divergence_matrix,
+    first_difference,
     gradient,
     l2_norm,
     navier_matrix,
     neumann_matrix,
     neumann_stiffness,
     second_difference,
+    strain_matrix,
+    strain_slots,
 )
-from kvsim.linear_step import heat_stiffness
+from kvsim.linear_step import heat_stiffness, pack_interior
 
 from helpers import make_grid, random_boundary_zero_vector
 
@@ -425,3 +429,60 @@ def test_boundary_max_abs(grid2d):
     data = np.zeros(grid2d.shape + (2,))
     data[0, 3, 1] = -7.0
     assert boundary_max_abs(VectorField(grid2d, data)) == 7.0
+
+
+# ---------------------------------------------------------------------------
+# strain and stress-divergence maps
+# ---------------------------------------------------------------------------
+
+def test_first_difference_is_np_gradient(rng):
+    for n in (3, 4, 9):
+        f = rng.standard_normal(n)
+        sub2, sub, main, sup, sup2 = first_difference(n, 0.3)
+        dense = (np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+                 + np.diag(sub2[2:], -2) + np.diag(sup2[:-2], 2))
+        expected = np.gradient(f, 0.3, edge_order=2)
+        assert np.max(np.abs(dense @ f - expected)) <= 1e-14 * np.max(
+            np.abs(expected))
+        assert not sub2[2:-1].any() and not sup2[1:-2].any()
+
+
+def test_strain_slots_put_the_diagonal_first():
+    assert strain_slots(1) == [0]
+    assert strain_slots(2) == [0, 1, 5]
+    assert strain_slots(3) == [0, 1, 2, 3, 4, 5]
+
+
+@_OPERATOR_GRIDS
+def test_strain_matrix_is_sym_gradient(rng, nodes, lengths):
+    """On boundary-zero fields, the strain map gives the components of
+    ``sym_gradient`` at every node, to round-off."""
+    grid = Grid(nodes, lengths)
+    slots = strain_slots(grid.d)
+    matrix = strain_matrix(grid)
+    assert matrix.has_sorted_indices
+    for _ in range(3):
+        u = random_boundary_zero_vector(grid, rng)
+        got = (matrix @ pack_interior(grid, u.data)).reshape(len(slots), -1)
+        eps = sym_gradient(u).data
+        expected = np.stack([eps[..., c].ravel() for c in slots])
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
+            np.abs(expected))
+
+
+@_OPERATOR_GRIDS
+def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
+    """The divergence map gives the interior rows of ``tensor_divergence``
+    of any field of the components ``strain_slots`` names, to round-off."""
+    grid = Grid(nodes, lengths)
+    slots = strain_slots(grid.d)
+    matrix = divergence_matrix(grid)
+    assert matrix.has_sorted_indices
+    for _ in range(3):
+        data = np.zeros(grid.shape + (6,))
+        data[..., slots] = rng.standard_normal(grid.shape + (len(slots),))
+        got = matrix @ np.moveaxis(data[..., slots], -1, 0).ravel()
+        expected = pack_interior(
+            grid, tensor_divergence(SymTensorField(grid, data)).data)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
+            np.abs(expected))

@@ -18,6 +18,7 @@ from kvsim import (
     laplacian_neumann,
     solve_spd,
 )
+from kvsim.grid import divergence_matrix, navier_matrix, strain_matrix
 from kvsim.linear_step import (
     LinearSolveReport,
     SparseOperator,
@@ -27,11 +28,18 @@ from kvsim.linear_step import (
     pack_interior,
     solve_spd as cg,
     unpack_interior,
+    velocity_load,
     velocity_matrix,
     velocity_rhs,
 )
 
-from helpers import bump_state, make_grid, random_boundary_zero_vector
+from helpers import (
+    bump_state,
+    make_grid,
+    random_boundary_zero_vector,
+    reference_heat_rhs_vector,
+    reference_velocity_rhs,
+)
 
 SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
     ((9,), (1.0,)),
@@ -44,11 +52,22 @@ SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
 # velocity system
 # ---------------------------------------------------------------------------
 
+def _velocity_rhs(grid, dt, v_old, u_old, u_iter, theta_iter, b, params):
+    """One sweep's velocity right-hand side, through ``velocity_load`` and
+    ``velocity_rhs`` with the maps of ``grid``."""
+    elastic = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
+    load = velocity_load(grid, dt, v_old, u_old, b, elastic)
+    return velocity_rhs(load, pack_interior(grid, u_iter.data), theta_iter,
+                        strain_matrix(grid), divergence_matrix(grid),
+                        elastic, params)
+
+
 def test_velocity_zero_data_gives_zero_solution(grid2d, params):
     zero_v = VectorField.zeros(grid2d)
     zero_th = ScalarField.zeros(grid2d)
     op = velocity_matrix(grid2d, 0.01, params.lambda1, params.mu1)
-    rhs = velocity_rhs(grid2d, 0.01, zero_v, zero_v, zero_th, None, params)
+    rhs = _velocity_rhs(grid2d, 0.01, zero_v, zero_v, zero_v, zero_th, None,
+                        params)
     x, report = solve_spd(op, rhs)
     assert np.all(x == 0.0)
     assert report.converged and report.iterations == 0
@@ -126,7 +145,7 @@ def test_velocity_one_step_taylor_limit(params):
     zero_v = VectorField.zeros(grid)
     zero_th = ScalarField.zeros(grid)
     op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
-    rhs = velocity_rhs(grid, dt, zero_v, zero_v, zero_th, b, params)
+    rhs = _velocity_rhs(grid, dt, zero_v, zero_v, zero_v, zero_th, b, params)
     x, _ = solve_spd(op, rhs, tol=1e-13)
     v = unpack_interior(grid, x)
     xg, yg = grid.coords()
@@ -134,6 +153,24 @@ def test_velocity_one_step_taylor_limit(params):
     far = (xg > 0.35) & (xg < 0.65) & (yg > 0.35) & (yg < 0.65)
     err = np.max(np.abs(v.data[far] - dt * np.array([0.4, -0.2])))
     assert err <= 2e-3 * dt * 0.4
+
+
+@SMALL_GRIDS
+def test_velocity_rhs_matches_the_gradient_reference(rng, params, nodes,
+                                                     lengths):
+    """Through the strain and divergence maps, the sweep's right-hand side
+    is the np.gradient composition minus Q2 (u_iter - u_old), to round-off."""
+    grid = Grid(nodes, lengths)
+    dt = 0.03
+    v_old, u_old, u_iter, b = (random_boundary_zero_vector(grid, rng)
+                               for _ in range(4))
+    theta = ScalarField(grid, 1.0 + rng.random(grid.shape))
+    got = _velocity_rhs(grid, dt, v_old, u_old, u_iter, theta, b, params)
+    elastic = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
+    expected = reference_velocity_rhs(
+        grid, dt, v_old, u_iter, theta, b, params
+    ) - elastic @ pack_interior(grid, u_iter.data - u_old.data)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_velocity_usage_errors(grid2d, params):
@@ -145,12 +182,16 @@ def test_velocity_usage_errors(grid2d, params):
 # heat system
 # ---------------------------------------------------------------------------
 
+def _at_rest(grid):
+    """The packed velocity of a body at rest."""
+    return np.zeros(grid.d * int(np.prod(grid.interior_shape)))
+
+
 def test_heat_constant_fixed_point(grid2d, params):
     theta = ScalarField.constant(grid2d, 1.7)
     op = heat_matrix(grid2d, 0.05, theta, params)
-    rhs = heat_rhs_vector(
-        grid2d, 0.05, theta, theta, VectorField.zeros(grid2d), None, params
-    )
+    rhs = heat_rhs_vector(grid2d, 0.05, theta, theta, _at_rest(grid2d),
+                          strain_matrix(grid2d), None, params)
     x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
     assert np.max(np.abs(x - 1.7)) <= 1e-12
 
@@ -160,12 +201,28 @@ def test_heat_uniform_source_update(grid2d, params):
     g = ScalarField.constant(grid2d, 0.8)
     dt = 0.05
     op = heat_matrix(grid2d, dt, theta, params)
-    rhs = heat_rhs_vector(
-        grid2d, dt, theta, theta, VectorField.zeros(grid2d), g, params
-    )
+    rhs = heat_rhs_vector(grid2d, dt, theta, theta, _at_rest(grid2d),
+                          strain_matrix(grid2d), g, params)
     x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
     expected = 2.0 + dt * 0.8 / (params.cv * 2.0)
     assert np.max(np.abs(x - expected)) <= 1e-10
+
+
+@SMALL_GRIDS
+def test_heat_rhs_matches_the_gradient_reference(rng, params, nodes, lengths):
+    """The heat right-hand side from the strain map's strain rate is the
+    one from ``sym_gradient``, to round-off."""
+    grid = Grid(nodes, lengths)
+    v = random_boundary_zero_vector(grid, rng)
+    theta_old, theta = (ScalarField(grid, 1.0 + rng.random(grid.shape))
+                        for _ in range(2))
+    g = ScalarField(grid, rng.standard_normal(grid.shape))
+    got = heat_rhs_vector(grid, 0.02, theta_old, theta,
+                          pack_interior(grid, v.data), strain_matrix(grid), g,
+                          params)
+    expected = reference_heat_rhs_vector(grid, 0.02, theta_old, theta, v, g,
+                                         params)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_heat_matrix_symmetric_and_positive(rng, grid2d, params):

@@ -16,7 +16,7 @@ from kvsim import (
     UsageError,
     run,
 )
-from kvsim import linear_step
+from kvsim import grid as grid_module, linear_step, picard
 from kvsim.cli_io import build_initial_state, builtin_scenario, load_config
 from kvsim.grid import (
     boundary_max_abs,
@@ -26,7 +26,13 @@ from kvsim.grid import (
 )
 from kvsim.picard import PICARD_MAX
 
-from helpers import bump_state, default_params, make_grid
+from helpers import (
+    bump_state,
+    default_params,
+    make_grid,
+    reference_heat_rhs_vector,
+    reference_velocity_rhs,
+)
 
 # the tolerance every stepper solve meets: solve_spd's default
 CG_TOL = inspect.signature(linear_step.solve_spd).parameters["tol"].default
@@ -81,10 +87,12 @@ def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
     new, trace = stepper.step(state)
     assert trace.converged
     # two more sweeps of the same step change the answer below the threshold
-    extra, _, _ = stepper.sweep(state, new, None, None)
+    load = linear_step.velocity_load(
+        grid2d, config.dt, state.v, state.u, None, stepper.elastic)
+    extra, _, _ = stepper.sweep(state, new, load, None)
     moved = l2_diff(extra.v, new.v, grid2d) + l2_diff(extra.theta, new.theta, grid2d)
     assert moved <= 2.0 * trace.threshold
-    again, _, _ = stepper.sweep(state, extra, None, None)
+    again, _, _ = stepper.sweep(state, extra, load, None)
     moved2 = l2_diff(again.v, extra.v, grid2d) + l2_diff(again.theta, extra.theta, grid2d)
     assert moved2 <= 2.0 * trace.threshold
 
@@ -118,12 +126,12 @@ def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
     velocity_op = linear_step.velocity_matrix(
         grid, dt, params.lambda1, params.mu1)
     for old, new in zip(traj.states[:10], traj.states[1:11]):
-        rhs_v = linear_step.velocity_rhs(
+        rhs_v = reference_velocity_rhs(
             grid, dt, old.v, new.u, new.theta, None, params)
         x_v = linear_step.pack_interior(grid, new.v.data)
         assert _relative_residual(velocity_op, x_v, rhs_v) <= 1e-9
         heat_op = linear_step.heat_matrix(grid, dt, new.theta, params)
-        rhs_h = linear_step.heat_rhs_vector(
+        rhs_h = reference_heat_rhs_vector(
             grid, dt, old.theta, new.theta, new.v, None, params)
         x_h = new.theta.data.ravel()
         assert _relative_residual(heat_op, x_h, rhs_h) <= 1e-9
@@ -158,6 +166,105 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(grid2d):
     velocity = stepper.velocity_op.matrix
     assert np.shares_memory(stepper.elastic.indices, velocity.indices)
     assert np.shares_memory(stepper.elastic.indptr, velocity.indptr)
+
+
+def _counting(monkeypatch, modules, name, calls, record=None):
+    """Rebind ``name`` in each module to a wrapper that counts its calls
+    in ``calls[name]`` and passes each result to ``record``."""
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        result = real(*args, **kwargs)
+        if record is not None:
+            record(args, result)
+        return result
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_step_takes_no_field_derivative(monkeypatch, shipped_runs):
+    """A step on bump2d takes every strain and stress divergence from the
+    stepper's maps: no np.gradient call.  The sweep calls its right-hand
+    sides and heat matrix through ``linear_step``, once per sweep."""
+    cfg, traj = shipped_runs["bump2d"]
+    stepper = Stepper(traj.grid, cfg.params, traj.config)
+    calls = {}
+    for name in ("_deriv", "sym_gradient", "tensor_divergence"):
+        _counting(monkeypatch, [grid_module], name, calls)
+    for name in ("velocity_rhs", "heat_rhs_vector", "heat_matrix"):
+        _counting(monkeypatch, [linear_step], name, calls)
+    new, trace = stepper.step(traj.states[3])
+    assert trace.iterations > 1
+    assert calls == {name: trace.iterations for name in
+                     ("velocity_rhs", "heat_rhs_vector", "heat_matrix")}
+    assert np.array_equal(new.theta.data, traj.states[4].theta.data)
+
+
+def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
+    """Every sweep's heat matrix is the stepper's one matrix: its index
+    arrays and data are shared, and each rewritten ``data`` is bit-equal
+    to a freshly built ``heat_matrix`` of that sweep's temperature."""
+    cfg, traj = shipped_runs["bump2d"]
+    grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
+    stepper = Stepper(grid, params, traj.config)
+    fresh_heat_matrix = linear_step.heat_matrix
+    sweeps = []
+
+    def record(args, op):
+        sweeps.append((args[2].data.copy(), op.matrix, op.matrix.data.copy()))
+
+    _counting(monkeypatch, [linear_step], "heat_matrix", {}, record)
+    _, trace = stepper.step(traj.states[3])
+    assert len(sweeps) == trace.iterations >= 2
+    first = sweeps[0][1]
+    for theta, matrix, data in sweeps:
+        assert matrix is first
+        fresh = fresh_heat_matrix(
+            grid, dt, ScalarField(grid, theta), params).matrix
+        assert not np.shares_memory(fresh.data, first.data)
+        assert np.array_equal(fresh.indptr, matrix.indptr)
+        assert np.array_equal(fresh.indices, matrix.indices)
+        assert data.tobytes() == fresh.data.tobytes()
+
+
+def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
+        monkeypatch, grid2d, params):
+    """A run whose t_end is not a multiple of dt builds the maps, Q2 and
+    the heat stiffness once; the final step rebuilds only the velocity
+    matrix, and Q2 keeps sharing its index arrays."""
+    calls = {}
+    _counting(monkeypatch, [grid_module, picard, linear_step], "navier_matrix",
+              calls)
+    _counting(monkeypatch, [grid_module, linear_step], "neumann_matrix", calls)
+    _counting(monkeypatch, [picard], "strain_matrix", calls)
+    _counting(monkeypatch, [picard], "divergence_matrix", calls)
+    steppers = []
+    _counting(monkeypatch, [linear_step], "velocity_matrix", calls,
+              lambda args, op: steppers.append((args[1], op)))
+    traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.13)
+    assert traj.states[-1].t == pytest.approx(0.13)
+    assert calls == {"navier_matrix": 3, "neumann_matrix": 1,
+                     "strain_matrix": 1, "divergence_matrix": 1,
+                     "velocity_matrix": 2}
+    assert [dt for dt, _ in steppers] == pytest.approx([0.05, 0.03])
+
+
+def test_with_dt_shares_the_elastic_values_on_the_new_pattern(grid2d):
+    params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6)
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
+    short = stepper.with_dt(0.02)
+    assert short.config.dt == 0.02 and stepper.config.dt == 0.05
+    for name in ("strain", "divergence", "stiffness"):
+        assert getattr(short, name) is getattr(stepper, name)
+    assert np.shares_memory(short.elastic.data, stepper.elastic.data)
+    velocity = short.velocity_op.matrix
+    assert np.shares_memory(short.elastic.indices, velocity.indices)
+    assert np.shares_memory(short.elastic.indptr, velocity.indptr)
+    expected = linear_step.velocity_matrix(grid2d, 0.02, 0.4 + 0.02 * 1.3,
+                                           0.9 + 0.02 * 0.6).matrix
+    assert velocity.data.tobytes() == expected.data.tobytes()
 
 
 def test_picard_nonconvergence_carries_trace(params):
