@@ -28,16 +28,14 @@ from . import constitutive as cons
 from .errors import DomainError, UsageError
 from .grid import (
     ScalarField,
-    SymTensorField,
-    VectorField,
-    divergence,
-    gradient,
     integrate,
-    laplacian_neumann,
     lp_norm,
-    sym_gradient,
-    tensor_magnitude,
+    squared_gradient,
+    strain_contraction,
+    strain_density,
+    strain_matrix,
 )
+from .linear_step import pack_interior
 
 
 @dataclass
@@ -87,21 +85,33 @@ class StateIntegrals(NamedTuple):
         return self.energy - beta * self.entropy
 
 
+def _strains(u):
+    """The corner strains of a boundary-zero vector field: the rows of
+    ``grid.strain_matrix``, shape (row blocks, *grid.shape)."""
+    grid = u.grid
+    x = pack_interior(grid, u.data)
+    return (strain_matrix(grid) @ x).reshape((-1,) + grid.shape)
+
+
 def state_integrals(state, params):
-    """All integrals of one state, from a single strain evaluation."""
-    grid = state.grid
-    eps = sym_gradient(state.u).data
+    """All integrals of one state, from its corner strains.
+
+    The elastic energy sums to 1/2 u^T (-W Q2) u, with Q2 the compact
+    elastic operator of the velocity system, and the coupling part of the
+    entropy, (A2 alpha) : eps(u), sums to zero for a boundary-zero u.
+    """
+    grid, d = state.grid, state.grid.d
+    eps = _strains(state.u)
     theta = state.theta.data
-    stress = cons.apply_isotropic(params.lambda2, params.mu2, eps)
+    coupling = strain_contraction(params.thermal_coupling(), eps, d)
     return StateIntegrals(
         kinetic=0.5 * integrate(
             ScalarField(grid, np.sum(state.v.data**2, axis=-1))
         ),
-        elastic=0.5 * integrate(ScalarField(grid, cons.ddot(stress, eps))),
+        elastic=0.5 * integrate(ScalarField(
+            grid, strain_density(eps, params.lambda2, params.mu2, d))),
         thermal=0.5 * params.cv * integrate(ScalarField(grid, theta**2)),
-        entropy=integrate(
-            ScalarField(grid, cons.entropy_density(eps, theta, params))
-        ),
+        entropy=integrate(ScalarField(grid, params.cv * theta + coupling)),
     )
 
 
@@ -123,7 +133,7 @@ class StepBalances(NamedTuple):
     """Every balance of one step (see :func:`step_balances`)."""
 
     new: StateIntegrals
-    strain_rate: np.ndarray  # eps(v_new)
+    strain_rate: np.ndarray  # the corner strains of v_new
     sigma: ScalarField  # entropy production density at the midpoint
     energy_residual: float  # of E_new - E_old - dt * integral(b . u_t_new + g)
     production: float  # dt * integral(sigma)
@@ -134,13 +144,14 @@ class StepBalances(NamedTuple):
 
 
 def step_balances(state_old, state_new, b, g, dt, params):
-    """Every balance of one step, from one strain per state.
+    """Every balance of one step, from the corner strains of each state.
 
     ``b`` and ``g`` are the step's sources at the new time (None when
-    absent).  The strain rate is eps(v_new), which equals (eps_new - eps_old)/dt by
-    the displacement update rule: the step's exact mean strain rate.
-    Entropy production and the g/theta source use the midpoint-in-time
-    temperature.  Residuals are relative with a +1 floor.
+    absent).  The strain rate is eps(v_new), which equals
+    (eps_new - eps_old)/dt by the displacement update rule: the step's
+    exact mean strain rate.  Entropy production and the g/theta source use
+    the midpoint-in-time temperature.  Residuals are relative with a +1
+    floor.
     """
     grid = state_old.grid
     theta_mid = _midpoint_theta(state_old, state_new)
@@ -148,10 +159,11 @@ def step_balances(state_old, state_new, b, g, dt, params):
         raise DomainError("the step's balances require positive temperature")
     old = state_integrals(state_old, params)
     new = state_integrals(state_new, params)
-    rate = sym_gradient(state_new.v).data
-    grad_theta = gradient(theta_mid).data
-    sigma = ScalarField(grid, cons.entropy_production(
-        rate, grad_theta, theta_mid.data, params
+    rate = _strains(state_new.v)
+    theta = theta_mid.data
+    sigma = ScalarField(grid, (
+        params.k * squared_gradient(theta_mid).data / theta**2
+        + strain_density(rate, params.lambda1, params.mu1, grid.d) / theta
     ))
     sigma_integral = integrate(sigma)
     work = 0.0
@@ -162,14 +174,10 @@ def step_balances(state_old, state_new, b, g, dt, params):
         )
     if g is not None:
         work += integrate(g)
-        source_integral = integrate(ScalarField(grid, g.data / theta_mid.data))
-    # The flux term of the entropy inequality integrates to a boundary
-    # contribution that the insulated walls annihilate, so for smooth
-    # solutions the Clausius-Duhem defect is O(dt + h^2).
-    flux = -params.k * grad_theta  # Fourier heat flux
-    flux_integral = integrate(divergence(
-        VectorField(grid, flux / theta_mid.data[..., None])
-    ))
+        source_integral = integrate(ScalarField(grid, g.data / theta))
+    # The entropy flux div(q/theta) integrates to zero: the insulated walls
+    # annihilate it, and so does the discrete weak form, whose test
+    # function 1 has no corner gradient.  So the defect holds no flux term.
     energy_defect = new.energy - old.energy - dt * work
     production = dt * sigma_integral
     entropy_change = new.entropy - old.entropy
@@ -183,50 +191,9 @@ def step_balances(state_old, state_new, b, g, dt, params):
             entropy_change - production - dt * source_integral
         ) / (1.0 + abs(new.entropy)),
         clausius_duhem_defect=abs(
-            entropy_change / dt + flux_integral - source_integral
-            - sigma_integral
+            entropy_change / dt - source_integral - sigma_integral
         ),
     )
-
-
-def entropy_form_crosscheck(state_old, state_new, g, dt, params):
-    """Consistency defect between the two equivalent forms of the heat balance.
-
-    The primal form carries the thermoelastic coupling power explicitly and
-    is evaluated here with the midpoint strain rate; the entropy form hides
-    the coupling inside the backward difference of the entropy density, which
-    pins the strain rate to the step mean eps(v_new).  The two realizations
-    agree exactly whenever the motion vanishes and differ by O(dt) otherwise.
-    """
-    grid = state_old.grid
-    theta_mid = _midpoint_theta(state_old, state_new)
-    if np.min(theta_mid.data) <= 0.0:
-        raise DomainError("cross-check requires positive temperature")
-    g_data = g.data if g is not None else 0.0
-    lap_new = laplacian_neumann(state_new.theta).data
-    d_theta = (state_new.theta.data - state_old.theta.data) / dt
-    eps_new = sym_gradient(state_new.u).data
-    eps_old = sym_gradient(state_old.u).data
-    rate_new = sym_gradient(state_new.v).data
-    rate_mid = 0.5 * (sym_gradient(state_old.v).data + rate_new)
-    coupling = params.thermal_coupling()
-    viscous = cons.ddot(
-        cons.apply_isotropic(params.lambda1, params.mu1, rate_new), rate_new
-    )
-
-    primal = (
-        params.cv * theta_mid.data * d_theta
-        - params.k * lap_new
-        + theta_mid.data * cons.ddot(coupling, rate_mid)
-        - viscous
-        - g_data
-    )
-    d_eta = params.cv * d_theta + cons.ddot(coupling, (eps_new - eps_old) / dt)
-    entropy_form = (
-        theta_mid.data * d_eta - params.k * lap_new - viscous - g_data
-    )
-    defect = lp_norm(ScalarField(grid, primal - entropy_form), 2)
-    return defect / (1.0 + lp_norm(ScalarField(grid, entropy_form), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +204,13 @@ def _record(state, params, integrals, strain_rate, **step_fields):
     """One CSV row for ``state``; ``step_fields`` carry the step's balances.
 
     The dissipation columns are the discrete values of the two dissipative
-    energy-estimate terms:
-    || grad(theta)/theta ||_L2  and  || eps(u_t)/sqrt(theta) ||_L2.
+    energy-estimate terms, || grad(theta)/theta ||_L2 and
+    || eps(u_t)/sqrt(theta) ||_L2, with |grad theta|^2 and eps:eps the
+    corner averages ``grid.squared_gradient`` and ``grid.strain_density``
+    (``strain_rate`` holds the corner strains of u_t).
     """
     grid = state.grid
     theta = state.theta.data
-    grad_theta = gradient(state.theta).data
     return DiagnosticsRecord(
         t=state.t,
         kinetic_energy=integrals.kinetic,
@@ -254,10 +222,10 @@ def _record(state, params, integrals, strain_rate, **step_fields):
         theta_min=float(np.min(theta)),
         theta_max=float(np.max(theta)),
         grad_theta_dissipation=math.sqrt(integrate(ScalarField(
-            grid, np.sum(grad_theta**2, axis=-1) / theta**2
+            grid, squared_gradient(state.theta).data / theta**2
         ))),
         strain_rate_dissipation=math.sqrt(integrate(ScalarField(
-            grid, cons.ddot(strain_rate, strain_rate) / theta
+            grid, strain_density(strain_rate, 0.0, 0.5, grid.d) / theta
         ))),
         **step_fields,
     )
@@ -278,7 +246,7 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params):
 def initial_record(state, params):
     """Row for t = t0: energies and state extrema, zero residuals."""
     return _record(
-        state, params, state_integrals(state, params), sym_gradient(state.v).data,
+        state, params, state_integrals(state, params), _strains(state.v),
         entropy_production=0.0,
         energy_residual=0.0,
         entropy_residual=0.0,
@@ -403,13 +371,12 @@ def mixed_norm(snapshots, dt, p, p0):
 
 
 def v2_norm(snapshots, dt):
-    """max_t ||f||_L2 + ||grad f||_L2(space-time)."""
+    """max_t ||f||_L2 + ||grad f||_L2(space-time), with ||grad f||^2 the
+    integral of ``grid.squared_gradient``: f^T S f for S the
+    ``grid.neumann_matrix``, as a sum of squares."""
     sup = max(lp_norm(f, 2) for f in snapshots)
-    grad_sq = []
-    for f in snapshots:
-        grad = gradient(f).data
-        grad_sq.append(integrate(ScalarField(f.grid, np.sum(grad**2, axis=-1))))
-    return float(sup + math.sqrt(sum(dt * v for v in grad_sq[:-1])))
+    grad_sq = sum(dt * integrate(squared_gradient(f)) for f in snapshots[:-1])
+    return float(sup + math.sqrt(grad_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +419,20 @@ def gronwall_compare(traj1, traj2, params):
     scale = 0.0
     for s1, s2 in zip(traj1.states, traj2.states):
         du = s1.v.data - s2.v.data
-        eps1 = sym_gradient(s1.u).data
+        eps1 = _strains(s1.u)
         strains1.append(eps1)
-        eps_diff = eps1 - sym_gradient(s2.u).data
-        stress_diff = cons.apply_isotropic(params.lambda2, params.mu2, eps_diff)
+        eps_diff = eps1 - _strains(s2.u)
         dtheta = s1.theta.data - s2.theta.data
         integrand = (
             np.sum(du**2, axis=-1)
-            + cons.ddot(stress_diff, eps_diff)
+            + strain_density(eps_diff, params.lambda2, params.mu2, grid.d)
             + params.cv * s2.theta.data * dtheta**2
         )
         x.append(integrate(ScalarField(grid, integrand)))
-        stress1 = cons.apply_isotropic(params.lambda2, params.mu2, eps1)
         magnitude = integrate(ScalarField(
             grid,
             np.sum(s1.v.data**2, axis=-1)
-            + cons.ddot(stress1, eps1)
+            + strain_density(eps1, params.lambda2, params.mu2, grid.d)
             + params.cv * s1.theta.data**2,
         ))
         scale = max(scale, magnitude)
@@ -482,13 +447,14 @@ def gronwall_compare(traj1, traj2, params):
         th2_t = ScalarField(
             grid, (traj2.states[k].theta.data - traj2.states[k - 1].theta.data) / dt
         )
-        eps1_t = SymTensorField(grid, (strains1[k] - strains1[k - 1]) / dt)
+        eps1_t_sq = strain_density(
+            (strains1[k] - strains1[k - 1]) / dt, 0.0, 0.5, grid.d)
         a[k] = (
             c1
             + params.k
             + lp_norm(th1_t, 3) ** 2
             + lp_norm(th2_t, 3) ** 2
-            + lp_norm(tensor_magnitude(eps1_t), 3) ** 2
+            + lp_norm(ScalarField(grid, np.sqrt(eps1_t_sq)), 3) ** 2
             + lp_norm(traj2.states[k].theta, np.inf) ** 2
         )
 

@@ -6,29 +6,30 @@ Conventions
   shape ``grid.shape`` plus a trailing component axis where applicable.
 * Vector fields carry ``d`` components; symmetric tensor fields carry the
   6-component storage of :mod:`kvsim.constitutive` (zero-padded below 3-D).
-* First derivatives use second-order central differences at interior nodes
-  and second-order one-sided differences at boundary nodes.
-* The Navier and Neumann operators, and the strain and stress-divergence
-  maps of the velocity and heat right-hand sides, are defined here once, as
-  sparse matrices that are Kronecker products of 1-D factors per axis.  A
-  factor is its bands, rows of a (2r + 1, n) array for the column offsets
-  -r..r: row i of the factor holds bands[k][i] in column i + k - r, and the
-  bands are zero past the ends.  ``second_difference``,
-  ``central_difference`` and ``neumann_stiffness`` have r = 1 (rows sub,
-  main, super); ``first_difference``, the stencils of ``np.gradient`` with
-  their second-order one-sided end rows, has r = 2.  One CSR writer,
-  ``_band_csr``, writes each lifted matrix from the bands:
-  ``navier_matrix`` the Navier operator, ``neumann_matrix`` the
-  trapezoid-weighted Neumann stiffness of all axes or of one,
-  ``strain_matrix`` the map from the packed interior velocity to the
-  d(d+1)/2 components of eps at every node (``strain_slots``), and
-  ``divergence_matrix`` the map from those components at every node to
-  the packed interior divergence d_j sigma_ij.  The velocity and heat
-  systems of :mod:`kvsim.linear_step` are these matrices, and
-  ``lame_operator`` and ``laplacian_neumann`` apply them to fields.  The
-  field functions ``sym_gradient``, ``tensor_divergence``, ``gradient``
-  and ``divergence`` apply ``np.gradient`` directly; the time step does not
-  call them.
+* The Navier and Neumann operators and the strain and stress-divergence
+  maps are defined here once, as sparse matrices that are Kronecker
+  products of 1-D factors per axis.  A factor is its bands, rows of a
+  (3, n) array for the column offsets -1, 0, 1: row i of the factor holds
+  bands[k][i] in column i + k - 1, and the bands are zero past the ends.
+  The factors are ``second_difference``, ``central_difference``,
+  ``neumann_stiffness`` and ``first_difference`` (``np.gradient`` with
+  first-order end rows).  One CSR writer, ``_band_csr``, writes
+  ``navier_matrix``, ``neumann_matrix`` (the trapezoid-weighted Neumann
+  stiffness of all axes or of one) and ``strain_matrix`` from the bands;
+  ``divergence_matrix`` is the weighted adjoint of the strain map.
+* Every strain is the corner average.  A cell's 2^d corners each weigh
+  prod(h) / 2^d, and at a corner d_k is the difference over the cell's
+  edge on axis k through it.  The corners at a node are a product of the
+  node's two sides per axis (one on a face), so their average factors into
+  the mean and the half-difference ("jump") of the node's one-sided
+  differences: ``first_difference`` and (h/2) ``second_difference``.
+  ``strain_density``, ``strain_contraction`` and ``squared_gradient`` are
+  the corner averages of (A eps):eps, T:eps and |grad theta|^2.  Weighted,
+  they sum to u^T (-W ``navier_matrix``) u and theta^T ``neumann_matrix``
+  theta: the step, the heat source and the diagnostics share one
+  summation-by-parts pair.  ``sym_gradient`` and ``tensor_divergence``
+  apply ``np.gradient`` with second-order end rows; no step or diagnostic
+  calls them.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
   symmetric under the trapezoidal inner product and gives it exact zero row
   sums; ``integrate`` is that trapezoidal quadrature.
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .constitutive import COMPONENT_OF, ddot
+from .constitutive import COMPONENT_OF, DDOT_WEIGHTS, ddot
 from .errors import UsageError
 
 
@@ -231,22 +232,6 @@ def tensor_divergence(field):
     return VectorField(grid, out)
 
 
-def gradient(field):
-    """Gradient of a scalar field: g_i = d_i f."""
-    grid = field.grid
-    grads = [_deriv(field.data, grid, axis) for axis in range(grid.d)]
-    return VectorField(grid, np.stack(grads, axis=-1))
-
-
-def divergence(field):
-    """Divergence of a vector field: d_i v_i."""
-    grid = field.grid
-    out = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        out += _deriv(field.data[..., axis], grid, axis)
-    return ScalarField(grid, out)
-
-
 # ---------------------------------------------------------------------------
 # the Navier and Neumann operators, written from the bands of 1-D factors
 # ---------------------------------------------------------------------------
@@ -270,15 +255,13 @@ def central_difference(n, h):
 
 
 def first_difference(n, h):
-    """The first difference of ``np.gradient(..., edge_order=2)`` on ``n``
-    nodes: central inside, second-order one-sided on the end rows.
-
-    Bands for the column offsets -2..2; only the end rows use +-2.
-    """
-    bands = np.zeros((5, n))
-    bands[1], bands[3] = -0.5 / h, 0.5 / h
-    bands[:, 0] = np.array([0.0, 0.0, -1.5, 2.0, -0.5]) / h
-    bands[:, -1] = np.array([0.5, -2.0, 1.5, 0.0, 0.0]) / h
+    """The first difference of ``np.gradient(..., edge_order=1)`` on ``n``
+    nodes: central inside, first-order one-sided on the end rows.  At every
+    node it is the mean of the node's one-sided differences (of its one
+    difference on an end row)."""
+    bands = np.full((3, n), 0.5 / h) * [[-1.0], [0.0], [1.0]]
+    bands[:, 0] = [0.0, -1.0 / h, 1.0 / h]
+    bands[:, -1] = [-1.0 / h, 1.0 / h, 0.0]
     return bands
 
 
@@ -449,79 +432,123 @@ def strain_slots(d):
 
 def strain_matrix(grid):
     """The strain map: the packed interior velocity (component-major, as
-    ``linear_step.pack_interior`` stacks it; boundary values zero) to the
-    components eps_ij = (d_j u_i + d_i u_j) / 2 of ``strain_slots`` at
-    every node, component-major.
+    ``linear_step.pack_interior`` stacks it; boundary values zero) to its
+    corner strains at every node, component-major.  Built once per grid
+    and kept on it, so the stepper and the diagnostics share it.
 
-    Derivatives are ``first_difference``, as ``sym_gradient`` takes them.
-    Row block c of eps_ij holds (1/2) d_j in column block i and (1/2) d_i in
-    column block j (d_i once where i = j), each the 1-D factor along its
-    axis at every node, restricted to the columns of the interior box.
+    Row block c < d(d+1)/2 is the mean strain eps_ij of slot
+    ``strain_slots(d)[c]``: (1/2) ``first_difference`` along j in column
+    block i and along i in column block j (once where i = j).  Row block
+    d(d+1)/2 + i d + k is the jump J_ik, (h_k / 2) ``second_difference``
+    along k in column block i.  Columns outside the interior box are
+    dropped.
     """
+    if "strain" in grid._cache:
+        return grid._cache["strain"]
     d, inner = grid.d, grid.interior_shape
     size = math.prod(inner)
     stride = [math.prod(inner[k + 1:]) for k in range(d)]
     interior = [_along(d, k, (np.arange(n) > 0) & (np.arange(n) < n - 1))
                 for k, n in enumerate(grid.n)]
 
-    def bands(axis):
+    def bands(factor, axis):
         """The 1-D factor's bands, zero where the column leaves the
         interior box, each with where it is present: the node must be
         interior along the other axes too."""
-        n = grid.n[axis]
+        n, h = grid.n[axis], grid.h[axis]
         others = math.prod(interior[:axis] + interior[axis + 1:], start=True)
-        out = first_difference(n, grid.h[axis])
+        out = factor(n, h)
         for k, band in enumerate(out):
-            column = np.arange(n) + k - 2
+            column = np.arange(n) + k - 1
             band[(column < 1) | (column > n - 2)] = 0.0
         return [(_along(d, axis, band), _along(d, axis, band != 0.0) & others)
                 for band in out]
 
-    diff = [bands(k) for k in range(d)]
+    mean = [bands(first_difference, k) for k in range(d)]
+    jump = [bands(lambda n, h: 0.5 * h * second_difference(n, h), k)
+            for k in range(d)]
     # each node's own interior position, (r - 1) on every axis
     origin = sum(_along(d, k, (np.arange(n) - 1) * stride[k])
                  for k, n in enumerate(grid.n))
     pairs = [_SLOT_PAIRS[c] for c in strain_slots(d)]
 
     def terms(c):
-        i, j = pairs[c]
-        parts = [(i, i, 1.0)] if i == j else [(i, j, 0.5), (j, i, 0.5)]
+        if c < len(pairs):
+            i, j = pairs[c]
+            parts = [(i, i, 1.0)] if i == j else [(i, j, 0.5), (j, i, 0.5)]
+            factor = mean
+        else:
+            parts, factor = [divmod(c - len(pairs), d) + (1.0,)], jump
         for block, axis, scale in parts:
-            for k, (band, present) in enumerate(diff[axis]):
-                offset = block * size + (k - 2) * stride[axis]
+            for k, (band, present) in enumerate(factor[axis]):
+                offset = block * size + (k - 1) * stride[axis]
                 yield offset, scale * band, present
 
-    return _band_csr(grid.shape, len(pairs), terms, origin, d * size)[0]
+    blocks = len(pairs) + d * d
+    matrix = _band_csr(grid.shape, blocks, terms, origin, d * size)[0]
+    grid._cache["strain"] = matrix
+    return matrix
+
+
+def strain_density(strains, lam, mu, d):
+    """The corner average at every node of (A eps):eps, for A the isotropic
+    tensor of (lam, mu), from ``strains``, the rows of ``strain_matrix``
+    (nodes flat or in ``grid.shape``):
+
+        lam [(tr e)^2 + D] + 2 mu [e:e + (D + T) / 2]
+
+    with e the mean strain, D = sum_i J_ii^2 and T = sum_ik J_ik^2.  At a
+    corner, d_k u_i is the mean plus or minus J_ik by the corner's side
+    along k, so the average over the sides keeps each jump's square only.
+    """
+    weights = np.concatenate([(2.0 * mu) * DDOT_WEIGHTS[strain_slots(d)],
+                              (lam + mu) * np.eye(d).ravel() + mu])
+    trace = strains[:d].sum(axis=0)
+    return lam * trace**2 + np.einsum("r,r...,r...->...", weights, strains,
+                                      strains)
+
+
+def strain_contraction(tensor, strains, d):
+    """The corner average tensor : e at every node, for a constant
+    ``tensor`` (6-component storage) and e the mean strain of ``strains``."""
+    slots = strain_slots(d)
+    coefficients = DDOT_WEIGHTS[slots] * np.asarray(tensor)[slots]
+    return np.einsum("r,r...->...", coefficients, strains[:len(slots)])
+
+
+def squared_gradient(theta):
+    """The corner average of |grad theta|^2 at every node: per axis, the
+    mean of the squared one-sided differences (the one on a face)."""
+    grid = theta.grid
+    out = np.zeros(grid.shape)
+    for axis, h in enumerate(grid.h):
+        edges = np.moveaxis((np.diff(theta.data, axis=axis) / h) ** 2, axis, 0)
+        node = np.moveaxis(out, axis, 0)  # a view: node j has edges j-1, j
+        node[:-1] += 0.5 * edges
+        node[1:] += 0.5 * edges
+        node[0] += 0.5 * edges[0]
+        node[-1] += 0.5 * edges[-1]
+    return ScalarField(grid, out)
 
 
 def divergence_matrix(grid):
     """The stress-divergence map: the components of ``strain_slots`` at
-    every node (component-major, as ``strain_matrix`` stacks them) to the
-    packed interior divergence d_j sigma_ij.
+    every node (component-major) to the packed interior divergence
+    d_j sigma_ij.
 
-    Its rows are interior nodes only, where ``tensor_divergence`` takes the
-    ``central_difference``: row block i holds, for each j, that factor
-    along axis j in the column block of sigma_ij.
+    It is minus the weighted adjoint of the mean strain of
+    ``strain_matrix``: <W v, Div sigma> = -sum_nodes w sigma : eps(v), for
+    W the trapezoid weights.  At the interior rows, that is the
+    ``central_difference`` that ``tensor_divergence`` takes.
     """
-    d, nodes = grid.d, grid.num_nodes
-    stride = [math.prod(grid.shape[k + 1:]) for k in range(d)]
-    central = [[_along(d, k, band[1:-1]) for band in
-                central_difference(n, h)[::2]]
-               for k, (n, h) in enumerate(zip(grid.n, grid.h))]
-    # each interior node's own position among all nodes, (r + 1) per axis
-    origin = sum(_along(d, k, np.arange(1, n - 1) * stride[k])
-                 for k, n in enumerate(grid.n))
-    slot_of = {c: block for block, c in enumerate(strain_slots(d))}
-
-    def terms(i):
-        blocks = sorted((slot_of[COMPONENT_OF[(i, j)]], j) for j in range(d))
-        for block, j in blocks:
-            sub, sup = central[j]
-            yield block * nodes - stride[j], sub, True
-            yield block * nodes + stride[j], sup, True
-
-    width = len(slot_of) * nodes
-    return _band_csr(grid.interior_shape, d, terms, origin, width)[0]
+    slots = strain_slots(grid.d)
+    mean = strain_matrix(grid)[:len(slots) * grid.num_nodes]
+    adjoint = mean.T.tocsr()
+    columns = np.multiply.outer(DDOT_WEIGHTS[slots], grid.quad_weights)
+    rows = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
+    adjoint.data *= -columns.ravel()[adjoint.indices] / np.repeat(
+        rows, np.diff(adjoint.indptr))
+    return adjoint
 
 
 def laplacian_neumann(theta):

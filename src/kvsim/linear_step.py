@@ -4,30 +4,29 @@ One sweep of the successive-approximation scheme solves, with coefficients
 frozen at the previous iterate,
 
 * an implicit (backward Euler) viscoelastic velocity system
-      (1/dt) v - Q1 v - dt Q2 v = (1/dt) v_old + b - Q2 (u - u_old)
-                                  + div[A2 eps(u) - theta * (A2 alpha)]
+      (1/dt) v - Q1 v - dt Q2 v = (1/dt) v_old + b + Q2 u_old
+                                  - div(theta * (A2 alpha))
   on the interior box of nodes (the homogeneous Dirichlet values never
   enter as unknowns), where Q1 and Q2 are the compact Navier operators of
   the viscosity and Lame pairs.  ``velocity_matrix(grid, dt, lam, mu)`` is
   (1/dt) I - Q(lam, mu), which :class:`kvsim.picard.Stepper` builds for
   (lambda1 + dt lambda2, mu1 + dt mu2): Q is linear in its pair, so that is
-  the left-hand side above.  The right-hand side is two fixed linear maps
-  of the iterate, eps = ``grid.strain_matrix`` and div =
-  ``grid.divergence_matrix``, which the stepper builds once: a step
-  computes ``velocity_load`` = (1/dt) v_old + b + Q2 u_old once, and each
-  sweep's ``velocity_rhs`` adds div[A2 eps(u) - theta * (A2 alpha)] - Q2 u,
-  with the material applied pointwise to the strain components.  At a
-  fixed point u = u_old + dt v, the two Q2 terms cancel and the system is
-  the one with all of the elasticity explicit, (1/dt) v - Q1 v =
-  (1/dt) v_old + b + div[A2 eps(u) - theta * (A2 alpha)].  Then
+  the left-hand side above, with u_new = u_old + dt v.  A step computes
+  ``velocity_load`` = (1/dt) v_old + b + Q2 u_old once; each sweep's
+  ``velocity_rhs`` subtracts the thermal stress divergence.  Then
 
 * an implicit frozen-coefficient heat system
       (cv/dt) theta_frozen * theta - k Lap theta
           = (cv/dt) theta_frozen * theta_old + heat_rhs(theta_frozen, eps(v), g)
   on all nodes with the mirror-ghost Neumann Laplacian, with v the
-  velocity the sweep has just solved and eps(v) its strain map.  The heat
-  matrix differs from the Neumann stiffness only on the diagonal, which
-  ``heat_matrix`` rewrites in the stiffness's own matrix each sweep.
+  velocity the sweep has just solved and eps(v) its corner strains
+  (``grid.strain_matrix``).  The heat matrix differs from the Neumann
+  stiffness only on the diagonal, which ``heat_matrix`` rewrites in the
+  stiffness's own matrix each sweep.
+
+The two couplings are weighted adjoints and the viscous heating sums to
+v^T (-W Q1) v, so the systems balance the discrete energy (see
+:mod:`kvsim.picard`).
 
 Both systems are symmetric positive-definite sparse matrices built from the
 operators of :mod:`kvsim.grid`, which writes each from the bands of its 1-D
@@ -60,7 +59,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from . import constitutive as cons
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
     VectorField,
@@ -68,6 +66,8 @@ from .grid import (
     neumann_matrix,
     neumann_stiffness,
     second_difference,
+    strain_contraction,
+    strain_density,
     strain_slots,
 )
 
@@ -228,24 +228,15 @@ def velocity_load(grid, dt, v_old, u_old, b, elastic):
     return pack_interior(grid, data) + elastic @ x_u
 
 
-def velocity_rhs(load, x_u, theta, strain, divergence, elastic, params):
+def velocity_rhs(load, theta, divergence, params):
     """Right-hand side of the velocity system, packed over interior nodes,
-    for the packed iterate displacement ``x_u`` and temperature ``theta``:
-
-        load + div[A2 eps(u) - theta * (A2 alpha)] - Q2 u
-
-    with ``load`` from :func:`velocity_load`, eps the ``grid.strain_matrix``
-    ``strain``, div the ``grid.divergence_matrix`` ``divergence`` and Q2 =
-    ``elastic``.  The material acts pointwise on the component stack.
-    """
-    d = theta.grid.d
-    slots = strain_slots(d)
-    eps = (strain @ x_u).reshape(len(slots), -1)
-    tension = (2.0 * params.mu2) * eps
-    tension[:d] += params.lambda2 * eps[:d].sum(axis=0)
-    tension -= np.multiply.outer(
+    for the iterate temperature ``theta``: load - div(theta * (A2 alpha)),
+    with ``load`` from :func:`velocity_load` and div the
+    ``grid.divergence_matrix`` ``divergence``."""
+    slots = strain_slots(theta.grid.d)
+    tension = np.multiply.outer(
         params.thermal_coupling()[slots], theta.data.ravel())
-    return load + divergence @ tension.ravel() - elastic @ x_u
+    return load - divergence @ tension.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +319,20 @@ def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
 
 def heat_rhs_vector(grid, dt, theta_old, theta_frozen, x_v, strain, g, params):
     """Weighted right-hand side of the heat system, over all nodes, for the
-    packed velocity ``x_v``, whose strain rate eps is ``strain @ x_v``:
+    packed velocity ``x_v`` and its corner strains ``strain @ x_v``:
 
         (cv/dt) theta_frozen * theta_old - theta_frozen * (A2 alpha):eps
-            + lambda1 tr(eps)^2 + 2 mu1 eps:eps + g
+            + (A1 eps):eps + g
 
-    (the source of ``constitutive.heat_rhs``), times the quadrature weights.
+    (the source of ``constitutive.heat_rhs``, its strain terms the corner
+    averages of :mod:`kvsim.grid`), times the quadrature weights.
     """
     d = grid.d
-    slots = strain_slots(d)
-    eps = (strain @ x_v).reshape(len(slots), -1)
-    weights = cons.DDOT_WEIGHTS[slots]
-    coupling = weights * params.thermal_coupling()[slots]
+    strains = (strain @ x_v).reshape(-1, grid.num_nodes)
     theta = theta_frozen.data.ravel()
     source = (
-        -theta * sum(a * e for a, e in zip(coupling, eps))
-        + params.lambda1 * eps[:d].sum(axis=0) ** 2
-        + (2.0 * params.mu1) * sum(w * e * e for w, e in zip(weights, eps))
+        -theta * strain_contraction(params.thermal_coupling(), strains, d)
+        + strain_density(strains, params.lambda1, params.mu1, d)
     )
     if g is not None:
         source += g.data.ravel()
@@ -385,8 +373,9 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
     preconditioner is not positive definite); or when three consecutive
     true-residual re-checks (each followed by a restart) fail to lower the
     best true residual: ``tol`` is then below what round-off lets this
-    system attain, and the message states the attainable relative residual.  Raises :class:`DomainError` up
-    front when the right-hand side or the initial guess is not finite.
+    system attain, and the message states the attainable relative
+    residual.  Raises :class:`DomainError` up front when the right-hand
+    side or the initial guess is not finite.
     Deterministic given identical inputs.
     """
     if tol <= 0.0:

@@ -3,28 +3,29 @@
 Each time step freezes the nonlinearity at the previous iterate and solves
 the two linear sub-problems in turn, in Gauss-Seidel order:
 
-1. velocity solve with frozen (u, theta), then the displacement update
+1. velocity solve with frozen theta, then the displacement update
    ``u_new = u_old + dt * v_new`` (which keeps the discrete compatibility
    d(eps)/dt = eps(v_new) exact),
 2. heat solve with the frozen temperature coefficient and the strain rate
    of the velocity just solved.
 
-The elastic stress is split so that its compact part is implicit without
-moving the fixed point.  With Q2 the compact Navier operator of the Lame
-pair (``grid.navier_matrix`` on the interior box), the velocity matrix is
-(1/dt) I - Q1 - dt Q2, which is Q2 u_new = Q2 (u_old + dt v_new) moved to
-the left, and the right-hand side subtracts Q2 (u_iter - u_old) from the
-elastic divergence of the frozen displacement.  The two added terms cancel
-when u_iter = u_new, so an accepted step solves the same equations as the
-fully explicit elasticity; only the remainder between the divergence of
-the strain and stress-divergence maps and Q2 is still iterated, with the
-thermal coupling.  For the zeroth iterate the subtracted term is zero up
-to round-off.
+The elastic stress is implicit: with Q2 the compact Navier operator of the
+Lame pair (``grid.navier_matrix`` on the interior box), the velocity matrix
+is (1/dt) I - Q1 - dt Q2, which is Q2 u_new = Q2 (u_old + dt v_new) moved
+to the left, and a step's load holds Q2 u_old.  A sweep iterates only the
+thermal coupling and the viscous heating.  Both take the corner strains of
+``grid.strain_matrix`` (the velocity system through its weighted adjoint,
+``grid.divergence_matrix``), which the stepper builds once, so no sweep
+takes a field derivative.  They sum to the compact operators, so a
+converged step balances the discrete energy
 
-The strains and the stress divergence are the ``np.gradient`` stencils
-as two matrices that the stepper builds once (``grid.strain_matrix`` and
-``grid.divergence_matrix``), so no sweep takes a field derivative; see
-:mod:`kvsim.linear_step` for the right-hand sides built from them.
+    E_new - E_old - dt * work + ND = 0
+
+up to the Picard tolerance, with E the kinetic, elastic and thermal energy
+of :mod:`kvsim.diagnostics`, work the source work at the new time, and ND
+= 1/2 |v_new - v_old|_W^2 + 1/2 du^T (-W Q2) du + 1/2 cv |theta_new -
+theta_old|_W^2 the dissipation of backward Euler (W the trapezoid weights,
+du = u_new - u_old).
 
 Iterates are :class:`SimState` objects at the new time.  The zeroth iterate
 is the step's initial state itself: the constant-in-time extension of its
@@ -170,13 +171,12 @@ class Stepper:
 
     The strain and stress-divergence maps (``grid.strain_matrix`` and
     ``grid.divergence_matrix``) depend only on the grid.  The compact
-    elastic operator Q2 = Q(lambda2, mu2) depends on the grid and the
-    material, and the Neumann stiffness with its eigenbasis and the heat
-    matrix it owns on the grid and the conductivity.  The velocity matrix
-    (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with its
-    preconditioner, also depends on dt; :meth:`with_dt` rebuilds only it.
-    Q is ``grid.navier_matrix`` on the interior box; see the module
-    docstring for the elastic split.
+    elastic operator Q2 = Q(lambda2, mu2) of the step's load depends on the
+    grid and the material, and the Neumann stiffness with its eigenbasis
+    and the heat matrix it owns on the grid and the conductivity.  The
+    velocity matrix (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with
+    its preconditioner, also depends on dt; :meth:`with_dt` rebuilds only
+    it.  Q is ``grid.navier_matrix`` on the interior box.
     """
 
     def __init__(self, grid, params, config):
@@ -222,15 +222,11 @@ class Stepper:
         :class:`~kvsim.linear_step.LinearSolveReport`.
         """
         grid, dt = self.grid, self.config.dt
-        pack = linear_step.pack_interior
-        # the velocity matrix holds dt Q2 v_new = Q2 (u_new - u_old); its
-        # explicit twin Q2 (u_iter - u_old) cancels it at the fixed point
         rhs_v = linear_step.velocity_rhs(
-            load, pack(grid, iterate.u.data), iterate.theta, self.strain,
-            self.divergence, self.elastic, self.params,
-        )
+            load, iterate.theta, self.divergence, self.params)
         x_v, velocity = linear_step.solve_spd(
-            self.velocity_op, rhs_v, x0=pack(grid, iterate.v.data),
+            self.velocity_op, rhs_v,
+            x0=linear_step.pack_interior(grid, iterate.v.data),
         )
         v_new = linear_step.unpack_interior(grid, x_v)
         rhs_h = linear_step.heat_rhs_vector(

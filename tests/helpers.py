@@ -1,11 +1,14 @@
 """Shared builders for the test suite."""
 
+import functools
+import itertools
+
 import numpy as np
+import scipy.sparse as sp
 
 from kvsim import Grid, MaterialParams, ScalarField, SimState, VectorField
 from kvsim.cli_io import _cos_profile, _sin_profile
-from kvsim.constitutive import apply_isotropic, heat_rhs
-from kvsim.grid import SymTensorField, sym_gradient, tensor_divergence
+from kvsim.constitutive import matrix_from_sym6
 from kvsim.linear_step import pack_interior
 
 
@@ -41,14 +44,86 @@ def make_grid(d=2, n=17, length=1.0):
     return Grid((n,) * d, (length,) * d)
 
 
-def reference_velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
-    """The velocity right-hand side with all of the elasticity explicit,
-    by the np.gradient field operators, packed over interior nodes:
+def corner_gradients(grid):
+    """The explicit per-corner reference of the corner strain, by a loop
+    over the cells and their 2^d corners.
+
+    Returns the flat index of each corner's node, the corner weight
+    prod(h) / 2^d, and the sparse matrix taking a nodal scalar field (all
+    nodes, C order) to its d derivatives at every corner, in row
+    corner * d + k: the difference along axis k over the edge of the cell
+    through the corner.
+    """
+    return _corner_gradients(grid.n, grid.lengths)
+
+
+@functools.lru_cache(maxsize=8)
+def _corner_gradients(shape, lengths):
+    grid = Grid(shape, lengths)
+    d = grid.d
+    nodes, rows, cols, vals = [], [], [], []
+    for cell in itertools.product(*(range(n - 1) for n in grid.n)):
+        for side in itertools.product((0, 1), repeat=d):
+            node = tuple(c + s for c, s in zip(cell, side))
+            for k in range(d):
+                ends = [node[:k] + (cell[k] + e,) + node[k + 1:] for e in (1, 0)]
+                rows += [len(nodes) * d + k] * 2
+                cols += [np.ravel_multi_index(e, grid.shape) for e in ends]
+                vals += [1.0 / grid.h[k], -1.0 / grid.h[k]]
+            nodes.append(np.ravel_multi_index(node, grid.shape))
+    diff = sp.csr_matrix((vals, (rows, cols)),
+                         shape=(len(nodes) * d, grid.num_nodes))
+    return np.array(nodes), np.prod(grid.h) / 2**d, diff
+
+
+def corner_strain(grid, data):
+    """The strain (corners, d, d) of nodal vector ``data`` at every corner."""
+    _, _, diff = corner_gradients(grid)
+    grads = np.stack([(diff @ data[..., i].ravel()).reshape(-1, grid.d)
+                      for i in range(grid.d)], axis=1)  # [c, i, k] = d_k u_i
+    return 0.5 * (grads + np.swapaxes(grads, 1, 2))
+
+
+def corner_density(eps, lam, mu):
+    """(A eps):eps at every corner, for A the isotropic tensor of (lam, mu)."""
+    trace = np.trace(eps, axis1=1, axis2=2)
+    return lam * trace**2 + 2.0 * mu * np.sum(eps * eps, axis=(1, 2))
+
+
+def corner_sum(grid, values):
+    """The weighted sum over the corners at each node, shape ``grid.shape``."""
+    nodes, weight, _ = corner_gradients(grid)
+    return (weight * np.bincount(nodes, values, grid.num_nodes)).reshape(
+        grid.shape)
+
+
+def corner_force(grid, stress):
+    """div(stress) at every node in the weak form of the corners,
+    -W^-1 D^T (w stress), for a (corners, d, d) stress."""
+    nodes, weight, diff = corner_gradients(grid)
+    out = np.empty(grid.shape + (grid.d,))
+    for i in range(grid.d):
+        out[..., i] = -(diff.T @ (weight * stress[:, i, :]).ravel()).reshape(
+            grid.shape) / grid.quad_weights
+    return out
+
+
+def coupling_matrix(params, d):
+    """A2 alpha as a d x d matrix."""
+    return matrix_from_sym6(params.thermal_coupling())[:d, :d]
+
+
+def reference_velocity_rhs(grid, dt, v_old, u, theta, b, params):
+    """The velocity right-hand side with all of the elasticity explicit, by
+    the per-corner loop, packed over interior nodes:
     (1/dt) v_old + b + div[A2 eps(u) - theta * (A2 alpha)]."""
-    tension = apply_isotropic(
-        params.lambda2, params.mu2, sym_gradient(u_iter).data)
-    tension -= theta_iter.data[..., None] * params.thermal_coupling()
-    force = tensor_divergence(SymTensorField(grid, tension)).data
+    nodes, _, _ = corner_gradients(grid)
+    eps = corner_strain(grid, u.data)
+    trace = np.trace(eps, axis1=1, axis2=2)[:, None, None]
+    stress = (params.lambda2 * trace * np.eye(grid.d) + 2.0 * params.mu2 * eps
+              - theta.data.ravel()[nodes, None, None]
+              * coupling_matrix(params, grid.d))
+    force = corner_force(grid, stress)
     if b is not None:
         force = force + b.data
     return pack_interior(grid, v_old.data / dt + force)
@@ -56,10 +131,15 @@ def reference_velocity_rhs(grid, dt, v_old, u_iter, theta_iter, b, params):
 
 def reference_heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g,
                               params):
-    """The weighted heat right-hand side, with the strain rate of
-    ``v_iter`` by ``sym_gradient``."""
-    eps_t = sym_gradient(v_iter).data
+    """The weighted heat right-hand side by the per-corner loop: the
+    corners at a node sum their weighted source
+    -theta * (A2 alpha):eps + (A1 eps):eps of the strain rate of ``v_iter``."""
+    nodes, _, _ = corner_gradients(grid)
+    eps = corner_strain(grid, v_iter.data)
+    coupling = np.sum(coupling_matrix(params, grid.d) * eps, axis=(1, 2))
+    source = (-theta_frozen.data.ravel()[nodes] * coupling
+              + corner_density(eps, params.lambda1, params.mu1))
     g_data = g.data if g is not None else 0.0
-    source = heat_rhs(theta_frozen.data, eps_t, g_data, params)
-    r = (params.cv / dt) * theta_frozen.data * theta_old.data + source
-    return grid.quad_weights.ravel() * r.ravel()
+    mass = (params.cv / dt) * theta_frozen.data * theta_old.data
+    return (grid.quad_weights * (mass + g_data)
+            + corner_sum(grid, source)).ravel()

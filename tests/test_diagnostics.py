@@ -19,7 +19,6 @@ from kvsim.diagnostics import (
     DiagnosticsCollector,
     availability_decay_check,
     default_theta_decay_rate,
-    entropy_form_crosscheck,
     gronwall_compare,
     gronwall_rate_constant,
     initial_record,
@@ -31,6 +30,7 @@ from kvsim.diagnostics import (
     v2_norm,
 )
 from kvsim import diagnostics
+from kvsim.grid import lp_norm, neumann_matrix
 
 from helpers import bump_state, default_params, make_grid
 
@@ -73,27 +73,31 @@ def test_stationary_residuals_vanish(stationary, params):
     assert step.energy_residual <= 1e-15
     assert step.entropy_residual <= 1e-15 and step.production == 0.0
     assert step.clausius_duhem_defect <= 1e-13
-    assert entropy_form_crosscheck(stationary, new, None, 0.05, params) <= 1e-15
 
 
 def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
-    """A step record evaluates eps(u_old), eps(u_new) and eps(v_new) once
-    each; the initial record eps(u) and eps(v)."""
+    """A step record applies the strain map to u_old, u_new and v_new once
+    each, the initial record to u and v; neither calls np.gradient."""
     traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.05)
-    calls = []
+    calls = {"_strains": [], "gradient": []}
 
-    def counting(field):
-        calls.append(field)
-        return real(field)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    real = diagnostics.sym_gradient
-    monkeypatch.setattr(diagnostics, "sym_gradient", counting)
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(diagnostics, "_strains")
+    counting(np, "gradient")
     diagnostics.record_for_step(traj.states[0], traj.states[1], traj.traces[0],
                                 None, None, 0.05, params)
-    assert len(calls) <= 3
-    calls.clear()
+    assert len(calls["_strains"]) == 3 and not calls["gradient"]
+    calls["_strains"].clear()
     diagnostics.initial_record(traj.states[0], params)
-    assert len(calls) <= 2
+    assert len(calls["_strains"]) == 2 and not calls["gradient"]
 
 
 def test_record_fields_equal_public_functions(grid2d, params):
@@ -153,29 +157,14 @@ def test_residual_richardson_first_order(params):
     state = bump_state(grid)
     sums = {}
     for dt in (0.05, 0.025):
-        traj, records = small_run(grid, params, dt=dt, t_end=0.5, state=state)
-        crosschecks = [
-            entropy_form_crosscheck(a, b, None, dt, params)
-            for a, b in zip(traj.states, traj.states[1:])
-        ]
+        _, records = small_run(grid, params, dt=dt, t_end=0.5, state=state)
         sums[dt] = (
             sum(r.energy_residual for r in records),
             sum(r.entropy_residual for r in records),
             np.mean([r.clausius_duhem_defect for r in records[1:]]),
-            np.mean(crosschecks),
         )
     for coarse, fine in zip(sums[0.05], sums[0.025]):
         assert 1.3 <= coarse / fine <= 2.8
-
-
-def test_crosscheck_vanishes_without_motion(grid2d, params):
-    state = SimState.rest(grid2d, theta0=1.0)
-    sources = Sources.constant(grid2d, g_value=0.4)
-    traj, _ = small_run(grid2d, params, dt=0.02, t_end=0.1,
-                        state=state, sources=sources)
-    for old, new in zip(traj.states, traj.states[1:]):
-        g = sources.g(new.t)
-        assert entropy_form_crosscheck(old, new, g, 0.02, params) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +384,24 @@ def test_v2_norm_of_constant(grid2d):
     assert v2_norm(fields, 0.25) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_v2_norm_second_order_on_cosine_profile():
+    """On f = cos(pi x) cos(2 pi y), held for a unit time, the V2 norm is
+    ||f|| + ||grad f|| = 1/2 + sqrt(5/4) pi, to O(h^2); its gradient part
+    is f^T S f of the Neumann stiffness S, to round-off."""
+    errs = []
+    for n in (17, 33):
+        grid = make_grid(d=2, n=n)
+        x, y = grid.coords()
+        f = ScalarField(grid, np.cos(np.pi * x) * np.cos(2.0 * np.pi * y))
+        got = v2_norm([f] * 5, 0.25)
+        stiffness = neumann_matrix(grid)[0]
+        grad_sq = f.data.ravel() @ (stiffness @ f.data.ravel())
+        assert got - lp_norm(f, 2) == pytest.approx(np.sqrt(grad_sq),
+                                                    rel=1e-13)
+        errs.append(abs(got - (0.5 + np.sqrt(1.25) * np.pi)))
+    assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
+
+
 # ---------------------------------------------------------------------------
 # Gronwall comparison
 # ---------------------------------------------------------------------------
@@ -435,7 +442,8 @@ def test_gronwall_perturbed_velocity(grid2d, params):
 
 
 def test_gronwall_takes_one_strain_per_state_pair(grid2d, params, monkeypatch):
-    """X(t) and the rate A(t) share eps(u) of the first run's states."""
+    """X(t) and the rate A(t) share the corner strains of the first run's
+    states: one application of the strain map per state and run."""
     state = bump_state(grid2d)
     base = run(state, params, StepperConfig(dt=0.05), 0.25)
     other = run(perturb_state(state, "theta0", 1e-6), params,
@@ -446,10 +454,10 @@ def test_gronwall_takes_one_strain_per_state_pair(grid2d, params, monkeypatch):
         calls.append(field)
         return real(field)
 
-    real = diagnostics.sym_gradient
-    monkeypatch.setattr(diagnostics, "sym_gradient", counting)
+    real = diagnostics._strains
+    monkeypatch.setattr(diagnostics, "_strains", counting)
     gronwall_compare(other, base, params)
-    assert len(calls) <= 2 * len(base.states)
+    assert len(calls) == 2 * len(base.states)
 
 
 def test_gronwall_rejects_mismatched_grids(params):

@@ -16,26 +16,37 @@ from kvsim import (
     sym_gradient,
     tensor_divergence,
 )
-from kvsim.constitutive import COMPONENT_OF, apply_isotropic
+from kvsim.constitutive import COMPONENT_OF, apply_isotropic, matrix_from_sym6
 from kvsim.grid import (
     SymTensorField,
     boundary_max_abs,
     central_difference,
-    divergence,
     divergence_matrix,
     first_difference,
-    gradient,
     l2_norm,
     navier_matrix,
     neumann_matrix,
     neumann_stiffness,
     second_difference,
+    squared_gradient,
+    strain_contraction,
+    strain_density,
     strain_matrix,
     strain_slots,
 )
 from kvsim.linear_step import heat_stiffness, pack_interior
 
-from helpers import make_grid, random_boundary_zero_vector
+from helpers import (
+    corner_density,
+    corner_force,
+    corner_gradients,
+    corner_strain,
+    corner_sum,
+    coupling_matrix,
+    default_params,
+    make_grid,
+    random_boundary_zero_vector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +162,6 @@ def test_divergence_second_order():
         errs.append(err)
     order = np.log2(errs[0] / errs[1])
     assert 1.7 <= order <= 2.3
-
-
-def test_gradient_and_divergence_exact_on_quadratics(grid2d):
-    x, y = grid2d.coords()
-    grad = gradient(ScalarField(grid2d, x**2 + 3.0 * x * y))
-    assert np.max(np.abs(grad.data[..., 0] - (2.0 * x + 3.0 * y))) <= 1e-12
-    assert np.max(np.abs(grad.data[..., 1] - 3.0 * x)) <= 1e-12
-    assert np.max(np.abs(divergence(grad).data - 2.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +439,16 @@ def test_boundary_max_abs(grid2d):
 # ---------------------------------------------------------------------------
 
 def test_first_difference_is_np_gradient(rng):
+    """The mean of the corner strain is np.gradient's first difference with
+    first-order one-sided end rows."""
     for n in (3, 4, 9):
         f = rng.standard_normal(n)
-        sub2, sub, main, sup, sup2 = first_difference(n, 0.3)
-        dense = (np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-                 + np.diag(sub2[2:], -2) + np.diag(sup2[:-2], 2))
-        expected = np.gradient(f, 0.3, edge_order=2)
+        sub, main, sup = first_difference(n, 0.3)
+        dense = np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        expected = np.gradient(f, 0.3, edge_order=1)
         assert np.max(np.abs(dense @ f - expected)) <= 1e-14 * np.max(
             np.abs(expected))
-        assert not sub2[2:-1].any() and not sup2[1:-2].any()
+        assert sub[0] == 0.0 and sup[-1] == 0.0
 
 
 def test_strain_slots_put_the_diagonal_first():
@@ -453,19 +457,45 @@ def test_strain_slots_put_the_diagonal_first():
     assert strain_slots(3) == [0, 1, 2, 3, 4, 5]
 
 
+def _one_sided(data, h, axis):
+    """The forward and backward differences of ``data`` at every node along
+    ``axis``, zero where the node has no such neighbour."""
+    diff = np.diff(data, axis=axis) / h
+    pad = np.zeros_like(np.take(diff, [0], axis=axis))
+    return (np.concatenate([diff, pad], axis=axis),
+            np.concatenate([pad, diff], axis=axis))
+
+
 @_OPERATOR_GRIDS
 def test_strain_matrix_is_sym_gradient(rng, nodes, lengths):
-    """On boundary-zero fields, the strain map gives the components of
-    ``sym_gradient`` at every node, to round-off."""
+    """On boundary-zero fields, the mean rows of the strain map are the
+    symmetric gradient of ``np.gradient(..., edge_order=1)`` and the jump
+    rows are half the difference of the one-sided differences (zero on the
+    end nodes of their axis), to round-off."""
     grid = Grid(nodes, lengths)
-    slots = strain_slots(grid.d)
+    d, slots = grid.d, strain_slots(grid.d)
     matrix = strain_matrix(grid)
     assert matrix.has_sorted_indices
+    assert strain_matrix(grid) is matrix
     for _ in range(3):
-        u = random_boundary_zero_vector(grid, rng)
-        got = (matrix @ pack_interior(grid, u.data)).reshape(len(slots), -1)
-        eps = sym_gradient(u).data
-        expected = np.stack([eps[..., c].ravel() for c in slots])
+        u = random_boundary_zero_vector(grid, rng).data
+        got = (matrix @ pack_interior(grid, u)).reshape(-1, grid.num_nodes)
+        grads = [[np.gradient(u[..., i], grid.h[k], axis=k, edge_order=1)
+                  for k in range(d)] for i in range(d)]
+        expected = []
+        for c in slots:
+            i, j = min(ij for ij, slot in COMPONENT_OF.items() if slot == c)
+            expected.append(0.5 * (grads[i][j] + grads[j][i]))
+        for i in range(d):
+            for k in range(d):
+                forward, backward = _one_sided(u[..., i], grid.h[k], k)
+                jump = 0.5 * (forward - backward)
+                ends = [slice(None)] * d
+                ends[k] = [0, -1]
+                jump[tuple(ends)] = 0.0
+                expected.append(jump)
+        expected = np.stack([e.ravel() for e in expected])
+        assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
             np.abs(expected))
 
@@ -486,3 +516,117 @@ def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
             grid, tensor_divergence(SymTensorField(grid, data)).data)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
             np.abs(expected))
+
+
+# ---------------------------------------------------------------------------
+# the corner strain and the compact operators: one summation-by-parts pair
+# ---------------------------------------------------------------------------
+
+def _pair(rng, grid):
+    return [random_boundary_zero_vector(grid, rng).data for _ in range(2)]
+
+
+@_OPERATOR_GRIDS
+def test_corner_form_is_the_navier_matrix(rng, nodes, lengths):
+    """The per-corner elastic form sum_c w_c (A eps_c):eps_c is
+    u^T (-W Q) v by polarisation, for Q the ``navier_matrix`` of (lam, mu)
+    on the interior box and W the weights of its nodes."""
+    grid = Grid(nodes, lengths)
+    weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
+    for lam, mu in ((1.0, 1.0), (0.3, 1.7), (-0.5, 1.0), (2.0, 0.1)):
+        q = navier_matrix(grid, lam, mu, box=slice(1, -1))
+        for u, v in (_pair(rng, grid) for _ in range(3)):
+            forms = [np.sum(corner_sum(grid, corner_density(
+                corner_strain(grid, a), lam, mu))) for a in (u + v, u - v)]
+            got = 0.25 * (forms[0] - forms[1])
+            x, y = pack_interior(grid, u), pack_interior(grid, v)
+            expected = -x @ (weights * (q @ y))
+            scale = np.sqrt(abs(x @ (weights * (q @ x)))
+                            * abs(y @ (weights * (q @ y))))
+            assert abs(got - expected) <= 1e-14 * scale
+
+
+@_OPERATOR_GRIDS
+def test_corner_form_is_the_neumann_matrix(rng, nodes, lengths):
+    """The per-corner form sum_c w_c grad(a)_c . grad(b)_c is
+    a^T S b for S the ``neumann_matrix``, by polarisation, and
+    ``squared_gradient`` is its density at every node."""
+    grid = Grid(nodes, lengths)
+    _, _, diff = corner_gradients(grid)
+    stiffness = neumann_matrix(grid)[0]
+    for _ in range(3):
+        a, b = (rng.standard_normal(grid.num_nodes) for _ in range(2))
+        squares = [np.sum((diff @ f).reshape(-1, grid.d) ** 2, axis=1)
+                   for f in (a, b, a + b, a - b)]
+        got = 0.25 * (np.sum(corner_sum(grid, squares[2]))
+                      - np.sum(corner_sum(grid, squares[3])))
+        scale = np.sqrt((a @ (stiffness @ a)) * (b @ (stiffness @ b)))
+        assert abs(got - a @ (stiffness @ b)) <= 1e-14 * scale
+        density = squared_gradient(ScalarField(grid, a.reshape(grid.shape)))
+        reference = corner_sum(grid, squares[0])
+        assert np.max(np.abs(grid.quad_weights * density.data - reference)) \
+            <= 1e-14 * np.max(reference)
+
+
+@_OPERATOR_GRIDS
+def test_strain_density_is_the_corner_sum(rng, nodes, lengths):
+    """At every node, the mean/jump density of the strain map, times the
+    node's weight, is the weighted sum of (A eps):eps over its corners,
+    and the contraction with a constant tensor is the corners' mean."""
+    grid = Grid(nodes, lengths)
+    tensor = np.array([0.3, -0.7, 1.1, 0.4, -0.2, 0.9])
+    full = matrix_from_sym6(tensor)[:grid.d, :grid.d]
+    for _ in range(3):
+        u = random_boundary_zero_vector(grid, rng).data
+        strains = (strain_matrix(grid) @ pack_interior(grid, u)).reshape(
+            -1, grid.num_nodes)
+        eps = corner_strain(grid, u)
+        for lam, mu in ((1.0, 1.0), (0.3, 1.7), (0.0, 0.5)):
+            got = grid.quad_weights * strain_density(
+                strains, lam, mu, grid.d).reshape(grid.shape)
+            reference = corner_sum(grid, corner_density(eps, lam, mu))
+            assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(reference)
+        got = grid.quad_weights * strain_contraction(
+            tensor, strains, grid.d).reshape(grid.shape)
+        reference = corner_sum(grid, np.sum(full * eps, axis=(1, 2)))
+        assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(
+            np.abs(reference))
+
+
+@_OPERATOR_GRIDS
+def test_thermal_coupling_is_the_adjoint_of_the_mean_strain(rng, nodes,
+                                                            lengths):
+    """For an anisotropic alpha, Div(theta A2 alpha) is the per-corner
+    -W^-1 D^T (w theta A2 alpha), and <W v, Div(theta A2 alpha)> =
+    -sum w theta (A2 alpha):eps(v); the mean strain of a boundary-zero u
+    integrates to zero against A2 alpha."""
+    grid = Grid(nodes, lengths)
+    params = default_params(lambda2=1.3, mu2=0.6,
+                            alpha=[[0.1, 0.03, -0.02],
+                                   [0.03, 0.25, 0.05],
+                                   [-0.02, 0.05, 0.4]])
+    slots = strain_slots(grid.d)
+    coupling = params.thermal_coupling()
+    theta = 1.0 + rng.random(grid.shape)
+    tension = np.multiply.outer(coupling[slots], theta.ravel()).ravel()
+    div = divergence_matrix(grid) @ tension
+    nodes_of, _, _ = corner_gradients(grid)
+    stress = theta.ravel()[nodes_of, None, None] * coupling_matrix(
+        params, grid.d)
+    reference = pack_interior(grid, corner_force(grid, stress))
+    assert np.max(np.abs(div - reference)) <= 1e-13 * np.max(np.abs(div))
+    weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
+    for _ in range(3):
+        v = random_boundary_zero_vector(grid, rng).data
+        x = pack_interior(grid, v)
+        strains = (strain_matrix(grid) @ x).reshape(-1, grid.num_nodes)
+        contraction = strain_contraction(coupling, strains, grid.d)
+        lhs = x @ (weights * div)
+        rhs = -integrate(ScalarField(
+            grid, (theta.ravel() * contraction).reshape(grid.shape)))
+        scale = np.sum(grid.quad_weights.ravel() * theta.ravel()
+                       * np.abs(contraction))
+        assert abs(lhs - rhs) <= 1e-14 * scale
+        total = integrate(ScalarField(grid, contraction.reshape(grid.shape)))
+        assert abs(total) <= 1e-14 * np.sum(
+            grid.quad_weights.ravel() * np.abs(contraction))

@@ -52,22 +52,19 @@ SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
 # velocity system
 # ---------------------------------------------------------------------------
 
-def _velocity_rhs(grid, dt, v_old, u_old, u_iter, theta_iter, b, params):
+def _velocity_rhs(grid, dt, v_old, u_old, theta_iter, b, params):
     """One sweep's velocity right-hand side, through ``velocity_load`` and
     ``velocity_rhs`` with the maps of ``grid``."""
     elastic = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
     load = velocity_load(grid, dt, v_old, u_old, b, elastic)
-    return velocity_rhs(load, pack_interior(grid, u_iter.data), theta_iter,
-                        strain_matrix(grid), divergence_matrix(grid),
-                        elastic, params)
+    return velocity_rhs(load, theta_iter, divergence_matrix(grid), params)
 
 
 def test_velocity_zero_data_gives_zero_solution(grid2d, params):
     zero_v = VectorField.zeros(grid2d)
     zero_th = ScalarField.zeros(grid2d)
     op = velocity_matrix(grid2d, 0.01, params.lambda1, params.mu1)
-    rhs = _velocity_rhs(grid2d, 0.01, zero_v, zero_v, zero_v, zero_th, None,
-                        params)
+    rhs = _velocity_rhs(grid2d, 0.01, zero_v, zero_v, zero_th, None, params)
     x, report = solve_spd(op, rhs)
     assert np.all(x == 0.0)
     assert report.converged and report.iterations == 0
@@ -145,7 +142,7 @@ def test_velocity_one_step_taylor_limit(params):
     zero_v = VectorField.zeros(grid)
     zero_th = ScalarField.zeros(grid)
     op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
-    rhs = _velocity_rhs(grid, dt, zero_v, zero_v, zero_v, zero_th, b, params)
+    rhs = _velocity_rhs(grid, dt, zero_v, zero_v, zero_th, b, params)
     x, _ = solve_spd(op, rhs, tol=1e-13)
     v = unpack_interior(grid, x)
     xg, yg = grid.coords()
@@ -158,18 +155,18 @@ def test_velocity_one_step_taylor_limit(params):
 @SMALL_GRIDS
 def test_velocity_rhs_matches_the_gradient_reference(rng, params, nodes,
                                                      lengths):
-    """Through the strain and divergence maps, the sweep's right-hand side
-    is the np.gradient composition minus Q2 (u_iter - u_old), to round-off."""
+    """Through the load and the divergence map, the sweep's right-hand side
+    is the per-corner gradients' reference (1/dt) v_old + b +
+    div[A2 eps(u_old) - theta * (A2 alpha)], to round-off: the step's load
+    holds the elasticity of u_old and no sweep reads an iterate
+    displacement."""
     grid = Grid(nodes, lengths)
     dt = 0.03
-    v_old, u_old, u_iter, b = (random_boundary_zero_vector(grid, rng)
-                               for _ in range(4))
+    v_old, u_old, b = (random_boundary_zero_vector(grid, rng)
+                       for _ in range(3))
     theta = ScalarField(grid, 1.0 + rng.random(grid.shape))
-    got = _velocity_rhs(grid, dt, v_old, u_old, u_iter, theta, b, params)
-    elastic = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
-    expected = reference_velocity_rhs(
-        grid, dt, v_old, u_iter, theta, b, params
-    ) - elastic @ pack_interior(grid, u_iter.data - u_old.data)
+    got = _velocity_rhs(grid, dt, v_old, u_old, theta, b, params)
+    expected = reference_velocity_rhs(grid, dt, v_old, u_old, theta, b, params)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -211,7 +208,8 @@ def test_heat_uniform_source_update(grid2d, params):
 @SMALL_GRIDS
 def test_heat_rhs_matches_the_gradient_reference(rng, params, nodes, lengths):
     """The heat right-hand side from the strain map's strain rate is the
-    one from ``sym_gradient``, to round-off."""
+    per-corner gradients' reference, to round-off: the corners at a node
+    sum their weighted coupling and viscous heating."""
     grid = Grid(nodes, lengths)
     v = random_boundary_zero_vector(grid, rng)
     theta_old, theta = (ScalarField(grid, 1.0 + rng.random(grid.shape))

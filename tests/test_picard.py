@@ -17,14 +17,20 @@ from kvsim import (
     run,
 )
 from kvsim import grid as grid_module, linear_step, picard
-from kvsim.cli_io import build_initial_state, builtin_scenario, load_config
+from kvsim.cli_io import (
+    build_initial_state,
+    build_sources,
+    builtin_scenario,
+    load_config,
+)
+from kvsim.diagnostics import DiagnosticsCollector, state_integrals, total_energy
 from kvsim.grid import (
     boundary_max_abs,
     integrate,
     laplacian_neumann,
     navier_matrix,
 )
-from kvsim.picard import PICARD_MAX
+from kvsim.picard import PICARD_MAX, PICARD_TOL
 
 from helpers import (
     bump_state,
@@ -103,12 +109,16 @@ def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
 
 @pytest.fixture(scope="module")
 def shipped_runs():
-    """Each shipped bump scenario's config and trajectory, run once."""
+    """Each shipped bump scenario's and ``heated2d``'s config, trajectory
+    and diagnostics records, run once."""
     runs = {}
-    for name in ("bump2d", "bump3d"):
+    for name in ("bump2d", "bump3d", "heated2d"):
         cfg = load_config(builtin_scenario(name))
         state = build_initial_state(cfg)
-        runs[name] = cfg, run(state, cfg.params, cfg.stepper, cfg.t_end)
+        collector = DiagnosticsCollector(cfg.params, initial_state=state)
+        traj = run(state, cfg.params, cfg.stepper, cfg.t_end,
+                   sources=build_sources(cfg), observers=[collector])
+        runs[name] = cfg, traj, collector.records
     return runs
 
 
@@ -120,8 +130,9 @@ def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
     """The implicit elasticity and the Gauss-Seidel sweep order leave the
     fixed point where it was: each accepted step solves the velocity system
     with only the viscosity implicit, and the heat system with the
-    coefficients frozen at the accepted temperature."""
-    cfg, traj = shipped_runs["bump2d"]
+    coefficients frozen at the accepted temperature, both with the strains
+    of the per-corner reference."""
+    cfg, traj, _ = shipped_runs["bump2d"]
     grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
     velocity_op = linear_step.velocity_matrix(
         grid, dt, params.lambda1, params.mu1)
@@ -142,7 +153,7 @@ def test_shipped_scenarios_sweep_and_cg_budgets(shipped_runs, name,
                                                 max_mean_sweeps):
     """Sweeps per step and CG iterations per sweep, read from the solve
     reports each trace keeps for every sweep."""
-    _, traj = shipped_runs[name]
+    _, traj, _ = shipped_runs[name]
     sweeps = [trace.iterations for trace in traj.traces]
     assert np.mean(sweeps) <= max_mean_sweeps
     for trace in traj.traces:
@@ -188,10 +199,11 @@ def test_step_takes_no_field_derivative(monkeypatch, shipped_runs):
     """A step on bump2d takes every strain and stress divergence from the
     stepper's maps: no np.gradient call.  The sweep calls its right-hand
     sides and heat matrix through ``linear_step``, once per sweep."""
-    cfg, traj = shipped_runs["bump2d"]
+    cfg, traj, _ = shipped_runs["bump2d"]
     stepper = Stepper(traj.grid, cfg.params, traj.config)
     calls = {}
-    for name in ("_deriv", "sym_gradient", "tensor_divergence"):
+    _counting(monkeypatch, [np], "gradient", calls)
+    for name in ("sym_gradient", "tensor_divergence"):
         _counting(monkeypatch, [grid_module], name, calls)
     for name in ("velocity_rhs", "heat_rhs_vector", "heat_matrix"):
         _counting(monkeypatch, [linear_step], name, calls)
@@ -206,7 +218,7 @@ def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
     """Every sweep's heat matrix is the stepper's one matrix: its index
     arrays and data are shared, and each rewritten ``data`` is bit-equal
     to a freshly built ``heat_matrix`` of that sweep's temperature."""
-    cfg, traj = shipped_runs["bump2d"]
+    cfg, traj, _ = shipped_runs["bump2d"]
     grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
     stepper = Stepper(grid, params, traj.config)
     fresh_heat_matrix = linear_step.heat_matrix
@@ -232,22 +244,28 @@ def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
 def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
         monkeypatch, grid2d, params):
     """A run whose t_end is not a multiple of dt builds the maps, Q2 and
-    the heat stiffness once; the final step rebuilds only the velocity
-    matrix, and Q2 keeps sharing its index arrays."""
+    the heat stiffness once, and its diagnostics build no matrix; the final
+    step rebuilds only the velocity matrix."""
     calls = {}
     _counting(monkeypatch, [grid_module, picard, linear_step], "navier_matrix",
               calls)
     _counting(monkeypatch, [grid_module, linear_step], "neumann_matrix", calls)
     _counting(monkeypatch, [picard], "strain_matrix", calls)
     _counting(monkeypatch, [picard], "divergence_matrix", calls)
+    _counting(monkeypatch, [grid_module], "_band_csr", calls)
     steppers = []
     _counting(monkeypatch, [linear_step], "velocity_matrix", calls,
               lambda args, op: steppers.append((args[1], op)))
-    traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.13)
+    state = bump_state(grid2d)
+    collector = DiagnosticsCollector(params, initial_state=state)
+    traj = run(state, params, StepperConfig(dt=0.05), 0.13,
+               observers=[collector])
     assert traj.states[-1].t == pytest.approx(0.13)
+    # five matrices are written from bands (the divergence map is the
+    # strain map's adjoint), and the diagnostics read the stepper's map
     assert calls == {"navier_matrix": 3, "neumann_matrix": 1,
                      "strain_matrix": 1, "divergence_matrix": 1,
-                     "velocity_matrix": 2}
+                     "velocity_matrix": 2, "_band_csr": 5}
     assert [dt for dt, _ in steppers] == pytest.approx([0.05, 0.03])
 
 
@@ -258,6 +276,7 @@ def test_with_dt_shares_the_elastic_values_on_the_new_pattern(grid2d):
     assert short.config.dt == 0.02 and stepper.config.dt == 0.05
     for name in ("strain", "divergence", "stiffness"):
         assert getattr(short, name) is getattr(stepper, name)
+    assert stepper.strain is grid_module.strain_matrix(grid2d)
     assert np.shares_memory(short.elastic.data, stepper.elastic.data)
     velocity = short.velocity_op.matrix
     assert np.shares_memory(short.elastic.indices, velocity.indices)
@@ -342,8 +361,6 @@ def test_run_records_source_extrema(grid2d, params):
 
 
 def test_energy_drift_halves_with_dt(params):
-    from kvsim.diagnostics import total_energy
-
     grid = make_grid(d=2, n=17)
     state = bump_state(grid)
     drift = {}
@@ -354,6 +371,68 @@ def test_energy_drift_halves_with_dt(params):
         drift[dt] = abs(e1 - e0) / abs(e0)
     ratio = drift[0.05] / drift[0.025]
     assert 1.4 <= ratio <= 2.6
+
+
+def test_energy_drift_has_no_floor():
+    """On the 17^2 bump to t = 0.1, halving dt from 6.25e-4 to 3.125e-4
+    halves the energy drift: all of it is the O(dt) dissipation of backward
+    Euler.  (With the np.gradient strains of the heat source and the
+    diagnostics, this ratio was 1.51: a floor of about 5e-5.)"""
+    params = default_params()
+    grid = make_grid(d=2, n=17)
+    state = bump_state(grid)
+    drift = []
+    for dt in (6.25e-4, 3.125e-4):
+        traj = run(state, params, StepperConfig(dt=dt), 0.1)
+        e0 = total_energy(traj.states[0], params)
+        drift.append(abs(total_energy(traj.states[-1], params) - e0) / e0)
+    assert drift[0] / drift[1] >= 1.9
+
+
+def _backward_euler_dissipation(grid, params, old, new):
+    """ND = 1/2 |dv|_W^2 + 1/2 du^T (-W Q2) du + 1/2 cv |dtheta|_W^2 of one
+    step, with the weights W of the trapezoid rule."""
+    pack = linear_step.pack_interior
+    weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
+    q2 = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
+    dv = pack(grid, new.v.data - old.v.data)
+    du = pack(grid, new.u.data - old.u.data)
+    d_theta = new.theta.data - old.theta.data
+    return 0.5 * (dv @ (weights * dv) - du @ (weights * (q2 @ du))
+                  + params.cv * np.sum(grid.quad_weights * d_theta**2))
+
+
+@pytest.mark.parametrize("name", ["bump2d", "bump3d", "heated2d"])
+def test_accepted_steps_balance_the_discrete_energy(shipped_runs, name):
+    """E_new - E_old - dt * work + ND = 0 at every step, with ND backward
+    Euler's dissipation, within PICARD_TOL * (1 + |E_new|); and the
+    ``energy_residual`` column is ND / (1 + |E_new|) within the same.
+
+    The identity is exact at the sweep's fixed point, where the heat
+    coefficient and both couplings are frozen at the accepted temperature.
+    A step is accepted once a sweep changes (v, theta) by PICARD_TOL times
+    the first sweep's change, so the frozen temperature misses the
+    accepted one by at most that; the defect is that miss times the step's
+    change of theta, weighted by cv, and the CG residuals (1e-12 relative)
+    add less.  Both stay far below PICARD_TOL times the energy scale
+    (measured: at most 6.4e-13 relative on these runs)."""
+    cfg, traj, records = shipped_runs[name]
+    grid, params = traj.grid, cfg.params
+    sources = build_sources(cfg)
+    for old, new, record in zip(traj.states, traj.states[1:], records[1:]):
+        dt = new.t - old.t
+        work = 0.0
+        if sources.b is not None:
+            work += integrate(ScalarField(
+                grid, np.sum(sources.b(new.t).data * new.v.data, axis=-1)))
+        if sources.g is not None:
+            work += integrate(sources.g(new.t))
+        energy = state_integrals(new, params).energy
+        change = energy - state_integrals(old, params).energy
+        dissipation = _backward_euler_dissipation(grid, params, old, new)
+        scale = 1.0 + abs(energy)
+        assert abs(change - dt * work + dissipation) <= PICARD_TOL * scale
+        assert abs(record.energy_residual - dissipation / scale) <= PICARD_TOL
 
 
 def test_run_on_anisotropic_grid(params):
