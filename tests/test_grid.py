@@ -522,10 +522,6 @@ def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
 # the corner strain and the compact operators: one summation-by-parts pair
 # ---------------------------------------------------------------------------
 
-def _pair(rng, grid):
-    return [random_boundary_zero_vector(grid, rng).data for _ in range(2)]
-
-
 @_OPERATOR_GRIDS
 def test_corner_form_is_the_navier_matrix(rng, nodes, lengths):
     """The per-corner elastic form sum_c w_c (A eps_c):eps_c is
@@ -535,7 +531,9 @@ def test_corner_form_is_the_navier_matrix(rng, nodes, lengths):
     weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
     for lam, mu in ((1.0, 1.0), (0.3, 1.7), (-0.5, 1.0), (2.0, 0.1)):
         q = navier_matrix(grid, lam, mu, box=slice(1, -1))
-        for u, v in (_pair(rng, grid) for _ in range(3)):
+        for _ in range(3):
+            u, v = (random_boundary_zero_vector(grid, rng).data
+                    for _ in range(2))
             forms = [np.sum(corner_sum(grid, corner_density(
                 corner_strain(grid, a), lam, mu))) for a in (u + v, u - v)]
             got = 0.25 * (forms[0] - forms[1])
