@@ -1,43 +1,44 @@
 """Scenario configuration, serialization, and the command-line interface.
 
 Scenario files are sectioned key-value text (INI syntax, ``#`` comments).
-Keys and their meanings::
+``_SCHEMA``, each key's type and default, is the key reference.  The keys
+and their meanings; an optional key shows its default (none if empty)::
 
     [grid]
-    dimension = 2            # 1, 2, or 3
-    nodes = 33 33            # nodes per axis, whole numbers >= 3
-    lengths = 1.0 1.0        # box edge lengths, positive
+    dimension = 2            # required: 1, 2, or 3
+    nodes = 33 33            # required: nodes per axis, whole numbers >= 3
+    lengths = 1.0 1.0        # required: box edge lengths, positive
 
     [material]
-    lambda1 = 1.0            # viscosity pair (lambda1, mu1)
-    mu1 = 1.0
-    lambda2 = 1.0            # Lame pair (lambda2, mu2)
-    mu2 = 1.0
-    k = 1.0                  # heat conductivity > 0
-    cv = 1.0                 # specific-heat coefficient > 0
-    alpha = 0.1              # thermal expansion: 1 value (isotropic) or 6
+    lambda1 = 1.0            # required: viscosity pair (lambda1, mu1)
+    mu1 = 1.0                # required
+    lambda2 = 1.0            # required: Lame pair (lambda2, mu2)
+    mu2 = 1.0                # required
+    k = 1.0                  # required: heat conductivity > 0
+    cv = 1.0                 # required: specific-heat coefficient > 0
+    alpha = 0.0              # thermal expansion: 1 value (isotropic) or 6
     beta = 1.0               # availability weight > 0
 
     [stepper]
-    dt = 0.02                # time step > 0
-    t_end = 1.0
+    dt = 0.02                # required: time step > 0
+    t_end = 1.0              # required: end time > 0
 
     [initial]
-    preset = bump            # uniform | bump | manufactured:<case> | checkpoint:<path>
-    theta0 = 1.0
-    velocity_amplitude = 0.2 # bump preset only
-    theta_amplitude = 0.1    # bump preset only
+    preset = uniform         # uniform | bump | manufactured:<case> | checkpoint:<path>
+    theta0 = 1.0             # base temperature
+    velocity_amplitude = 0.1 # bump preset only
+    theta_amplitude = 0.0    # bump preset only
 
     [sources]
     b = zero                 # zero | constant | manufactured:<case>
-    b_value = 0 0            # constant body force (d components)
-    g = zero
-    g_value = 0.0
+    b_value =                # constant body force, d components; none: zero
+    g = zero                 # zero | constant | manufactured:<case>
+    g_value = 0.0            # constant heat source
 
     [output]
-    csv = out/diagnostics.csv
+    csv =                    # diagnostics CSV path; none: no CSV
     snapshot_every = 0       # write VTK+checkpoint every N steps; 0 = never
-    snapshot_prefix = out/state
+    snapshot_prefix = state  # path prefix of the snapshot files
 
 Unknown sections or keys, non-finite numbers (inf, nan) and fractional
 node counts are rejected; validation reports every violation, not just the
@@ -58,9 +59,8 @@ import os
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 
@@ -92,31 +92,108 @@ CHECKPOINT_VERSION = 1
 # scenario configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InitialSpec:
-    preset: str = "uniform"
-    theta0: float = 1.0
-    velocity_amplitude: float = 0.1
-    theta_amplitude: float = 0.0
-    case: Optional[str] = None
-    checkpoint: Optional[str] = None
+# The types of the scenario keys: each turns a key's text into its value,
+# or raises ValueError with the message that reports it.
+
+def _number(raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
-@dataclass
-class SourcesSpec:
-    b_kind: str = "zero"
-    b_value: tuple = (0.0,)
-    b_case: Optional[str] = None
-    g_kind: str = "zero"
-    g_value: float = 0.0
-    g_case: Optional[str] = None
+def _integer(raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"not an integer: {raw!r}") from None
 
 
-@dataclass
-class OutputSpec:
-    csv: Optional[str] = None
-    snapshot_every: int = 0
-    snapshot_prefix: str = "state"
+def _numbers(raw):
+    try:
+        values = tuple(float(tok) for tok in raw.split())
+    except ValueError:
+        raise ValueError(f"not a list of numbers: {raw!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"not all finite numbers: {raw!r}")
+    return values
+
+
+def _alpha(raw):
+    values = _numbers(raw)
+    if len(values) not in (1, 6):
+        raise ValueError("expected 1 or 6 values")
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _kind(name, **takes_arg):
+    """The type of a ``kind[:arg]`` text, kept whole for its user to split;
+    ``takes_arg`` tells of each kind whether it takes the argument."""
+    def parse(raw):
+        kind, colon, arg = raw.partition(":")
+        if takes_arg.get(kind) != bool(colon):
+            raise ValueError(f"unknown {name} {raw!r}")
+        if kind == "manufactured" and arg not in mms.CASES:
+            raise ValueError(f"unknown manufactured case {arg!r}; "
+                             f"available: {sorted(mms.CASES)}")
+        return raw
+    return parse
+
+
+_source = _kind("source kind", zero=False, constant=False, manufactured=True)
+
+_REQUIRED = object()  # the default of a key that must be set
+
+# section -> key -> (type, default)
+_SCHEMA = {
+    "grid": {
+        "dimension": (_integer, _REQUIRED),
+        "nodes": (_numbers, _REQUIRED),
+        "lengths": (_numbers, _REQUIRED),
+    },
+    "material": {
+        **dict.fromkeys(("lambda1", "mu1", "lambda2", "mu2", "k", "cv"),
+                        (_number, _REQUIRED)),
+        "alpha": (_alpha, 0.0),
+        "beta": (_number, 1.0),
+    },
+    "stepper": {"dt": (_number, _REQUIRED), "t_end": (_number, _REQUIRED)},
+    "initial": {
+        "preset": (_kind("preset", uniform=False, bump=False,
+                         manufactured=True, checkpoint=True), "uniform"),
+        "theta0": (_number, 1.0),
+        "velocity_amplitude": (_number, 0.1),
+        "theta_amplitude": (_number, 0.0),
+    },
+    "sources": {
+        "b": (_source, "zero"),
+        "b_value": (_numbers, None),
+        "g": (_source, "zero"),
+        "g_value": (_number, 0.0),
+    },
+    "output": {
+        "csv": (str, None),
+        "snapshot_every": (_integer, 0),
+        "snapshot_prefix": (str, "state"),
+    },
+}
+
+
+def _spec(name, section):
+    """A dataclass whose fields are the keys of ``section``."""
+    return make_dataclass(
+        name, [(key, object, field(default=default))
+               for key, (_, default) in _SCHEMA[section].items()],
+        namespace={"__module__": __name__},
+    )
+
+
+InitialSpec = _spec("InitialSpec", "initial")
+SourcesSpec = _spec("SourcesSpec", "sources")
+OutputSpec = _spec("OutputSpec", "output")
 
 
 @dataclass
@@ -130,95 +207,39 @@ class ScenarioConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
-_KNOWN_KEYS = {
-    "grid": {"dimension", "nodes", "lengths"},
-    "material": {"lambda1", "mu1", "lambda2", "mu2", "k", "cv", "alpha", "beta"},
-    "stepper": {"dt", "t_end"},
-    "initial": {"preset", "theta0", "velocity_amplitude", "theta_amplitude"},
-    "sources": {"b", "b_value", "g", "g_value"},
-    "output": {"csv", "snapshot_every", "snapshot_prefix"},
-}
-
-
-class _Parsed:
-    """Tracks raw values and accumulates violations with key paths."""
-
-    def __init__(self, parser):
-        self.parser = parser
-        self.violations = []
-
-    def complain(self, key, message):
-        self.violations.append(f"{key}: {message}")
-
-    def get(self, section, key, default=None, required=False):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        if required:
-            self.complain(f"{section}.{key}", "required key is missing")
-        return default
-
-    def get_float(self, section, key, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            self.complain(f"{section}.{key}", f"not a number: {raw!r}")
-            return None
-        if not math.isfinite(value):
-            self.complain(f"{section}.{key}", f"not a finite number: {raw!r}")
-            return None
-        return value
-
-    def get_int(self, section, key, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            self.complain(f"{section}.{key}", f"not an integer: {raw!r}")
-            return None
-
-    def get_floats(self, section, key, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return None
-        try:
-            values = tuple(float(tok) for tok in raw.split())
-        except ValueError:
-            self.complain(f"{section}.{key}", f"not a list of numbers: {raw!r}")
-            return None
-        if not all(math.isfinite(v) for v in values):
-            self.complain(f"{section}.{key}", f"not all finite numbers: {raw!r}")
-            return None
-        return values
-
-    def present(self, section, getters):
-        """The valid values of the keys of ``section`` that are set, keyed
-        by name; the dataclass that takes them holds every default."""
-        values = {key: get(section, key) for key, get in getters.items()}
-        return {key: v for key, v in values.items() if v is not None}
+def _section(parser, section, violations):
+    """The values of the keys of ``section`` by name, each parsed by its
+    type or, unset, its default.  A key that does not parse, or is required
+    and unset, is reported; only an optional one then takes its default."""
+    values = {}
+    for key, (parse, default) in _SCHEMA[section].items():
+        if default is not _REQUIRED:
+            values[key] = default
+        if parser.has_option(section, key):
+            try:
+                values[key] = parse(parser.get(section, key))
+            except ValueError as exc:
+                violations.append(f"{section}.{key}: {exc}")
+        elif default is _REQUIRED:
+            violations.append(f"{section}.{key}: required key is missing")
+    return values
 
 
 def load_config(path):
     """Parse and fully validate a scenario file.
 
     Raises :class:`ConfigError` carrying every violation found (syntax
-    errors carry line information from the parser).
+    errors carry line information from the parser).  A check across keys
+    runs only when the keys it reads parsed.
     """
-    if hasattr(path, "read_text"):
-        try:
+    try:
+        if hasattr(path, "read_text"):
             text = path.read_text()
-        except FileNotFoundError:
-            raise ConfigError([f"config file not found: {path}"]) from None
-    else:
-        try:
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except FileNotFoundError:
-            raise ConfigError([f"config file not found: {path}"]) from None
+    except FileNotFoundError:
+        raise ConfigError([f"config file not found: {path}"]) from None
 
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
@@ -228,143 +249,84 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError([f"parse error: {exc}"]) from None
 
-    parsed = _Parsed(parser)
+    violations = []
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            parsed.complain(section, "unknown section")
+        if section not in _SCHEMA:
+            violations.append(f"{section}: unknown section")
             continue
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                parsed.complain(f"{section}.{key}", "unknown key")
-    for section in ("grid", "material", "stepper"):
-        if not parser.has_section(section):
-            parsed.complain(section, "required section is missing")
-    if parsed.violations:
-        raise ConfigError(parsed.violations)
+            if key not in _SCHEMA[section]:
+                violations.append(f"{section}.{key}: unknown key")
+    for section, keys in _SCHEMA.items():
+        required = any(default is _REQUIRED for _, default in keys.values())
+        if required and not parser.has_section(section):
+            violations.append(f"{section}: required section is missing")
+    if violations:
+        raise ConfigError(violations)
 
-    # grid
-    dimension = parsed.get_int("grid", "dimension", required=True)
-    nodes = parsed.get_floats("grid", "nodes", required=True)
-    lengths = parsed.get_floats("grid", "lengths", required=True)
+    # grid: every key is required, and each check reads them all
+    keys = _section(parser, "grid", violations)
+    dimension = keys.get("dimension")
     grid = None
-    if not parsed.violations:
-        if nodes is not None and dimension is not None and len(nodes) != dimension:
-            parsed.complain("grid.nodes", f"expected {dimension} values")
-        if nodes is not None and not all(n.is_integer() for n in nodes):
-            raw = parsed.get("grid", "nodes")
-            parsed.complain("grid.nodes", f"not whole numbers: {raw!r}")
-        if lengths is not None and dimension is not None and len(lengths) != dimension:
-            parsed.complain("grid.lengths", f"expected {dimension} values")
-        if not parsed.violations:
+    if len(keys) == len(_SCHEMA["grid"]):
+        nodes, lengths = keys["nodes"], keys["lengths"]
+        before = len(violations)
+        if len(nodes) != dimension:
+            violations.append(f"grid.nodes: expected {dimension} values")
+        if not all(n.is_integer() for n in nodes):
+            raw = parser.get("grid", "nodes")
+            violations.append(f"grid.nodes: not whole numbers: {raw!r}")
+        if len(lengths) != dimension:
+            violations.append(f"grid.lengths: expected {dimension} values")
+        if len(violations) == before:
             try:
                 grid = Grid([int(n) for n in nodes], lengths)
             except UsageError as exc:
-                parsed.complain("grid", str(exc))
+                violations.append(f"grid: {exc}")
 
-    # material
-    material_kwargs = {}
-    for key in ("lambda1", "mu1", "lambda2", "mu2", "k", "cv"):
-        material_kwargs[key] = parsed.get_float("material", key, required=True)
-    alpha = parsed.get_floats("material", "alpha")
-    if alpha is not None and len(alpha) not in (1, 6):
-        parsed.complain("material.alpha", "expected 1 or 6 values")
-    elif alpha is not None:
-        material_kwargs["alpha"] = alpha[0] if len(alpha) == 1 else np.array(alpha)
-    material_kwargs.update(parsed.present("material", {"beta": parsed.get_float}))
+    # material: checked once its required keys parsed
+    keys = _section(parser, "material", violations)
     params = None
-    if all(v is not None for v in material_kwargs.values()):
+    if len(keys) == len(_SCHEMA["material"]):
         try:
-            params = MaterialParams(**material_kwargs)
+            params = MaterialParams(**keys)
         except UsageError as exc:
-            for violation in str(exc).split("; "):
-                parsed.complain("material", violation)
+            violations += [f"material: {v}" for v in str(exc).split("; ")]
 
-    # stepper
-    dt = parsed.get_float("stepper", "dt", required=True)
-    t_end = parsed.get_float("stepper", "t_end", required=True)
+    keys = _section(parser, "stepper", violations)
+    t_end = keys.get("t_end")
     stepper = None
-    if dt is not None:
+    if "dt" in keys:
         try:
-            stepper = StepperConfig(dt=dt)
+            stepper = StepperConfig(dt=keys["dt"])
         except UsageError as exc:
-            for violation in str(exc).split("; "):
-                parsed.complain("stepper", violation)
+            violations += [f"stepper: {v}" for v in str(exc).split("; ")]
     if t_end is not None and t_end <= 0.0:
-        parsed.complain("stepper.t_end", f"t_end = {t_end} must be positive")
+        violations.append(f"stepper.t_end: t_end = {t_end} must be positive")
 
-    # initial
-    before = len(parsed.violations)
-    initial = InitialSpec(**parsed.present("initial", {
-        "theta0": parsed.get_float,
-        "velocity_amplitude": parsed.get_float,
-        "theta_amplitude": parsed.get_float,
-    }))
-    preset = parsed.get("initial", "preset", default=initial.preset)
-    if preset in ("uniform", "bump"):
-        initial.preset = preset
-        theta0 = initial.theta0
-        amp = initial.theta_amplitude if preset == "bump" else 0.0
-        # a number that failed to parse has already been reported
-        if len(parsed.violations) == before and theta0 - abs(amp) <= 0.0:
-            parsed.complain(
-                "initial.theta0",
-                f"initial temperature can reach {theta0 - abs(amp)}; it must "
-                f"stay positive (theta0 >= theta_underbar > 0)",
+    # initial: the temperature is checked once every [initial] key parsed
+    before = len(violations)
+    initial = InitialSpec(**_section(parser, "initial", violations))
+    if len(violations) == before and initial.preset in ("uniform", "bump"):
+        amp = initial.theta_amplitude if initial.preset == "bump" else 0.0
+        if initial.theta0 - abs(amp) <= 0.0:
+            violations.append(
+                f"initial.theta0: initial temperature can reach "
+                f"{initial.theta0 - abs(amp)}; it must stay positive "
+                f"(theta0 >= theta_underbar > 0)"
             )
-    elif preset.startswith("manufactured:"):
-        initial.preset = "manufactured"
-        initial.case = preset.split(":", 1)[1]
-        if initial.case not in mms.CASES:
-            parsed.complain(
-                "initial.preset",
-                f"unknown manufactured case {initial.case!r}; "
-                f"available: {sorted(mms.CASES)}",
-            )
-    elif preset.startswith("checkpoint:"):
-        initial.preset = "checkpoint"
-        initial.checkpoint = preset.split(":", 1)[1]
-    else:
-        parsed.complain("initial.preset", f"unknown preset {preset!r}")
 
-    # sources
-    sources = SourcesSpec(
-        **parsed.present("sources", {"g_value": parsed.get_float}))
-    for slot in ("b", "g"):
-        kind = parsed.get("sources", slot,
-                          default=getattr(sources, f"{slot}_kind"))
-        if kind == "zero" or kind == "constant":
-            setattr(sources, f"{slot}_kind", kind)
-        elif kind.startswith("manufactured:"):
-            setattr(sources, f"{slot}_kind", "manufactured")
-            case = kind.split(":", 1)[1]
-            setattr(sources, f"{slot}_case", case)
-            if case not in mms.CASES:
-                parsed.complain(
-                    f"sources.{slot}",
-                    f"unknown manufactured case {case!r}; "
-                    f"available: {sorted(mms.CASES)}",
-                )
-        else:
-            parsed.complain(f"sources.{slot}", f"unknown source kind {kind!r}")
-    b_value = parsed.get_floats("sources", "b_value")
-    if b_value is not None:
-        if dimension is not None and len(b_value) != dimension:
-            parsed.complain("sources.b_value", f"expected {dimension} values")
-        sources.b_value = b_value
-    elif dimension is not None:
-        sources.b_value = (0.0,) * dimension
+    sources = SourcesSpec(**_section(parser, "sources", violations))
+    b_value = sources.b_value
+    if b_value is not None and dimension is not None and len(b_value) != dimension:
+        violations.append(f"sources.b_value: expected {dimension} values")
 
-    # output
-    output = OutputSpec(**parsed.present("output", {
-        "csv": parsed.get,
-        "snapshot_every": parsed.get_int,
-        "snapshot_prefix": parsed.get,
-    }))
+    output = OutputSpec(**_section(parser, "output", violations))
     if output.snapshot_every < 0:
-        parsed.complain("output.snapshot_every", "must be >= 0")
+        violations.append("output.snapshot_every: must be >= 0")
 
-    if parsed.violations:
-        raise ConfigError(parsed.violations)
+    if violations:
+        raise ConfigError(violations)
     return ScenarioConfig(
         grid=grid, params=params, stepper=stepper, t_end=t_end,
         initial=initial, sources=sources, output=output,
@@ -406,9 +368,10 @@ def _cos_profile(grid):
 def build_initial_state(config):
     """Materialize the configured initial condition on the scenario grid."""
     grid, spec = config.grid, config.initial
-    if spec.preset == "uniform":
+    kind, _, arg = spec.preset.partition(":")
+    if kind == "uniform":
         return SimState.rest(grid, theta0=spec.theta0)
-    if spec.preset == "bump":
+    if kind == "bump":
         profile = _sin_profile(grid)
         v = np.zeros(grid.shape + (grid.d,))
         for i in range(grid.d):
@@ -420,12 +383,12 @@ def build_initial_state(config):
             v=VectorField(grid, v),
             theta=ScalarField(grid, theta),
         ).validate()
-    if spec.preset == "manufactured":
-        case = mms.get_case(spec.case, grid.d, grid.lengths)
+    if kind == "manufactured":
+        case = mms.get_case(arg, grid.d, grid.lengths)
         problem = mms.manufacture(case, grid, config.params)
         return problem.initial_state()
-    if spec.preset == "checkpoint":
-        state, ck_grid = load_checkpoint(spec.checkpoint)
+    if kind == "checkpoint":
+        state, ck_grid = load_checkpoint(arg)
         if ck_grid != grid:
             raise UsageError(
                 f"checkpoint grid {ck_grid} does not match scenario grid {grid}"
@@ -439,23 +402,21 @@ def build_sources(config):
     grid, spec = config.grid, config.sources
     problems = {}
 
-    def _problem(case_name):
-        if case_name not in problems:
-            case = mms.get_case(case_name, grid.d, grid.lengths)
-            problems[case_name] = mms.manufacture(case, grid, config.params)
-        return problems[case_name]
+    def source(value, constant, manufactured):
+        """The ``b`` or ``g`` source that ``value`` names; None for zero."""
+        kind, _, case = value.partition(":")
+        if kind == "manufactured":
+            if case not in problems:
+                problems[case] = mms.manufacture(
+                    mms.get_case(case, grid.d, grid.lengths), grid,
+                    config.params)
+            return getattr(problems[case], manufactured)
+        return constant if kind == "constant" else None
 
-    b_fn = None
-    if spec.b_kind == "constant":
-        b_fn = Sources.constant(grid, b_value=spec.b_value).b
-    elif spec.b_kind == "manufactured":
-        b_fn = _problem(spec.b_case).body_force
-    g_fn = None
-    if spec.g_kind == "constant":
-        g_fn = Sources.constant(grid, g_value=spec.g_value).g
-    elif spec.g_kind == "manufactured":
-        g_fn = _problem(spec.g_case).heat_source
-    return Sources(b=b_fn, g=g_fn)
+    constant = Sources.constant(grid, b_value=spec.b_value,
+                                g_value=spec.g_value)
+    return Sources(b=source(spec.b, constant.b, "body_force"),
+                   g=source(spec.g, constant.g, "heat_source"))
 
 
 def perturb_state(state, field_name, delta):
@@ -632,28 +593,22 @@ def load_checkpoint(path):
 # commands
 # ---------------------------------------------------------------------------
 
-class _SnapshotWriter:
-    def __init__(self, every, prefix):
-        self.every = every
-        self.prefix = prefix
-
-    def __call__(self, event):
-        step = event.index + 1
-        if self.every > 0 and step % self.every == 0:
-            write_vtk_snapshot(event.state_new, f"{self.prefix}{step:06d}.vtk")
-            save_checkpoint(event.state_new, f"{self.prefix}{step:06d}.ckpt")
-
-
 def cmd_run(args):
     config = load_config(args.config)
     state = build_initial_state(config)
     sources = build_sources(config)
     collector = DiagnosticsCollector(config.params, initial_state=state)
-    observers = [collector,
-                 _SnapshotWriter(config.output.snapshot_every,
-                                 config.output.snapshot_prefix)]
+    every = config.output.snapshot_every
+
+    def snapshot(event):
+        step = event.index + 1
+        if every > 0 and step % every == 0:
+            prefix = f"{config.output.snapshot_prefix}{step:06d}"
+            write_vtk_snapshot(event.state_new, prefix + ".vtk")
+            save_checkpoint(event.state_new, prefix + ".ckpt")
+
     traj = run(state, config.params, config.stepper, config.t_end,
-               sources=sources, observers=observers)
+               sources=sources, observers=[collector, snapshot])
     if config.output.csv:
         write_diagnostics_csv(collector.records, config.output.csv)
     last = collector.records[-1]
@@ -738,12 +693,9 @@ def _load_trajectory_states(pattern):
             f"found {len(paths)} matching {pattern!r}"
         )
     states = []
-    grid = None
     for p in paths:
-        state, g = load_checkpoint(p)
-        if grid is None:
-            grid = g
-        elif g != grid:
+        state, grid = load_checkpoint(p)
+        if states and grid != states[0].grid:
             raise UsageError(f"checkpoint {p} is on a different grid")
         states.append(state)
     states.sort(key=lambda s: s.t)

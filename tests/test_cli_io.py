@@ -76,7 +76,7 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     assert cfg.params.beta == 1.0
     assert cfg.initial.preset == "uniform"
     assert cfg.initial.theta0 == 1.0
-    assert cfg.sources.b_kind == "zero" and cfg.sources.g_kind == "zero"
+    assert cfg.sources.b == "zero" and cfg.sources.g == "zero"
     assert cfg.output.snapshot_every == 0
 
 
@@ -115,16 +115,43 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
 
 def test_documented_keys_are_the_accepted_keys():
     """The key list of the module docstring is the schema the parser
-    enforces, section by section."""
+    enforces, section by section and in its order: a required key is
+    marked required, and an optional key shows its default (an empty value
+    documents None)."""
     documented = {}
     for line in cli_io.__doc__.splitlines():
         section = re.fullmatch(r" {4}\[(\w+)\]", line)
-        key = re.match(r" {4}(\w+) = ", line)
+        key = re.fullmatch(r" {4}(\w+) =(.*?)#(.*)", line)
         if section:
-            current = documented.setdefault(section.group(1), set())
+            current = documented.setdefault(section.group(1), {})
         elif key:
-            current.add(key.group(1))
-    assert documented == cli_io._KNOWN_KEYS
+            current[key.group(1)] = (key.group(2).strip(), key.group(3))
+    assert ({s: list(keys) for s, keys in documented.items()}
+            == {s: list(keys) for s, keys in cli_io._SCHEMA.items()})
+    for section, keys in cli_io._SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            value, comment = documented[section][key]
+            required = comment.strip().startswith("required")
+            assert required == (default is cli_io._REQUIRED), (section, key)
+            if not required:
+                assert (parse(value) if value else None) == default, key
+
+
+@pytest.mark.parametrize("text,expected", [
+    (MINIMAL.replace("nodes = 9 9", "nodes = 9").replace("mu1 = 1.0",
+                                                         "mu1 = abc"),
+     ["grid.nodes: expected 2 values", "material.mu1: not a number: 'abc'"]),
+    (MINIMAL + "\n[initial]\npreset = bump\ntheta0 = abc\n"
+               "theta_amplitude = 2\n",
+     ["initial.theta0: not a number: 'abc'"]),
+], ids=["grid-checked-despite-material", "theta-unchecked-when-unparsed"])
+def test_config_skips_a_check_only_when_a_key_it_reads_failed(
+        tmp_path, text, expected):
+    """A failed key elsewhere does not stop the grid's checks; a failed
+    theta0 stops the initial-temperature check that reads it."""
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_cfg(tmp_path, text))
+    assert excinfo.value.violations == expected
 
 
 def test_config_reports_every_violation_at_once(tmp_path):
