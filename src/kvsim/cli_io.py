@@ -112,6 +112,13 @@ def _integer(raw):
         raise ValueError(f"not an integer: {raw!r}") from None
 
 
+def _dimension(raw):
+    value = _integer(raw)
+    if value not in (1, 2, 3):
+        raise ValueError(f"must be 1, 2, or 3, got {value}")
+    return value
+
+
 def _numbers(raw):
     try:
         values = tuple(float(tok) for tok in raw.split())
@@ -150,7 +157,7 @@ _REQUIRED = object()  # the default of a key that must be set
 # section -> key -> (type, default)
 _SCHEMA = {
     "grid": {
-        "dimension": (_integer, _REQUIRED),
+        "dimension": (_dimension, _REQUIRED),
         "nodes": (_numbers, _REQUIRED),
         "lengths": (_numbers, _REQUIRED),
     },

@@ -67,10 +67,17 @@ class Grid:
             raise UsageError(f"need at least 3 nodes per axis, got {nodes}")
         if not all(0.0 < c < math.inf for c in lengths):
             raise UsageError(f"box lengths must be positive and finite, got {lengths}")
+        # a vector field over the nodes must fit in one numpy array
+        if math.prod(nodes) * len(nodes) > np.iinfo(np.intp).max // 8:
+            raise UsageError(f"nodes {nodes} are more than numpy can index")
+        self.h = tuple(c / (n - 1) for c, n in zip(lengths, nodes))
+        for h in self.h:
+            if not (h * h > 0.0 and math.isfinite(1.0 / (h * h))):
+                raise UsageError(f"grid spacing {h} is too small: 1/h^2 is "
+                                 f"not finite, got lengths {lengths}")
         self.d = len(nodes)
         self.n = nodes
         self.lengths = lengths
-        self.h = tuple(c / (n - 1) for c, n in zip(lengths, nodes))
         self.shape = nodes
         self.num_nodes = int(np.prod(nodes))
         # the nodes off the boundary, where the velocity unknowns live

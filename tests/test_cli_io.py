@@ -477,6 +477,25 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, edit):
     assert f"{key}: not" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,violation", [
+    ("lengths = 1.0 1.0", "lengths = 1e-300 1.0", "grid: grid spacing"),
+    ("lengths = 1.0 1.0", "lengths = 1e-160 1.0", "grid: grid spacing"),
+    ("nodes = 9 9", "nodes = 1e30 9", "grid: nodes (1000000000000000019884624838656, 9)"),
+    ("dimension = 2", "dimension = 0",
+     "grid.dimension: must be 1, 2, or 3, got 0"),
+])
+def test_cli_rejects_grids_it_cannot_build(tmp_path, capsys, old, new,
+                                           violation):
+    """A grid whose 1/h^2 is not finite, whose node count numpy cannot
+    index, or whose dimension is 0 is a configuration error (exit 2) that
+    names the grid, reported alone."""
+    cfg = write_cfg(tmp_path, MINIMAL.replace(old, new))
+    assert main(["run", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "configuration error:"
+    assert len(lines) == 2 and lines[1].startswith(f"  {violation}")
+
+
 def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # a 9x9 bump this fast does not contract within the sweep cap at dt 0.05
