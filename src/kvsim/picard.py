@@ -366,6 +366,9 @@ class Trajectory:
 def run(initial, params, config, t_end, sources=None, observers=()):
     """Advance ``initial`` to ``t_end`` by repeated Picard steps.
 
+    Step k (from 0) evaluates the sources at, and its state is at,
+    ``initial.t + (k + 1) * dt``; the last step's at exactly ``t_end``,
+    with a final step of its own length when dt does not divide the span.
     Observers are invoked with a :class:`StepEvent` after every accepted
     step.  Fails fast on any step error.  Returns the trajectory (all
     states, including the initial one).
@@ -388,13 +391,14 @@ def run(initial, params, config, t_end, sources=None, observers=()):
     state = initial
     for k in range(n_steps):
         t_new = initial.t + (k + 1) * config.dt
-        if t_new > t_end + 1e-12 * max(1.0, abs(t_end)):
-            # shortened final step to land exactly on t_end
-            stepper = stepper.with_dt(t_end - state.t)
+        if k == n_steps - 1:
+            if abs(t_new - t_end) > 1e-12 * max(1.0, abs(t_end)):
+                stepper = stepper.with_dt(t_end - state.t)
             t_new = t_end
         b_field = sources.b(t_new) if sources.b is not None else None
         g_field = sources.g(t_new) if sources.g is not None else None
         new_state, trace = stepper.step(state, b=b_field, g=g_field)
+        new_state.t = t_new  # not state.t + dt, which drifts by round-off
         traj.states.append(new_state)
         traj.traces.append(trace)
         traj.b_max_abs.append(

@@ -14,6 +14,7 @@ from kvsim import (
     Stepper,
     StepperConfig,
     UsageError,
+    VectorField,
     run,
 )
 from kvsim import grid as grid_module, linear_step, picard
@@ -344,6 +345,32 @@ def test_run_shortened_final_step(grid2d, params):
     traj = run(SimState.rest(grid2d), params, StepperConfig(dt=0.05), 0.13)
     assert traj.states[-1].t == pytest.approx(0.13)
     assert len(traj.traces) == 3
+
+
+@pytest.mark.parametrize("dt,t_end", [(0.02, 1.0), (0.0125, 0.25),
+                                      (0.03, 1.0), (0.05, 0.13)])
+def test_run_states_are_at_their_source_times(params, dt, t_end):
+    """Each accepted state is at the time its sources were evaluated at,
+    k * dt on the ladder and exactly t_end at the end: adding dt step by
+    step used to end 50 steps of 0.02 at 1.0000000000000004 and put a state
+    up to 6.7e-16 away from its sources' time."""
+    grid = make_grid(d=2, n=5)
+    b_times, g_times = [], []
+
+    def b(t):
+        b_times.append(t)
+        return VectorField.zeros(grid)
+
+    def g(t):
+        g_times.append(t)
+        return ScalarField.constant(grid, 0.0)
+
+    traj = run(SimState.rest(grid), params, StepperConfig(dt=dt), t_end,
+               sources=Sources(b=b, g=g))
+    times = [s.t for s in traj.states[1:]]
+    assert times == b_times == g_times
+    assert times[:-1] == [k * dt for k in range(1, len(times))]
+    assert times[-1] == t_end
 
 
 def test_run_rejects_bad_horizon(grid2d, params):
