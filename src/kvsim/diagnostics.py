@@ -138,8 +138,9 @@ class StepBalances(NamedTuple):
     energy_residual: float  # of E_new - E_old - dt * integral(b . u_t_new + g)
     production: float  # dt * integral(sigma)
     entropy_residual: float  # of S_new - S_old - production - dt * int(g/theta)
-    # defect of integral(eta_t + div(q/theta) - g/theta - sigma); the
-    # inequality form holds within it because sigma >= 0 is kept explicit
+    # the same defect per unit time: that of integral(eta_t + div(q/theta)
+    # - g/theta - sigma), whose flux term integrates to zero; the inequality
+    # form holds within it because sigma >= 0 is kept explicit
     clausius_duhem_defect: float
 
 
@@ -180,19 +181,16 @@ def step_balances(state_old, state_new, b, g, dt, params):
     # function 1 has no corner gradient.  So the defect holds no flux term.
     energy_defect = new.energy - old.energy - dt * work
     production = dt * sigma_integral
-    entropy_change = new.entropy - old.entropy
+    entropy_defect = abs(
+        new.entropy - old.entropy - production - dt * source_integral)
     return StepBalances(
         new=new,
         strain_rate=rate,
         sigma=sigma,
         energy_residual=abs(energy_defect) / (1.0 + abs(new.energy)),
         production=production,
-        entropy_residual=abs(
-            entropy_change - production - dt * source_integral
-        ) / (1.0 + abs(new.entropy)),
-        clausius_duhem_defect=abs(
-            entropy_change / dt - source_integral - sigma_integral
-        ),
+        entropy_residual=entropy_defect / (1.0 + abs(new.entropy)),
+        clausius_duhem_defect=entropy_defect / dt,
     )
 
 
