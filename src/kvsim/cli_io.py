@@ -25,25 +25,26 @@ and their meanings; an optional key shows its default (none if empty)::
 
     [initial]
     preset = uniform         # uniform | bump | manufactured:<case> | checkpoint:<path>
-    theta0 = 1.0             # base temperature
-    velocity_amplitude = 0.1 # bump preset only
-    theta_amplitude = 0.0    # bump preset only
+    theta0 = 1.0             # uniform and bump only: base temperature
+    velocity_amplitude = 0.1 # bump only
+    theta_amplitude = 0.0    # bump only
 
     [sources]
     b = zero                 # zero | constant | manufactured:<case>
-    b_value =                # constant body force, d components; none: zero
+    b_value =                # b = constant only: d components; none: zero
     g = zero                 # zero | constant | manufactured:<case>
-    g_value = 0.0            # constant heat source
+    g_value = 0.0            # g = constant only: the heat source
 
     [output]
     csv =                    # diagnostics CSV path; none: no CSV
     snapshot_every = 0       # write VTK+checkpoint every N steps; 0 = never
     snapshot_prefix = state  # path prefix of the snapshot files
 
-Unknown sections or keys, non-finite numbers (inf, nan) and fractional
-node counts are rejected; validation reports every violation, not just the
-first.  All floating-point CSV output uses 17 significant digits so reruns
-diff bytewise.
+Keys that the chosen kind does not read (the comments above name the
+kinds that read them), unknown sections or keys, non-finite numbers (inf,
+nan) and fractional node counts are rejected; validation reports every
+violation, not just the first.  All floating-point CSV output uses 17
+significant digits so reruns diff bytewise.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -189,6 +190,16 @@ _SCHEMA = {
 }
 
 
+# key -> (the kind key of its section, the kinds that read the key)
+_READ_BY = {
+    "theta0": ("preset", ("uniform", "bump")),
+    "velocity_amplitude": ("preset", ("bump",)),
+    "theta_amplitude": ("preset", ("bump",)),
+    "b_value": ("b", ("constant",)),
+    "g_value": ("g", ("constant",)),
+}
+
+
 def _spec(name, section):
     """A dataclass whose fields are the keys of ``section``."""
     return make_dataclass(
@@ -217,8 +228,10 @@ class ScenarioConfig:
 def _section(parser, section, violations):
     """The values of the keys of ``section`` by name, each parsed by its
     type or, unset, its default.  A key that does not parse, or is required
-    and unset, is reported; only an optional one then takes its default."""
+    and unset, is reported; only an optional one then takes its default.
+    So is a key set under a parsed kind that does not read it."""
     values = {}
+    failed = set()
     for key, (parse, default) in _SCHEMA[section].items():
         if default is not _REQUIRED:
             values[key] = default
@@ -227,8 +240,16 @@ def _section(parser, section, violations):
                 values[key] = parse(parser.get(section, key))
             except ValueError as exc:
                 violations.append(f"{section}.{key}: {exc}")
+                failed.add(key)
         elif default is _REQUIRED:
             violations.append(f"{section}.{key}: required key is missing")
+    for key in filter(_READ_BY.__contains__, _SCHEMA[section]):
+        kind_key, readers = _READ_BY[key]
+        kind = values[kind_key].partition(":")[0]
+        if (parser.has_option(section, key) and kind_key not in failed
+                and kind not in readers):
+            violations.append(
+                f"{section}.{key}: not read when {kind_key} = {kind}")
     return values
 
 

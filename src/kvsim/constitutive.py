@@ -136,7 +136,7 @@ class MaterialParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = np.array(self.alpha, dtype=float)
         if alpha.ndim == 0:
             alpha = float(alpha) * IDENTITY_6
         elif alpha.shape == (3, 3):
@@ -146,6 +146,7 @@ class MaterialParams:
                 f"alpha must be a scalar, a 6-vector, or a symmetric 3x3 matrix, "
                 f"got shape {alpha.shape}"
             )
+        alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
         violations = []
@@ -157,14 +158,18 @@ class MaterialParams:
                 violations.append(f"{name} = {value} must be positive")
         if violations:
             raise UsageError("; ".join(violations))
+        coupling = apply_isotropic(self.lambda2, self.mu2, alpha)
+        coupling.setflags(write=False)
+        object.__setattr__(self, "_thermal_coupling", coupling)
 
     def viscosity_bounds(self):
         return coercivity_bounds(self.lambda1, self.mu1)
 
     def thermal_coupling(self):
         """The constant stress-temperature coupling tensor (elastic tensor
-        applied to the thermal expansion), in 6-component storage."""
-        return apply_isotropic(self.lambda2, self.mu2, self.alpha)
+        applied to the thermal expansion), in 6-component storage: computed
+        once per material, read-only like ``alpha``."""
+        return self._thermal_coupling
 
 
 def stress(eps, eps_t, theta, params):

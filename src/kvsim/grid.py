@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .constitutive import COMPONENT_OF, DDOT_WEIGHTS, ddot
+from .constitutive import COMPONENT_OF, DDOT_WEIGHTS
 from .errors import UsageError
 
 
@@ -620,8 +620,8 @@ def l2_norm(grid, data):
     """L2 norm sqrt(integrate(|data|^2)) of raw node data.
 
     Vector data (one trailing axis more than the grid) sums its squared
-    components pointwise before the quadrature.  Picard's stopping rule and
-    the MMS error ladder use this arithmetic; ``lp_norm(field, 2)`` takes a
+    components pointwise before the quadrature.  Picard's temperature
+    difference and the MMS error ladder use this arithmetic; ``lp_norm(field, 2)`` takes a
     power instead of a square root and may differ in the last bit.
     """
     sq = data**2
@@ -633,8 +633,3 @@ def l2_norm(grid, data):
 def magnitude(field):
     """Pointwise Euclidean magnitude of a vector field, as a scalar field."""
     return ScalarField(field.grid, np.sqrt(np.sum(field.data**2, axis=-1)))
-
-
-def tensor_magnitude(field):
-    """Pointwise Frobenius norm of a symmetric tensor field."""
-    return ScalarField(field.grid, np.sqrt(ddot(field.data, field.data)))

@@ -27,9 +27,10 @@ of :mod:`kvsim.diagnostics`, work the source work at the new time, and ND
 theta_old|_W^2 the dissipation of backward Euler (W the trapezoid weights,
 du = u_new - u_old).
 
-Iterates are :class:`SimState` objects at the new time.  The zeroth iterate
-is the step's initial state itself: the constant-in-time extension of its
-data.  Iteration stops when the difference norm
+An iterate is the solver's unknowns: the packed interior velocity and the
+temperature.  The zeroth iterate is the step's initial state itself: the
+constant-in-time extension of its data.  Iteration stops when the
+difference norm
 
     Y = ||v_new - v_prev||_L2 + ||theta_new - theta_prev||_L2
 
@@ -141,16 +142,13 @@ class StepperConfig:
 class PicardTrace:
     """Contraction diagnostics of one step's successive approximations.
 
-    ``ys`` holds the iterate difference norms that drive the stopping rule;
-    ``sizes`` holds the iterate magnitudes ||v|| + ||theta|| (their uniform
-    boundedness along the sweep is what keeps the iteration well posed).
+    ``ys`` holds the iterate difference norms that drive the stopping rule.
     ``velocity_solves`` and ``heat_solves`` hold each sweep's
     :class:`~kvsim.linear_step.LinearSolveReport`: CG iterations and final
     relative residual of the two sub-problems.
     """
 
     ys: list
-    sizes: list
     velocity_solves: list
     heat_solves: list
     converged: bool
@@ -159,11 +157,7 @@ class PicardTrace:
 
     def ratios(self):
         """Contraction ratios Y_{n+1} / Y_n (skipping zero denominators)."""
-        out = []
-        for a, b in zip(self.ys[:-1], self.ys[1:]):
-            if a > 0.0:
-                out.append(b / a)
-        return out
+        return [b / a for a, b in zip(self.ys, self.ys[1:]) if a > 0.0]
 
 
 class Stepper:
@@ -188,6 +182,8 @@ class Stepper:
             grid, params.lambda2, params.mu2, box=slice(1, -1)
         )
         self.stiffness = linear_step.heat_stiffness(grid, params.k)
+        # trapezoid weights of the packed velocity unknowns, for Y
+        self.weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
         self._set_dt(config, elastic.data)
 
     def _set_dt(self, config, elastic_values):
@@ -212,93 +208,75 @@ class Stepper:
         other._set_dt(replace(self.config, dt=dt), self.elastic.data)
         return other
 
-    def sweep(self, state, iterate, load, g):
-        """One successive-approximation sweep.
-
-        ``iterate`` is any state of this step (the zeroth iterate is
-        ``state`` itself); the nonlinearity is frozen at its fields.
-        ``load`` is the step's ``linear_step.velocity_load``.  Returns the
-        next iterate and the velocity and heat
+    def sweep(self, state, x_v, theta, load, g):
+        """One successive-approximation sweep from the iterate ``x_v`` (the
+        packed interior velocity, the velocity solve's initial guess) and
+        ``theta``, at which the nonlinearity is frozen.  ``load`` is the
+        step's ``linear_step.velocity_load``.  Returns the next ``x_v`` and
+        ``theta`` and the velocity and heat
         :class:`~kvsim.linear_step.LinearSolveReport`.
         """
         grid, dt = self.grid, self.config.dt
         rhs_v = linear_step.velocity_rhs(
-            load, iterate.theta, self.divergence, self.params)
-        x_v, velocity = linear_step.solve_spd(
-            self.velocity_op, rhs_v,
-            x0=linear_step.pack_interior(grid, iterate.v.data),
-        )
-        v_new = linear_step.unpack_interior(grid, x_v)
+            load, theta, self.divergence, self.params)
+        x_v, velocity = linear_step.solve_spd(self.velocity_op, rhs_v, x0=x_v)
         rhs_h = linear_step.heat_rhs_vector(
-            grid, dt, state.theta, iterate.theta, x_v, self.strain, g,
-            self.params,
-        )
+            grid, dt, state.theta, theta, x_v, self.strain, g, self.params)
         heat_op = linear_step.heat_matrix(
-            grid, dt, iterate.theta, self.params, stiffness=self.stiffness
-        )
-        x_h, heat = linear_step.solve_spd(
-            heat_op, rhs_h, x0=iterate.theta.data.ravel(),
-        )
-        new = SimState(
-            t=state.t + dt,
-            u=VectorField(grid, state.u.data + dt * v_new.data),
-            v=v_new,
-            theta=ScalarField(grid, x_h.reshape(grid.shape)),
-        )
-        return new, velocity, heat
+            grid, dt, theta, self.params, stiffness=self.stiffness)
+        x_h, heat = linear_step.solve_spd(heat_op, rhs_h, x0=theta.data.ravel())
+        return x_v, ScalarField(grid, x_h.reshape(grid.shape)), velocity, heat
 
     def step(self, state, b=None, g=None):
         """Advance one time step; returns (new state, Picard trace)."""
+        grid, dt = self.grid, self.config.dt
+        theta_min = float(np.min(state.theta.data))
         floor = self.config.theta_floor
         if floor is None:
-            floor = 0.5 * float(np.min(state.theta.data))
-        if float(np.min(state.theta.data)) < floor:
+            floor = 0.5 * theta_min
+        if theta_min < floor:
             raise DegeneracyError(
                 f"initial temperature of the step is below the floor "
-                f"{floor}: min = {float(np.min(state.theta.data))}"
+                f"{floor}: min = {theta_min}"
             )
-        scale = lp_norm(state.theta, 2) + l2_norm(self.grid, state.v.data)
+        scale = lp_norm(state.theta, 2) + l2_norm(grid, state.v.data)
         load = linear_step.velocity_load(
-            self.grid, self.config.dt, state.v, state.u, b, self.elastic)
-        iterate = state
-        ys = []
-        sizes = []
-        velocity_solves = []
-        heat_solves = []
-        threshold = None
+            grid, dt, state.v, state.u, b, self.elastic)
+        x_v, theta = linear_step.pack_interior(grid, state.v.data), state.theta
+        ys, velocity_solves, heat_solves = [], [], []
         for sweep_count in range(1, PICARD_MAX + 1):
-            new, velocity, heat = self.sweep(state, iterate, load, g)
+            x_new, theta_new, velocity, heat = self.sweep(
+                state, x_v, theta, load, g)
             velocity_solves.append(velocity)
             heat_solves.append(heat)
-            theta_min = float(np.min(new.theta.data))
+            theta_min = float(np.min(theta_new.data))
             if theta_min < floor:
                 raise DegeneracyError(
                     f"temperature iterate dropped below the floor {floor} "
                     f"(min = {theta_min}) at sweep {sweep_count}"
                 )
-            y = (
-                l2_norm(self.grid, new.v.data - iterate.v.data)
-                + l2_norm(self.grid, new.theta.data - iterate.theta.data)
+            ys.append(
+                math.sqrt(float(np.sum(self.weights * (x_new - x_v) ** 2)))
+                + l2_norm(grid, theta_new.data - theta.data)
             )
-            ys.append(y)
-            sizes.append(l2_norm(self.grid, new.v.data) + lp_norm(new.theta, 2))
-            iterate = new
-            if threshold is None:
-                # relative stopping rule, with a round-off floor so a step
-                # that starts at a fixed point is accepted immediately
-                threshold = max(PICARD_TOL * ys[0], 1e-14 * (1.0 + scale))
-            if y <= threshold:
-                trace = PicardTrace(ys, sizes, velocity_solves, heat_solves,
-                                    True, sweep_count, threshold)
-                return iterate, trace
-        trace = PicardTrace(ys, sizes, velocity_solves, heat_solves,
-                            False, PICARD_MAX, threshold)
-        raise NonConvergenceError(
-            f"successive approximations did not contract below "
-            f"{trace.threshold:.3e} within {PICARD_MAX} sweeps "
-            f"(last Y = {ys[-1]:.3e})",
-            report=trace,
-        )
+            x_v, theta = x_new, theta_new
+            # relative stopping rule, with a round-off floor so a step that
+            # starts at a fixed point is accepted immediately
+            threshold = max(PICARD_TOL * ys[0], 1e-14 * (1.0 + scale))
+            if ys[-1] <= threshold:
+                break
+        else:
+            raise NonConvergenceError(
+                f"successive approximations did not contract below "
+                f"{threshold:.3e} within {PICARD_MAX} sweeps "
+                f"(last Y = {ys[-1]:.3e})",
+                report=PicardTrace(ys, velocity_solves, heat_solves,
+                                   False, PICARD_MAX, threshold),
+            )
+        v = linear_step.unpack_interior(grid, x_v)
+        u = VectorField(grid, state.u.data + dt * v.data)
+        return SimState(state.t + dt, u, v, theta), PicardTrace(
+            ys, velocity_solves, heat_solves, True, sweep_count, threshold)
 
 
 @dataclass

@@ -154,6 +154,48 @@ def test_config_skips_a_check_only_when_a_key_it_reads_failed(
     assert excinfo.value.violations == expected
 
 
+@pytest.mark.parametrize("section,violation", [
+    ("[sources]\nb = zero\nb_value = 0.3 0.2\n",
+     "sources.b_value: not read when b = zero"),
+    ("[sources]\ng = manufactured:default\nb_value = 0.3 0.2\n",
+     "sources.b_value: not read when b = zero"),
+    ("[sources]\nb = manufactured:default\nb_value = 0.3 0.2\n",
+     "sources.b_value: not read when b = manufactured"),
+    ("[sources]\ng = zero\ng_value = 0.5\n",
+     "sources.g_value: not read when g = zero"),
+    ("[sources]\ng = manufactured:default\ng_value = 0.5\n",
+     "sources.g_value: not read when g = manufactured"),
+    ("[initial]\npreset = uniform\nvelocity_amplitude = 5\n",
+     "initial.velocity_amplitude: not read when preset = uniform"),
+    ("[initial]\npreset = manufactured:default\ntheta_amplitude = 0.1\n",
+     "initial.theta_amplitude: not read when preset = manufactured"),
+    ("[initial]\npreset = manufactured:default\ntheta0 = 7.0\n",
+     "initial.theta0: not read when preset = manufactured"),
+    ("[initial]\npreset = checkpoint:start.ckpt\ntheta0 = 7.0\n",
+     "initial.theta0: not read when preset = checkpoint"),
+], ids=["b_value-zero", "b_value-default-b", "b_value-manufactured",
+        "g_value-zero", "g_value-manufactured", "velocity_amplitude-uniform",
+        "theta_amplitude-manufactured", "theta0-manufactured",
+        "theta0-checkpoint"])
+def test_cli_rejects_a_key_its_kind_does_not_read(tmp_path, capsys, section,
+                                                  violation):
+    """A key that the chosen kind would drop is a configuration error
+    (exit 2) naming the key and the kind, reported alone."""
+    cfg = write_cfg(tmp_path, MINIMAL + "\n" + section)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error:", f"  {violation}"]
+
+
+def test_config_reads_no_kind_of_a_key_that_failed(tmp_path):
+    """A kind that does not parse reports itself, not the keys it reads."""
+    text = MINIMAL + "\n[sources]\ng = sometimes\ng_value = 0.5\n"
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_cfg(tmp_path, text))
+    assert excinfo.value.violations == ["sources.g: unknown source kind "
+                                        "'sometimes'"]
+
+
 def test_config_reports_every_violation_at_once(tmp_path):
     text = (MINIMAL
             .replace("mu1 = 1.0", "mu1 = -1.0")

@@ -18,7 +18,6 @@ from kvsim import (
     stress,
 )
 from kvsim.constitutive import DDOT_WEIGHTS, IDENTITY_6
-from kvsim.grid import Grid, SymTensorField, tensor_magnitude
 
 from helpers import default_params
 
@@ -279,8 +278,15 @@ def test_alpha_accepts_matrix_and_rejects_asymmetric():
                                        [0.0, 0.0, 0.0]]))
 
 
-def test_frobenius_norm_weighs_offdiagonals():
-    """grid.tensor_magnitude is the pointwise Frobenius norm sqrt(a : a)."""
-    a = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # single off-diagonal pair
-    field = SymTensorField(Grid((3,), (1.0,)), np.tile(a, (3, 1)))
-    assert tensor_magnitude(field).data == pytest.approx([np.sqrt(2.0)] * 3)
+def test_thermal_coupling_is_computed_once_and_read_only():
+    """thermal_coupling() is apply_isotropic(lambda2, mu2, alpha) bit for
+    bit, the same read-only array on every call."""
+    p = default_params(lambda2=1.3, mu2=0.6,
+                       alpha=np.array([0.1, 0.2, 0.05, 0.01, 0.0, 0.02]))
+    coupling = p.thermal_coupling()
+    assert p.thermal_coupling() is coupling
+    assert (coupling.tobytes()
+            == apply_isotropic(1.3, 0.6, p.alpha).tobytes())
+    for array in (coupling, p.alpha):
+        with pytest.raises(ValueError):
+            array[0] = 1.0

@@ -66,6 +66,21 @@ def _write_scenario(s, directory):
         state = SimState.rest(Grid(s["nodes"], s["lengths"]), theta0=s["theta0"])
         save_checkpoint(state, path)
         preset = f"checkpoint:{path}"
+    # each kind-dependent key only under a kind that reads it: a key the
+    # kind would drop is a configuration error
+    kind = preset.partition(":")[0]
+    initial = [f"preset = {preset}"]
+    if kind in ("uniform", "bump"):
+        initial.append(f"theta0 = {s['theta0']!r}")
+    if kind == "bump":
+        initial += [f"velocity_amplitude = {s['velocity_amplitude']!r}",
+                    f"theta_amplitude = {s['theta_amplitude']!r}"]
+    sources = [f"b = {s['b']}"]
+    if s["b"] == "constant":
+        sources.append("b_value = " + " ".join(map(repr, s["b_value"])))
+    sources.append(f"g = {s['g']}")
+    if s["g"] == "constant":
+        sources.append(f"g_value = {s['g_value']!r}")
     lines = [
         "[grid]",
         f"dimension = {len(s['nodes'])}",
@@ -77,15 +92,9 @@ def _write_scenario(s, directory):
         f"dt = {s['dt']!r}",
         f"t_end = {s['dt'] * s['steps']!r}",
         "[initial]",
-        f"preset = {preset}",
-        f"theta0 = {s['theta0']!r}",
-        f"velocity_amplitude = {s['velocity_amplitude']!r}",
-        f"theta_amplitude = {s['theta_amplitude']!r}",
+        *initial,
         "[sources]",
-        f"b = {s['b']}",
-        "b_value = " + " ".join(map(repr, s["b_value"])),
-        f"g = {s['g']}",
-        f"g_value = {s['g_value']!r}",
+        *sources,
         "[output]",
         f"csv = {directory / 'diagnostics.csv'}",
     ]

@@ -28,7 +28,9 @@ from kvsim.diagnostics import DiagnosticsCollector, state_integrals, total_energ
 from kvsim.grid import (
     boundary_max_abs,
     integrate,
+    l2_norm,
     laplacian_neumann,
+    lp_norm,
     navier_matrix,
 )
 from kvsim.picard import PICARD_MAX, PICARD_TOL
@@ -77,31 +79,51 @@ def test_contraction_ratios_below_one_and_shrink_with_dt(grid2d, params):
     assert means[0.025] < means[0.05]
 
 
+def _sweep_start(stepper, state):
+    """The step's load and zeroth iterate: the packed velocity and the
+    temperature of ``state``."""
+    grid = stepper.grid
+    load = linear_step.velocity_load(
+        grid, stepper.config.dt, state.v, state.u, None, stepper.elastic)
+    return load, linear_step.pack_interior(grid, state.v.data), state.theta
+
+
 def test_iterate_sizes_stay_bounded(grid2d, params):
-    """The iterate magnitudes recorded per sweep never blow up: they stay
-    within a narrow band around the accepted step's size."""
+    """The iterate magnitudes ||v|| + ||theta|| never blow up: sweeping a
+    step by hand, they stay within a narrow band, and the last iterate is
+    the accepted state bit for bit."""
     state = bump_state(grid2d)
-    _, trace = Stepper(grid2d, params, StepperConfig(dt=0.05)).step(state)
-    sizes = np.asarray(trace.sizes)
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
+    new, trace = stepper.step(state)
+    load, x_v, theta = _sweep_start(stepper, state)
+    sizes = []
+    for _ in range(trace.iterations):
+        x_v, theta, _, _ = stepper.sweep(state, x_v, theta, load, None)
+        v = linear_step.unpack_interior(grid2d, x_v)
+        sizes.append(l2_norm(grid2d, v.data) + lp_norm(theta, 2))
+    sizes = np.asarray(sizes)
     assert np.all(np.isfinite(sizes)) and np.all(sizes > 0.0)
     assert np.max(sizes) <= 2.0 * np.min(sizes)
+    assert np.array_equal(v.data, new.v.data)
+    assert np.array_equal(theta.data, new.theta.data)
 
 
 def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
     state = bump_state(grid2d)
-    config = StepperConfig(dt=0.05)
-    stepper = Stepper(grid2d, params, config)
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
     new, trace = stepper.step(state)
     assert trace.converged
     # two more sweeps of the same step change the answer below the threshold
-    load = linear_step.velocity_load(
-        grid2d, config.dt, state.v, state.u, None, stepper.elastic)
-    extra, _, _ = stepper.sweep(state, new, load, None)
-    moved = l2_diff(extra.v, new.v, grid2d) + l2_diff(extra.theta, new.theta, grid2d)
-    assert moved <= 2.0 * trace.threshold
-    again, _, _ = stepper.sweep(state, extra, load, None)
-    moved2 = l2_diff(again.v, extra.v, grid2d) + l2_diff(again.theta, extra.theta, grid2d)
-    assert moved2 <= 2.0 * trace.threshold
+    load, _, _ = _sweep_start(stepper, state)
+    x_v = linear_step.pack_interior(grid2d, new.v.data)
+    iterates = [(new.v, new.theta)]
+    theta = new.theta
+    for _ in range(2):
+        x_v, theta, _, _ = stepper.sweep(state, x_v, theta, load, None)
+        iterates.append((linear_step.unpack_interior(grid2d, x_v), theta))
+    for (v0, theta0), (v1, theta1) in zip(iterates, iterates[1:]):
+        moved = l2_diff(v1, v0, grid2d) + l2_diff(theta1, theta0, grid2d)
+        assert moved <= 2.0 * trace.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +235,28 @@ def test_step_takes_no_field_derivative(monkeypatch, shipped_runs):
     assert calls == {name: trace.iterations for name in
                      ("velocity_rhs", "heat_rhs_vector", "heat_matrix")}
     assert np.array_equal(new.theta.data, traj.states[4].theta.data)
+
+
+def test_step_packs_and_unpacks_the_velocity_once(monkeypatch, shipped_runs):
+    """The Picard iterate is the solver's own unknowns: a step on bump2d
+    packs ``state.v`` once, unpacks the accepted velocity once and builds
+    one SimState, however many sweeps it takes (the other two packs are
+    ``velocity_load``'s, once per step)."""
+    cfg, traj, _ = shipped_runs["bump2d"]
+    stepper = Stepper(traj.grid, cfg.params, traj.config)
+    state = traj.states[3]
+    calls, packed = {}, []
+    _counting(monkeypatch, [linear_step], "pack_interior", calls,
+              lambda args, _: packed.append(args[1]))
+    _counting(monkeypatch, [linear_step], "unpack_interior", calls)
+    _counting(monkeypatch, [picard], "SimState", calls)
+    new, trace = stepper.step(state)
+    assert trace.iterations > 1
+    assert calls == {"pack_interior": 3, "unpack_interior": 1, "SimState": 1}
+    assert sum(data is state.v.data for data in packed) == 1
+    for name in ("u", "v", "theta"):
+        assert np.array_equal(getattr(new, name).data,
+                              getattr(traj.states[4], name).data)
 
 
 def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
