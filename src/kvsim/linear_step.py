@@ -45,8 +45,12 @@ part, applied in the Kronecker product of per-axis eigenbases.  For the
 velocity system that part drops only the mixed (lam + mu) d_i d_j coupling
 blocks; for the heat system it replaces the frozen temperature by its mean.
 Both dropped parts are spectrally equivalent, so the iteration counts stay
-bounded as the grid is refined.  A solve is single-caller but independent
-solves may run concurrently.
+bounded as the grid is refined.  A solve stops at the relative residual
+``SOLVE_TOL`` (1e-12) or, given a ``reduction``, once it has cut the
+residual of its initial guess by that factor: a sweep whose iterate the
+next sweep replaces needs only to beat the outer contraction (the forcing
+term of inexact Newton methods, Dembo, Eisenstat & Steihaug 1982).  A
+solve is single-caller but independent solves may run concurrently.
 """
 
 from __future__ import annotations
@@ -217,15 +221,14 @@ def unpack_interior(grid, x):
     return VectorField(grid, out)
 
 
-def velocity_load(grid, dt, v_old, u_old, b, elastic):
+def velocity_load(grid, dt, x_v, u_old, b, elastic):
     """The part of the velocity right-hand side that a step's sweeps share,
-    packed over interior nodes: (1/dt) v_old + b + Q2 u_old, with Q2 the
-    compact elastic operator ``elastic``."""
-    data = v_old.data / dt
+    packed over interior nodes: (1/dt) v_old + b + Q2 u_old, with ``x_v``
+    the packed v_old and Q2 the compact elastic operator ``elastic``."""
+    load = x_v / dt
     if b is not None:
-        data = data + b.data
-    x_u = pack_interior(grid, u_old.data)
-    return pack_interior(grid, data) + elastic @ x_u
+        load += pack_interior(grid, b.data)
+    return load + elastic @ pack_interior(grid, u_old.data)
 
 
 def velocity_rhs(load, theta, divergence, params):
@@ -344,6 +347,8 @@ def heat_rhs_vector(grid, dt, theta_old, theta_frozen, x_v, strain, g, params):
 # conjugate gradients
 # ---------------------------------------------------------------------------
 
+# relative residual that a solve reaches by default
+SOLVE_TOL = 1e-12
 # consecutive true-residual re-checks without progress before CG gives up
 _STALLED_RECHECKS = 3
 
@@ -361,25 +366,33 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
+def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
+              reduction=0.0):
     """Preconditioned conjugate gradients for an SPD operator.
 
     Applies ``op.precondition`` to every residual.  Converges when the true
-    relative residual ||b - A x|| / ||b|| drops to ``tol``.  Raises
+    residual ||b - A x|| drops to max(tol ||b||, reduction ||b - A x0||),
+    with x0 the initial guess (zero when None): a ``reduction`` in (0, 1)
+    stops the solve once it has cut its own starting residual by that
+    factor, unless ``tol`` is reached first; the default 0 asks for
+    ``tol``.  The report's ``relative_residual`` is ||b - A x|| / ||b||
+    either way.  Raises
     :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
     exhausted; when a search direction p has p.Ap <= 0 or not finite (the
     operator is not positive definite); when a nonzero residual r has
     r.z <= 0 or not finite for z its preconditioned residual (the
     preconditioner is not positive definite); or when three consecutive
     true-residual re-checks (each followed by a restart) fail to lower the
-    best true residual: ``tol`` is then below what round-off lets this
-    system attain, and the message states the attainable relative
-    residual.  Raises :class:`DomainError` up front when the right-hand
-    side or the initial guess is not finite.
+    best true residual: the requested residual is then below what
+    round-off lets this system attain, and the message states the
+    attainable relative residual.  Raises :class:`DomainError` up front
+    when the right-hand side or the initial guess is not finite.
     Deterministic given identical inputs.
     """
     if tol <= 0.0:
         raise UsageError(f"tol must be positive, got {tol}")
+    if not 0.0 <= reduction < 1.0:
+        raise UsageError(f"reduction must be in [0, 1), got {reduction}")
     a = op.matrix
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = _norm(rhs)
@@ -395,6 +408,9 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
         raise DomainError("initial guess x0 is not finite")
     precondition = op.precondition
     r = rhs - a @ x
+    target = tol * rhs_norm
+    if reduction:
+        target = max(target, reduction * _norm(r))
     z = precondition(r)
     p = z.copy()
     rz = _dot(r, z)
@@ -403,11 +419,11 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
     iterations = 0
     while iterations < max_iter:
         res = _norm(r)
-        if res <= tol * rhs_norm:
+        if res <= target:
             # guard against recurrence drift: re-check with the true residual
             r_true = rhs - a @ x
             res_true = _norm(r_true)
-            if res_true <= tol * rhs_norm:
+            if res_true <= target:
                 return x, LinearSolveReport(iterations, res_true / rhs_norm, True)
             if res_true < best_true:
                 best_true, stalled = res_true, 0
@@ -418,7 +434,8 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
                 raise NonConvergenceError(
                     f"conjugate gradients stagnated after {iterations} "
                     f"iterations: the attainable relative residual "
-                    f"{attainable:.3e} is above tol={tol}",
+                    f"{attainable:.3e} is above the requested "
+                    f"{target / rhs_norm:.3e}",
                     report=LinearSolveReport(iterations, attainable, False),
                 )
             r = r_true
@@ -451,12 +468,14 @@ def solve_spd(op, rhs, tol=1e-12, max_iter=20000, x0=None):
         p += z
         rz = rz_next
         iterations += 1
-    res_true = _norm(rhs - a @ x) / rhs_norm
-    report = LinearSolveReport(iterations, res_true, res_true <= tol)
+    res_true = _norm(rhs - a @ x)
+    report = LinearSolveReport(
+        iterations, res_true / rhs_norm, res_true <= target)
     if not report.converged:
         raise NonConvergenceError(
-            f"conjugate gradients did not reach tol={tol} within "
-            f"{max_iter} iterations (relative residual {res_true:.3e})",
+            f"conjugate gradients did not reach relative residual "
+            f"{target / rhs_norm:.3e} within {max_iter} iterations "
+            f"(relative residual {report.relative_residual:.3e})",
             report=report,
         )
     return x, report

@@ -40,6 +40,13 @@ for small dt; a step that has not contracted after ``PICARD_MAX`` sweeps
 fails.  The iteration aborts rather than accept a temperature below the
 step's floor.
 
+Each sweep replaces the iterate it started from, so its two solves need
+only beat the contraction: until a sweep meets the threshold, every solve
+stops once it has cut its own starting residual by ``SWEEP_REDUCTION``
+(or reached ``linear_step.SOLVE_TOL``).  A step accepts only a sweep whose
+two solves reached ``SOLVE_TOL``; when the sweep that met the threshold
+stopped early, the step sweeps on at full tolerance until one meets it.
+
 The time loop is strictly sequential; observers receive immutable
 snapshots and must not mutate them.
 """
@@ -70,6 +77,7 @@ from .grid import (
 
 PICARD_TOL = 1e-10  # relative contraction tolerance of a step
 PICARD_MAX = 50  # sweeps before a step fails
+SWEEP_REDUCTION = 1e-3  # residual cut of each solve of a step's early sweeps
 
 
 @dataclass
@@ -122,7 +130,8 @@ class StepperConfig:
     ``run`` sets ``theta_floor`` to half the initial minimum of the run; a
     bare :meth:`Stepper.step` with ``theta_floor = None`` uses half the
     step's own initial minimum.  The solver tolerances are module constants
-    (``PICARD_TOL``, ``PICARD_MAX``) and ``solve_spd``'s defaults.
+    (``PICARD_TOL``, ``PICARD_MAX``, ``SWEEP_REDUCTION`` and
+    ``linear_step.SOLVE_TOL``).
     """
 
     dt: float
@@ -208,27 +217,33 @@ class Stepper:
         other._set_dt(replace(self.config, dt=dt), self.elastic.data)
         return other
 
-    def sweep(self, state, x_v, theta, load, g):
+    def sweep(self, state, x_v, theta, load, g, reduction=0.0):
         """One successive-approximation sweep from the iterate ``x_v`` (the
         packed interior velocity, the velocity solve's initial guess) and
         ``theta``, at which the nonlinearity is frozen.  ``load`` is the
-        step's ``linear_step.velocity_load``.  Returns the next ``x_v`` and
-        ``theta`` and the velocity and heat
-        :class:`~kvsim.linear_step.LinearSolveReport`.
+        step's ``linear_step.velocity_load``.  Each solve starts from the
+        iterate and stops at ``solve_spd``'s tolerance or, with
+        ``reduction`` > 0, once it has cut its starting residual by that
+        factor.  Returns the next ``x_v`` and ``theta`` and the velocity and
+        heat :class:`~kvsim.linear_step.LinearSolveReport`.
         """
         grid, dt = self.grid, self.config.dt
         rhs_v = linear_step.velocity_rhs(
             load, theta, self.divergence, self.params)
-        x_v, velocity = linear_step.solve_spd(self.velocity_op, rhs_v, x0=x_v)
+        x_v, velocity = linear_step.solve_spd(
+            self.velocity_op, rhs_v, x0=x_v, reduction=reduction)
         rhs_h = linear_step.heat_rhs_vector(
             grid, dt, state.theta, theta, x_v, self.strain, g, self.params)
         heat_op = linear_step.heat_matrix(
             grid, dt, theta, self.params, stiffness=self.stiffness)
-        x_h, heat = linear_step.solve_spd(heat_op, rhs_h, x0=theta.data.ravel())
+        x_h, heat = linear_step.solve_spd(
+            heat_op, rhs_h, x0=theta.data.ravel(), reduction=reduction)
         return x_v, ScalarField(grid, x_h.reshape(grid.shape)), velocity, heat
 
     def step(self, state, b=None, g=None):
-        """Advance one time step; returns (new state, Picard trace)."""
+        """Advance one time step; returns (new state, Picard trace).  The
+        accepted state is the iterate of a sweep that met the Picard
+        threshold with both solves at ``linear_step.SOLVE_TOL``."""
         grid, dt = self.grid, self.config.dt
         theta_min = float(np.min(state.theta.data))
         floor = self.config.theta_floor
@@ -240,13 +255,14 @@ class Stepper:
                 f"{floor}: min = {theta_min}"
             )
         scale = lp_norm(state.theta, 2) + l2_norm(grid, state.v.data)
-        load = linear_step.velocity_load(
-            grid, dt, state.v, state.u, b, self.elastic)
         x_v, theta = linear_step.pack_interior(grid, state.v.data), state.theta
+        load = linear_step.velocity_load(
+            grid, dt, x_v, state.u, b, self.elastic)
         ys, velocity_solves, heat_solves = [], [], []
+        reduction = SWEEP_REDUCTION
         for sweep_count in range(1, PICARD_MAX + 1):
             x_new, theta_new, velocity, heat = self.sweep(
-                state, x_v, theta, load, g)
+                state, x_v, theta, load, g, reduction)
             velocity_solves.append(velocity)
             heat_solves.append(heat)
             theta_min = float(np.min(theta_new.data))
@@ -264,7 +280,13 @@ class Stepper:
             # starts at a fixed point is accepted immediately
             threshold = max(PICARD_TOL * ys[0], 1e-14 * (1.0 + scale))
             if ys[-1] <= threshold:
-                break
+                # accept only an iterate whose two solves reached the
+                # solver's tolerance; else sweep on at full tolerance
+                residual = max(velocity.relative_residual,
+                               heat.relative_residual)
+                if residual <= linear_step.SOLVE_TOL:
+                    break
+                reduction = 0.0
         else:
             raise NonConvergenceError(
                 f"successive approximations did not contract below "

@@ -18,6 +18,7 @@ from kvsim import (
     laplacian_neumann,
     solve_spd,
 )
+from kvsim import linear_step
 from kvsim.grid import divergence_matrix, navier_matrix, strain_matrix
 from kvsim.linear_step import (
     LinearSolveReport,
@@ -56,7 +57,8 @@ def _velocity_rhs(grid, dt, v_old, u_old, theta_iter, b, params):
     """One sweep's velocity right-hand side, through ``velocity_load`` and
     ``velocity_rhs`` with the maps of ``grid``."""
     elastic = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
-    load = velocity_load(grid, dt, v_old, u_old, b, elastic)
+    load = velocity_load(grid, dt, pack_interior(grid, v_old.data), u_old, b,
+                         elastic)
     return velocity_rhs(load, theta_iter, divergence_matrix(grid), params)
 
 
@@ -362,13 +364,16 @@ def test_cg_residual_report_matches_recomputation(rng):
     assert np.all(np.isfinite(x))
 
 
-@pytest.mark.parametrize("op,rhs", [
+BREAKDOWNS = pytest.mark.parametrize("op,rhs", [
     (_as_op(np.diag([1.0, -1.0])), [1.0, 1.0]),
     (SparseOperator(sp.csr_matrix(np.diag([1e300, 1e300])), lambda r: r),
      [1e10, 1e10]),
     (SparseOperator(sp.identity(2, format="csr"),
                     lambda r: r * np.array([1.0, -1.0])), [1.0, 1.0]),
 ], ids=["indefinite", "overflow", "indefinite_preconditioner"])
+
+
+@BREAKDOWNS
 def test_cg_breakdown_raises_non_convergence(op, rhs):
     """p.Ap <= 0, r.z <= 0 or either not finite is a NonConvergenceError
     carrying the report: diag(1, -1) with rhs (1, 1), and the identity with
@@ -406,3 +411,125 @@ def test_cg_nonconvergence_raises_with_report(rng):
 def test_cg_rejects_bad_tolerance(rng):
     with pytest.raises(UsageError):
         cg(_as_op(np.eye(3)), np.ones(3), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# residual reduction
+# ---------------------------------------------------------------------------
+
+def _laplacian_op(n=400):
+    """Jacobi-preconditioned 1-D Dirichlet Laplacian: CG needs hundreds of
+    iterations, and round-off stops it near 1e-13 relative residual."""
+    off = -np.ones(n - 1)
+    return _as_op(sp.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1]))
+
+
+def _warm_start(rng, op, rhs, scale=1e-4):
+    """A guess near the solution, and its residual norm."""
+    exact, _ = cg(op, rhs)
+    x0 = exact + scale * rng.standard_normal(op.size)
+    return x0, np.linalg.norm(rhs - op.matrix @ x0)
+
+
+@pytest.mark.parametrize("reduction", [1e-3, 0.5])
+def test_cg_reduction_stops_on_the_true_residual_of_its_start(rng, reduction):
+    """From a warm start, the solve stops once the true residual is at most
+    max(tol ||b||, reduction ||b - A x0||), and not an iteration before.
+    A target of reduction * ||b|| would accept this warm start untouched."""
+    op = _laplacian_op()
+    rhs = rng.standard_normal(op.size)
+    x0, start = _warm_start(rng, op, rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    assert start < reduction * rhs_norm
+    x, report = cg(op, rhs, x0=x0, reduction=reduction)
+    true = np.linalg.norm(rhs - op.matrix @ x)
+    assert report.converged and report.iterations > 0
+    assert true <= (1.0 + 1e-12) * max(1e-12 * rhs_norm, reduction * start)
+    assert report.relative_residual == pytest.approx(true / rhs_norm,
+                                                     rel=1e-12)
+    with pytest.raises(NonConvergenceError):
+        cg(op, rhs, x0=x0, reduction=reduction,
+           max_iter=report.iterations - 1)
+
+
+def _cg_systems(rng, params):
+    """The systems of the CG tests above, each with its keyword arguments;
+    the velocity system from a warm start."""
+    b_mat = rng.standard_normal((50, 50))
+    grid = make_grid(d=2, n=17)
+    velocity = velocity_matrix(grid, 0.02, params.lambda1, params.mu1)
+    rhs = rng.standard_normal(velocity.size)
+    x0, _ = _warm_start(rng, velocity, rhs, scale=1e-2)
+    poisson = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                        [0.0, -1.0, 2.0]])
+    return [
+        (_as_op(np.eye(40)), rng.standard_normal(40), {}),
+        (_as_op(poisson), np.array([0.0, 1.0, 0.0]), {}),
+        (_as_op(b_mat.T @ b_mat + np.eye(50)), rng.standard_normal(50),
+         {"max_iter": 2000}),
+        (_laplacian_op(), rng.standard_normal(400), {"tol": 1e-10}),
+        (velocity, rhs, {"x0": x0}),
+    ]
+
+
+@pytest.mark.parametrize("reduction", [0.0, 1e-300])
+def test_cg_reduction_below_tol_changes_nothing(rng, params, reduction):
+    """A reduction of 0, or one whose target lies below tol ||b||, gives
+    the default solve's iterate and report bit for bit."""
+    for op, rhs, kwargs in _cg_systems(rng, params):
+        x, report = cg(op, rhs, **kwargs)
+        y, other = cg(op, rhs, reduction=reduction, **kwargs)
+        assert x.tobytes() == y.tobytes()
+        assert other == report
+
+
+@pytest.mark.parametrize("reduction", [-0.1, 1.0, 2.0, np.nan])
+def test_cg_rejects_bad_reduction(reduction):
+    with pytest.raises(UsageError):
+        cg(_as_op(np.eye(3)), np.ones(3), reduction=reduction)
+
+
+@BREAKDOWNS
+def test_cg_reduction_keeps_the_breakdown_checks(op, rhs):
+    with pytest.raises(NonConvergenceError, match="broke down") as excinfo:
+        cg(op, np.array(rhs), reduction=0.5)
+    assert excinfo.value.report.iterations == 0
+
+
+def test_cg_reduction_keeps_the_stagnation_check(rng):
+    """A target below what round-off lets the system attain stagnates as
+    the tolerance does: from a start at about 3e-13 relative residual, a
+    reduction of 1e-3 asks for about 3e-16."""
+    op = _laplacian_op()
+    rhs = rng.standard_normal(op.size)
+    x0, _ = cg(op, rhs)
+    with pytest.raises(NonConvergenceError,
+                       match="attainable relative residual") as excinfo:
+        cg(op, rhs, tol=1e-16, x0=x0, reduction=1e-3)
+    report = excinfo.value.report
+    assert not report.converged and report.iterations < 20000
+    assert report.relative_residual > 1e-14
+
+
+def test_cg_start_norm_is_the_einsum_norm(monkeypatch, rng):
+    """The starting residual's norm is ``_norm``, numpy's own summation
+    order, like every norm of the solve: a BLAS norm would make the
+    stopping point depend on the BLAS thread count."""
+    op = _laplacian_op()
+    rhs = rng.standard_normal(op.size)
+    x0, _ = _warm_start(rng, op, rhs)
+    seen = []
+    norm = linear_step._norm
+
+    def recorded(a):
+        seen.append(a.copy())
+        return norm(a)
+
+    def blas_norm(*args, **kwargs):
+        raise AssertionError("solve_spd called np.linalg.norm")
+
+    monkeypatch.setattr(linear_step, "_norm", recorded)
+    monkeypatch.setattr(np.linalg, "norm", blas_norm)
+    cg(op, rhs, x0=x0, reduction=1e-3)
+    assert seen[0].tobytes() == rhs.tobytes()
+    assert seen[1].tobytes() == (rhs - op.matrix @ x0).tobytes()

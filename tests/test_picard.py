@@ -33,7 +33,7 @@ from kvsim.grid import (
     lp_norm,
     navier_matrix,
 )
-from kvsim.picard import PICARD_MAX, PICARD_TOL
+from kvsim.picard import PICARD_MAX, PICARD_TOL, SWEEP_REDUCTION
 
 from helpers import (
     bump_state,
@@ -83,22 +83,36 @@ def _sweep_start(stepper, state):
     """The step's load and zeroth iterate: the packed velocity and the
     temperature of ``state``."""
     grid = stepper.grid
+    x_v = linear_step.pack_interior(grid, state.v.data)
     load = linear_step.velocity_load(
-        grid, stepper.config.dt, state.v, state.u, None, stepper.elastic)
-    return load, linear_step.pack_interior(grid, state.v.data), state.theta
+        grid, stepper.config.dt, x_v, state.u, None, stepper.elastic)
+    return load, x_v, state.theta
+
+
+def _reductions(trace):
+    """The residual reduction of each sweep of an accepted step:
+    ``SWEEP_REDUCTION`` up to the first sweep that meets the threshold,
+    full tolerance (0) after it."""
+    reductions, reduction = [], SWEEP_REDUCTION
+    for y in trace.ys:
+        reductions.append(reduction)
+        if y <= trace.threshold:
+            reduction = 0.0
+    return reductions
 
 
 def test_iterate_sizes_stay_bounded(grid2d, params):
     """The iterate magnitudes ||v|| + ||theta|| never blow up: sweeping a
-    step by hand, they stay within a narrow band, and the last iterate is
-    the accepted state bit for bit."""
+    step by hand with the step's own reductions, they stay within a narrow
+    band, and the last iterate is the accepted state bit for bit."""
     state = bump_state(grid2d)
     stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
     new, trace = stepper.step(state)
     load, x_v, theta = _sweep_start(stepper, state)
     sizes = []
-    for _ in range(trace.iterations):
-        x_v, theta, _, _ = stepper.sweep(state, x_v, theta, load, None)
+    for reduction in _reductions(trace):
+        x_v, theta, _, _ = stepper.sweep(
+            state, x_v, theta, load, None, reduction)
         v = linear_step.unpack_interior(grid2d, x_v)
         sizes.append(l2_norm(grid2d, v.data) + lp_norm(theta, 2))
     sizes = np.asarray(sizes)
@@ -171,12 +185,20 @@ def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
         assert _relative_residual(heat_op, x_h, rhs_h) <= 1e-9
 
 
+# velocity CG iterations of any one step; with every solve at CG_TOL the
+# steps took 44.7 (bump2d) and 73.3 (bump3d) on average
+MAX_STEP_VELOCITY_ITERATIONS = {"bump2d": 40, "bump3d": 50}
+
+
 @pytest.mark.parametrize("name, max_mean_sweeps", [("bump2d", 6), ("bump3d", 7)])
 def test_shipped_scenarios_sweep_and_cg_budgets(shipped_runs, name,
                                                 max_mean_sweeps):
-    """Sweeps per step and CG iterations per sweep, read from the solve
-    reports each trace keeps for every sweep."""
+    """Sweeps per step and CG iterations per sweep and per step, read from
+    the solve reports each trace keeps for every sweep.  Only the accepting
+    sweep's solves promise ``CG_TOL``; the earlier ones cut their own
+    starting residual by ``SWEEP_REDUCTION``."""
     _, traj, _ = shipped_runs[name]
+    max_step_iterations = MAX_STEP_VELOCITY_ITERATIONS[name]
     sweeps = [trace.iterations for trace in traj.traces]
     assert np.mean(sweeps) <= max_mean_sweeps
     for trace in traj.traces:
@@ -184,10 +206,65 @@ def test_shipped_scenarios_sweep_and_cg_budgets(shipped_runs, name,
         assert len(trace.velocity_solves) == trace.iterations
         for velocity, heat in zip(trace.velocity_solves, trace.heat_solves):
             assert velocity.converged and heat.converged
-            assert velocity.relative_residual <= CG_TOL
-            assert heat.relative_residual <= CG_TOL
             assert velocity.iterations <= 25
             assert heat.iterations <= 8
+        assert trace.velocity_solves[-1].relative_residual <= CG_TOL
+        assert trace.heat_solves[-1].relative_residual <= CG_TOL
+        step_iterations = sum(r.iterations for r in trace.velocity_solves)
+        assert step_iterations <= max_step_iterations
+
+
+@pytest.mark.parametrize("name", ["bump2d", "bump3d", "heated2d"])
+def test_accepting_sweep_reaches_cg_tol(shipped_runs, name):
+    """Every step accepts on a sweep whose two solves reached ``CG_TOL``.
+    On heated2d the velocity right-hand side is round-off, so the sweep
+    that first meets the Picard threshold has stopped its velocity solve
+    early, and one more sweep at full tolerance is the accepting one."""
+    _, traj, _ = shipped_runs[name]
+    extra = 0
+    for trace in traj.traces:
+        assert trace.ys[-1] <= trace.threshold
+        assert trace.velocity_solves[-1].relative_residual <= CG_TOL
+        assert trace.heat_solves[-1].relative_residual <= CG_TOL
+        if len(trace.ys) > 1 and trace.ys[-2] <= trace.threshold:
+            early = trace.velocity_solves[-2], trace.heat_solves[-2]
+            assert max(r.relative_residual for r in early) > CG_TOL
+            extra += 1
+    assert extra == (len(traj.traces) if name == "heated2d" else 0)
+
+
+def _full_tolerance_step(stepper, state):
+    """One step of sweeps driven by hand, every solve at ``CG_TOL``, until
+    the change of (v, theta) falls to ``PICARD_TOL`` times the first."""
+    grid = stepper.grid
+    load, x_v, theta = _sweep_start(stepper, state)
+    v = state.v
+    floor = 1e-14 * (1.0 + lp_norm(state.theta, 2) + l2_norm(grid, v.data))
+    moves = []
+    while not moves or moves[-1] > max(PICARD_TOL * moves[0], floor):
+        assert len(moves) < PICARD_MAX
+        x_v, theta_new, _, _ = stepper.sweep(state, x_v, theta, load, None)
+        v_new = linear_step.unpack_interior(grid, x_v)
+        moves.append(l2_diff(v_new, v, grid) + l2_diff(theta_new, theta, grid))
+        v, theta = v_new, theta_new
+    u = VectorField(grid, state.u.data + stepper.config.dt * v.data)
+    return SimState(state.t + stepper.config.dt, u, v, theta), len(moves)
+
+
+def test_inexact_sweeps_match_full_tolerance_sweeps(shipped_runs):
+    """The bump2d trajectory of early sweeps that only cut their residual
+    matches sweeps driven by hand at full tolerance to 1e-10 relative, in
+    every state and with the same sweeps per step."""
+    cfg, traj, _ = shipped_runs["bump2d"]
+    stepper = Stepper(traj.grid, cfg.params, traj.config)
+    state = traj.states[0]
+    for accepted, trace in zip(traj.states[1:], traj.traces):
+        state, sweeps = _full_tolerance_step(stepper, state)
+        assert sweeps == trace.iterations
+        for name in ("u", "v", "theta"):
+            want = getattr(state, name).data
+            got = getattr(accepted, name).data
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_stepper_elastic_operator_shares_the_velocity_pattern(grid2d):
@@ -240,8 +317,9 @@ def test_step_takes_no_field_derivative(monkeypatch, shipped_runs):
 def test_step_packs_and_unpacks_the_velocity_once(monkeypatch, shipped_runs):
     """The Picard iterate is the solver's own unknowns: a step on bump2d
     packs ``state.v`` once, unpacks the accepted velocity once and builds
-    one SimState, however many sweeps it takes (the other two packs are
-    ``velocity_load``'s, once per step)."""
+    one SimState, however many sweeps it takes.  ``velocity_load`` takes
+    that packed velocity and packs only ``state.u`` (and b, which bump2d
+    has not), once per step."""
     cfg, traj, _ = shipped_runs["bump2d"]
     stepper = Stepper(traj.grid, cfg.params, traj.config)
     state = traj.states[3]
@@ -252,7 +330,7 @@ def test_step_packs_and_unpacks_the_velocity_once(monkeypatch, shipped_runs):
     _counting(monkeypatch, [picard], "SimState", calls)
     new, trace = stepper.step(state)
     assert trace.iterations > 1
-    assert calls == {"pack_interior": 3, "unpack_interior": 1, "SimState": 1}
+    assert calls == {"pack_interior": 2, "unpack_interior": 1, "SimState": 1}
     assert sum(data is state.v.data for data in packed) == 1
     for name in ("u", "v", "theta"):
         assert np.array_equal(getattr(new, name).data,
