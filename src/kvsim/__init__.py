@@ -17,9 +17,7 @@ from .constitutive import (
     entropy_density,
     entropy_production,
     free_energy,
-    heat_rhs,
     internal_energy,
-    stress,
 )
 from .errors import (
     CheckpointError,

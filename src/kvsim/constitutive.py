@@ -172,20 +172,6 @@ class MaterialParams:
         return self._thermal_coupling
 
 
-def stress(eps, eps_t, theta, params):
-    """Total stress: viscous part plus thermoelastic part.
-
-    S = A1 eps_t + A2 (eps - theta * alpha), with A1/A2 the isotropic
-    viscosity/elasticity tensors of ``params``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    thermal = np.asarray(eps, dtype=float) - theta[..., None] * params.alpha
-    return (
-        apply_isotropic(params.lambda1, params.mu1, eps_t)
-        + apply_isotropic(params.lambda2, params.mu2, thermal)
-    )
-
-
 def free_energy(eps, theta, params):
     """Helmholtz free energy density (caloric + elastic + coupling).
 
@@ -248,14 +234,3 @@ def entropy_production(eps_t, grad_theta, theta, params):
     viscous = ddot(eps_t, apply_isotropic(params.lambda1, params.mu1, eps_t))
     grad_sq = np.sum(grad_theta**2, axis=-1)
     return params.k * grad_sq / theta**2 + viscous / theta
-
-
-def heat_rhs(theta, eps_t, g, params):
-    """Right-hand side of the heat equation:
-
-    -theta * (A2 alpha):eps_t + (A1 eps_t):eps_t + g
-    """
-    theta = np.asarray(theta, dtype=float)
-    coupling = ddot(params.thermal_coupling(), eps_t)
-    viscous = ddot(eps_t, apply_isotropic(params.lambda1, params.mu1, eps_t))
-    return -theta * coupling + viscous + np.asarray(g, dtype=float)

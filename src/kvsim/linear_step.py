@@ -1,7 +1,7 @@
 """Assembly and solution of the two linear sub-problems of a nonlinear sweep.
 
-One sweep of the successive-approximation scheme solves, with coefficients
-frozen at the previous iterate,
+One sweep of the successive-approximation scheme solves, linearised at the
+previous iterate,
 
 * an implicit (backward Euler) viscoelastic velocity system
       (1/dt) v - Q1 v - dt Q2 v = (1/dt) v_old + b + Q2 u_old
@@ -15,13 +15,20 @@ frozen at the previous iterate,
   ``velocity_load`` = (1/dt) v_old + b + Q2 u_old once; each sweep's
   ``velocity_rhs`` subtracts the thermal stress divergence.  Then
 
-* an implicit frozen-coefficient heat system
-      (cv/dt) theta_frozen * theta - k Lap theta
-          = (cv/dt) theta_frozen * theta_old + heat_rhs(theta_frozen, eps(v), g)
+* an implicit heat system, Newton's linearisation at the iterate theta_it
+  of the quasilinear heat equation
+      (cv/dt) theta (theta - theta_old) + theta (A2 alpha):eps(v) - k Lap theta
+          = (A1 eps(v)):eps(v) + g,
+  which is
+      (cv/dt) q * theta - k Lap theta = (cv/dt) theta_it^2 + (A1 eps):eps + g,
+      q = 2 theta_it - theta_old + (dt/cv) (A2 alpha):eps,
   on all nodes with the mirror-ghost Neumann Laplacian, with v the
   velocity the sweep has just solved and eps(v) its corner strains
-  (``grid.strain_matrix``).  The heat matrix differs from the Neumann
-  stiffness only on the diagonal, which ``heat_matrix`` rewrites in the
+  (``grid.strain_matrix``).  ``heat_rhs_vector`` forms the right-hand side
+  and q from one product of the strain map.  The heat matrix differs from
+  the Neumann stiffness only on the diagonal, (cv/dt) w c for a positive
+  coefficient c (q, or the iterate itself in the frozen system that
+  :mod:`kvsim.picard` falls back to), which ``heat_matrix`` rewrites in the
   stiffness's own matrix each sweep.
 
 The two couplings are weighted adjoints and the viscous heating sums to
@@ -43,7 +50,8 @@ thread count.  They are preconditioned by fast diagonalization (Lynch, Rice
 & Thomas 1964): each operator carries the exact inverse of its separable
 part, applied in the Kronecker product of per-axis eigenbases.  For the
 velocity system that part drops only the mixed (lam + mu) d_i d_j coupling
-blocks; for the heat system it replaces the frozen temperature by its mean.
+blocks; for the heat system it replaces the diagonal coefficient by its
+mean.
 Both dropped parts are spectrally equivalent, so the iteration counts stay
 bounded as the grid is refined.  A solve stops at the relative residual
 ``SOLVE_TOL`` (1e-12) or, given a ``reduction``, once it has cut the
@@ -65,6 +73,7 @@ import scipy.sparse as sp
 
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
+    ScalarField,
     VectorField,
     navier_matrix,
     neumann_matrix,
@@ -287,60 +296,68 @@ def heat_stiffness(grid, k):
     )
 
 
-def heat_matrix(grid, dt, theta_frozen, params, stiffness=None):
-    """(cv/dt) diag(w * theta_frozen) + k * weighted Neumann stiffness.
+def heat_matrix(grid, dt, coefficient, params, stiffness=None):
+    """(cv/dt) diag(w * coefficient) + k * weighted Neumann stiffness, for a
+    positive diagonal ``coefficient`` (a ScalarField): the Newton q of
+    :func:`heat_rhs_vector`, or a temperature in the frozen system.
 
     ``stiffness`` is ``heat_stiffness(grid, params.k)``, built here when
     None.  The matrix is ``stiffness.matrix`` with its diagonal rewritten:
     each call with one stiffness returns the same matrix, so its owner keeps
     one heat matrix for all its sweeps.  The preconditioner is the exact
-    inverse of the same matrix with theta_frozen replaced by its mean, so
-    it is exact for a uniform temperature and has condition number at most
-    max/min of theta_frozen otherwise.
+    inverse of the same matrix with the coefficient replaced by its mean,
+    so it is exact for a uniform coefficient and has condition number at
+    most its max/min otherwise.
     """
     if dt <= 0.0:
         raise UsageError(f"dt must be positive, got {dt}")
-    theta_min = float(np.min(theta_frozen.data))
-    if theta_min <= 0.0:
+    c_min = float(np.min(coefficient.data))
+    if c_min <= 0.0:
         raise DegeneracyError(
-            f"frozen temperature coefficient must be positive everywhere, "
-            f"min = {theta_min}; the heat sub-problem lost parabolicity"
+            f"heat coefficient must be positive everywhere, min = {c_min}; "
+            f"the heat sub-problem lost parabolicity"
         )
     if stiffness is None:
         stiffness = heat_stiffness(grid, params.k)
     w = grid.quad_weights.ravel()
     matrix = stiffness.matrix
     matrix.data[stiffness.diagonal] = stiffness.diagonal_values + (
-        w * (params.cv / dt) * theta_frozen.data.ravel()
+        w * (params.cv / dt) * coefficient.data.ravel()
     )
-    mean_mass = (params.cv / dt) * float(theta_frozen.data.mean())
+    mean_mass = (params.cv / dt) * float(coefficient.data.mean())
     precondition = _fast_diagonalization(
         stiffness.bases, mean_mass + stiffness.eigenvalues
     )
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 
-def heat_rhs_vector(grid, dt, theta_old, theta_frozen, x_v, strain, g, params):
-    """Weighted right-hand side of the heat system, over all nodes, for the
-    packed velocity ``x_v`` and its corner strains ``strain @ x_v``:
+def heat_rhs_vector(grid, dt, theta_old, theta_it, x_v, strain, g, params):
+    """Newton's heat system at the iterate ``theta_it``, for the packed
+    velocity ``x_v`` and its corner strains eps = ``strain @ x_v``: the
+    weighted right-hand side, over all nodes,
 
-        (cv/dt) theta_frozen * theta_old - theta_frozen * (A2 alpha):eps
-            + (A1 eps):eps + g
+        w * [(cv/dt) theta_it^2 + (A1 eps):eps + g]
 
-    (the source of ``constitutive.heat_rhs``, its strain terms the corner
-    averages of :mod:`kvsim.grid`), times the quadrature weights.
+    and the diagonal coefficient (a ScalarField)
+
+        q = 2 theta_it - theta_old + (dt/cv) (A2 alpha):eps
+
+    (the strain terms the corner averages of :mod:`kvsim.grid`).  The
+    frozen system at theta_it has the coefficient theta_it and the
+    right-hand side above minus w (cv/dt) theta_it (q - theta_it).
     """
     d = grid.d
     strains = (strain @ x_v).reshape(-1, grid.num_nodes)
-    theta = theta_frozen.data.ravel()
-    source = (
-        -theta * strain_contraction(params.thermal_coupling(), strains, d)
-        + strain_density(strains, params.lambda1, params.mu1, d)
-    )
+    theta = theta_it.data.ravel()
+    mass = params.cv / dt
+    r = mass * theta * theta + strain_density(
+        strains, params.lambda1, params.mu1, d)
     if g is not None:
-        source += g.data.ravel()
-    r = (params.cv / dt) * theta * theta_old.data.ravel() + source
-    return grid.quad_weights.ravel() * r
+        r += g.data.ravel()
+    q = 2.0 * theta - theta_old.data.ravel() + strain_contraction(
+        params.thermal_coupling(), strains, d) / mass
+    q = ScalarField(grid, q.reshape(grid.shape))
+    return grid.quad_weights.ravel() * r, q
 
 
 # ---------------------------------------------------------------------------

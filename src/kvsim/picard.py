@@ -1,23 +1,35 @@
 """Outer time loop and per-step successive-approximation iteration.
 
-Each time step freezes the nonlinearity at the previous iterate and solves
-the two linear sub-problems in turn, in Gauss-Seidel order:
+Each time step linearises the nonlinearity at the previous iterate and
+solves the two linear sub-problems in turn, in Gauss-Seidel order:
 
-1. velocity solve with frozen theta, then the displacement update
-   ``u_new = u_old + dt * v_new`` (which keeps the discrete compatibility
-   d(eps)/dt = eps(v_new) exact),
-2. heat solve with the frozen temperature coefficient and the strain rate
-   of the velocity just solved.
+1. velocity solve with the iterate's temperature in the thermal stress,
+   then the displacement update ``u_new = u_old + dt * v_new`` (which keeps
+   the discrete compatibility d(eps)/dt = eps(v_new) exact),
+2. heat solve, Newton's linearisation at the iterate of the heat equation's
+   own nonlinearity cv theta theta_t and thermal coupling, with the strain
+   rate of the velocity just solved (see :mod:`kvsim.linear_step`).
+
+Newton's heat system has the diagonal coefficient q = 2 theta_it -
+theta_old + (dt/cv) (A2 alpha):eps and is symmetric positive-definite
+while q > 0.  The frozen fallback: a sweep whose q is not positive
+everywhere solves instead the frozen system, whose coefficient is the
+iterate theta_it itself (positive above the step's floor), and the step's
+:class:`PicardTrace` counts it.  Both systems have the same fixed point,
+so the accepted step does not depend on which one a sweep took, only the
+number of sweeps does: Newton's heat error squares from sweep to sweep,
+and what remains to contract is the coupling between the two
+sub-problems.
 
 The elastic stress is implicit: with Q2 the compact Navier operator of the
 Lame pair (``grid.navier_matrix`` on the interior box), the velocity matrix
 is (1/dt) I - Q1 - dt Q2, which is Q2 u_new = Q2 (u_old + dt v_new) moved
 to the left, and a step's load holds Q2 u_old.  A sweep iterates only the
-thermal coupling and the viscous heating.  Both take the corner strains of
-``grid.strain_matrix`` (the velocity system through its weighted adjoint,
-``grid.divergence_matrix``), which the stepper builds once, so no sweep
-takes a field derivative.  They sum to the compact operators, so a
-converged step balances the discrete energy
+heat capacity, the thermal coupling and the viscous heating.  The last two
+take the corner strains of ``grid.strain_matrix`` (the velocity system
+through its weighted adjoint, ``grid.divergence_matrix``), which the
+stepper builds once, so no sweep takes a field derivative.  They sum to
+the compact operators, so a converged step balances the discrete energy
 
     E_new - E_old - dt * work + ND = 0
 
@@ -154,7 +166,9 @@ class PicardTrace:
     ``ys`` holds the iterate difference norms that drive the stopping rule.
     ``velocity_solves`` and ``heat_solves`` hold each sweep's
     :class:`~kvsim.linear_step.LinearSolveReport`: CG iterations and final
-    relative residual of the two sub-problems.
+    relative residual of the two sub-problems.  ``frozen_sweeps`` counts
+    the sweeps that took the frozen fallback instead of Newton's heat
+    system.
     """
 
     ys: list
@@ -163,6 +177,7 @@ class PicardTrace:
     converged: bool
     iterations: int
     threshold: float
+    frozen_sweeps: int
 
     def ratios(self):
         """Contraction ratios Y_{n+1} / Y_n (skipping zero denominators)."""
@@ -220,25 +235,35 @@ class Stepper:
     def sweep(self, state, x_v, theta, load, g, reduction=0.0):
         """One successive-approximation sweep from the iterate ``x_v`` (the
         packed interior velocity, the velocity solve's initial guess) and
-        ``theta``, at which the nonlinearity is frozen.  ``load`` is the
-        step's ``linear_step.velocity_load``.  Each solve starts from the
-        iterate and stops at ``solve_spd``'s tolerance or, with
-        ``reduction`` > 0, once it has cut its starting residual by that
-        factor.  Returns the next ``x_v`` and ``theta`` and the velocity and
-        heat :class:`~kvsim.linear_step.LinearSolveReport`.
+        ``theta``, at which the nonlinearity is linearised.  ``load`` is the
+        step's ``linear_step.velocity_load``.  The heat solve is Newton's
+        system, or the frozen fallback where its coefficient q is not
+        positive everywhere.  Each solve starts from the iterate and stops
+        at ``solve_spd``'s tolerance or, with ``reduction`` > 0, once it has
+        cut its starting residual by that factor.  Returns the next ``x_v``
+        and ``theta``, the velocity and heat
+        :class:`~kvsim.linear_step.LinearSolveReport` and whether the sweep
+        fell back to the frozen system.
         """
         grid, dt = self.grid, self.config.dt
         rhs_v = linear_step.velocity_rhs(
             load, theta, self.divergence, self.params)
         x_v, velocity = linear_step.solve_spd(
             self.velocity_op, rhs_v, x0=x_v, reduction=reduction)
-        rhs_h = linear_step.heat_rhs_vector(
+        rhs_h, coefficient = linear_step.heat_rhs_vector(
             grid, dt, state.theta, theta, x_v, self.strain, g, self.params)
+        x_h = theta.data.ravel()
+        frozen = not float(np.min(coefficient.data)) > 0.0
+        if frozen:
+            mass = grid.quad_weights.ravel() * (self.params.cv / dt)
+            rhs_h -= mass * x_h * (coefficient.data.ravel() - x_h)
+            coefficient = theta
         heat_op = linear_step.heat_matrix(
-            grid, dt, theta, self.params, stiffness=self.stiffness)
+            grid, dt, coefficient, self.params, stiffness=self.stiffness)
         x_h, heat = linear_step.solve_spd(
-            heat_op, rhs_h, x0=theta.data.ravel(), reduction=reduction)
-        return x_v, ScalarField(grid, x_h.reshape(grid.shape)), velocity, heat
+            heat_op, rhs_h, x0=x_h, reduction=reduction)
+        return (x_v, ScalarField(grid, x_h.reshape(grid.shape)), velocity,
+                heat, frozen)
 
     def step(self, state, b=None, g=None):
         """Advance one time step; returns (new state, Picard trace).  The
@@ -259,12 +284,14 @@ class Stepper:
         load = linear_step.velocity_load(
             grid, dt, x_v, state.u, b, self.elastic)
         ys, velocity_solves, heat_solves = [], [], []
+        frozen_sweeps = 0
         reduction = SWEEP_REDUCTION
         for sweep_count in range(1, PICARD_MAX + 1):
-            x_new, theta_new, velocity, heat = self.sweep(
+            x_new, theta_new, velocity, heat, frozen = self.sweep(
                 state, x_v, theta, load, g, reduction)
             velocity_solves.append(velocity)
             heat_solves.append(heat)
+            frozen_sweeps += frozen
             theta_min = float(np.min(theta_new.data))
             if theta_min < floor:
                 raise DegeneracyError(
@@ -293,12 +320,14 @@ class Stepper:
                 f"{threshold:.3e} within {PICARD_MAX} sweeps "
                 f"(last Y = {ys[-1]:.3e})",
                 report=PicardTrace(ys, velocity_solves, heat_solves,
-                                   False, PICARD_MAX, threshold),
+                                   False, PICARD_MAX, threshold,
+                                   frozen_sweeps),
             )
         v = linear_step.unpack_interior(grid, x_v)
         u = VectorField(grid, state.u.data + dt * v.data)
         return SimState(state.t + dt, u, v, theta), PicardTrace(
-            ys, velocity_solves, heat_solves, True, sweep_count, threshold)
+            ys, velocity_solves, heat_solves, True, sweep_count, threshold,
+            frozen_sweeps)
 
 
 @dataclass

@@ -129,17 +129,21 @@ def reference_velocity_rhs(grid, dt, v_old, u, theta, b, params):
     return pack_interior(grid, v_old.data / dt + force)
 
 
-def reference_heat_rhs_vector(grid, dt, theta_old, theta_frozen, v_iter, g,
+def reference_heat_rhs_vector(grid, dt, theta_old, theta_it, v_iter, g,
                               params):
-    """The weighted heat right-hand side by the per-corner loop: the
-    corners at a node sum their weighted source
-    -theta * (A2 alpha):eps + (A1 eps):eps of the strain rate of ``v_iter``."""
-    nodes, _, _ = corner_gradients(grid)
+    """Newton's heat system at ``theta_it`` by the per-corner loop: the
+    corners at a node sum their weighted viscous heating (A1 eps):eps and
+    coupling (A2 alpha):eps of the strain rate of ``v_iter``.  Returns the
+    weighted right-hand side w [(cv/dt) theta_it^2 + (A1 eps):eps + g],
+    flat, and the coefficient q = 2 theta_it - theta_old + (dt/cv)
+    (A2 alpha):eps, in ``grid.shape``."""
     eps = corner_strain(grid, v_iter.data)
     coupling = np.sum(coupling_matrix(params, grid.d) * eps, axis=(1, 2))
-    source = (-theta_frozen.data.ravel()[nodes] * coupling
-              + corner_density(eps, params.lambda1, params.mu1))
+    heating = corner_sum(grid, corner_density(eps, params.lambda1, params.mu1))
     g_data = g.data if g is not None else 0.0
-    mass = (params.cv / dt) * theta_frozen.data * theta_old.data
-    return (grid.quad_weights * (mass + g_data)
-            + corner_sum(grid, source)).ravel()
+    mass = params.cv / dt
+    w = grid.quad_weights
+    rhs = w * (mass * theta_it.data**2 + g_data) + heating
+    q = (2.0 * theta_it.data - theta_old.data
+         + corner_sum(grid, coupling) / (w * mass))
+    return rhs.ravel(), q

@@ -539,15 +539,20 @@ def test_cli_rejects_grids_it_cannot_build(tmp_path, capsys, old, new,
 
 
 def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
+    """A 9x9 bump with thermal expansion 2 does not contract within the
+    sweep cap at dt 0.5: the velocity-temperature coupling holds the Y
+    ratios at 1.000.  (A velocity amplitude of 10 at dt 0.05 failed only
+    while the heat capacity was iterated by substitution.)"""
     monkeypatch.chdir(tmp_path)
-    # a 9x9 bump this fast does not contract within the sweep cap at dt 0.05
     text = run_cfg_text() + (
-        "\n[initial]\npreset = bump\nvelocity_amplitude = 10\n"
-        "theta_amplitude = 0.1\n"
-    )
+        "\n[initial]\npreset = bump\ntheta_amplitude = 0.1\n")
+    text = text.replace("alpha = 0.1", "alpha = 2.0")
+    text = text.replace("dt = 0.05", "dt = 0.5").replace("t_end = 0.1",
+                                                         "t_end = 1.0")
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", str(cfg)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "did not contract" in err
 
 
 def test_cli_exit_code_on_cg_stagnation(tmp_path, monkeypatch, capsys):

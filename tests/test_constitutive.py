@@ -1,4 +1,9 @@
-"""Pointwise material model: frozen examples and randomized identities."""
+"""Pointwise material model: frozen examples and randomized identities.
+
+The stress and the heat source have no pointwise functions: their examples
+are checked on the discrete path that uses them, the velocity system's
+forces and Newton's heat system on the corner strains of the strain map.
+"""
 
 import numpy as np
 import pytest
@@ -13,13 +18,21 @@ from kvsim import (
     entropy_density,
     entropy_production,
     free_energy,
-    heat_rhs,
     internal_energy,
-    stress,
+    Grid,
+    ScalarField,
 )
 from kvsim.constitutive import DDOT_WEIGHTS, IDENTITY_6
+from kvsim.grid import (
+    divergence_matrix,
+    navier_matrix,
+    strain_contraction,
+    strain_density,
+    strain_matrix,
+)
+from kvsim.linear_step import heat_rhs_vector, pack_interior, velocity_rhs
 
-from helpers import default_params
+from helpers import default_params, random_boundary_zero_vector
 
 I6 = IDENTITY_6
 N_SAMPLES = 10_000
@@ -83,44 +96,119 @@ def test_coercivity_bounds_rejects_inadmissible():
 
 
 # ---------------------------------------------------------------------------
-# stress
+# stress, on the discrete path: the velocity system's forces
 # ---------------------------------------------------------------------------
 
+def _linear_velocity(grid):
+    """The packed field x - 1/2 (boundary values zero) and the flat index of
+    the centre node: there every corner strain is the identity, so the
+    corner averages take the pointwise values at eps = I."""
+    x = np.stack(grid.coords(), axis=-1) - 0.5
+    centre = np.ravel_multi_index(tuple(n // 2 for n in grid.n), grid.shape)
+    return pack_interior(grid, x), centre
+
+
+def _centre_strains(grid):
+    x, centre = _linear_velocity(grid)
+    strains = (strain_matrix(grid) @ x).reshape(-1, grid.num_nodes)
+    return strains[:, centre], centre
+
+
+def _forces(grid, params, u, v, theta):
+    """Q1 v + Q2 u - Div(theta A2 alpha): the force of the stress
+    A1 eps(v) + A2 (eps(u) - theta alpha) on the packed interior nodes."""
+    q1, q2 = (navier_matrix(grid, lam, mu, box=slice(1, -1))
+              for lam, mu in ((params.lambda1, params.mu1),
+                              (params.lambda2, params.mu2)))
+    thermal = velocity_rhs(np.zeros(q1.shape[0]), theta,
+                           divergence_matrix(grid), params)
+    return q1 @ v + q2 @ u + thermal
+
+
 def test_stress_zero():
+    """At rest with a uniform temperature, the stress is uniform and the
+    velocity system feels no force."""
+    grid = Grid((7, 7, 7), (1.0, 1.0, 1.0))
     p = default_params()
-    assert np.all(stress(np.zeros(6), np.zeros(6), 0.0, p) == 0.0)
+    zero = np.zeros(grid.d * int(np.prod(grid.interior_shape)))
+    force = _forces(grid, p, zero, zero, ScalarField.constant(grid, 2.0))
+    assert np.max(np.abs(force)) <= 1e-12
 
 
 def test_stress_elastic_only():
+    """The strain eps = I of a linear displacement carries the elastic
+    stress A2 I = 5 I, whose work density (A2 I):I is 15 at a node the
+    linear field surrounds, and whose uniform stress exerts no force
+    there."""
+    grid = Grid((7, 7, 7), (1.0, 1.0, 1.0))
     p = default_params()
-    assert np.allclose(stress(I6, np.zeros(6), 0.0, p), 5.0 * I6)
+    strains, centre = _centre_strains(grid)
+    assert np.allclose(strains, np.concatenate([I6, np.zeros(9)]),
+                       rtol=0.0, atol=1e-14)
+    assert strain_density(strains, p.lambda2, p.mu2, 3) == pytest.approx(15.0)
+    u, _ = _linear_velocity(grid)
+    zero = np.zeros_like(u)
+    force = _forces(grid, p, u, zero, ScalarField.constant(grid, 1.0))
+    node = list(np.ndindex(grid.interior_shape)).index(
+        tuple(n // 2 - 1 for n in grid.n))
+    m = int(np.prod(grid.interior_shape))
+    assert np.max(np.abs(force[node::m])) <= 1e-12
 
 
 def test_stress_thermal_only():
+    """With alpha = 1 the thermal stress is -theta A2 alpha = -5 theta I,
+    so a temperature rising along x pushes every interior node back with
+    the force -5 d(theta)/dx along x and none across."""
+    grid = Grid((7, 7, 7), (1.0, 1.0, 1.0))
     p = default_params(alpha=1.0)
-    got = stress(np.zeros(6), np.zeros(6), 2.0, p)
-    assert np.allclose(got, -10.0 * I6)
+    x, _, _ = grid.coords()
+    zero = np.zeros(grid.d * int(np.prod(grid.interior_shape)))
+    force = _forces(grid, p, zero, zero, ScalarField(grid, 2.0 + 0.5 * x))
+    m = int(np.prod(grid.interior_shape))
+    assert np.allclose(force[:m], -2.5, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(force[m:])) <= 1e-12
 
 
 def test_stress_splitting(rng):
-    """S equals the strain derivative of f plus the viscous part A1 eps_t."""
-    p = default_params(alpha=0.07, lambda2=1.4, mu2=0.9)
-    h = 1e-3
-    for _ in range(50):
-        eps = rng.standard_normal(6)
-        eps_t = rng.standard_normal(6)
-        theta = rng.uniform(0.2, 3.0)
-        grad_f = np.empty(6)
-        for c in range(6):
-            delta = np.zeros(6)
-            delta[c] = h
-            diff = free_energy(eps + delta, theta, p) - free_energy(eps - delta, theta, p)
-            # stored off-diagonal components represent two tensor entries
-            grad_f[c] = diff / (2.0 * h) / DDOT_WEIGHTS[c]
-        viscous = apply_isotropic(p.lambda1, p.mu1, eps_t)
-        expected = grad_f + viscous
-        got = stress(eps, eps_t, theta, p)
-        assert np.max(np.abs(got - expected)) <= 1e-7 * (1.0 + np.max(np.abs(got)))
+    """The forces split as the stress does, S = df/deps + A1 eps_t: with
+    the corner strains of the strain map, W (Q2 u - Div(theta A2 alpha))
+    is minus the u-gradient of the discrete free energy
+    sum w [(A2 eps):eps / 2 - theta (A2 alpha):eps], and W Q1 v minus the
+    v-gradient of sum w (A1 eps_t):eps_t / 2.  Both forms are quadratic,
+    so central differences match to round-off."""
+    grid = Grid((7, 8, 9), (1.0, 1.2, 0.9))
+    p = default_params(alpha=0.07, lambda1=0.6, mu1=1.3, lambda2=1.4, mu2=0.9)
+    strain = strain_matrix(grid)
+    w = grid.quad_weights.ravel()
+    weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
+    theta = ScalarField(grid, rng.uniform(0.2, 3.0, grid.shape))
+
+    def strains(x):
+        return (strain @ x).reshape(-1, grid.num_nodes)
+
+    def free_energy(x):
+        e = strains(x)
+        return np.sum(w * (0.5 * strain_density(e, p.lambda2, p.mu2, 3)
+                           - theta.data.ravel() * strain_contraction(
+                               p.thermal_coupling(), e, 3)))
+
+    def viscous_potential(x):
+        return np.sum(w * 0.5 * strain_density(strains(x), p.lambda1,
+                                               p.mu1, 3))
+
+    zero = np.zeros(strain.shape[1])
+    h = 1e-2
+    for _ in range(5):
+        u, v, z = (pack_interior(grid, random_boundary_zero_vector(
+            grid, rng).data) for _ in range(3))
+        for potential, force in (
+                (free_energy, _forces(grid, p, u, zero, theta)),
+                (viscous_potential, _forces(grid, p, zero, v,
+                                            ScalarField.constant(grid, 0.0)))):
+            at = u if potential is free_energy else v
+            slope = (potential(at + h * z) - potential(at - h * z)) / (2 * h)
+            expected = -z @ (weights * force)
+            assert abs(slope - expected) <= 1e-9 * (1.0 + abs(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +321,53 @@ def test_positive_temperature_required(bad_theta):
 
 
 # ---------------------------------------------------------------------------
-# heat equation right-hand side
+# heat equation source, on the discrete path: Newton's heat system
 # ---------------------------------------------------------------------------
 
+def _heat_source(grid, p, x_v, g=None, theta=1.0, theta_old=1.0, dt=0.05):
+    """The viscous heating plus g and the coupling (A2 alpha):eps at every
+    node, read back from Newton's heat system at a uniform iterate."""
+    theta_it = ScalarField.constant(grid, theta)
+    rhs, q = heat_rhs_vector(grid, dt, ScalarField.constant(grid, theta_old),
+                             theta_it, x_v, strain_matrix(grid), g, p)
+    mass = p.cv / dt
+    heating = rhs / grid.quad_weights.ravel() - mass * theta**2
+    coupling = mass * (q.data.ravel() - 2.0 * theta + theta_old)
+    return heating, coupling
+
+
 def test_heat_rhs_zero():
-    p = default_params()
-    assert heat_rhs(0.0, np.zeros(6), 0.0, p) == 0.0
+    """At rest and without a source the heat system has no source: its
+    right-hand side is the mass term (cv/dt) w theta^2 and its coefficient
+    2 theta - theta_old."""
+    grid = Grid((7, 7, 7), (1.0, 1.0, 1.0))
+    zero = np.zeros(grid.d * int(np.prod(grid.interior_shape)))
+    heating, coupling = _heat_source(grid, default_params(), zero,
+                                     theta=1.3, theta_old=0.9)
+    assert np.max(np.abs(heating)) <= 1e-12
+    assert np.max(np.abs(coupling)) <= 1e-12
 
 
 def test_heat_rhs_exact_cancellation():
-    p = default_params(alpha=1.0)
-    assert heat_rhs(1.0, I6, 0.0, p) == pytest.approx(0.0)
+    """With alpha = 1, at a node where the strain rate is I, the thermal
+    coupling theta (A2 alpha):eps_t = 15 theta cancels the viscous heating
+    (A1 eps_t):eps_t = 15 at theta = 1."""
+    grid = Grid((7, 7, 7), (1.0, 1.0, 1.0))
+    x_v, centre = _linear_velocity(grid)
+    heating, coupling = _heat_source(grid, default_params(alpha=1.0), x_v)
+    assert heating[centre] - 1.0 * coupling[centre] == pytest.approx(
+        0.0, abs=1e-10)
+    assert coupling[centre] == pytest.approx(15.0)
 
 
 def test_heat_rhs_viscous_and_source():
-    p = default_params(alpha=0.0)
-    assert heat_rhs(1.0, I6, 2.0, p) == pytest.approx(17.0)
+    """At a node where the strain rate is I, the viscous heating
+    (A1 I):I = 15 and the source g = 2 add to 17."""
+    grid = Grid((7, 7, 7), (1.0, 1.0, 1.0))
+    x_v, centre = _linear_velocity(grid)
+    heating, _ = _heat_source(grid, default_params(alpha=0.0), x_v,
+                              g=ScalarField.constant(grid, 2.0))
+    assert heating[centre] == pytest.approx(17.0)
 
 
 # ---------------------------------------------------------------------------

@@ -188,20 +188,24 @@ def _at_rest(grid):
 
 def test_heat_constant_fixed_point(grid2d, params):
     theta = ScalarField.constant(grid2d, 1.7)
-    op = heat_matrix(grid2d, 0.05, theta, params)
-    rhs = heat_rhs_vector(grid2d, 0.05, theta, theta, _at_rest(grid2d),
-                          strain_matrix(grid2d), None, params)
+    rhs, q = heat_rhs_vector(grid2d, 0.05, theta, theta, _at_rest(grid2d),
+                             strain_matrix(grid2d), None, params)
+    assert np.array_equal(q.data, theta.data)
+    op = heat_matrix(grid2d, 0.05, q, params)
     x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
     assert np.max(np.abs(x - 1.7)) <= 1e-12
 
 
 def test_heat_uniform_source_update(grid2d, params):
+    """One Newton solve from a uniform temperature under a uniform source
+    is exact: cv theta (theta - theta_old) = dt g is linear in the update
+    at theta_old, and the solve lands on its linearisation."""
     theta = ScalarField.constant(grid2d, 2.0)
     g = ScalarField.constant(grid2d, 0.8)
     dt = 0.05
-    op = heat_matrix(grid2d, dt, theta, params)
-    rhs = heat_rhs_vector(grid2d, dt, theta, theta, _at_rest(grid2d),
-                          strain_matrix(grid2d), g, params)
+    rhs, q = heat_rhs_vector(grid2d, dt, theta, theta, _at_rest(grid2d),
+                             strain_matrix(grid2d), g, params)
+    op = heat_matrix(grid2d, dt, q, params)
     x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
     expected = 2.0 + dt * 0.8 / (params.cv * 2.0)
     assert np.max(np.abs(x - expected)) <= 1e-10
@@ -209,20 +213,46 @@ def test_heat_uniform_source_update(grid2d, params):
 
 @SMALL_GRIDS
 def test_heat_rhs_matches_the_gradient_reference(rng, params, nodes, lengths):
-    """The heat right-hand side from the strain map's strain rate is the
-    per-corner gradients' reference, to round-off: the corners at a node
-    sum their weighted coupling and viscous heating."""
+    """Newton's heat right-hand side and coefficient from the strain map's
+    strain rate are the per-corner gradients' reference, to round-off: the
+    corners at a node sum their weighted coupling and viscous heating."""
     grid = Grid(nodes, lengths)
     v = random_boundary_zero_vector(grid, rng)
     theta_old, theta = (ScalarField(grid, 1.0 + rng.random(grid.shape))
                         for _ in range(2))
     g = ScalarField(grid, rng.standard_normal(grid.shape))
-    got = heat_rhs_vector(grid, 0.02, theta_old, theta,
-                          pack_interior(grid, v.data), strain_matrix(grid), g,
-                          params)
-    expected = reference_heat_rhs_vector(grid, 0.02, theta_old, theta, v, g,
-                                         params)
+    got, q = heat_rhs_vector(grid, 0.02, theta_old, theta,
+                             pack_interior(grid, v.data), strain_matrix(grid),
+                             g, params)
+    expected, expected_q = reference_heat_rhs_vector(
+        grid, 0.02, theta_old, theta, v, g, params)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(q.data - expected_q)) <= (
+        1e-13 * np.max(np.abs(expected_q)))
+
+
+@SMALL_GRIDS
+def test_heat_newton_system_is_the_frozen_one_at_its_fixed_point(
+        rng, params, nodes, lengths):
+    """At theta_it = theta both heat systems evaluate the residual of the
+    heat equation: (cv/dt) theta (theta - theta_old) + theta (A2 alpha):eps
+    - k Lap theta - (A1 eps):eps - g, weighted.  So Newton's system, with
+    coefficient q, and the frozen one, with coefficient theta and the
+    right-hand side that ``heat_rhs_vector`` documents, leave the same
+    residual at any theta: they share their fixed point."""
+    grid = Grid(nodes, lengths)
+    x_v = pack_interior(grid, random_boundary_zero_vector(grid, rng).data)
+    theta_old, theta = (ScalarField(grid, 1.0 + rng.random(grid.shape))
+                        for _ in range(2))
+    dt = 0.02
+    rhs, q = heat_rhs_vector(grid, dt, theta_old, theta, x_v,
+                             strain_matrix(grid), None, params)
+    x = theta.data.ravel()
+    newton = rhs - heat_matrix(grid, dt, q, params).matrix @ x
+    frozen_rhs = rhs - (grid.quad_weights.ravel() * (params.cv / dt) * x
+                        * (q.data.ravel() - x))
+    frozen = frozen_rhs - heat_matrix(grid, dt, theta, params).matrix @ x
+    assert np.max(np.abs(newton - frozen)) <= 1e-13 * np.max(np.abs(rhs))
 
 
 def test_heat_matrix_symmetric_and_positive(rng, grid2d, params):

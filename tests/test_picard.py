@@ -24,7 +24,12 @@ from kvsim.cli_io import (
     builtin_scenario,
     load_config,
 )
-from kvsim.diagnostics import DiagnosticsCollector, state_integrals, total_energy
+from kvsim.diagnostics import (
+    DiagnosticsCollector,
+    state_integrals,
+    theta_lower_bound_check,
+    total_energy,
+)
 from kvsim.grid import (
     boundary_max_abs,
     integrate,
@@ -111,7 +116,7 @@ def test_iterate_sizes_stay_bounded(grid2d, params):
     load, x_v, theta = _sweep_start(stepper, state)
     sizes = []
     for reduction in _reductions(trace):
-        x_v, theta, _, _ = stepper.sweep(
+        x_v, theta, *_ = stepper.sweep(
             state, x_v, theta, load, None, reduction)
         v = linear_step.unpack_interior(grid2d, x_v)
         sizes.append(l2_norm(grid2d, v.data) + lp_norm(theta, 2))
@@ -133,7 +138,7 @@ def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
     iterates = [(new.v, new.theta)]
     theta = new.theta
     for _ in range(2):
-        x_v, theta, _, _ = stepper.sweep(state, x_v, theta, load, None)
+        x_v, theta, *_ = stepper.sweep(state, x_v, theta, load, None)
         iterates.append((linear_step.unpack_interior(grid2d, x_v), theta))
     for (v0, theta0), (v1, theta1) in zip(iterates, iterates[1:]):
         moved = l2_diff(v1, v0, grid2d) + l2_diff(theta1, theta0, grid2d)
@@ -164,11 +169,11 @@ def _relative_residual(op, x, rhs):
 
 
 def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
-    """The implicit elasticity and the Gauss-Seidel sweep order leave the
-    fixed point where it was: each accepted step solves the velocity system
-    with only the viscosity implicit, and the heat system with the
-    coefficients frozen at the accepted temperature, both with the strains
-    of the per-corner reference."""
+    """The implicit elasticity, the Gauss-Seidel sweep order and Newton's
+    heat system leave the fixed point where it was: each accepted step
+    solves the velocity system with only the viscosity implicit, and the
+    heat system linearised at the accepted temperature, both with the
+    strains of the per-corner reference."""
     cfg, traj, _ = shipped_runs["bump2d"]
     grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
     velocity_op = linear_step.velocity_matrix(
@@ -178,9 +183,10 @@ def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
             grid, dt, old.v, new.u, new.theta, None, params)
         x_v = linear_step.pack_interior(grid, new.v.data)
         assert _relative_residual(velocity_op, x_v, rhs_v) <= 1e-9
-        heat_op = linear_step.heat_matrix(grid, dt, new.theta, params)
-        rhs_h = reference_heat_rhs_vector(
+        rhs_h, q = reference_heat_rhs_vector(
             grid, dt, old.theta, new.theta, new.v, None, params)
+        heat_op = linear_step.heat_matrix(
+            grid, dt, ScalarField(grid, q), params)
         x_h = new.theta.data.ravel()
         assert _relative_residual(heat_op, x_h, rhs_h) <= 1e-9
 
@@ -243,7 +249,7 @@ def _full_tolerance_step(stepper, state):
     moves = []
     while not moves or moves[-1] > max(PICARD_TOL * moves[0], floor):
         assert len(moves) < PICARD_MAX
-        x_v, theta_new, _, _ = stepper.sweep(state, x_v, theta, load, None)
+        x_v, theta_new, *_ = stepper.sweep(state, x_v, theta, load, None)
         v_new = linear_step.unpack_interior(grid, x_v)
         moves.append(l2_diff(v_new, v, grid) + l2_diff(theta_new, theta, grid))
         v, theta = v_new, theta_new
@@ -339,24 +345,29 @@ def test_step_packs_and_unpacks_the_velocity_once(monkeypatch, shipped_runs):
 def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
     """Every sweep's heat matrix is the stepper's one matrix: its index
     arrays and data are shared, and each rewritten ``data`` is bit-equal
-    to a freshly built ``heat_matrix`` of that sweep's temperature."""
+    to a freshly built ``heat_matrix`` of that sweep's diagonal
+    coefficient, Newton's q."""
     cfg, traj, _ = shipped_runs["bump2d"]
     grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
     stepper = Stepper(grid, params, traj.config)
     fresh_heat_matrix = linear_step.heat_matrix
-    sweeps = []
+    sweeps, newton = [], []
 
     def record(args, op):
         sweeps.append((args[2].data.copy(), op.matrix, op.matrix.data.copy()))
 
+    _counting(monkeypatch, [linear_step], "heat_rhs_vector", {},
+              lambda args, result: newton.append(result[1].data.copy()))
     _counting(monkeypatch, [linear_step], "heat_matrix", {}, record)
     _, trace = stepper.step(traj.states[3])
     assert len(sweeps) == trace.iterations >= 2
+    assert trace.frozen_sweeps == 0
     first = sweeps[0][1]
-    for theta, matrix, data in sweeps:
+    for q, (coefficient, matrix, data) in zip(newton, sweeps):
+        assert np.array_equal(coefficient, q)
         assert matrix is first
         fresh = fresh_heat_matrix(
-            grid, dt, ScalarField(grid, theta), params).matrix
+            grid, dt, ScalarField(grid, coefficient), params).matrix
         assert not np.shares_memory(fresh.data, first.data)
         assert np.array_equal(fresh.indptr, matrix.indptr)
         assert np.array_equal(fresh.indices, matrix.indices)
@@ -408,18 +419,129 @@ def test_with_dt_shares_the_elastic_values_on_the_new_pattern(grid2d):
     assert velocity.data.tobytes() == expected.data.tobytes()
 
 
-def test_picard_nonconvergence_carries_trace(params):
-    """A 9x9 bump of velocity amplitude 10 does not contract at dt 0.05
-    (amplitude 5 converges in 31 sweeps): the step fails after the sweep
-    cap, carrying every sweep's trace."""
+def test_picard_nonconvergence_carries_trace():
+    """A 9x9 bump with thermal expansion 2 does not contract at dt 0.5:
+    the coupling of velocity and temperature, which Newton's heat system
+    does not touch, holds the Y ratios at 1.000.  The step fails after the
+    sweep cap, carrying every sweep's trace.  (The earlier input, velocity
+    amplitude 10 at dt 0.05, failed by the substitution in cv theta
+    theta_t; with Newton it converges in 9 sweeps.)"""
     grid = make_grid(d=2, n=9)
-    state = bump_state(grid, v_amp=10.0)
+    state = bump_state(grid)
+    stepper = Stepper(grid, default_params(alpha=2.0), StepperConfig(dt=0.5))
     with pytest.raises(NonConvergenceError) as excinfo:
-        Stepper(grid, params, StepperConfig(dt=0.05)).step(state)
+        stepper.step(state)
     trace = excinfo.value.report
     assert not trace.converged
     assert len(trace.ys) == PICARD_MAX
     assert len(trace.velocity_solves) == len(trace.heat_solves) == PICARD_MAX
+    assert all(r > 0.99 for r in trace.ratios()[-10:])
+
+
+# ---------------------------------------------------------------------------
+# Newton's heat system and its frozen fallback
+# ---------------------------------------------------------------------------
+
+def test_heat_only_newton_error_squares(params):
+    """With the velocity held fixed, Newton's heat solves square the error
+    from sweep to sweep: on a 17^2 bump of velocity amplitude 5 at dt 0.02,
+    whose viscous heating lifts theta from 1 to about 9 in the step, the
+    errors 8.4, 2.8, 0.57, 0.034, 1.4e-4, 2.1e-9 each stay below 0.2 times
+    the square of the one before.  (The frozen substitution cuts them by
+    about 0.7 per sweep.)"""
+    grid = make_grid(d=2, n=17)
+    state = bump_state(grid, v_amp=5.0)
+    dt = 0.02
+    stepper = Stepper(grid, params, StepperConfig(dt=dt))
+    x_v = linear_step.pack_interior(grid, state.v.data)
+    theta, iterates = state.theta, []
+    for _ in range(7):
+        rhs, q = linear_step.heat_rhs_vector(
+            grid, dt, state.theta, theta, x_v, stepper.strain, None, params)
+        op = linear_step.heat_matrix(grid, dt, q, params,
+                                     stiffness=stepper.stiffness)
+        x, _ = linear_step.solve_spd(op, rhs, x0=theta.data.ravel())
+        theta = ScalarField(grid, x.reshape(grid.shape))
+        iterates.append(x)
+    limit = iterates[-1]
+    errors = [np.max(np.abs(x - limit)) for x in iterates[:-1]]
+    above_roundoff = [(a, b) for a, b in zip(errors, errors[1:])
+                      if b > 1e-12 * np.max(limit)]
+    assert len(above_roundoff) >= 4
+    assert errors[0] > 1.0
+    for a, b in above_roundoff:
+        assert b <= 0.2 * a**2
+
+
+def test_nonpositive_newton_coefficient_takes_the_frozen_system(
+        monkeypatch, params):
+    """A sweep whose Newton coefficient q is not positive everywhere solves
+    the frozen system, (cv/dt) w theta_it theta - k Lap theta =
+    w [(cv/dt) theta_it theta_old - theta_it (A2 alpha):eps + (A1 eps):eps],
+    and the trace counts it; every other sweep solves Newton's system.  A
+    33^2 bump of velocity amplitude 80 at dt 0.02 to t 0.2 has one such
+    sweep, and still converges."""
+    grid = make_grid(d=2, n=33)
+    dt = 0.02
+    linearised, coefficients, heat_rhs = [], [], []
+
+    def linearisation(args, result):
+        rhs, q = result
+        linearised.append((args[2].data, args[3].data, rhs.copy(), q))
+
+    def solve(args, result):
+        if args[0].size == grid.num_nodes:
+            heat_rhs.append(args[1].copy())
+
+    _counting(monkeypatch, [linear_step], "heat_rhs_vector", {}, linearisation)
+    _counting(monkeypatch, [linear_step], "heat_matrix", {},
+              lambda args, op: coefficients.append(args[2]))
+    _counting(monkeypatch, [linear_step], "solve_spd", {}, solve)
+    traj = run(bump_state(grid, v_amp=80.0), params, StepperConfig(dt=dt),
+               0.2)
+    assert all(trace.converged for trace in traj.traces)
+    assert len(linearised) == len(coefficients) == len(heat_rhs)
+    frozen = [not np.min(q.data) > 0.0 for *_, q in linearised]
+    assert sum(frozen) == sum(t.frozen_sweeps for t in traj.traces) >= 1
+    mass = grid.quad_weights.ravel() * (params.cv / dt)
+    for (theta_old, theta, rhs, q), coefficient, solved, fell_back in zip(
+            linearised, coefficients, heat_rhs, frozen):
+        if not fell_back:
+            assert coefficient is q
+            assert np.array_equal(solved, rhs)
+            continue
+        assert coefficient.data is theta
+        theta_old, theta = theta_old.ravel(), theta.ravel()
+        coupling = mass * (q.data.ravel() - 2.0 * theta + theta_old)
+        heating = rhs - mass * theta**2
+        expected = mass * theta * theta_old - theta * coupling + heating
+        assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(
+            np.abs(expected))
+
+
+@pytest.mark.parametrize("amplitude", [10.0, 20.0])
+def test_large_data_converges_at_the_shipped_dt(params, amplitude):
+    """A 33^2 bump of velocity amplitude 10 or 20 runs at dt 0.02 to t 0.2
+    (with the heat capacity iterated by substitution, both failed with
+    NonConvergenceError): every step's Y sequence is monotone with ratios
+    below 1, theta stays above its lower bound, and the entropy production
+    is nonnegative."""
+    grid = make_grid(d=2, n=33)
+    state = bump_state(grid, v_amp=amplitude)
+    collector = DiagnosticsCollector(params, initial_state=state)
+    traj = run(state, params, StepperConfig(dt=0.02), 0.2,
+               observers=[collector])
+    assert traj.states[-1].t == pytest.approx(0.2)
+    for trace in traj.traces:
+        assert all(b <= a for a, b in zip(trace.ys, trace.ys[1:]))
+        assert all(r < 1.0 for r in trace.ratios())
+    passed, _ = theta_lower_bound_check(traj, params)
+    assert passed
+    assert all(record.entropy_production >= 0.0
+               for record in collector.records)
+    for s in traj.states:
+        for name in ("u", "v", "theta"):
+            assert np.all(np.isfinite(getattr(s, name).data))
 
 
 def test_degeneracy_error_when_cooling_below_floor(grid2d, params):
