@@ -19,7 +19,7 @@ previous iterate,
   of the quasilinear heat equation
       (cv/dt) theta (theta - theta_old) + theta (A2 alpha):eps(v) - k Lap theta
           = (A1 eps(v)):eps(v) + g,
-  which is
+  which linearised at theta_it reads
       (cv/dt) q * theta - k Lap theta = (cv/dt) theta_it^2 + (A1 eps):eps + g,
       q = 2 theta_it - theta_old + (dt/cv) (A2 alpha):eps,
   on all nodes with the mirror-ghost Neumann Laplacian, with v the
@@ -35,7 +35,8 @@ The two couplings are weighted adjoints and the viscous heating sums to
 v^T (-W Q1) v, so the systems balance the discrete energy (see
 :mod:`kvsim.picard`).
 
-Both systems are symmetric positive-definite sparse matrices built from the
+Both systems are symmetric positive-definite sparse matrices (the heat
+system while its diagonal coefficient is positive) built from the
 operators of :mod:`kvsim.grid`, which writes each from the bands of its 1-D
 factors: the velocity matrix from ``navier_matrix`` on the interior box,
 the heat stiffness from ``neumann_matrix`` over all nodes.  The heat

@@ -540,8 +540,8 @@ def test_cli_rejects_grids_it_cannot_build(tmp_path, capsys, old, new,
 
 def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
     """A 9x9 bump with thermal expansion 2 does not contract within the
-    sweep cap at dt 0.5: the velocity-temperature coupling holds the Y
-    ratios at 1.000.  (A velocity amplitude of 10 at dt 0.05 failed only
+    sweep cap at dt 0.5: the velocity-temperature coupling keeps the Y
+    ratios at or above 1.  (A velocity amplitude of 10 at dt 0.05 failed only
     while the heat capacity was iterated by substitution.)"""
     monkeypatch.chdir(tmp_path)
     text = run_cfg_text() + (

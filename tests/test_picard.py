@@ -422,8 +422,9 @@ def test_with_dt_shares_the_elastic_values_on_the_new_pattern(grid2d):
 def test_picard_nonconvergence_carries_trace():
     """A 9x9 bump with thermal expansion 2 does not contract at dt 0.5:
     the coupling of velocity and temperature, which Newton's heat system
-    does not touch, holds the Y ratios at 1.000.  The step fails after the
-    sweep cap, carrying every sweep's trace.  (The earlier input, velocity
+    does not touch, lifts the Y ratios above 1 from the fifth sweep, and
+    they end at 1.000.  The step fails after the sweep cap, carrying every
+    sweep's trace.  (The earlier input, velocity
     amplitude 10 at dt 0.05, failed by the substitution in cv theta
     theta_t; with Newton it converges in 9 sweeps.)"""
     grid = make_grid(d=2, n=9)
