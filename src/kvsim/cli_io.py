@@ -535,14 +535,16 @@ def write_vtk_snapshot(state, path):
         "SPACING {} {} {}".format(*(_format_value(s) for s in spacing)),
         f"POINT_DATA {n}",
     ]
+    # each block in one C-level pass: "%.17g" writes what
+    # format(v, ".17g") writes
     for name, fld in (("displacement", state.u), ("velocity", state.v)):
         lines.append(f"VECTORS {name} double")
-        for row in _pad3(fld.data):
-            lines.append(" ".join(_format_value(v) for v in row))
+        lines.append("\n".join(["%.17g %.17g %.17g"] * n)
+                     % tuple(_pad3(fld.data).ravel().tolist()))
     lines.append("SCALARS temperature double 1")
     lines.append("LOOKUP_TABLE default")
-    for value in _x_fastest(state.theta.data, grid.d):
-        lines.append(_format_value(value))
+    lines.append("\n".join(["%.17g"] * n)
+                 % tuple(_x_fastest(state.theta.data, grid.d).tolist()))
     _write_lines(path, lines)
 
 

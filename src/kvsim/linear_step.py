@@ -162,21 +162,25 @@ def _fast_diagonalization(bases, divisor):
     ``divisor``; a leading axis beyond them is a batch of components.  Each
     axis but the last is one batched matrix product on a reshaped view (its
     axis second to last), the last axis a single product of all rows.
+
+    The dtype of ``bases`` is the working precision: 1 / divisor is formed
+    in double and rounded to it once, each residual is cast to it, and the
+    products and the scaling run in it.  The result is float64 either way.
     """
     shape = divisor.shape
     lead = len(shape) - len(bases)
     views = [shape[:lead + k + 1] + (-1,) for k in range(len(bases) - 1)]
     inner, last = bases[:-1], bases[-1]
-    inverse = (1.0 / divisor).reshape(-1, shape[-1])
+    inverse = (1.0 / divisor).astype(last.dtype).reshape(-1, shape[-1])
 
     def precondition(r):
-        y = r
+        y = r.astype(last.dtype, copy=False)
         for view, v in zip(views, inner):
             y = v.T @ y.reshape(view)
         y = ((y.reshape(-1, shape[-1]) @ last) * inverse) @ last.T
         for view, v in zip(views, inner):
             y = v @ y.reshape(view)
-        return y.ravel()
+        return y.ravel().astype(np.float64, copy=False)
 
     return precondition
 
@@ -213,7 +217,10 @@ def velocity_matrix(grid, dt, lam, mu):
             [-1 if k == i else 1 for k in range(grid.d)])
         for i in range(grid.d)
     ])
-    precondition = _fast_diagonalization(vectors, divisor)
+    # single precision: the preconditioner already drops the mixed blocks,
+    # an approximation far coarser than float32's rounding
+    precondition = _fast_diagonalization(
+        [v.astype(np.float32) for v in vectors], divisor)
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 

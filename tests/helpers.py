@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from kvsim import Grid, MaterialParams, ScalarField, SimState, VectorField
 from kvsim.cli_io import _cos_profile, _sin_profile
 from kvsim.constitutive import matrix_from_sym6
-from kvsim.linear_step import pack_interior
+from kvsim import linear_step
+from kvsim.linear_step import SparseOperator, pack_interior, velocity_matrix
 
 
 def default_params(**overrides):
@@ -147,3 +148,23 @@ def reference_heat_rhs_vector(grid, dt, theta_old, theta_it, v_iter, g,
     q = (2.0 * theta_it.data - theta_old.data
          + corner_sum(grid, coupling) / (w * mass))
     return rhs.ravel(), q
+
+
+def double_velocity_operator(grid, dt, lam, mu):
+    """``velocity_matrix(grid, dt, lam, mu)`` with its preconditioner
+    applied in double precision: the same matrix, and the fast
+    diagonalization of its component blocks from the float64 bases of
+    ``_dirichlet_eigen``, with the divisor written out here."""
+    op = velocity_matrix(grid, dt, lam, mu)
+    values, vectors = zip(*(
+        linear_step._dirichlet_eigen(n, h) for n, h in zip(grid.n, grid.h)
+    ))
+    axes = np.ix_(*values)
+    divisor = np.stack([
+        1.0 / dt + mu * sum(axes) + (lam + mu) * axes[i]
+        for i in range(grid.d)
+    ])
+    return SparseOperator(
+        matrix=op.matrix,
+        precondition=linear_step._fast_diagonalization(vectors, divisor),
+    )

@@ -415,6 +415,51 @@ def test_vtk_snapshot_3d_ordering(tmp_path):
     assert [float(v) for v in body[:4]] == [1.0, 1.5, 2.0, 1.0]
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_vtk_snapshot_bytes_match_per_value_format(tmp_path, d):
+    """The snapshot writes each value as format(v, ".17g") would, on values
+    whose text is easy to get wrong: -0.0, the smallest subnormal, 1e308,
+    0.1 and floats with integer values."""
+    grid = make_grid(d=d, n=4)
+    special = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 1e16, 0.0])
+    state = SimState.rest(grid, theta0=1.0)
+    for k, fld in enumerate((state.u.data, state.v.data, state.theta.data)):
+        fld[...] = np.resize(np.roll(special, k), fld.shape)
+    path = tmp_path / "special.vtk"
+    write_vtk_snapshot(state, path)
+
+    def rows(data):
+        """Node data in VTK order, x fastest, vectors padded to 3."""
+        spatial = tuple(reversed(range(d)))
+        if data.ndim == d:
+            return [[v] for v in data.transpose(spatial).ravel()]
+        flat = data.transpose(spatial + (d,)).reshape(-1, d)
+        return [list(row) + [0.0] * (3 - d) for row in flat]
+
+    dims = list(grid.n) + [1] * (3 - d)
+    spacing = list(grid.h) + [1.0] * (3 - d)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "kvsim state snapshot",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        "DIMENSIONS " + " ".join(str(m) for m in dims),
+        "ORIGIN 0 0 0",
+        "SPACING " + " ".join(format(s, ".17g") for s in spacing),
+        f"POINT_DATA {grid.num_nodes}",
+    ]
+    for name, data in (("displacement", state.u.data),
+                       ("velocity", state.v.data)):
+        lines.append(f"VECTORS {name} double")
+        lines += [" ".join(format(v, ".17g") for v in row)
+                  for row in rows(data)]
+    lines += ["SCALARS temperature double 1", "LOOKUP_TABLE default"]
+    lines += [format(row[0], ".17g") for row in rows(state.theta.data)]
+    text = "\n".join(lines) + "\n"
+    assert path.read_bytes() == text.encode()
+    assert {format(v, ".17g") for v in special} <= set(text.split())
+
+
 def test_csv_schema_and_determinism(tmp_path, params):
     grid = make_grid(d=2, n=9)
     records = [initial_record(bump_state(grid), params)]

@@ -36,6 +36,7 @@ from kvsim.linear_step import (
 
 from helpers import (
     bump_state,
+    double_velocity_operator,
     make_grid,
     random_boundary_zero_vector,
     reference_heat_rhs_vector,
@@ -304,17 +305,24 @@ def test_heat_preconditioner_exact_for_uniform_temperature(rng, params, nodes, l
 @SMALL_GRIDS
 def test_velocity_preconditioner_inverts_diagonal_blocks(rng, params, nodes, lengths):
     """The velocity preconditioner drops only the mixed (lambda + mu) blocks:
-    it inverts the component blocks of the velocity matrix."""
+    in double precision it inverts the component blocks of the velocity
+    matrix.  The operator applies it in single precision and returns
+    float64 within float32 round-off of that inverse."""
     grid = Grid(nodes, lengths)
-    op = velocity_matrix(grid, 0.03, params.lambda1, 0.7 * params.mu1)
+    dt, lam, mu = 0.03, params.lambda1, 0.7 * params.mu1
+    op = velocity_matrix(grid, dt, lam, mu)
     m = int(np.prod(grid.interior_shape))
     blocks = sp.block_diag(
         [op.matrix[i * m:(i + 1) * m, i * m:(i + 1) * m] for i in range(grid.d)],
         format="csr",
     )
     x = rng.standard_normal(op.size)
-    back = op.precondition(blocks @ x)
-    assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
+    r = blocks @ x
+    inverse = double_velocity_operator(grid, dt, lam, mu).precondition(r)
+    assert np.linalg.norm(inverse - x) <= 1e-13 * np.linalg.norm(x)
+    back = op.precondition(r)
+    assert back.dtype == np.float64
+    assert np.linalg.norm(back - inverse) <= 1e-5 * np.linalg.norm(inverse)
 
 
 @pytest.mark.parametrize("nodes", [(33, 33), (65, 65), (129, 129), (17, 17, 17)],

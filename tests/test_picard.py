@@ -43,6 +43,7 @@ from kvsim.picard import PICARD_MAX, PICARD_TOL, SWEEP_REDUCTION
 from helpers import (
     bump_state,
     default_params,
+    double_velocity_operator,
     make_grid,
     reference_heat_rhs_vector,
     reference_velocity_rhs,
@@ -237,6 +238,30 @@ def test_accepting_sweep_reaches_cg_tol(shipped_runs, name):
             assert max(r.relative_residual for r in early) > CG_TOL
             extra += 1
     assert extra == (len(traj.traces) if name == "heated2d" else 0)
+
+
+@pytest.mark.parametrize("name", ["bump2d", "bump3d", "heated2d"])
+def test_single_precision_preconditioner_keeps_the_iterations(
+        monkeypatch, shipped_runs, name):
+    """The stepper applies the velocity preconditioner in float32.  Run
+    again with its float64 twin (the same matrix), every sweep takes the
+    same velocity and heat CG iterations, every step the same sweeps, and
+    the accepted states agree to 1e-10 relative."""
+    cfg, traj, _ = shipped_runs[name]
+    monkeypatch.setattr(linear_step, "velocity_matrix", double_velocity_operator)
+    twin = run(traj.states[0], cfg.params, cfg.stepper, cfg.t_end,
+               sources=build_sources(cfg))
+    assert len(twin.traces) == len(traj.traces)
+    for single, double in zip(traj.traces, twin.traces):
+        assert single.iterations == double.iterations
+        for kind in ("velocity_solves", "heat_solves"):
+            assert ([r.iterations for r in getattr(single, kind)]
+                    == [r.iterations for r in getattr(double, kind)])
+    for single, double in zip(traj.states[1:], twin.states[1:]):
+        for field in ("u", "v", "theta"):
+            want = getattr(double, field).data
+            got = getattr(single, field).data
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _full_tolerance_step(stepper, state):
