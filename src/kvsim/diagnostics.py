@@ -33,9 +33,8 @@ from .grid import (
     squared_gradient,
     strain_contraction,
     strain_density,
-    strain_matrix,
 )
-from .linear_step import pack_interior
+from .linear_step import corner_strains
 
 
 @dataclass
@@ -85,14 +84,6 @@ class StateIntegrals(NamedTuple):
         return self.energy - beta * self.entropy
 
 
-def _strains(u):
-    """The corner strains of a boundary-zero vector field: the rows of
-    ``grid.strain_matrix``, shape (row blocks, *grid.shape)."""
-    grid = u.grid
-    x = pack_interior(grid, u.data)
-    return (strain_matrix(grid) @ x).reshape((-1,) + grid.shape)
-
-
 def state_integrals(state, params):
     """All integrals of one state, from its corner strains.
 
@@ -101,7 +92,7 @@ def state_integrals(state, params):
     entropy, (A2 alpha) : eps(u), sums to zero for a boundary-zero u.
     """
     grid, d = state.grid, state.grid.d
-    eps = _strains(state.u)
+    eps = corner_strains(state.u)
     theta = state.theta.data
     coupling = strain_contraction(params.thermal_coupling(), eps, d)
     return StateIntegrals(
@@ -160,7 +151,7 @@ def step_balances(state_old, state_new, b, g, dt, params):
         raise DomainError("the step's balances require positive temperature")
     old = state_integrals(state_old, params)
     new = state_integrals(state_new, params)
-    rate = _strains(state_new.v)
+    rate = corner_strains(state_new.v)
     theta = theta_mid.data
     sigma = ScalarField(grid, (
         params.k * squared_gradient(theta_mid).data / theta**2
@@ -244,7 +235,7 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params):
 def initial_record(state, params):
     """Row for t = t0: energies and state extrema, zero residuals."""
     return _record(
-        state, params, state_integrals(state, params), _strains(state.v),
+        state, params, state_integrals(state, params), corner_strains(state.v),
         entropy_production=0.0,
         energy_residual=0.0,
         entropy_residual=0.0,
@@ -417,9 +408,9 @@ def gronwall_compare(traj1, traj2, params):
     scale = 0.0
     for s1, s2 in zip(traj1.states, traj2.states):
         du = s1.v.data - s2.v.data
-        eps1 = _strains(s1.u)
+        eps1 = corner_strains(s1.u)
         strains1.append(eps1)
-        eps_diff = eps1 - _strains(s2.u)
+        eps_diff = eps1 - corner_strains(s2.u)
         dtheta = s1.theta.data - s2.theta.data
         integrand = (
             np.sum(du**2, axis=-1)

@@ -6,9 +6,9 @@ Conventions
   shape ``grid.shape`` plus a trailing component axis where applicable.
 * Vector fields carry ``d`` components; symmetric tensor fields carry the
   6-component storage of :mod:`kvsim.constitutive` (zero-padded below 3-D).
-* The Navier and Neumann operators and the strain and stress-divergence
-  maps are defined here once, as sparse matrices that are Kronecker
-  products of 1-D factors per axis.  A factor is its bands, rows of a
+* The Navier and Neumann operators and the strain map are defined here
+  once, as sparse matrices that are Kronecker products of 1-D factors per
+  axis.  A factor is its bands, rows of a
   (3, n) array for the column offsets -1, 0, 1: row i of the factor holds
   bands[k][i] in column i + k - 1, and the bands are zero past the ends.
   The factors are ``second_difference``, ``central_difference``,
@@ -16,7 +16,7 @@ Conventions
   first-order end rows).  One CSR writer, ``_band_csr``, writes
   ``navier_matrix``, ``neumann_matrix`` (the trapezoid-weighted Neumann
   stiffness of all axes or of one) and ``strain_matrix`` from the bands;
-  ``divergence_matrix`` is the weighted adjoint of the strain map.
+  ``stress_divergence`` applies the strain map's weighted adjoint.
 * Every strain is the corner average.  A cell's 2^d corners each weigh
   prod(h) / 2^d, and at a corner d_k is the difference over the cell's
   edge on axis k through it.  The corners at a node are a product of the
@@ -345,9 +345,9 @@ def navier_matrix(grid, lam, mu, box=slice(None)):
     (lam + mu) * C_i C_j.  A row of a lifted factor holds the band values of
     its 1-D factor at one node, so ``_band_csr`` writes the matrix from the
     bands; no lifted factor or block is formed, which matters at large
-    grids, where the stepper keeps two such matrices.  An entry is stored
-    wherever a factor has one, whatever (lam, mu) are, so all Navier
-    matrices of one grid and box have the same sparsity pattern.
+    grids.  An entry is stored wherever a factor has one, whatever (lam,
+    mu) are, so all Navier matrices of one grid and box have the same
+    sparsity pattern.
     """
     shape = tuple(len(range(n)[box]) for n in grid.n)
     size = math.prod(shape)
@@ -497,6 +497,12 @@ def strain_matrix(grid):
     return matrix
 
 
+def _density_weights(lam, mu, d):
+    """The weight of each row's square in ``strain_density``."""
+    return np.concatenate([(2.0 * mu) * DDOT_WEIGHTS[strain_slots(d)],
+                           (lam + mu) * np.eye(d).ravel() + mu])
+
+
 def strain_density(strains, lam, mu, d):
     """The corner average at every node of (A eps):eps, for A the isotropic
     tensor of (lam, mu), from ``strains``, the rows of ``strain_matrix``
@@ -508,11 +514,20 @@ def strain_density(strains, lam, mu, d):
     corner, d_k u_i is the mean plus or minus J_ik by the corner's side
     along k, so the average over the sides keeps each jump's square only.
     """
-    weights = np.concatenate([(2.0 * mu) * DDOT_WEIGHTS[strain_slots(d)],
-                              (lam + mu) * np.eye(d).ravel() + mu])
+    weights = _density_weights(lam, mu, d)
     trace = strains[:d].sum(axis=0)
     return lam * trace**2 + np.einsum("r,r...,r...->...", weights, strains,
                                       strains)
+
+
+def strain_stress(strains, lam, mu, d):
+    """The rows H s at every node whose contraction with the rows s of
+    ``strains`` is ``strain_density``: each row times its weight there,
+    plus lam (tr e) in the d diagonal rows of the mean strain."""
+    weights = _density_weights(lam, mu, d)
+    stress = weights.reshape((-1,) + (1,) * (strains.ndim - 1)) * strains
+    stress[:d] += lam * strains[:d].sum(axis=0)
+    return stress
 
 
 def strain_contraction(tensor, strains, d):
@@ -538,24 +553,30 @@ def squared_gradient(theta):
     return ScalarField(grid, out)
 
 
-def divergence_matrix(grid):
-    """The stress-divergence map: the components of ``strain_slots`` at
-    every node (component-major) to the packed interior divergence
-    d_j sigma_ij.
-
-    It is minus the weighted adjoint of the mean strain of
-    ``strain_matrix``: <W v, Div sigma> = -sum_nodes w sigma : eps(v), for
-    W the trapezoid weights.  At the interior rows, that is the
-    ``central_difference`` that ``tensor_divergence`` takes.
+def stress_divergence(grid, stress):
+    """The packed interior force -W^-1 S_k^T (w sigma) of the k rows sigma
+    of ``stress`` (shape (k, *grid.shape)), for S_k the first k row blocks
+    of ``strain_matrix``, w the trapezoid weights and W those of the
+    interior unknowns: minus the strain map's weighted adjoint.  Of
+    ``strain_stress``'s rows it is ``navier_matrix`` on the interior box;
+    of the mean blocks' components times ``DDOT_WEIGHTS``, their
+    divergence d_j sigma_ij (inside, the ``central_difference`` that
+    ``tensor_divergence`` takes).  S_k^T is kept on the grid, on views of
+    the strain map's arrays.
     """
-    slots = strain_slots(grid.d)
-    mean = strain_matrix(grid)[:len(slots) * grid.num_nodes]
-    adjoint = mean.T.tocsr()
-    columns = np.multiply.outer(DDOT_WEIGHTS[slots], grid.quad_weights)
-    rows = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
-    adjoint.data *= -columns.ravel()[adjoint.indices] / np.repeat(
-        rows, np.diff(adjoint.indptr))
-    return adjoint
+    key = ("strain_adjoint", stress.size)
+    if key not in grid._cache:
+        strain, rows = strain_matrix(grid), stress.size
+        end = strain.indptr[rows]
+        # set after construction: the constructor copies a slice that is
+        # less than half of its array
+        adjoint = sp.csc_matrix((strain.shape[1], rows))
+        adjoint.data, adjoint.indices, adjoint.indptr = (
+            strain.data[:end], strain.indices[:end], strain.indptr[:rows + 1])
+        weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
+        grid._cache[key] = adjoint, -weights
+    adjoint, weights = grid._cache[key]
+    return adjoint @ (stress * grid.quad_weights).ravel() / weights
 
 
 def laplacian_neumann(theta):

@@ -13,7 +13,8 @@ previous iterate,
   (lambda1 + dt lambda2, mu1 + dt mu2): Q is linear in its pair, so that is
   the left-hand side above, with u_new = u_old + dt v.  A step computes
   ``velocity_load`` = (1/dt) v_old + b + Q2 u_old once; each sweep's
-  ``velocity_rhs`` subtracts the thermal stress divergence.  Then
+  ``velocity_rhs`` subtracts the thermal stress divergence, both through
+  the strain map's adjoint ``grid.stress_divergence``.  Then
 
 * an implicit heat system, Newton's linearisation at the iterate theta_it
   of the quasilinear heat equation
@@ -80,6 +81,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .constitutive import DDOT_WEIGHTS
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
     ScalarField,
@@ -90,7 +92,10 @@ from .grid import (
     second_difference,
     strain_contraction,
     strain_density,
+    strain_matrix,
     strain_slots,
+    strain_stress,
+    stress_divergence,
 )
 
 
@@ -247,25 +252,36 @@ def unpack_interior(grid, x):
     return VectorField(grid, out)
 
 
-def velocity_load(grid, dt, x_v, u_old, b, elastic):
+def corner_strains(u):
+    """The corner strains of a boundary-zero vector field: the rows of
+    ``grid.strain_matrix``, shape (row blocks, *grid.shape)."""
+    grid = u.grid
+    x = pack_interior(grid, u.data)
+    return (strain_matrix(grid) @ x).reshape((-1,) + grid.shape)
+
+
+def velocity_load(grid, dt, x_v, u_old, b, params):
     """The part of the velocity right-hand side that a step's sweeps share,
     packed over interior nodes: (1/dt) v_old + b + Q2 u_old, with ``x_v``
-    the packed v_old and Q2 the compact elastic operator ``elastic``."""
+    the packed v_old and Q2 u_old, by summation by parts, the
+    ``grid.stress_divergence`` of the ``grid.strain_stress`` of its
+    corner strains under (lambda2, mu2)."""
     load = x_v / dt
     if b is not None:
         load += pack_interior(grid, b.data)
-    return load + elastic @ pack_interior(grid, u_old.data)
+    return load + stress_divergence(grid, strain_stress(
+        corner_strains(u_old), params.lambda2, params.mu2, grid.d))
 
 
-def velocity_rhs(load, theta, divergence, params):
+def velocity_rhs(load, theta, params):
     """Right-hand side of the velocity system, packed over interior nodes,
     for the iterate temperature ``theta``: load - div(theta * (A2 alpha)),
     with ``load`` from :func:`velocity_load` and div the
-    ``grid.divergence_matrix`` ``divergence``."""
+    ``grid.stress_divergence`` of the mean strain blocks."""
     slots = strain_slots(theta.grid.d)
-    tension = np.multiply.outer(
-        params.thermal_coupling()[slots], theta.data.ravel())
-    return load - divergence @ tension.ravel()
+    coefficients = DDOT_WEIGHTS[slots] * params.thermal_coupling()[slots]
+    tension = np.multiply.outer(coefficients, theta.data)
+    return load - stress_divergence(theta.grid, tension)
 
 
 # ---------------------------------------------------------------------------

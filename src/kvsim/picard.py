@@ -25,11 +25,11 @@ The elastic stress is implicit: with Q2 the compact Navier operator of the
 Lame pair (``grid.navier_matrix`` on the interior box), the velocity matrix
 is (1/dt) I - Q1 - dt Q2, which is Q2 u_new = Q2 (u_old + dt v_new) moved
 to the left, and a step's load holds Q2 u_old.  A sweep iterates only the
-heat capacity, the thermal coupling and the viscous heating.  The last two
-take the corner strains of ``grid.strain_matrix`` (the velocity system
-through its weighted adjoint, ``grid.divergence_matrix``), which the
-stepper builds once, so no sweep takes a field derivative.  They sum to
-the compact operators, so a converged step balances the discrete energy
+heat capacity, the thermal coupling and the viscous heating.  These and
+Q2 u_old take the corner strains of ``grid.strain_matrix`` (the velocity
+system through its weighted adjoint, ``grid.stress_divergence``), built
+once per grid, so no sweep takes a field derivative.  They sum to the
+compact operators, so a converged step balances the discrete energy
 
     E_new - E_old - dt * work + ND = 0
 
@@ -71,7 +71,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linear_step
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
@@ -80,10 +79,8 @@ from .grid import (
     ScalarField,
     VectorField,
     boundary_max_abs,
-    divergence_matrix,
     l2_norm,
     lp_norm,
-    navier_matrix,
     strain_matrix,
 )
 
@@ -187,11 +184,10 @@ class PicardTrace:
 class Stepper:
     """Caches the assembly work that is constant across a run.
 
-    The strain and stress-divergence maps (``grid.strain_matrix`` and
-    ``grid.divergence_matrix``) depend only on the grid.  The compact
-    elastic operator Q2 = Q(lambda2, mu2) of the step's load depends on the
-    grid and the material, and the Neumann stiffness with its eigenbasis
-    and the heat matrix it owns on the grid and the conductivity.  The
+    The strain map ``grid.strain_matrix``, whose adjoint gives the
+    velocity system Q2 u_old and the thermal stress divergence, depends
+    only on the grid, and the Neumann stiffness with its eigenbasis and
+    the heat matrix it owns on the grid and the conductivity.  The
     velocity matrix (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with
     its preconditioner, also depends on dt; :meth:`with_dt` rebuilds only
     it.  Q is ``grid.navier_matrix`` on the interior box.
@@ -201,27 +197,17 @@ class Stepper:
         self.grid = grid
         self.params = params
         self.strain = strain_matrix(grid)
-        self.divergence = divergence_matrix(grid)
-        elastic = navier_matrix(
-            grid, params.lambda2, params.mu2, box=slice(1, -1)
-        )
         self.stiffness = linear_step.heat_stiffness(grid, params.k)
         # trapezoid weights of the packed velocity unknowns, for Y
         self.weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
-        self._set_dt(config, elastic.data)
+        self._set_dt(config)
 
-    def _set_dt(self, config, elastic_values):
+    def _set_dt(self, config):
         self.config = config
         dt = config.dt
         self.velocity_op = linear_step.velocity_matrix(
             self.grid, dt, self.params.lambda1 + dt * self.params.lambda2,
             self.params.mu1 + dt * self.params.mu2,
-        )
-        # both are Navier matrices of the interior box, with one sparsity
-        # pattern: Q2 keeps its values on the velocity matrix's index arrays
-        matrix = self.velocity_op.matrix
-        self.elastic = sp.csr_matrix(
-            (elastic_values, matrix.indices, matrix.indptr), shape=matrix.shape
         )
 
     def with_dt(self, dt):
@@ -229,7 +215,7 @@ class Stepper:
         shares everything that does not depend on dt; only the velocity
         matrix and its preconditioner are built."""
         other = copy.copy(self)
-        other._set_dt(replace(self.config, dt=dt), self.elastic.data)
+        other._set_dt(replace(self.config, dt=dt))
         return other
 
     def sweep(self, state, x_v, theta, load, g, reduction=0.0):
@@ -246,8 +232,7 @@ class Stepper:
         fell back to the frozen system.
         """
         grid, dt = self.grid, self.config.dt
-        rhs_v = linear_step.velocity_rhs(
-            load, theta, self.divergence, self.params)
+        rhs_v = linear_step.velocity_rhs(load, theta, self.params)
         x_v, velocity = linear_step.solve_spd(
             self.velocity_op, rhs_v, x0=x_v, reduction=reduction)
         rhs_h, coefficient = linear_step.heat_rhs_vector(
@@ -282,7 +267,7 @@ class Stepper:
         scale = lp_norm(state.theta, 2) + l2_norm(grid, state.v.data)
         x_v, theta = linear_step.pack_interior(grid, state.v.data), state.theta
         load = linear_step.velocity_load(
-            grid, dt, x_v, state.u, b, self.elastic)
+            grid, dt, x_v, state.u, b, self.params)
         ys, velocity_solves, heat_solves = [], [], []
         frozen_sweeps = 0
         reduction = SWEEP_REDUCTION

@@ -24,13 +24,18 @@ from kvsim import (
 )
 from kvsim.constitutive import DDOT_WEIGHTS, IDENTITY_6
 from kvsim.grid import (
-    divergence_matrix,
     navier_matrix,
     strain_contraction,
     strain_density,
     strain_matrix,
 )
-from kvsim.linear_step import heat_rhs_vector, pack_interior, velocity_rhs
+from kvsim.linear_step import (
+    heat_rhs_vector,
+    pack_interior,
+    unpack_interior,
+    velocity_load,
+    velocity_rhs,
+)
 
 from helpers import default_params, random_boundary_zero_vector
 
@@ -116,13 +121,13 @@ def _centre_strains(grid):
 
 def _forces(grid, params, u, v, theta):
     """Q1 v + Q2 u - Div(theta A2 alpha): the force of the stress
-    A1 eps(v) + A2 (eps(u) - theta alpha) on the packed interior nodes."""
-    q1, q2 = (navier_matrix(grid, lam, mu, box=slice(1, -1))
-              for lam, mu in ((params.lambda1, params.mu1),
-                              (params.lambda2, params.mu2)))
-    thermal = velocity_rhs(np.zeros(q1.shape[0]), theta,
-                           divergence_matrix(grid), params)
-    return q1 @ v + q2 @ u + thermal
+    A1 eps(v) + A2 (eps(u) - theta alpha) on the packed interior nodes,
+    with Q2 u - Div(theta A2 alpha) the velocity right-hand side of a
+    step of dt 1 from rest at the displacement u."""
+    q1 = navier_matrix(grid, params.lambda1, params.mu1, box=slice(1, -1))
+    load = velocity_load(grid, 1.0, np.zeros_like(u), unpack_interior(grid, u),
+                         None, params)
+    return q1 @ v + velocity_rhs(load, theta, params)
 
 
 def test_stress_zero():

@@ -79,7 +79,7 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     """A step record applies the strain map to u_old, u_new and v_new once
     each, the initial record to u and v; neither calls np.gradient."""
     traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.05)
-    calls = {"_strains": [], "gradient": []}
+    calls = {"corner_strains": [], "gradient": []}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -90,14 +90,14 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(diagnostics, "_strains")
+    counting(diagnostics, "corner_strains")
     counting(np, "gradient")
     diagnostics.record_for_step(traj.states[0], traj.states[1], traj.traces[0],
                                 None, None, 0.05, params)
-    assert len(calls["_strains"]) == 3 and not calls["gradient"]
-    calls["_strains"].clear()
+    assert len(calls["corner_strains"]) == 3 and not calls["gradient"]
+    calls["corner_strains"].clear()
     diagnostics.initial_record(traj.states[0], params)
-    assert len(calls["_strains"]) == 2 and not calls["gradient"]
+    assert len(calls["corner_strains"]) == 2 and not calls["gradient"]
 
 
 def test_record_fields_equal_public_functions(grid2d, params):
@@ -454,8 +454,8 @@ def test_gronwall_takes_one_strain_per_state_pair(grid2d, params, monkeypatch):
         calls.append(field)
         return real(field)
 
-    real = diagnostics._strains
-    monkeypatch.setattr(diagnostics, "_strains", counting)
+    real = diagnostics.corner_strains
+    monkeypatch.setattr(diagnostics, "corner_strains", counting)
     gronwall_compare(other, base, params)
     assert len(calls) == 2 * len(base.states)
 

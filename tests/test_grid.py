@@ -16,12 +16,16 @@ from kvsim import (
     sym_gradient,
     tensor_divergence,
 )
-from kvsim.constitutive import COMPONENT_OF, apply_isotropic, matrix_from_sym6
+from kvsim.constitutive import (
+    COMPONENT_OF,
+    DDOT_WEIGHTS,
+    apply_isotropic,
+    matrix_from_sym6,
+)
 from kvsim.grid import (
     SymTensorField,
     boundary_max_abs,
     central_difference,
-    divergence_matrix,
     first_difference,
     l2_norm,
     navier_matrix,
@@ -33,6 +37,7 @@ from kvsim.grid import (
     strain_density,
     strain_matrix,
     strain_slots,
+    stress_divergence,
 )
 from kvsim.linear_step import heat_stiffness, pack_interior
 
@@ -435,7 +440,7 @@ def test_boundary_max_abs(grid2d):
 
 
 # ---------------------------------------------------------------------------
-# strain and stress-divergence maps
+# the strain map and its adjoint
 # ---------------------------------------------------------------------------
 
 def test_first_difference_is_np_gradient(rng):
@@ -502,16 +507,17 @@ def test_strain_matrix_is_sym_gradient(rng, nodes, lengths):
 
 @_OPERATOR_GRIDS
 def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
-    """The divergence map gives the interior rows of ``tensor_divergence``
-    of any field of the components ``strain_slots`` names, to round-off."""
+    """The strain map's adjoint over the mean blocks, ``stress_divergence``
+    of the components ``strain_slots`` names times ``DDOT_WEIGHTS``, gives
+    the interior rows of ``tensor_divergence`` of any such field, to
+    round-off."""
     grid = Grid(nodes, lengths)
     slots = strain_slots(grid.d)
-    matrix = divergence_matrix(grid)
-    assert matrix.has_sorted_indices
     for _ in range(3):
         data = np.zeros(grid.shape + (6,))
         data[..., slots] = rng.standard_normal(grid.shape + (len(slots),))
-        got = matrix @ np.moveaxis(data[..., slots], -1, 0).ravel()
+        got = stress_divergence(grid, DDOT_WEIGHTS[slots].reshape(
+            (-1,) + (1,) * grid.d) * np.moveaxis(data[..., slots], -1, 0))
         expected = pack_interior(
             grid, tensor_divergence(SymTensorField(grid, data)).data)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
@@ -606,8 +612,8 @@ def test_thermal_coupling_is_the_adjoint_of_the_mean_strain(rng, nodes,
     slots = strain_slots(grid.d)
     coupling = params.thermal_coupling()
     theta = 1.0 + rng.random(grid.shape)
-    tension = np.multiply.outer(coupling[slots], theta.ravel()).ravel()
-    div = divergence_matrix(grid) @ tension
+    tension = np.multiply.outer(DDOT_WEIGHTS[slots] * coupling[slots], theta)
+    div = stress_divergence(grid, tension)
     nodes_of, _, _ = corner_gradients(grid)
     stress = theta.ravel()[nodes_of, None, None] * coupling_matrix(
         params, grid.d)

@@ -19,7 +19,7 @@ from kvsim import (
     solve_spd,
 )
 from kvsim import linear_step
-from kvsim.grid import divergence_matrix, navier_matrix, strain_matrix
+from kvsim.grid import strain_matrix
 from kvsim.linear_step import (
     LinearSolveReport,
     SparseOperator,
@@ -56,11 +56,10 @@ SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
 
 def _velocity_rhs(grid, dt, v_old, u_old, theta_iter, b, params):
     """One sweep's velocity right-hand side, through ``velocity_load`` and
-    ``velocity_rhs`` with the maps of ``grid``."""
-    elastic = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
+    ``velocity_rhs``."""
     load = velocity_load(grid, dt, pack_interior(grid, v_old.data), u_old, b,
-                         elastic)
-    return velocity_rhs(load, theta_iter, divergence_matrix(grid), params)
+                         params)
+    return velocity_rhs(load, theta_iter, params)
 
 
 def test_velocity_zero_data_gives_zero_solution(grid2d, params):
@@ -158,10 +157,10 @@ def test_velocity_one_step_taylor_limit(params):
 @SMALL_GRIDS
 def test_velocity_rhs_matches_the_gradient_reference(rng, params, nodes,
                                                      lengths):
-    """Through the load and the divergence map, the sweep's right-hand side
-    is the per-corner gradients' reference (1/dt) v_old + b +
-    div[A2 eps(u_old) - theta * (A2 alpha)], to round-off: the step's load
-    holds the elasticity of u_old and no sweep reads an iterate
+    """Through the load and the strain map's adjoint, the sweep's
+    right-hand side is the per-corner gradients' reference (1/dt) v_old +
+    b + div[A2 eps(u_old) - theta * (A2 alpha)], to round-off: the step's
+    load holds the elasticity of u_old and no sweep reads an iterate
     displacement."""
     grid = Grid(nodes, lengths)
     dt = 0.03

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kvsim import (
     DegeneracyError,
@@ -31,12 +32,15 @@ from kvsim.diagnostics import (
     total_energy,
 )
 from kvsim.grid import (
+    Grid,
+    SymTensorField,
     boundary_max_abs,
     integrate,
     l2_norm,
     laplacian_neumann,
     lp_norm,
     navier_matrix,
+    tensor_divergence,
 )
 from kvsim.picard import PICARD_MAX, PICARD_TOL, SWEEP_REDUCTION
 
@@ -45,6 +49,7 @@ from helpers import (
     default_params,
     double_velocity_operator,
     make_grid,
+    random_boundary_zero_vector,
     reference_heat_rhs_vector,
     reference_velocity_rhs,
 )
@@ -91,7 +96,7 @@ def _sweep_start(stepper, state):
     grid = stepper.grid
     x_v = linear_step.pack_interior(grid, state.v.data)
     load = linear_step.velocity_load(
-        grid, stepper.config.dt, x_v, state.u, None, stepper.elastic)
+        grid, stepper.config.dt, x_v, state.u, None, stepper.params)
     return load, x_v, state.theta
 
 
@@ -297,16 +302,43 @@ def test_inexact_sweeps_match_full_tolerance_sweeps(shipped_runs):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_stepper_elastic_operator_shares_the_velocity_pattern(grid2d):
-    """Q2 is the compact Navier matrix of the Lame pair, stored as values on
-    the velocity matrix's index arrays."""
-    params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6)
-    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
-    expected = navier_matrix(grid2d, 1.3, 0.6, box=slice(1, -1))
-    assert np.array_equal(stepper.elastic.toarray(), expected.toarray())
-    velocity = stepper.velocity_op.matrix
-    assert np.shares_memory(stepper.elastic.indices, velocity.indices)
-    assert np.shares_memory(stepper.elastic.indptr, velocity.indptr)
+def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
+    """The step's load holds Q2 u_old for Q2 the compact Navier matrix of
+    the Lame pair, from the strain map's adjoint alone: ``velocity_load``
+    is x_v/dt + b + Q2 u_old, and ``velocity_rhs`` subtracts the interior
+    rows of ``tensor_divergence`` of theta A2 alpha for an anisotropic
+    alpha, within 1e-15 of the operators' scale, in 1-D, 2-D and 3-D and
+    with and without b."""
+    params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6,
+                            alpha=[[0.1, 0.03, -0.02],
+                                   [0.03, 0.25, 0.05],
+                                   [-0.02, 0.05, 0.4]])
+    pack, dt = linear_step.pack_interior, 0.05
+    for nodes, lengths in (((9,), (1.0,)), ((13, 19), (0.8, 1.5)),
+                           ((5, 6, 7), (1.0, 2.0, 3.0))):
+        grid = Grid(nodes, lengths)
+        q2 = navier_matrix(grid, 1.3, 0.6, box=slice(1, -1))
+        v_old, u_old, b_field = (random_boundary_zero_vector(grid, rng)
+                                 for _ in range(3))
+        x_v, x_u = pack(grid, v_old.data), pack(grid, u_old.data)
+        theta = ScalarField(grid, 1.0 + rng.random(grid.shape))
+        tension = np.zeros(grid.shape + (6,))
+        tension[...] = params.thermal_coupling()
+        tension *= theta.data[..., None]
+        thermal = pack(grid, tensor_divergence(
+            SymTensorField(grid, tension)).data)
+        for b in (None, b_field):
+            load = linear_step.velocity_load(grid, dt, x_v, u_old, b, params)
+            expected = x_v / dt + q2 @ x_u
+            scale = np.abs(x_v) / dt + abs(q2) @ np.abs(x_u)
+            if b is not None:
+                expected += pack(grid, b.data)
+                scale += np.abs(pack(grid, b.data))
+            assert np.max(np.abs(load - expected)) <= 1e-15 * np.max(scale)
+            rhs = linear_step.velocity_rhs(load, theta, params)
+            scale = np.max(np.abs(load)) + np.max(np.abs(tension)) * sum(
+                1.0 / h for h in grid.h)
+            assert np.max(np.abs(rhs - (load - thermal))) <= 1e-15 * scale
 
 
 def _counting(monkeypatch, modules, name, calls, record=None):
@@ -401,15 +433,13 @@ def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
 
 def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
         monkeypatch, grid2d, params):
-    """A run whose t_end is not a multiple of dt builds the maps, Q2 and
+    """A run whose t_end is not a multiple of dt builds the strain map and
     the heat stiffness once, and its diagnostics build no matrix; the final
     step rebuilds only the velocity matrix."""
     calls = {}
-    _counting(monkeypatch, [grid_module, picard, linear_step], "navier_matrix",
-              calls)
+    _counting(monkeypatch, [grid_module, linear_step], "navier_matrix", calls)
     _counting(monkeypatch, [grid_module, linear_step], "neumann_matrix", calls)
     _counting(monkeypatch, [picard], "strain_matrix", calls)
-    _counting(monkeypatch, [picard], "divergence_matrix", calls)
     _counting(monkeypatch, [grid_module], "_band_csr", calls)
     steppers = []
     _counting(monkeypatch, [linear_step], "velocity_matrix", calls,
@@ -419,29 +449,82 @@ def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
     traj = run(state, params, StepperConfig(dt=0.05), 0.13,
                observers=[collector])
     assert traj.states[-1].t == pytest.approx(0.13)
-    # five matrices are written from bands (the divergence map is the
-    # strain map's adjoint), and the diagnostics read the stepper's map
-    assert calls == {"navier_matrix": 3, "neumann_matrix": 1,
-                     "strain_matrix": 1, "divergence_matrix": 1,
-                     "velocity_matrix": 2, "_band_csr": 5}
+    # four matrices are written from bands: the strain map, whose adjoint
+    # the velocity system applies on its arrays, the heat stiffness and two
+    # velocity matrices; the diagnostics read the stepper's map
+    assert calls == {"navier_matrix": 2, "neumann_matrix": 1,
+                     "strain_matrix": 1, "velocity_matrix": 2,
+                     "_band_csr": 4}
     assert [dt for dt, _ in steppers] == pytest.approx([0.05, 0.03])
 
 
 def test_with_dt_shares_the_elastic_values_on_the_new_pattern(grid2d):
+    """``with_dt`` shares the strain map, whose adjoint carries the
+    elasticity of the load, and the heat stiffness; it builds only the
+    velocity matrix of the new dt."""
     params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6)
     stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
     short = stepper.with_dt(0.02)
     assert short.config.dt == 0.02 and stepper.config.dt == 0.05
-    for name in ("strain", "divergence", "stiffness"):
+    for name in ("strain", "stiffness"):
         assert getattr(short, name) is getattr(stepper, name)
     assert stepper.strain is grid_module.strain_matrix(grid2d)
-    assert np.shares_memory(short.elastic.data, stepper.elastic.data)
     velocity = short.velocity_op.matrix
-    assert np.shares_memory(short.elastic.indices, velocity.indices)
-    assert np.shares_memory(short.elastic.indptr, velocity.indptr)
+    assert velocity is not stepper.velocity_op.matrix
     expected = linear_step.velocity_matrix(grid2d, 0.02, 0.4 + 0.02 * 1.3,
                                            0.9 + 0.02 * 0.6).matrix
     assert velocity.data.tobytes() == expected.data.tobytes()
+
+
+def _reachable(root):
+    """Every sparse matrix and array reachable from ``root`` through
+    attributes, containers and closures (not through modules, classes or
+    function globals)."""
+    seen, matrices, arrays, stack = set(), [], [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, type(np))):
+            continue
+        seen.add(id(obj))
+        if sp.issparse(obj):
+            matrices.append(obj)
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif callable(obj) and hasattr(obj, "__code__"):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return matrices, arrays
+
+
+def test_stepper_stores_only_what_a_sweep_multiplies(grid2d):
+    """The sparse matrices a stepper and its ``with_dt`` copy reach are the
+    grid's strain map, the adjoint's views of its arrays, the two velocity
+    matrices and the heat stiffness; no array of Q2's size but the
+    velocity matrices' own."""
+    params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6)
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
+    short = stepper.with_dt(0.02)
+    stepper.step(bump_state(grid2d))
+    strain = grid_module.strain_matrix(grid2d)
+    velocity = [stepper.velocity_op.matrix, short.velocity_op.matrix]
+    own = [strain, stepper.stiffness.matrix] + velocity
+    matrices, arrays = _reachable([stepper, short])
+    views = [m for m in matrices if not any(m is o for o in own)]
+    assert len(matrices) == len(own) + len(views)
+    assert views, "the adjoint keeps its views on the grid"
+    for view in views:
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, name), getattr(strain, name))
+    q2 = navier_matrix(grid2d, 1.3, 0.6, box=slice(1, -1))
+    for array in arrays:
+        if array.size == q2.nnz:
+            assert any(np.shares_memory(array, getattr(m, name))
+                       for m in velocity for name in ("data", "indices"))
 
 
 def test_picard_nonconvergence_carries_trace():
