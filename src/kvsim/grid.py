@@ -8,9 +8,9 @@ Conventions
   6-component storage of :mod:`kvsim.constitutive` (zero-padded below 3-D).
 * The Navier and Neumann operators and the strain map are defined here
   once, as sparse matrices that are Kronecker products of 1-D factors per
-  axis.  A factor is its bands, rows of a
-  (3, n) array for the column offsets -1, 0, 1: row i of the factor holds
-  bands[k][i] in column i + k - 1, and the bands are zero past the ends.
+  axis.  A factor is its bands, rows of a (3, n) array for the column
+  offsets -1, 0, 1: row i of the factor holds bands[k][i] in column
+  i + k - 1, and the bands are zero past the ends.
   The factors are ``second_difference``, ``central_difference``,
   ``neumann_stiffness`` and ``first_difference`` (``np.gradient`` with
   first-order end rows).  One CSR writer, ``_band_csr``, writes
@@ -573,10 +573,10 @@ def stress_divergence(grid, stress):
         adjoint = sp.csc_matrix((strain.shape[1], rows))
         adjoint.data, adjoint.indices, adjoint.indptr = (
             strain.data[:end], strain.indices[:end], strain.indptr[:rows + 1])
-        weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
-        grid._cache[key] = adjoint, -weights
-    adjoint, weights = grid._cache[key]
-    return adjoint @ (stress * grid.quad_weights).ravel() / weights
+        grid._cache[key] = adjoint, -np.tile(
+            grid.quad_weights[grid.interior].ravel(), grid.d)
+    adjoint, minus_weights = grid._cache[key]
+    return adjoint @ (stress * grid.quad_weights).ravel() / minus_weights
 
 
 def laplacian_neumann(theta):
