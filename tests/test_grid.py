@@ -37,6 +37,7 @@ from kvsim.grid import (
     strain_density,
     strain_matrix,
     strain_slots,
+    strain_stress,
     stress_divergence,
 )
 from kvsim.linear_step import heat_stiffness, pack_interior
@@ -516,8 +517,8 @@ def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
     for _ in range(3):
         data = np.zeros(grid.shape + (6,))
         data[..., slots] = rng.standard_normal(grid.shape + (len(slots),))
-        got = stress_divergence(grid, DDOT_WEIGHTS[slots].reshape(
-            (-1,) + (1,) * grid.d) * np.moveaxis(data[..., slots], -1, 0))
+        got = stress_divergence(grid, np.moveaxis(
+            DDOT_WEIGHTS[slots] * data[..., slots], -1, 0))
         expected = pack_interior(
             grid, tensor_divergence(SymTensorField(grid, data)).data)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
@@ -576,7 +577,8 @@ def test_corner_form_is_the_neumann_matrix(rng, nodes, lengths):
 def test_strain_density_is_the_corner_sum(rng, nodes, lengths):
     """At every node, the mean/jump density of the strain map, times the
     node's weight, is the weighted sum of (A eps):eps over its corners,
-    and the contraction with a constant tensor is the corners' mean."""
+    and the rows of ``strain_stress`` contract with the strains to it;
+    the contraction with a constant tensor is the corners' mean."""
     grid = Grid(nodes, lengths)
     tensor = np.array([0.3, -0.7, 1.1, 0.4, -0.2, 0.9])
     full = matrix_from_sym6(tensor)[:grid.d, :grid.d]
@@ -586,10 +588,14 @@ def test_strain_density_is_the_corner_sum(rng, nodes, lengths):
             -1, grid.num_nodes)
         eps = corner_strain(grid, u)
         for lam, mu in ((1.0, 1.0), (0.3, 1.7), (0.0, 0.5)):
-            got = grid.quad_weights * strain_density(
-                strains, lam, mu, grid.d).reshape(grid.shape)
+            density = strain_density(strains, lam, mu, grid.d)
+            got = grid.quad_weights * density.reshape(grid.shape)
             reference = corner_sum(grid, corner_density(eps, lam, mu))
             assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(reference)
+            contraction = np.einsum("r...,r...->...", strain_stress(
+                strains, lam, mu, grid.d), strains)
+            assert np.max(np.abs(contraction - density)) <= 1e-14 * np.max(
+                density)
         got = grid.quad_weights * strain_contraction(
             tensor, strains, grid.d).reshape(grid.shape)
         reference = corner_sum(grid, np.sum(full * eps, axis=(1, 2)))
