@@ -506,6 +506,46 @@ def test_strain_matrix_is_sym_gradient(rng, nodes, lengths):
             np.abs(expected))
 
 
+def _strain_by_kronecker(grid):
+    """The strain map by its definition: a block matrix of Kronecker
+    products of the 1-D factors over all nodes, built with scipy.sparse,
+    with its columns restricted to the interior box."""
+    d = grid.d
+
+    def lifted(factor, axis, scale=1.0):
+        out = sp.identity(1, format="csr")
+        for k, (n, h) in enumerate(zip(grid.n, grid.h)):
+            f = _sparse(factor(n, h)) if k == axis else sp.identity(
+                n, format="csr")
+            out = sp.kron(out, f[:, 1:-1], format="csr")
+        return scale * out
+
+    rows = []
+    for c in strain_slots(d):
+        i, j = min(ij for ij, slot in COMPONENT_OF.items() if slot == c)
+        row = [None] * d
+        if i == j:
+            row[i] = lifted(first_difference, i)
+        else:
+            row[i] = lifted(first_difference, j, 0.5)
+            row[j] = lifted(first_difference, i, 0.5)
+        rows.append(row)
+    for i in range(d):
+        for k in range(d):
+            row = [None] * d
+            row[i] = lifted(second_difference, k, 0.5 * grid.h[k])
+            rows.append(row)
+    return sp.bmat(rows, format="csr")
+
+
+@_OPERATOR_GRIDS
+def test_strain_matrix_is_the_kronecker_definition(nodes, lengths):
+    """Written from the bands of the 1-D factors, the strain map has the
+    CSR arrays of its Kronecker definition bit for bit."""
+    grid = Grid(nodes, lengths)
+    _assert_same_csr(strain_matrix(grid), _strain_by_kronecker(grid))
+
+
 @_OPERATOR_GRIDS
 def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
     """The strain map's adjoint over the mean blocks, ``stress_divergence``
