@@ -12,11 +12,17 @@ Conventions
   offsets -1, 0, 1: row i of the factor holds bands[k][i] in column
   i + k - 1, and the bands are zero past the ends.
   The factors are ``second_difference``, ``central_difference``,
-  ``neumann_stiffness`` and ``first_difference`` (``np.gradient`` with
-  first-order end rows).  One CSR writer, ``_band_csr``, writes
-  ``navier_matrix``, ``neumann_matrix`` (the trapezoid-weighted Neumann
-  stiffness of all axes or of one) and ``strain_matrix`` from the bands;
-  ``stress_divergence`` applies the strain map's weighted adjoint.
+  ``neumann_stiffness``, ``first_difference`` (``np.gradient`` with
+  first-order end rows) and the trapezoid weights.  Each operator is a
+  declaration: the nodes its rows and its columns run over, and each
+  block row as (column block, coefficient, sum of products), a product
+  mapping axes to factors and taking the identity on the others.  One
+  writer, ``_kron_csr``, turns every declaration into CSR arrays; it alone
+  handles strides, column selection, sparsity pattern, column order and
+  diagonal positions.  ``navier_matrix``, ``neumann_matrix`` (the
+  trapezoid-weighted Neumann stiffness of all axes or of one) and
+  ``strain_matrix`` are declared this way; ``stress_divergence`` applies
+  the strain map's weighted adjoint.
 * Every strain is the corner average.  A cell's 2^d corners each weigh
   prod(h) / 2^d, and at a corner d_k is the difference over the cell's
   edge on axis k through it.  The corners at a node are a product of the
@@ -27,7 +33,9 @@ Conventions
   the corner averages of (A eps):eps, T:eps and |grad theta|^2.  Weighted,
   they sum to u^T (-W ``navier_matrix``) u and theta^T ``neumann_matrix``
   theta: the step, the heat source and the diagnostics share one
-  summation-by-parts pair.  ``sym_gradient`` and ``tensor_divergence``
+  summation-by-parts pair.  ``strain_stress`` and ``tensor_stress`` are
+  the rows whose contractions with the strains give the first two, and
+  ``stress_divergence`` takes rows like them to forces.  ``sym_gradient`` and ``tensor_divergence``
   apply ``np.gradient`` with second-order end rows; no step or diagnostic
   calls them.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
@@ -43,6 +51,8 @@ Operators never mutate their inputs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -240,7 +250,7 @@ def tensor_divergence(field):
 
 
 # ---------------------------------------------------------------------------
-# the Navier and Neumann operators, written from the bands of 1-D factors
+# the 1-D factors, and the operators declared as Kronecker products of them
 # ---------------------------------------------------------------------------
 
 def second_difference(n, h):
@@ -284,54 +294,105 @@ def neumann_stiffness(n, h):
     return bands
 
 
-def _along(d, axis, values):
-    """A 1-D array shaped to broadcast along ``axis`` of a d-axis grid."""
-    return values.reshape([-1 if k == axis else 1 for k in range(d)])
+def _factors(grid, factor):
+    """The bands of a 1-D factor on each axis of the grid."""
+    return [factor(n, h) for n, h in zip(grid.n, grid.h)]
 
 
-def _band_csr(shape, blocks, terms, origin=None, width=None):
-    """CSR matrix of ``blocks`` block rows over the nodes of ``shape``, and
-    the index in its ``data`` of each row's diagonal entry (-1 where the
-    row stores none; None for a rectangular map).
+def _kron_csr(grid, rows, columns, block_rows):
+    """CSR matrix of a block matrix whose blocks are sums of Kronecker
+    products of 1-D factors, and the index in its ``data`` of each row's
+    diagonal entry (-1 where the row stores none; None unless ``rows`` and
+    ``columns`` are the same).
 
-    ``terms(i)`` yields block row i as (column offset, value, present), in
-    ascending column order: at each node, ``value`` goes in the node's row
-    and in column ``origin`` plus offset where ``present`` holds (all three
-    broadcast to ``shape``).  By default the matrix is square and a node's
-    origin is its own index; a rectangular map passes each node's origin
-    column and the number of columns, ``width``.  The present entries are
-    counted into ``indptr``, then a cursor per row writes them in place.
+    The rows run over the nodes that the slice ``rows`` selects on every
+    axis, each column block over those that ``columns`` selects.  Block row
+    i is ``block_rows[i]``, a list of (column block, coefficient, products):
+    the coefficient times the sum of the products.  A product maps axes to
+    the bands of their 1-D factors; the axes it does not name are the
+    identity.  An entry is keyed by its column block and its band on each
+    axis.  Its value at a row is the sum over the terms, in order, of the
+    coefficient times the sum of the products' values there, a product's
+    value being its factors' band values multiplied in axis order.  It is
+    stored where a product's bands are nonzero and its column is selected,
+    whatever the values are.  The entries are counted into ``indptr``, then
+    a cursor per row writes them in place in ascending column order; no
+    lifted factor is formed.
     """
-    size = math.prod(shape)
-    counts = np.zeros((blocks,) + shape, dtype=np.int64)
-    for i in range(blocks):
-        for _, _, present in terms(i):
-            counts[i] += present
+    d = grid.d
+    nodes = [np.arange(n)[rows] for n in grid.n]
+    spans = [range(n)[columns] for n in grid.n]
+    shape, size = tuple(map(len, nodes)), math.prod(map(len, nodes))
+    stride = [math.prod(map(len, spans[k + 1:])) for k in range(d)]
+    width = math.prod(map(len, spans))
+
+    def along(axis, values):
+        return values.reshape([-1 if k == axis else 1 for k in range(d)])
+
+    def mask(axis, where):
+        """``where`` along ``axis``, or True where it holds at every node."""
+        return True if where.all() else along(axis, where)
+
+    def bands(axis, factor):
+        """(band, values, present) of each band of the factor on ``axis``
+        (the identity for None) that is nonzero where its column is
+        selected."""
+        column = nodes[axis] + np.arange(-1, 2)[:, None]
+        selected = (column >= spans[axis].start) & (column < spans[axis].stop)
+        if factor is None:
+            return [(1, None, mask(axis, selected[1]))]
+        values = np.where(selected, factor[:, nodes[axis]], 0.0)
+        return [(b, along(axis, value), mask(axis, value != 0.0))
+                for b, value in enumerate(values) if value.any()]
+
+    def entries(block_row):
+        """Each entry's key, presence and, per term, the coefficient and
+        each product's factor values, in ascending column order."""
+        out = {}
+        for term, (block, coefficient, products) in enumerate(block_row):
+            for product in products:
+                for choice in itertools.product(*(
+                        bands(k, product.get(k)) for k in range(d))):
+                    band, values, present = zip(*choice)
+                    entry = out.setdefault((block, band), [False, {}])
+                    entry[0] = entry[0] | functools.reduce(np.logical_and,
+                                                           present)
+                    entry[1].setdefault(term, (coefficient, []))[1].append(
+                        [v for v in values if v is not None])
+        return sorted(out.items())
+
+    block_rows = [entries(block_row) for block_row in block_rows]
+    counts = np.zeros((len(block_rows),) + shape, dtype=np.int64)
+    for count, row in zip(counts, block_rows):
+        for _, (present, _) in row:
+            count += present
     indptr = np.append(0, np.cumsum(counts))
     index = np.int32 if indptr[-1] < 2**31 else np.int64
     indptr = indptr.astype(index)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index)
-    square = origin is None
-    if square:
-        origin, width = np.arange(size, dtype=index), blocks * size
-        diagonal = np.full(blocks * size, -1, dtype=index)
-    else:
-        origin, diagonal = np.broadcast_to(origin, shape).ravel(), None
-    for i in range(blocks):
-        rows = slice(i * size, (i + 1) * size)
-        cursor = indptr[rows].copy()
-        for offset, value, present in terms(i):
+    diagonal = np.full(len(block_rows) * size, -1, dtype=index)
+    # each row's own column; an entry's column is at a fixed offset from it
+    origin = sum(along(k, (nodes[k] - spans[k].start) * s)
+                 for k, s in enumerate(stride)).astype(index).ravel()
+    for i, row in enumerate(block_rows):
+        cursor = indptr[i * size:(i + 1) * size].copy()
+        for (block, bands), (present, terms) in row:
+            value = [coefficient * sum(map(math.prod, products))
+                     for coefficient, products in terms.values()]
             keep = np.broadcast_to(present, shape).ravel()
             at = cursor[keep]
-            data[at] = np.broadcast_to(value, shape).ravel()[keep]
-            indices[at] = origin[keep] + offset
-            if square and offset == i * size:
-                diagonal[rows][keep] = at
+            data[at] = np.broadcast_to(sum(value[1:], value[0]), shape)[
+                keep.reshape(shape)]
+            indices[at] = origin[keep] + block * width + sum(
+                (b - 1) * s for b, s in zip(bands, stride))
+            if rows == columns and (block, bands) == (i, (1,) * d):
+                diagonal[i * size:(i + 1) * size][keep] = at
             cursor += keep
+    blocks = 1 + max(block for row in block_rows for (block, _), _ in row)
     matrix = sp.csr_matrix((data, indices, indptr),
-                           shape=(blocks * size, width))
-    return matrix, diagonal
+                           shape=(len(block_rows) * size, blocks * width))
+    return matrix, diagonal if rows == columns else None
 
 
 def navier_matrix(grid, lam, mu, box=slice(None)):
@@ -339,90 +400,34 @@ def navier_matrix(grid, lam, mu, box=slice(None)):
     over the nodes that ``box`` selects on every axis (``slice(1, -1)``: the
     interior box, where -Q is symmetric positive definite).
 
-    With D2_k and C_k the second and central difference of axis k restricted
-    to ``box`` and lifted to the box by Kronecker products with identities,
-    block (i, i) is mu * sum_k D2_k + (lam + mu) * D2_i and block (i, j) is
-    (lam + mu) * C_i C_j.  A row of a lifted factor holds the band values of
-    its 1-D factor at one node, so ``_band_csr`` writes the matrix from the
-    bands; no lifted factor or block is formed, which matters at large
-    grids.  An entry is stored wherever a factor has one, whatever (lam,
-    mu) are, so all Navier matrices of one grid and box have the same
-    sparsity pattern.
+    With D2_k and C_k the second and central difference of axis k, block
+    (i, i) is mu * sum_k D2_k + (lam + mu) * D2_i and block (i, j) is
+    (lam + mu) * C_i C_j.  All Navier matrices of one grid and box have the
+    same sparsity pattern, whatever (lam, mu) are.
     """
-    shape = tuple(len(range(n)[box]) for n in grid.n)
-    size = math.prod(shape)
-    stride = [math.prod(shape[k + 1:]) for k in range(grid.d)]
-
-    def bands(factor, axis):
-        """The bands of a 1-D factor restricted to the box, zero past its
-        ends, shaped to broadcast along ``axis``."""
-        sub, main, sup = factor(grid.n[axis], grid.h[axis])[:, box]
-        sub[0] = sup[-1] = 0.0
-        return [_along(grid.d, axis, band) for band in (sub, main, sup)]
-
-    second = [bands(second_difference, k) for k in range(grid.d)]
-    central = [bands(central_difference, k) for k in range(grid.d)]
-    laplace = sum(band[1] for band in second)
-
-    def terms(i):
-        """The bands of block row i.  Band index 0, 1, 2 (sub, main, super)
-        is column offset -1, 0, +1 along its axis.  Where a band is present
-        depends on the grid and box only."""
-        def along(k, band):
-            value = mu * second[k][band]
-            if k == i:
-                value = value + (lam + mu) * second[k][band]
-            return value, second[k][band] != 0.0
-
-        for j in range(grid.d):
-            offset = j * size
-            if j == i:
-                for k in range(grid.d):
-                    yield (offset - stride[k], *along(k, 0))
-                yield (offset, mu * laplace + (lam + mu) * second[i][1],
-                       (laplace != 0.0) | (second[i][1] != 0.0))
-                for k in reversed(range(grid.d)):
-                    yield (offset + stride[k], *along(k, 2))
-                continue
-            # C_i C_j has a band per pair of sides; taking the sides of the
-            # axis with the larger stride, min(i, j), first keeps the order
-            a, b = min(i, j), max(i, j)
-            for band_a in (0, 2):
-                for band_b in (0, 2):
-                    band = {a: band_a, b: band_b}
-                    product = central[i][band[i]] * central[j][band[j]]
-                    yield (offset + (band_a - 1) * stride[a]
-                           + (band_b - 1) * stride[b],
-                           (lam + mu) * product, product != 0.0)
-
-    return _band_csr(shape, grid.d, terms)[0]
+    second = _factors(grid, second_difference)
+    central = _factors(grid, central_difference)
+    laplace = [{k: factor} for k, factor in enumerate(second)]
+    return _kron_csr(grid, box, box, [
+        [(i, mu, laplace), (i, lam + mu, [laplace[i]])]
+        + [(j, lam + mu, [{i: central[i], j: central[j]}])
+           for j in range(grid.d) if j != i]
+        for i in range(grid.d)])[0]
 
 
 def neumann_matrix(grid, axes=None):
     """The sum over ``axes`` (default: all) of ``neumann_stiffness`` on one
     axis times the trapezoid weights of the others, and the index of each
-    row's diagonal in its ``data`` (see ``_band_csr``).  Over all axes it
+    row's diagonal in its ``data`` (see ``_kron_csr``).  Over all axes it
     is the discrete Dirichlet form: minus the mirror-ghost Laplacian, scaled
     row-wise by ``quad_weights``.
     """
     axes = range(grid.d) if axes is None else axes
-    stride = [math.prod(grid.shape[k + 1:]) for k in range(grid.d)]
-    weights = [_along(grid.d, k, w) for k, w in enumerate(grid.axis_weights)]
-    # per axis, each band times the other axes' weights, multiplied in axis
-    # order as the Kronecker definition does, so that every bit matches it
-    lifted = {a: [math.prod(weights[:a] + [_along(grid.d, a, band)]
-                            + weights[a + 1:])
-                  for band in neumann_stiffness(grid.n[a], grid.h[a])]
-              for a in axes}
-
-    def terms(_):
-        for a in axes:
-            yield -stride[a], lifted[a][0], lifted[a][0] != 0.0
-        yield 0, sum(lifted[a][1] for a in axes), True
-        for a in reversed(axes):
-            yield stride[a], lifted[a][2], lifted[a][2] != 0.0
-
-    return _band_csr(grid.shape, 1, terms)
+    weights = [np.outer((0.0, 1.0, 0.0), w) for w in grid.axis_weights]
+    stiffness = _factors(grid, neumann_stiffness)
+    return _kron_csr(grid, slice(None), slice(None), [[(0, 1.0, [
+        dict(enumerate(weights[:a] + [stiffness[a]] + weights[a + 1:]))
+        for a in axes])]])
 
 
 # storage slot -> its (row, column) pair with row <= column
@@ -452,47 +457,14 @@ def strain_matrix(grid):
     """
     if "strain" in grid._cache:
         return grid._cache["strain"]
-    d, inner = grid.d, grid.interior_shape
-    size = math.prod(inner)
-    stride = [math.prod(inner[k + 1:]) for k in range(d)]
-    interior = [_along(d, k, (np.arange(n) > 0) & (np.arange(n) < n - 1))
-                for k, n in enumerate(grid.n)]
-
-    def bands(factor, axis):
-        """The 1-D factor's bands, zero where the column leaves the
-        interior box, each with where it is present: the node must be
-        interior along the other axes too."""
-        n, h = grid.n[axis], grid.h[axis]
-        others = math.prod(interior[:axis] + interior[axis + 1:], start=True)
-        out = factor(n, h)
-        for k, band in enumerate(out):
-            column = np.arange(n) + k - 1
-            band[(column < 1) | (column > n - 2)] = 0.0
-        return [(_along(d, axis, band), _along(d, axis, band != 0.0) & others)
-                for band in out]
-
-    mean = [bands(first_difference, k) for k in range(d)]
-    jump = [bands(lambda n, h: 0.5 * h * second_difference(n, h), k)
-            for k in range(d)]
-    # each node's own interior position, (r - 1) on every axis
-    origin = sum(_along(d, k, (np.arange(n) - 1) * stride[k])
-                 for k, n in enumerate(grid.n))
-    pairs = [_SLOT_PAIRS[c] for c in strain_slots(d)]
-
-    def terms(c):
-        if c < len(pairs):
-            i, j = pairs[c]
-            parts = [(i, i, 1.0)] if i == j else [(i, j, 0.5), (j, i, 0.5)]
-            factor = mean
-        else:
-            parts, factor = [divmod(c - len(pairs), d) + (1.0,)], jump
-        for block, axis, scale in parts:
-            for k, (band, present) in enumerate(factor[axis]):
-                offset = block * size + (k - 1) * stride[axis]
-                yield offset, scale * band, present
-
-    blocks = len(pairs) + d * d
-    matrix = _band_csr(grid.shape, blocks, terms, origin, d * size)[0]
+    mean = _factors(grid, first_difference)
+    jump = _factors(grid, second_difference)
+    rows = [[(i, 1.0, [{i: mean[i]}])] if i == j
+            else [(i, 0.5, [{j: mean[j]}]), (j, 0.5, [{i: mean[i]}])]
+            for i, j in (_SLOT_PAIRS[c] for c in strain_slots(grid.d))]
+    rows += [[(i, 0.5 * h, [{k: jump[k]}])]
+             for i in range(grid.d) for k, h in enumerate(grid.h)]
+    matrix = _kron_csr(grid, slice(None), slice(1, -1), rows)[0]
     grid._cache["strain"] = matrix
     return matrix
 
@@ -530,12 +502,23 @@ def strain_stress(strains, lam, mu, d):
     return stress
 
 
+def tensor_stress(tensor, field, d):
+    """The rows at every node of ``field`` times a constant ``tensor``
+    (6-component storage) whose contraction with the mean rows of the
+    strains is ``field`` times ``strain_contraction``, as ``strain_stress``
+    is to ``strain_density``: one row per mean row, shape (rows,
+    *field.shape)."""
+    slots = strain_slots(d)
+    return np.multiply.outer(DDOT_WEIGHTS[slots] * np.asarray(tensor)[slots],
+                             field)
+
+
 def strain_contraction(tensor, strains, d):
     """The corner average tensor : e at every node, for a constant
     ``tensor`` (6-component storage) and e the mean strain of ``strains``."""
-    slots = strain_slots(d)
-    coefficients = DDOT_WEIGHTS[slots] * np.asarray(tensor)[slots]
-    return np.einsum("r,r...->...", coefficients, strains[:len(slots)])
+    coefficients = tensor_stress(tensor, 1.0, d)
+    return np.einsum("r,r...->...", coefficients,
+                     strains[:len(coefficients)])
 
 
 def squared_gradient(theta):

@@ -81,7 +81,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .constitutive import DDOT_WEIGHTS
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
     ScalarField,
@@ -93,9 +92,9 @@ from .grid import (
     strain_contraction,
     strain_density,
     strain_matrix,
-    strain_slots,
     strain_stress,
     stress_divergence,
+    tensor_stress,
 )
 
 
@@ -278,10 +277,9 @@ def velocity_rhs(load, theta, params):
     for the iterate temperature ``theta``: load - div(theta * (A2 alpha)),
     with ``load`` from :func:`velocity_load` and div the
     ``grid.stress_divergence`` of the mean strain blocks."""
-    slots = strain_slots(theta.grid.d)
-    coefficients = DDOT_WEIGHTS[slots] * params.thermal_coupling()[slots]
-    tension = np.multiply.outer(coefficients, theta.data)
-    return load - stress_divergence(theta.grid, tension)
+    grid = theta.grid
+    return load - stress_divergence(grid, tensor_stress(
+        params.thermal_coupling(), theta.data, grid.d))
 
 
 # ---------------------------------------------------------------------------

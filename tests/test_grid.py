@@ -39,6 +39,7 @@ from kvsim.grid import (
     strain_slots,
     strain_stress,
     stress_divergence,
+    tensor_stress,
 )
 from kvsim.linear_step import heat_stiffness, pack_interior
 
@@ -618,7 +619,9 @@ def test_strain_density_is_the_corner_sum(rng, nodes, lengths):
     """At every node, the mean/jump density of the strain map, times the
     node's weight, is the weighted sum of (A eps):eps over its corners,
     and the rows of ``strain_stress`` contract with the strains to it;
-    the contraction with a constant tensor is the corners' mean."""
+    the contraction with a constant tensor is the corners' mean, and the
+    rows of ``tensor_stress`` contract with the strains to it times their
+    field."""
     grid = Grid(nodes, lengths)
     tensor = np.array([0.3, -0.7, 1.1, 0.4, -0.2, 0.9])
     full = matrix_from_sym6(tensor)[:grid.d, :grid.d]
@@ -636,11 +639,17 @@ def test_strain_density_is_the_corner_sum(rng, nodes, lengths):
                 strains, lam, mu, grid.d), strains)
             assert np.max(np.abs(contraction - density)) <= 1e-14 * np.max(
                 density)
-        got = grid.quad_weights * strain_contraction(
-            tensor, strains, grid.d).reshape(grid.shape)
+        contraction = strain_contraction(tensor, strains, grid.d)
+        got = grid.quad_weights * contraction.reshape(grid.shape)
         reference = corner_sum(grid, np.sum(full * eps, axis=(1, 2)))
         assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(
             np.abs(reference))
+        field = rng.random(grid.num_nodes)
+        rows = tensor_stress(tensor, field, grid.d)
+        assert rows.shape == (len(strain_slots(grid.d)), grid.num_nodes)
+        got = np.einsum("r...,r...->...", rows, strains[:len(rows)])
+        assert np.max(np.abs(got - field * contraction)) <= 1e-14 * np.max(
+            np.abs(field * contraction))
 
 
 @_OPERATOR_GRIDS

@@ -440,7 +440,7 @@ def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
     _counting(monkeypatch, [grid_module, linear_step], "navier_matrix", calls)
     _counting(monkeypatch, [grid_module, linear_step], "neumann_matrix", calls)
     _counting(monkeypatch, [picard], "strain_matrix", calls)
-    _counting(monkeypatch, [grid_module], "_band_csr", calls)
+    _counting(monkeypatch, [grid_module], "_kron_csr", calls)
     steppers = []
     _counting(monkeypatch, [linear_step], "velocity_matrix", calls,
               lambda args, op: steppers.append((args[1], op)))
@@ -454,7 +454,7 @@ def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
     # velocity matrices; the diagnostics read the stepper's map
     assert calls == {"navier_matrix": 2, "neumann_matrix": 1,
                      "strain_matrix": 1, "velocity_matrix": 2,
-                     "_band_csr": 4}
+                     "_kron_csr": 4}
     assert [dt for dt, _ in steppers] == pytest.approx([0.05, 0.03])
 
 
