@@ -35,9 +35,9 @@ Conventions
   theta: the step, the heat source and the diagnostics share one
   summation-by-parts pair.  ``strain_stress`` and ``tensor_stress`` are
   the rows whose contractions with the strains give the first two, and
-  ``stress_divergence`` takes rows like them to forces.  ``sym_gradient`` and ``tensor_divergence``
-  apply ``np.gradient`` with second-order end rows; no step or diagnostic
-  calls them.
+  ``stress_divergence`` takes rows like them to forces.  ``sym_gradient``
+  and ``tensor_divergence`` apply ``np.gradient`` with second-order end
+  rows; no step or diagnostic calls them.
 * The Neumann Laplacian uses mirror ghost values, which makes the operator
   symmetric under the trapezoidal inner product and gives it exact zero row
   sums; ``integrate`` is that trapezoidal quadrature.
@@ -314,10 +314,10 @@ def _kron_csr(grid, rows, columns, block_rows):
     axis.  Its value at a row is the sum over the terms, in order, of the
     coefficient times the sum of the products' values there, a product's
     value being its factors' band values multiplied in axis order.  It is
-    stored where a product's bands are nonzero and its column is selected,
-    whatever the values are.  The entries are counted into ``indptr``, then
-    a cursor per row writes them in place in ascending column order; no
-    lifted factor is formed.
+    stored where some product's bands are nonzero and its column is
+    selected, whatever the values are.  The entries are counted into
+    ``indptr``, then a cursor per row writes them in place in ascending
+    column order; no lifted factor is formed.
     """
     d = grid.d
     nodes = [np.arange(n)[rows] for n in grid.n]
@@ -347,7 +347,9 @@ def _kron_csr(grid, rows, columns, block_rows):
 
     def entries(block_row):
         """Each entry's key, presence and, per term, the coefficient and
-        each product's factor values, in ascending column order."""
+        each product's factor values, in ascending column order.  Keys are
+        bands, not column offsets: where an axis selects one node, two
+        axes' strides coincide."""
         out = {}
         for term, (block, coefficient, products) in enumerate(block_row):
             for product in products:
@@ -371,28 +373,30 @@ def _kron_csr(grid, rows, columns, block_rows):
     indptr = indptr.astype(index)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index)
-    diagonal = np.full(len(block_rows) * size, -1, dtype=index)
+    diagonal = (np.full(len(block_rows) * size, -1, dtype=index)
+                if rows == columns else None)
     # each row's own column; an entry's column is at a fixed offset from it
     origin = sum(along(k, (nodes[k] - spans[k].start) * s)
                  for k, s in enumerate(stride)).astype(index).ravel()
     for i, row in enumerate(block_rows):
         cursor = indptr[i * size:(i + 1) * size].copy()
-        for (block, bands), (present, terms) in row:
-            value = [coefficient * sum(map(math.prod, products))
+        for (block, band), (present, terms) in row:
+            parts = [coefficient * sum(map(math.prod, products))
                      for coefficient, products in terms.values()]
             keep = np.broadcast_to(present, shape).ravel()
             at = cursor[keep]
-            data[at] = np.broadcast_to(sum(value[1:], value[0]), shape)[
+            # summed from the first part: 0 + -0.0 would flip a zero's sign
+            data[at] = np.broadcast_to(sum(parts[1:], parts[0]), shape)[
                 keep.reshape(shape)]
             indices[at] = origin[keep] + block * width + sum(
-                (b - 1) * s for b, s in zip(bands, stride))
-            if rows == columns and (block, bands) == (i, (1,) * d):
+                (b - 1) * s for b, s in zip(band, stride))
+            if diagonal is not None and (block, band) == (i, (1,) * d):
                 diagonal[i * size:(i + 1) * size][keep] = at
             cursor += keep
     blocks = 1 + max(block for row in block_rows for (block, _), _ in row)
     matrix = sp.csr_matrix((data, indices, indptr),
                            shape=(len(block_rows) * size, blocks * width))
-    return matrix, diagonal if rows == columns else None
+    return matrix, diagonal
 
 
 def navier_matrix(grid, lam, mu, box=slice(None)):
