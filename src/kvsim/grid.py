@@ -330,7 +330,8 @@ def _kron_csr(grid, rows, columns, block_rows):
         return values.reshape([-1 if k == axis else 1 for k in range(d)])
 
     def mask(axis, where):
-        """``where`` along ``axis``, or True where it holds at every node."""
+        """``where`` along ``axis``, or True where it holds at every node,
+        which keeps a presence from growing to the full shape."""
         return True if where.all() else along(axis, where)
 
     def bands(axis, factor):
