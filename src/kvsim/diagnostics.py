@@ -135,21 +135,23 @@ class StepBalances(NamedTuple):
     clausius_duhem_defect: float
 
 
-def step_balances(state_old, state_new, b, g, dt, params):
+def step_balances(state_old, state_new, b, g, dt, params, old=None):
     """Every balance of one step, from the corner strains of each state.
 
     ``b`` and ``g`` are the step's sources at the new time (None when
-    absent).  The strain rate is eps(v_new), which equals
-    (eps_new - eps_old)/dt by the displacement update rule: the step's
-    exact mean strain rate.  Entropy production and the g/theta source use
-    the midpoint-in-time temperature.  Residuals are relative with a +1
-    floor.
+    absent).  ``old`` is the :class:`StateIntegrals` of ``state_old`` when
+    the caller holds them, computed here when None.  The strain rate is
+    eps(v_new), which equals (eps_new - eps_old)/dt by the displacement
+    update rule: the step's exact mean strain rate.  Entropy production
+    and the g/theta source use the midpoint-in-time temperature.
+    Residuals are relative with a +1 floor.
     """
     grid = state_old.grid
     theta_mid = _midpoint_theta(state_old, state_new)
     if np.min(theta_mid.data) <= 0.0 or np.min(state_old.theta.data) <= 0.0:
         raise DomainError("the step's balances require positive temperature")
-    old = state_integrals(state_old, params)
+    if old is None:
+        old = state_integrals(state_old, params)
     new = state_integrals(state_new, params)
     rate = corner_strains(state_new.v)
     theta = theta_mid.data
@@ -220,8 +222,9 @@ def _record(state, params, integrals, strain_rate, **step_fields):
     )
 
 
-def record_for_step(state_old, state_new, trace, b, g, dt, params):
-    step = step_balances(state_old, state_new, b, g, dt, params)
+def record_for_step(state_old, state_new, trace, b, g, dt, params, old=None):
+    """The CSV row of one step; ``old`` as for :func:`step_balances`."""
+    step = step_balances(state_old, state_new, b, g, dt, params, old)
     return _record(
         state_new, params, step.new, step.strain_rate,
         entropy_production=step.production / dt,
@@ -245,16 +248,25 @@ def initial_record(state, params):
 
 
 class DiagnosticsCollector:
-    """Observer that turns step events into diagnostics records."""
+    """Observer that turns step events into diagnostics records.
+
+    Each event must start from the state of the previous record (the
+    ``initial_state``, then each event's ``state_new``), as the events of
+    ``picard.run`` do: that record holds the integrals of the step's old
+    state, so they are not computed again.
+    """
 
     def __init__(self, params, initial_state):
         self.params = params
         self.records = [initial_record(initial_state, params)]
 
     def __call__(self, event):
+        last = self.records[-1]
+        old = StateIntegrals(last.kinetic_energy, last.elastic_energy,
+                             last.thermal_energy, last.entropy)
         self.records.append(record_for_step(
             event.state_old, event.state_new, event.trace,
-            event.b, event.g, event.dt, self.params,
+            event.b, event.g, event.dt, self.params, old,
         ))
 
 

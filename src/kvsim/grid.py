@@ -46,7 +46,8 @@ Conventions
   exactly self-adjoint on such fields.
 
 Reductions sum in a fixed order, so repeated runs are bitwise reproducible.
-Operators never mutate their inputs.
+Operators never mutate their inputs, but for ``strain_stress`` and
+``stress_divergence``, which work in place on the rows they are given.
 """
 
 from __future__ import annotations
@@ -474,10 +475,14 @@ def strain_matrix(grid):
     return matrix
 
 
+@functools.lru_cache(maxsize=64)
 def _density_weights(lam, mu, d):
-    """The weight of each row's square in ``strain_density``."""
-    return np.concatenate([(2.0 * mu) * DDOT_WEIGHTS[strain_slots(d)],
-                           (lam + mu) * np.eye(d).ravel() + mu])
+    """The weight of each row's square in ``strain_density`` (read-only,
+    kept per (lam, mu, d))."""
+    weights = np.concatenate([(2.0 * mu) * DDOT_WEIGHTS[strain_slots(d)],
+                              (lam + mu) * np.eye(d).ravel() + mu])
+    weights.setflags(write=False)
+    return weights
 
 
 def strain_density(strains, lam, mu, d):
@@ -500,11 +505,13 @@ def strain_density(strains, lam, mu, d):
 def strain_stress(strains, lam, mu, d):
     """The rows H s at every node whose contraction with the rows s of
     ``strains`` is ``strain_density``: each row times its weight there,
-    plus lam (tr e) in the d diagonal rows of the mean strain."""
-    weights = _density_weights(lam, mu, d)
-    stress = weights.reshape((-1,) + (1,) * (strains.ndim - 1)) * strains
-    stress[:d] += lam * strains[:d].sum(axis=0)
-    return stress
+    plus lam (tr e) in the d diagonal rows of the mean strain.  Works in
+    place: ``strains`` becomes the rows it returns."""
+    trace = lam * strains[:d].sum(axis=0)
+    strains *= _density_weights(lam, mu, d).reshape(
+        (-1,) + (1,) * (strains.ndim - 1))
+    strains[:d] += trace
+    return strains
 
 
 def tensor_stress(tensor, field, d):
@@ -550,7 +557,8 @@ def stress_divergence(grid, stress):
     of the mean blocks' components times ``DDOT_WEIGHTS``, their
     divergence d_j sigma_ij (inside, the ``central_difference`` that
     ``tensor_divergence`` takes).  S_k^T is kept on the grid, on views of
-    the strain map's arrays.
+    the strain map's arrays.  Works in place: ``stress`` is left holding
+    its rows times the weights w.
     """
     key = ("strain_adjoint", stress.size)
     if key not in grid._cache:
@@ -564,7 +572,10 @@ def stress_divergence(grid, stress):
         grid._cache[key] = adjoint, -np.tile(
             grid.quad_weights[grid.interior].ravel(), grid.d)
     adjoint, minus_weights = grid._cache[key]
-    return adjoint @ (stress * grid.quad_weights).ravel() / minus_weights
+    stress *= grid.quad_weights
+    force = adjoint @ stress.ravel()
+    force /= minus_weights
+    return force
 
 
 def laplacian_neumann(theta):

@@ -264,12 +264,15 @@ def velocity_load(grid, dt, x_v, u_old, b, params):
     packed over interior nodes: (1/dt) v_old + b + Q2 u_old, with ``x_v``
     the packed v_old and Q2 u_old, by summation by parts, the
     ``grid.stress_divergence`` of the ``grid.strain_stress`` of its
-    corner strains under (lambda2, mu2)."""
+    corner strains under (lambda2, mu2).  It changes none of its
+    arguments: both of those work in place on the corner strains it forms,
+    and the sum builds on the new array x_v / dt."""
     load = x_v / dt
     if b is not None:
         load += pack_interior(grid, b.data)
-    return load + stress_divergence(grid, strain_stress(
+    load += stress_divergence(grid, strain_stress(
         corner_strains(u_old), params.lambda2, params.mu2, grid.d))
+    return load
 
 
 def velocity_rhs(load, theta, params):
@@ -418,13 +421,16 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
               reduction=0.0):
     """Preconditioned conjugate gradients for an SPD operator.
 
-    Applies ``op.precondition`` to every residual.  Converges when the true
+    Calls ``op.precondition`` once per iteration, on the residual that the
+    iteration starts from, so as many times as the report's
+    ``iterations``, plus once per restart.  Converges when the true
     residual ||b - A x|| drops to max(tol ||b||, reduction ||b - A x0||),
     with x0 the initial guess (zero when None): a ``reduction`` in (0, 1)
     stops the solve once it has cut its own starting residual by that
     factor, unless ``tol`` is reached first; the default 0 asks for
     ``tol``.  The report's ``relative_residual`` is ||b - A x|| / ||b||
-    either way.  Raises
+    either way; a start that meets the target returns after zero
+    iterations with the one product that formed its residual.  Raises
     :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
     exhausted; when a search direction p has p.Ap <= 0 or not finite (the
     operator is not positive definite); when a nonzero residual r has
@@ -456,18 +462,19 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
         raise DomainError("initial guess x0 is not finite")
     precondition = op.precondition
     r = rhs - a @ x
+    res = _norm(r)
     target = tol * rhs_norm
     if reduction:
-        target = max(target, reduction * _norm(r))
-    z = precondition(r)
-    p = z.copy()
-    rz = _dot(r, z)
+        target = max(target, reduction * res)
+    p = None
     best_true = np.inf
     stalled = 0
     iterations = 0
     while iterations < max_iter:
-        res = _norm(r)
         if res <= target:
+            # r is the true residual until the first iteration moves x
+            if not iterations:
+                return x, LinearSolveReport(0, res / rhs_norm, True)
             # guard against recurrence drift: re-check with the true residual
             r_true = rhs - a @ x
             res_true = _norm(r_true)
@@ -486,10 +493,16 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
                     f"{target / rhs_norm:.3e}",
                     report=LinearSolveReport(iterations, attainable, False),
                 )
-            r = r_true
-            z = precondition(r)
+            r, p = r_true, None
+        # preconditioned only once the residual has failed the stopping test
+        z = precondition(r)
+        rz_next = _dot(r, z)
+        if p is None:  # the start or a restart
             p = z.copy()
-            rz = _dot(r, z)
+        else:
+            p *= rz_next / rz
+            p += z
+        rz = rz_next
         if not 0.0 < rz < np.inf:
             raise NonConvergenceError(
                 f"conjugate gradients broke down after {iterations} "
@@ -510,11 +523,7 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
         # in place: the same arithmetic, one vector fewer alive at a time
         x += alpha * p
         r -= alpha * ap
-        z = precondition(r)
-        rz_next = _dot(r, z)
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
+        res = _norm(r)
         iterations += 1
     res_true = _norm(rhs - a @ x)
     report = LinearSolveReport(

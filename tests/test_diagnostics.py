@@ -77,7 +77,9 @@ def test_stationary_residuals_vanish(stationary, params):
 
 def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     """A step record applies the strain map to u_old, u_new and v_new once
-    each, the initial record to u and v; neither calls np.gradient."""
+    each, the initial record to u and v; neither calls np.gradient.  The
+    collector takes u_old's integrals from the previous record: two
+    products per step."""
     traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.05)
     calls = {"corner_strains": [], "gradient": []}
 
@@ -98,6 +100,10 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     calls["corner_strains"].clear()
     diagnostics.initial_record(traj.states[0], params)
     assert len(calls["corner_strains"]) == 2 and not calls["gradient"]
+    calls["corner_strains"].clear()
+    traj, _ = small_run(grid2d, params, dt=0.05, t_end=0.15)
+    assert len(traj.traces) == 3
+    assert len(calls["corner_strains"]) == 2 + 2 * 3 and not calls["gradient"]
 
 
 def test_record_fields_equal_public_functions(grid2d, params):

@@ -19,7 +19,7 @@ from kvsim import (
     solve_spd,
 )
 from kvsim import linear_step
-from kvsim.grid import strain_matrix
+from kvsim.grid import navier_matrix, strain_matrix
 from kvsim.linear_step import (
     LinearSolveReport,
     SparseOperator,
@@ -85,6 +85,28 @@ def test_velocity_matrix_positive_definite(rng, params):
     for _ in range(100):
         x = rng.standard_normal(op.size)
         assert x @ (op.matrix @ x) > 0.0
+
+
+@pytest.mark.parametrize("nodes,lengths", [
+    ((3,), (1.0,)),
+    ((9,), (1.0,)),
+    ((3, 7), (1.0, 2.0)),
+    ((13, 19), (0.8, 1.5)),
+    ((3, 5, 4), (1.0, 2.0, 1.5)),
+    ((7, 8, 9), (1.0, 1.2, 0.9)),
+])
+def test_velocity_matrix_keeps_the_navier_pattern(params, nodes, lengths):
+    """Setting the diagonal inserts no entry: the velocity matrix has the
+    ``indptr`` and ``indices`` of ``navier_matrix`` on the interior box,
+    so a writer that failed to store a diagonal entry fails here on every
+    scipy version, warning or not."""
+    grid = Grid(nodes, lengths)
+    navier = navier_matrix(grid, params.lambda1, params.mu1,
+                           box=slice(1, -1))
+    matrix = velocity_matrix(grid, 0.02, params.lambda1, params.mu1).matrix
+    for name in ("indptr", "indices"):
+        got, want = getattr(matrix, name), getattr(navier, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("nodes,lengths", [
@@ -518,6 +540,51 @@ def test_cg_reduction_below_tol_changes_nothing(rng, params, reduction):
         y, other = cg(op, rhs, reduction=reduction, **kwargs)
         assert x.tobytes() == y.tobytes()
         assert other == report
+
+
+def _counted(op, counts):
+    """``op`` with its matrix products and preconditioner applies counted
+    in ``counts``."""
+
+    class Matrix:
+        def __matmul__(self, x):
+            counts["products"] += 1
+            return op.matrix @ x
+
+    def precondition(r):
+        counts["applies"] += 1
+        return op.precondition(r)
+
+    return SparseOperator(matrix=Matrix(), precondition=precondition)
+
+
+def test_cg_preconditions_once_per_iteration(rng, params):
+    """A converged solve whose true-residual re-check holds applies the
+    preconditioner once per iteration, never to the residual it stops at,
+    and makes one product per iteration besides the start's and the
+    re-check's; it returns what the uncounted solve does, bit for bit."""
+    for op, rhs, kwargs in _cg_systems(rng, params):
+        counts = {"products": 0, "applies": 0}
+        x, report = cg(_counted(op, counts), rhs, **kwargs)
+        assert report.converged and report.iterations > 0
+        assert counts == {"products": report.iterations + 2,
+                          "applies": report.iterations}
+        y, other = cg(op, rhs, **kwargs)
+        assert x.tobytes() == y.tobytes() and other == report
+
+
+def test_cg_start_at_its_target_takes_one_product(rng, params):
+    """A start that already meets its target returns after zero iterations
+    with the one product that formed its residual, and no preconditioner
+    apply: the residual it reports is that of its start."""
+    for op, rhs, kwargs in _cg_systems(rng, params):
+        kwargs.pop("x0", None)
+        x, report = cg(op, rhs, **kwargs)
+        counts = {"products": 0, "applies": 0}
+        y, again = cg(_counted(op, counts), rhs, x0=x, **kwargs)
+        assert counts == {"products": 1, "applies": 0}
+        assert again == LinearSolveReport(0, report.relative_residual, True)
+        assert y.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("reduction", [-0.1, 1.0, 2.0, np.nan])

@@ -308,7 +308,8 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
     is x_v/dt + b + Q2 u_old, and ``velocity_rhs`` subtracts the interior
     rows of ``tensor_divergence`` of theta A2 alpha for an anisotropic
     alpha, within 1e-15 of the operators' scale, in 1-D, 2-D and 3-D and
-    with and without b."""
+    with and without b.  Built in place, the load is bit for bit that
+    arithmetic out of place, and it leaves its arguments as they were."""
     params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6,
                             alpha=[[0.1, 0.03, -0.02],
                                    [0.03, 0.25, 0.05],
@@ -327,8 +328,17 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
         tension *= theta.data[..., None]
         thermal = pack(grid, tensor_divergence(
             SymTensorField(grid, tension)).data)
+        given = x_v.copy(), u_old.data.copy()
         for b in (None, b_field):
             load = linear_step.velocity_load(grid, dt, x_v, u_old, b, params)
+            reference = x_v / dt
+            if b is not None:
+                reference = reference + pack(grid, b.data)
+            reference = reference + grid_module.stress_divergence(
+                grid, grid_module.strain_stress(
+                    linear_step.corner_strains(u_old.copy()), 1.3, 0.6,
+                    grid.d))
+            assert load.tobytes() == reference.tobytes()
             expected = x_v / dt + q2 @ x_u
             scale = np.abs(x_v) / dt + abs(q2) @ np.abs(x_u)
             if b is not None:
@@ -339,6 +349,8 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
             scale = np.max(np.abs(load)) + np.max(np.abs(tension)) * sum(
                 1.0 / h for h in grid.h)
             assert np.max(np.abs(rhs - (load - thermal))) <= 1e-15 * scale
+        assert np.array_equal(x_v, given[0])
+        assert np.array_equal(u_old.data, given[1])
 
 
 def _counting(monkeypatch, modules, name, calls, record=None):
