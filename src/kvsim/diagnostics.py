@@ -355,28 +355,46 @@ def theta_lower_bound_check(trajectory, params, theta_underbar=None):
 # mixed space-time norms
 # ---------------------------------------------------------------------------
 
-def mixed_norm(snapshots, dt, p, p0):
-    """Discrete L_{p,p0} norm (L_p in space inside, L_p0 in time outside).
+def _interval_widths(snapshots, times):
+    """times[k+1] - times[k], the weight of snapshot k in a left-endpoint
+    sum; there must be a snapshot, and the times must be one per snapshot
+    and strictly increase."""
+    times = np.asarray(times, dtype=float)
+    if (len(snapshots) == 0 or times.shape != (len(snapshots),)
+            or not np.all(np.diff(times) > 0.0)):
+        raise UsageError(
+            f"snapshot times must strictly increase, one per snapshot; got "
+            f"{len(snapshots)} snapshots at t = {times.tolist()}")
+    return np.diff(times)
 
-    Finite p0 uses a left-endpoint Riemann sum with weight dt, which is the
-    first-order-in-time quadrature matching the stepper's accuracy.
+
+def mixed_norm(snapshots, times, p, p0):
+    """Discrete L_{p,p0} norm (L_p in space inside, L_p0 in time outside)
+    of the snapshots taken at ``times``, at any spacing.
+
+    Finite p0 uses a left-endpoint Riemann sum, each snapshot but the last
+    weighted by the interval to the next one: the first-order-in-time
+    quadrature matching the stepper's accuracy.
     """
     for q in (p, p0):
         if q != np.inf and not float(q) >= 1.0:
             raise UsageError(f"norm exponents must be >= 1 or inf, got {q}")
+    widths = _interval_widths(snapshots, times)
     space = [lp_norm(f, p) for f in snapshots]
     if p0 == np.inf:
         return float(max(space))
-    p0 = float(p0)
-    return float((sum(dt * s**p0 for s in space[:-1])) ** (1.0 / p0))
+    return float(sum(w * s**p0 for w, s in zip(widths, space)) ** (1.0 / p0))
 
 
-def v2_norm(snapshots, dt):
+def v2_norm(snapshots, times):
     """max_t ||f||_L2 + ||grad f||_L2(space-time), with ||grad f||^2 the
     integral of ``grid.squared_gradient``: f^T S f for S the
-    ``grid.neumann_matrix``, as a sum of squares."""
+    ``grid.neumann_matrix``, as a sum of squares, in time the left-endpoint
+    sum of ``mixed_norm``."""
+    widths = _interval_widths(snapshots, times)
     sup = max(lp_norm(f, 2) for f in snapshots)
-    grad_sq = sum(dt * integrate(squared_gradient(f)) for f in snapshots[:-1])
+    grad_sq = sum(w * integrate(squared_gradient(f))
+                  for w, f in zip(widths, snapshots))
     return float(sup + math.sqrt(grad_sq))
 
 

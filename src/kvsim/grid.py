@@ -149,6 +149,15 @@ class Grid:
             self._cache["weights"] = w
         return self._cache["weights"]
 
+    @property
+    def interior_weights(self):
+        """The trapezoid weights of the packed velocity unknowns (the strain
+        map's columns): the interior ``quad_weights`` once per component."""
+        if "interior_weights" not in self._cache:
+            self._cache["interior_weights"] = np.tile(
+                self.quad_weights[self.interior].ravel(), self.d)
+        return self._cache["interior_weights"]
+
 
 def _check_data(grid, data, trailing):
     data = np.ascontiguousarray(data, dtype=float)
@@ -569,13 +578,12 @@ def stress_divergence(grid, stress):
         adjoint = sp.csc_matrix((strain.shape[1], rows))
         adjoint.data, adjoint.indices, adjoint.indptr = (
             strain.data[:end], strain.indices[:end], strain.indptr[:rows + 1])
-        grid._cache[key] = adjoint, -np.tile(
-            grid.quad_weights[grid.interior].ravel(), grid.d)
-    adjoint, minus_weights = grid._cache[key]
+        grid._cache[key] = adjoint
     stress *= grid.quad_weights
-    force = adjoint @ stress.ravel()
-    force /= minus_weights
-    return force
+    force = grid._cache[key] @ stress.ravel()
+    # -(x / w) is x / (-w) exactly
+    force /= grid.interior_weights
+    return np.negative(force, out=force)
 
 
 def laplacian_neumann(theta):

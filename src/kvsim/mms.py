@@ -5,15 +5,16 @@ Every manufactured case has one separable form,
     u*_i   = a_i U(t) sin(pi x_1/L_1) ... sin(pi x_d/L_d),
     theta* = 2 + b R(t) prod_{k in axes} cos(pi x_k/L_k),
 
-and is described by data only: the amplitudes ``a`` and ``b``, the axes
-theta* varies on, and the time factors (U, U', U'') and (R, R').  The sine
-profile vanishes on the box boundary and the cosine profile has zero normal
-derivative on every face, so each case meets the solver's boundary
-conditions by construction.  Every spatial derivative the forcing needs is a
-product of the 1-D profiles and their derivatives (the product rule); the
-derivatives are analytic, never differenced, so the oracle stays
-independent of the solver's numerics.  From them the module derives the
-body force and heat source that make (u*, theta*) an exact solution:
+and is described by data only: the amplitudes ``a`` and ``b`` and the
+axes theta* varies on.  Every case shares the time factors U(t) = cos t
+and R(t) = exp(-t), with their derivatives.  The sine profile vanishes on
+the box boundary and the cosine profile has zero normal derivative on every
+face, so each case meets the solver's boundary conditions by construction.
+Every spatial derivative the forcing needs is a product of the 1-D profiles
+and their derivatives (the product rule); the derivatives are analytic,
+never differenced, so the oracle stays independent of the solver's
+numerics.  From them the module derives the body force and heat source
+that make (u*, theta*) an exact solution:
 
     b = u*_tt - Q1 u*_t - Q2 u* + (A2 alpha) grad theta*
     g = cv theta* theta*_t - k Lap theta*
@@ -23,7 +24,8 @@ with Q_p w = mu_p Lap w + (lam_p + mu_p) grad(div w).  Binding a case to a
 grid and material (``manufacture``) evaluates the time-independent spatial
 parts of these terms once on ``grid.coords()``; every forcing or exact-state
 evaluation is then a few time scalars times the cached arrays.
-``manufacture`` also samples theta* > 0, which a large ``b`` violates.
+``manufacture`` also rejects a case whose theta* is not positive: its
+floor 2 - |b| holds at every t >= 0, since 0 < R <= 1 there.
 
 ``convergence_study`` then runs the full solver against the manufactured
 forcing over a refinement ladder and fits the observed orders.
@@ -53,9 +55,7 @@ class ManufacturedCase:
     """One separable manufactured solution (see the module docstring).
 
     ``a`` holds the d displacement amplitudes, ``b`` the temperature
-    amplitude and ``theta_axes`` the axes theta* varies on; ``U`` is the
-    time factor of u* with its first two derivatives, ``R`` that of theta*
-    with its first.
+    amplitude and ``theta_axes`` the axes theta* varies on.
     """
 
     name: str
@@ -64,12 +64,10 @@ class ManufacturedCase:
     a: tuple
     b: float = 0.0
     theta_axes: tuple = ()
-    U: tuple = _COSINE
-    R: tuple = _DECAY
 
     @property
     def theta_min(self):
-        """The floor of theta* while |R| <= 1."""
+        """The floor of theta* at t >= 0, where 0 < R <= 1."""
         return _THETA_BASE - abs(self.b)
 
 
@@ -143,11 +141,11 @@ class ManufacturedProblem:
         )
 
     def _temperature(self, t):
-        return _THETA_BASE + self.case.R[0](t) * self._theta
+        return _THETA_BASE + _DECAY[0](t) * self._theta
 
     def exact_state(self, t):
-        u = self.case.U[0](t) * self._u
-        v = self.case.U[1](t) * self._u
+        u = _COSINE[0](t) * self._u
+        v = _COSINE[1](t) * self._u
         # the discrete Dirichlet condition is exact; clamp the round-off the
         # sine profile leaves on the boundary so states validate strictly
         u[self.grid.boundary_mask] = 0.0
@@ -163,15 +161,15 @@ class ManufacturedProblem:
         return self.exact_state(0.0)
 
     def body_force(self, t):
-        u, u_t, u_tt = (f(t) for f in self.case.U)
+        u, u_t, u_tt = (f(t) for f in _COSINE)
         out = (u_tt * self._u - u_t * self._q1 - u * self._q2
-               + self.case.R[0](t) * self._coupled_grad_theta)
+               + _DECAY[0](t) * self._coupled_grad_theta)
         return VectorField(self.grid, out)
 
     def heat_source(self, t):
         params = self.params
-        r, r_t = (f(t) for f in self.case.R)
-        u_t = self.case.U[1](t)
+        r, r_t = (f(t) for f in _DECAY)
+        u_t = _COSINE[1](t)
         theta = self._temperature(t)
         g = (
             theta * (params.cv * r_t * self._theta + u_t * self._coupled_rate)
@@ -184,27 +182,24 @@ class ManufacturedProblem:
         return Sources(b=self.body_force, g=self.heat_source)
 
 
-def manufacture(case, grid, params, time_span=(0.0, 1.0)):
+def manufacture(case, grid, params):
     """Bind a case to a grid after checking that theta* stays positive.
 
     The sine and cosine profiles meet the boundary conditions by
-    construction; theta* is sampled at five times across ``time_span`` and
-    a nonpositive value is rejected.
+    construction; a case whose floor ``theta_min`` is not positive is
+    rejected.
     """
     if grid.d != case.d or tuple(grid.lengths) != tuple(case.lengths):
         raise UsageError(
             f"case '{case.name}' is built for d={case.d}, lengths={case.lengths}; "
             f"grid has d={grid.d}, lengths={grid.lengths}"
         )
-    problem = ManufacturedProblem(case=case, grid=grid, params=params)
-    for t in np.linspace(time_span[0], time_span[1], 5):
-        theta_min = float(np.min(problem._temperature(t)))
-        if theta_min <= 0.0:
-            raise UsageError(
-                f"case '{case.name}': theta reaches {theta_min} at t={t}, "
-                f"below zero (the floor 2 - |b| is {case.theta_min})"
-            )
-    return problem
+    if case.theta_min <= 0.0:
+        raise UsageError(
+            f"case '{case.name}': theta* falls to {case.theta_min} = 2 - |b|, "
+            f"below zero"
+        )
+    return ManufacturedProblem(case=case, grid=grid, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +328,7 @@ def convergence_study(case_name, params, d=2, resolutions=(9, 17, 33),
             grid = Grid((n,) * d, lengths)
             h = grid.h[0]
             dt = dt0 * (h / h0) ** 2
-            problem = manufacture(
-                get_case(case_name, d, lengths), grid, params,
-                time_span=(0.0, t_end),
-            )
+            problem = manufacture(get_case(case_name, d, lengths), grid, params)
             errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
             levels.append(OrderLevel(n, h, dt, errs["u"], errs["v"], errs["theta"]))
         xs = [lv.h for lv in levels]
@@ -345,10 +337,7 @@ def convergence_study(case_name, params, d=2, resolutions=(9, 17, 33),
             raise UsageError("temporal mode needs at least 3 dt values")
         n = resolutions[-1]
         grid = Grid((n,) * d, lengths)
-        problem = manufacture(
-            get_case(case_name, d, lengths), grid, params,
-            time_span=(0.0, t_end),
-        )
+        problem = manufacture(get_case(case_name, d, lengths), grid, params)
         for dt in dts:
             errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
             levels.append(OrderLevel(n, grid.h[0], dt,

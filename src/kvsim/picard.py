@@ -198,8 +198,6 @@ class Stepper:
         self.params = params
         self.strain = strain_matrix(grid)
         self.stiffness = linear_step.heat_stiffness(grid, params.k)
-        # trapezoid weights of the packed velocity unknowns, for Y
-        self.weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
         self._set_dt(config)
 
     def _set_dt(self, config):
@@ -284,7 +282,8 @@ class Stepper:
                     f"(min = {theta_min}) at sweep {sweep_count}"
                 )
             ys.append(
-                math.sqrt(float(np.sum(self.weights * (x_new - x_v) ** 2)))
+                math.sqrt(float(np.sum(
+                    grid.interior_weights * (x_new - x_v) ** 2)))
                 + l2_norm(grid, theta_new.data - theta.data)
             )
             x_v, theta = x_new, theta_new

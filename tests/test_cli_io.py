@@ -34,7 +34,9 @@ from kvsim.cli_io import (
     write_diagnostics_csv,
     write_vtk_snapshot,
 )
-from kvsim.diagnostics import CSV_FIELDS, initial_record
+from kvsim.diagnostics import CSV_FIELDS, initial_record, mixed_norm, v2_norm
+from kvsim.grid import magnitude, neumann_matrix
+from kvsim.picard import run
 
 from helpers import bump_state, make_grid
 
@@ -684,6 +686,91 @@ def test_cli_norms_rejects_checkpoints_that_share_a_time(tmp_path, capsys):
     assert main(["norms", "--traj", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "strictly increase" in captured.err
+
+
+def _shortened_run(tmp_path, monkeypatch):
+    """A 9^2 bump at dt = 0.03 to t = 0.1, so its last step is 0.01,
+    with a checkpoint after every step; returns its loaded config."""
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text(snapshot_every=1, extra="[initial]\npreset = bump\n")
+    cfg = write_cfg(tmp_path, text.replace("dt = 0.05", "dt = 0.03"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    return load_config(cfg)
+
+
+def _printed_norms(out):
+    """The header of `kvsim norms` and its values by label."""
+    header, *rows = out.splitlines()
+    labels = [row.rsplit(maxsplit=1) for row in rows]
+    return header, {label: float(value) for label, value in labels}
+
+
+def test_cli_norms_weigh_a_shortened_last_step(tmp_path, monkeypatch, capsys):
+    """Checkpoints 0.03, 0.03 and 0.01 apart give exit 0 and the
+    left-endpoint sums weighted by those intervals; so does that
+    trajectory continued from its last checkpoint at dt = 0.02."""
+    _shortened_run(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["norms", "--traj", "snaps", "--p", "3", "--p0", "2"]) == 0
+    header, got = _printed_norms(capsys.readouterr().out)
+    assert header == ("4 snapshots from t = 0.029999999999999999 "
+                      "to t = 0.10000000000000001, p = 3, p0 = 2")
+    states = sorted((load_checkpoint(path)[0]
+                     for path in (tmp_path / "snaps").glob("*.ckpt")),
+                    key=lambda s: s.t)
+    widths = [b.t - a.t for a, b in zip(states, states[1:])]
+    assert widths == pytest.approx([0.03, 0.03, 0.01], rel=1e-12)
+    weights = states[0].grid.quad_weights.ravel()
+
+    def lp(data, p):
+        return np.sum(weights * np.abs(data.ravel()) ** p) ** (1.0 / p)
+
+    for name, field in (("theta", lambda s: s.theta),
+                        ("|u|", lambda s: magnitude(s.u)),
+                        ("|v|", lambda s: magnitude(s.v))):
+        want = sum(w * lp(field(s).data, 3.0) ** 2
+                   for w, s in zip(widths, states)) ** 0.5
+        assert got[f"L_(p,p0) of {name}"] == pytest.approx(want, rel=1e-13)
+    stiffness = neumann_matrix(states[0].grid)[0]
+    thetas = [s.theta.data.ravel() for s in states]
+    want = max(lp(f, 2.0) for f in thetas) + np.sqrt(sum(
+        w * (f @ (stiffness @ f)) for w, f in zip(widths, thetas)))
+    assert got["V2 norm of theta"] == pytest.approx(want, rel=1e-13)
+    # the restart writes 0.12, 0.14 and 0.16 next to 0.03 ... 0.1
+    restart = (MINIMAL.replace("dt = 0.05", "dt = 0.02")
+               .replace("t_end = 0.1", "t_end = 0.16")
+               + "\n[initial]\npreset = checkpoint:snaps/state000004.ckpt\n"
+               + "\n[output]\nsnapshot_every = 1\n"
+               + "snapshot_prefix = snaps/restart\n")
+    cfg = write_cfg(tmp_path, restart, name="restart.cfg")
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["norms", "--traj", "snaps"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "7 snapshots from t = 0.029999999999999999 to t = 0.16")
+
+
+def test_observer_norms_equal_cli_norms_bit_for_bit(tmp_path, monkeypatch,
+                                                    capsys):
+    """A `run` observer that keeps (t, theta) of each step gives the norms
+    that `kvsim norms` prints from the same run's checkpoints, to the last
+    bit: a norm study needs no snapshot files."""
+    config = _shortened_run(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["norms", "--traj", "snaps"]) == 0
+    _, printed = _printed_norms(capsys.readouterr().out)
+    times, thetas = [], []
+
+    def keep(event):
+        times.append(event.state_new.t)
+        thetas.append(event.state_new.theta)
+
+    run(build_initial_state(config), config.params, config.stepper,
+        config.t_end, sources=build_sources(config), observers=[keep])
+    assert len(times) == 4
+    assert mixed_norm(thetas, times, 2.0, 2.0) == printed[
+        "L_(p,p0) of theta"]
+    assert v2_norm(thetas, times) == printed["V2 norm of theta"]
 
 
 def test_cli_perturb(tmp_path, monkeypatch, capsys):

@@ -349,14 +349,15 @@ def test_gronwall_detects_divergence(grid2d, params):
 
 def test_mixed_norm_of_unit_field(grid2d):
     fields = [ScalarField.constant(grid2d, 1.0) for _ in range(11)]
+    times = 0.1 * np.arange(11)
     for p, p0 in ((2, 3), (1, 1), (np.inf, 2), (2, np.inf), (np.inf, np.inf)):
-        assert mixed_norm(fields, 0.1, p, p0) == pytest.approx(1.0, abs=1e-12)
+        assert mixed_norm(fields, times, p, p0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixed_norm_p_equals_p0_matches_spacetime_norm(rng, grid2d):
     fields = [ScalarField(grid2d, rng.random(grid2d.shape)) for _ in range(6)]
     dt, p = 0.2, 3.0
-    got = mixed_norm(fields, dt, p, p)
+    got = mixed_norm(fields, dt * np.arange(6), p, p)
     direct = (sum(
         dt * np.sum(grid2d.quad_weights * np.abs(f.data) ** p)
         for f in fields[:-1]
@@ -365,29 +366,76 @@ def test_mixed_norm_p_equals_p0_matches_spacetime_norm(rng, grid2d):
 
 
 def test_mixed_norm_linear_in_time_converges_first_order(grid2d):
+    """f = t on [0, 1], on a uniform ladder and on t_k = s_k + 0.3 s_k
+    (1 - s_k) for uniform s_k, whose intervals run from 1.3/n down to
+    0.7/n: the left-endpoint sum weighted by each interval converges at
+    first order on both."""
     p, p0 = 2.0, 4.0
     exact = (1.0 / (p0 + 1.0)) ** (1.0 / p0)
-    errs = []
-    for steps in (10, 20):
-        dt = 1.0 / steps
-        fields = [ScalarField.constant(grid2d, k * dt) for k in range(steps + 1)]
-        errs.append(abs(mixed_norm(fields, dt, p, p0) - exact))
-    assert 1.6 <= errs[0] / errs[1] <= 2.4
+    for warp in (0.0, 0.3):
+        errs = []
+        for steps in (10, 20, 40):
+            s = np.arange(steps + 1) / steps
+            times = s + warp * s * (1.0 - s)
+            fields = [ScalarField.constant(grid2d, t) for t in times]
+            errs.append(abs(mixed_norm(fields, times, p, p0) - exact))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.6 <= coarse / fine <= 2.4
+
+
+def test_mixed_norm_weighs_each_interval(rng, grid2d):
+    """Each snapshot but the last weighs the interval to the next one."""
+    fields = [ScalarField(grid2d, rng.random(grid2d.shape)) for _ in range(4)]
+    times = [0.0, 0.03, 0.06, 0.07]
+    p, p0 = 2.0, 3.0
+    norms = [np.sum(grid2d.quad_weights * f.data**p) ** (1.0 / p)
+             for f in fields]
+    want = (0.03 * norms[0]**p0 + 0.03 * norms[1]**p0
+            + 0.01 * norms[2]**p0) ** (1.0 / p0)
+    assert mixed_norm(fields, times, p, p0) == pytest.approx(want, rel=1e-13)
+    assert mixed_norm(fields, times, p, np.inf) == max(
+        lp_norm(f, p) for f in fields)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.1, 0.1], [0.0, 0.2, 0.1], [0.0, np.nan, 0.2], [0.0, 0.1],
+    [[0.0, 0.1, 0.2]], 0.1,
+], ids=["repeated", "falling", "nan", "too-few", "2-d", "a-dt"])
+def test_norms_reject_times_that_do_not_fit(grid2d, times):
+    """Times that repeat, fall, are not numbers or are not one per
+    snapshot (a step length among them) are a usage error, for p0 = inf
+    too."""
+    fields = [ScalarField.constant(grid2d, 1.0)] * 3
+    for p0 in (2.0, np.inf):
+        with pytest.raises(UsageError, match="strictly increase"):
+            mixed_norm(fields, times, 2.0, p0)
+    with pytest.raises(UsageError, match="one per snapshot"):
+        v2_norm(fields, times)
+
+
+def test_norms_reject_an_empty_trajectory():
+    """No snapshots is a usage error, not max() of an empty sequence."""
+    for norm in (lambda: mixed_norm([], [], 2.0, np.inf),
+                 lambda: mixed_norm([], [], 2.0, 2.0),
+                 lambda: v2_norm([], [])):
+        with pytest.raises(UsageError, match="got 0 snapshots"):
+            norm()
 
 
 def test_mixed_norm_rejects_bad_exponents(grid2d):
     fields = [ScalarField.constant(grid2d, 1.0)] * 3
+    times = 0.1 * np.arange(3)
     with pytest.raises(UsageError):
-        mixed_norm(fields, 0.1, 0.5, 2)
+        mixed_norm(fields, times, 0.5, 2)
     with pytest.raises(UsageError):
-        mixed_norm(fields, 0.1, 2, 0.0)
+        mixed_norm(fields, times, 2, 0.0)
     with pytest.raises(UsageError):
-        mixed_norm(fields, 0.1, np.nan, 2)
+        mixed_norm(fields, times, np.nan, 2)
 
 
 def test_v2_norm_of_constant(grid2d):
     fields = [ScalarField.constant(grid2d, 2.0)] * 5
-    assert v2_norm(fields, 0.25) == pytest.approx(2.0, abs=1e-12)
+    assert v2_norm(fields, 0.25 * np.arange(5)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_v2_norm_second_order_on_cosine_profile():
@@ -399,7 +447,7 @@ def test_v2_norm_second_order_on_cosine_profile():
         grid = make_grid(d=2, n=n)
         x, y = grid.coords()
         f = ScalarField(grid, np.cos(np.pi * x) * np.cos(2.0 * np.pi * y))
-        got = v2_norm([f] * 5, 0.25)
+        got = v2_norm([f] * 5, 0.25 * np.arange(5))
         stiffness = neumann_matrix(grid)[0]
         grad_sq = f.data.ravel() @ (stiffness @ f.data.ravel())
         assert got - lp_norm(f, 2) == pytest.approx(np.sqrt(grad_sq),

@@ -566,6 +566,27 @@ def test_divergence_matrix_is_tensor_divergence_inside(rng, nodes, lengths):
             np.abs(expected))
 
 
+@_OPERATOR_GRIDS
+def test_stress_divergence_divides_by_the_shared_interior_weights(
+        rng, nodes, lengths):
+    """``grid.interior_weights`` are the trapezoid weights of the packed
+    unknowns, built once per grid; ``stress_divergence`` of the strain
+    rows and of the mean rows is -W^-1 S_k^T (w sigma) with them, bit for
+    bit."""
+    grid = Grid(nodes, lengths)
+    weights = pack_interior(grid, np.repeat(
+        grid.quad_weights[..., None], grid.d, axis=-1))
+    shared = grid.interior_weights
+    strain = strain_matrix(grid)
+    for rows in (strain.shape[0] // grid.num_nodes, len(strain_slots(grid.d))):
+        stress = rng.standard_normal((rows,) + grid.shape)
+        expected = (strain[:rows * grid.num_nodes].T
+                    @ (stress * grid.quad_weights).ravel()) / -weights
+        assert np.array_equal(stress_divergence(grid, stress), expected)
+    assert grid.interior_weights is shared
+    assert np.array_equal(shared, weights)
+
+
 # ---------------------------------------------------------------------------
 # the corner strain and the compact operators: one summation-by-parts pair
 # ---------------------------------------------------------------------------
