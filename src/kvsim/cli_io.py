@@ -412,9 +412,8 @@ def build_initial_state(config):
             theta=ScalarField(grid, theta),
         ).validate()
     if kind == "manufactured":
-        case = mms.get_case(arg, grid.d, grid.lengths)
-        problem = mms.manufacture(case, grid, config.params)
-        return problem.initial_state()
+        return mms.manufacture(
+            mms.get_case(arg), grid, config.params).initial_state()
     if kind == "checkpoint":
         state, ck_grid = load_checkpoint(arg)
         if ck_grid != grid:
@@ -436,8 +435,7 @@ def build_sources(config):
         if kind == "manufactured":
             if case not in problems:
                 problems[case] = mms.manufacture(
-                    mms.get_case(case, grid.d, grid.lengths), grid,
-                    config.params)
+                    mms.get_case(case), grid, config.params)
             return getattr(problems[case], manufactured)
         return constant if kind == "constant" else None
 

@@ -51,17 +51,6 @@ def trace(a):
     return a[..., 0] + a[..., 1] + a[..., 2]
 
 
-def sym6_from_matrix(m, tol=1e-12):
-    """Convert a 3x3 symmetric matrix to 6-component storage."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise UsageError(f"expected a 3x3 matrix, got shape {m.shape}")
-    skew = np.max(np.abs(m - m.T))
-    if skew > tol * (1.0 + np.max(np.abs(m))):
-        raise UsageError(f"matrix is not symmetric (max skew {skew:.3e})")
-    return np.array([m[0, 0], m[1, 1], m[2, 2], m[1, 2], m[0, 2], m[0, 1]])
-
-
 def matrix_from_sym6(a):
     """Expand 6-component storage back to a full (..., 3, 3) matrix."""
     a = np.asarray(a, dtype=float)
@@ -120,8 +109,9 @@ class MaterialParams:
     lambda2, mu2   Lame constants (stress)
     k              heat conductivity, > 0
     cv             specific-heat coefficient, > 0 (heat capacity is cv*theta)
-    alpha          thermal expansion, a constant symmetric tensor; a scalar
-                   is promoted to alpha * identity
+    alpha          thermal expansion, a constant symmetric tensor in
+                   6-component storage; a scalar is promoted to
+                   alpha * identity
     beta           availability weight (temperature units), > 0; used only
                    by the diagnostics module
     """
@@ -139,12 +129,9 @@ class MaterialParams:
         alpha = np.array(self.alpha, dtype=float)
         if alpha.ndim == 0:
             alpha = float(alpha) * IDENTITY_6
-        elif alpha.shape == (3, 3):
-            alpha = sym6_from_matrix(alpha)
         elif alpha.shape != (6,):
             raise UsageError(
-                f"alpha must be a scalar, a 6-vector, or a symmetric 3x3 matrix, "
-                f"got shape {alpha.shape}"
+                f"alpha must be a scalar or a 6-vector, got shape {alpha.shape}"
             )
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)

@@ -275,7 +275,8 @@ class DiagnosticsCollector:
 # ---------------------------------------------------------------------------
 
 def availability_decay_check(trajectory, params, beta=None):
-    """Verify the Lyapunov property on a source-free run.
+    """Verify the Lyapunov property on a source-free run, a run with
+    neither a ``b`` nor a ``g`` source (``trajectory.source_free``).
 
     Passes iff the availability series is non-increasing up to a per-step
     slack of ten times the absolute energy-balance defect (plus a round-off
@@ -284,7 +285,7 @@ def availability_decay_check(trajectory, params, beta=None):
     if not trajectory.source_free:
         raise UsageError(
             "availability decay is only guaranteed for source-free runs "
-            "(b = 0, g = 0); this trajectory has nonzero sources"
+            "(b = 0, g = 0); this trajectory has a b or g source"
         )
     if beta is None:
         beta = params.beta
@@ -326,14 +327,18 @@ def theta_lower_bound_check(trajectory, params, theta_underbar=None):
     with c0 = :func:`default_theta_decay_rate`.
 
     Requires a nonnegative heat source throughout (the hypothesis of the
-    exponential bound).  Returns (passed, margins) where margins[k] is
-    min theta(t_k) minus the bound.
+    exponential bound), read from ``trajectory.sources`` at each accepted
+    state's time, where the run evaluated it.  Returns (passed, margins)
+    where margins[k] is min theta(t_k) minus the bound.
     """
-    if any(v < 0.0 for v in trajectory.g_min):
-        raise UsageError(
-            "the temperature lower bound assumes g >= 0 throughout; "
-            f"this run has min(g) = {min(trajectory.g_min)}"
-        )
+    g = trajectory.sources.g
+    if g is not None:
+        g_min = min(float(np.min(g(s.t).data)) for s in trajectory.states[1:])
+        if g_min < 0.0:
+            raise UsageError(
+                "the temperature lower bound assumes g >= 0 throughout; "
+                f"this run has min(g) = {g_min}"
+            )
     t0 = trajectory.states[0].t
     if theta_underbar is None:
         theta_underbar = float(np.min(trajectory.states[0].theta.data))

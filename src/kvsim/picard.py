@@ -353,16 +353,14 @@ class StepEvent:
 
 @dataclass
 class Trajectory:
-    """All accepted states of a run plus per-step bookkeeping."""
+    """All accepted states of a run, their Picard traces, and the sources
+    the run evaluated at each accepted state's time."""
 
     grid: Grid
-    params: object
     config: StepperConfig
     states: list = field(default_factory=list)
     traces: list = field(default_factory=list)
-    b_max_abs: list = field(default_factory=list)
-    g_min: list = field(default_factory=list)
-    g_max_abs: list = field(default_factory=list)
+    sources: Sources = field(default_factory=Sources)
 
     @property
     def times(self):
@@ -370,10 +368,7 @@ class Trajectory:
 
     @property
     def source_free(self):
-        return (
-            all(v == 0.0 for v in self.b_max_abs)
-            and all(v == 0.0 for v in self.g_max_abs)
-        )
+        return self.sources.b is None and self.sources.g is None
 
 
 def run(initial, params, config, t_end, sources=None, observers=()):
@@ -384,7 +379,7 @@ def run(initial, params, config, t_end, sources=None, observers=()):
     with a final step of its own length when dt does not divide the span.
     Observers are invoked with a :class:`StepEvent` after every accepted
     step.  Fails fast on any step error.  Returns the trajectory (all
-    states, including the initial one).
+    states, including the initial one, and the sources).
     """
     initial.validate()
     if not t_end > initial.t:
@@ -399,7 +394,7 @@ def run(initial, params, config, t_end, sources=None, observers=()):
     config = replace(config, theta_floor=floor)
     stepper = Stepper(initial.grid, params, config)
 
-    traj = Trajectory(grid=initial.grid, params=params, config=config)
+    traj = Trajectory(grid=initial.grid, config=config, sources=sources)
     traj.states.append(initial)
     state = initial
     for k in range(n_steps):
@@ -414,15 +409,6 @@ def run(initial, params, config, t_end, sources=None, observers=()):
         new_state.t = t_new  # not state.t + dt, which drifts by round-off
         traj.states.append(new_state)
         traj.traces.append(trace)
-        traj.b_max_abs.append(
-            float(np.max(np.abs(b_field.data))) if b_field is not None else 0.0
-        )
-        traj.g_min.append(
-            float(np.min(g_field.data)) if g_field is not None else 0.0
-        )
-        traj.g_max_abs.append(
-            float(np.max(np.abs(g_field.data))) if g_field is not None else 0.0
-        )
         for observer in observers:
             observer(StepEvent(
                 index=k, state_old=state, state_new=new_state, trace=trace,

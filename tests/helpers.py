@@ -41,8 +41,8 @@ def random_boundary_zero_vector(grid, rng):
     return VectorField(grid, data)
 
 
-def make_grid(d=2, n=17, length=1.0):
-    return Grid((n,) * d, (length,) * d)
+def make_grid(d=2, n=17):
+    return Grid((n,) * d, (1.0,) * d)
 
 
 def corner_gradients(grid):

@@ -392,14 +392,13 @@ def test_invalid_material_params_rejected(overrides):
         default_params(**overrides)
 
 
-def test_alpha_accepts_matrix_and_rejects_asymmetric():
+def test_alpha_rejects_a_matrix():
+    """alpha is a scalar or a 6-vector; a 3x3 matrix, symmetric or not, is
+    refused."""
     m = np.array([[0.1, 0.02, 0.0], [0.02, 0.1, 0.0], [0.0, 0.0, 0.1]])
-    p = default_params(alpha=m)
-    assert p.alpha == pytest.approx([0.1, 0.1, 0.1, 0.0, 0.0, 0.02])
-    with pytest.raises(UsageError):
-        default_params(alpha=np.array([[0.0, 1.0, 0.0],
-                                       [0.0, 0.0, 0.0],
-                                       [0.0, 0.0, 0.0]]))
+    for alpha in (m, m + np.triu(m, 1)):
+        with pytest.raises(UsageError, match="a scalar or a 6-vector"):
+            default_params(alpha=alpha)
 
 
 def test_thermal_coupling_is_computed_once_and_read_only():

@@ -256,15 +256,27 @@ def test_theta_lower_bound_rejects_negative_sources(grid2d, params):
         theta_lower_bound_check(traj, params)
 
 
-def _fabricated_trajectory(grid, params, states):
+def test_theta_lower_bound_reads_the_source_at_every_accepted_time(grid2d,
+                                                                   params):
+    """A heat source that is nonnegative at the first accepted time and
+    negative at a later one is refused, with the least value it takes at
+    the accepted times."""
+
+    def g(t):
+        return ScalarField.constant(grid2d, 0.05 if t < 0.075 else -0.01)
+
+    traj, _ = small_run(grid2d, params, t_end=0.15,
+                        state=SimState.rest(grid2d, 2.0), sources=Sources(g=g))
+    assert float(np.min(g(traj.states[1].t).data)) >= 0.0
+    with pytest.raises(UsageError, match=r"min\(g\) = -0\.01$"):
+        theta_lower_bound_check(traj, params)
+
+
+def _fabricated_trajectory(grid, states):
     """Source-free trajectory wrapper around hand-built states."""
     from kvsim import StepperConfig, Trajectory
-    steps = len(states) - 1
-    return Trajectory(
-        grid=grid, params=params, config=StepperConfig(dt=0.1),
-        states=states, traces=[None] * steps,
-        b_max_abs=[0.0] * steps, g_min=[0.0] * steps, g_max_abs=[0.0] * steps,
-    )
+    return Trajectory(grid=grid, config=StepperConfig(dt=0.1), states=states,
+                      traces=[None] * (len(states) - 1))
 
 
 def test_theta_lower_bound_nontrivial_dip():
@@ -297,7 +309,7 @@ def test_theta_lower_bound_detects_violation(grid2d, params):
         SimState.rest(grid2d, theta0=float(np.exp(-3.0 * c0 * t)), t=t)
         for t in (0.0, 1.0, 2.0)
     ]
-    traj = _fabricated_trajectory(grid2d, params, states)
+    traj = _fabricated_trajectory(grid2d, states)
     passed, margins = theta_lower_bound_check(traj, params)
     assert not passed
     assert margins[-1] < 0.0
@@ -316,7 +328,7 @@ def test_availability_check_detects_entropy_decrease(grid2d, params):
     profile *= np.sqrt(target / integrate_theta_sq_field(grid2d, profile))
     shaped.theta.data[:] = profile
     shaped.t = 0.1
-    traj = _fabricated_trajectory(grid2d, params, [uniform, shaped])
+    traj = _fabricated_trajectory(grid2d, [uniform, shaped])
     passed, worst, _ = availability_decay_check(traj, params)
     assert not passed
     assert worst > 0.0

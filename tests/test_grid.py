@@ -682,9 +682,7 @@ def test_thermal_coupling_is_the_adjoint_of_the_mean_strain(rng, nodes,
     integrates to zero against A2 alpha."""
     grid = Grid(nodes, lengths)
     params = default_params(lambda2=1.3, mu2=0.6,
-                            alpha=[[0.1, 0.03, -0.02],
-                                   [0.03, 0.25, 0.05],
-                                   [-0.02, 0.05, 0.4]])
+                            alpha=[0.1, 0.25, 0.4, 0.05, -0.02, 0.03])
     slots = strain_slots(grid.d)
     coupling = params.thermal_coupling()
     theta = 1.0 + rng.random(grid.shape)

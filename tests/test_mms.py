@@ -1,6 +1,7 @@
 """Manufactured-solutions oracle: forcing derivation and its verification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,8 @@ from kvsim.mms import (
     CASES,
     ManufacturedProblem,
     convergence_study,
-    cooling_case,
-    default_case,
     get_case,
     manufacture,
-    rest_case,
 )
 
 from helpers import make_grid
@@ -32,7 +30,7 @@ from helpers import make_grid
 
 def test_rest_case_has_zero_forcing(params):
     grid = make_grid(d=2, n=9)
-    problem = manufacture(rest_case(2, grid.lengths), grid, params)
+    problem = manufacture(get_case("rest"), grid, params)
     assert np.max(np.abs(problem.body_force(0.3).data)) == 0.0
     assert np.max(np.abs(problem.heat_source(0.3).data)) == 0.0
 
@@ -46,8 +44,8 @@ def test_cooling_case_matches_hand_derived_forcing(params):
     """
     grid = make_grid(d=2, n=13)
     amplitude = 0.5
-    problem = manufacture(cooling_case(2, grid.lengths, amplitude=amplitude),
-                          grid, params)
+    problem = manufacture(replace(get_case("cooling"), b=amplitude), grid,
+                          params)
     x, _ = grid.coords()
     w = math.pi / grid.lengths[0]
     for t in (0.0, 0.37, 1.0):
@@ -84,7 +82,7 @@ def _closed_form(name, lengths, params, h):
     sits on a zero or an extremum."""
     d = len(lengths)
     grid = Grid((6,) * d, lengths)
-    case = get_case(name, d, lengths)
+    case = get_case(name)
     base = 0.0123 * np.arange(1.0, d + 1.0)
     cache = {}
 
@@ -113,13 +111,22 @@ CASES_AND_BOXES = [
 
 
 @pytest.mark.parametrize("name,lengths", CASES_AND_BOXES)
+def test_a_case_is_one_value_for_every_box(params, name, lengths):
+    """A case holds no grid: every box binds the one ``CASES`` value."""
+    case = get_case(name)
+    assert case is CASES[name]
+    grid = Grid((6,) * len(lengths), lengths)
+    assert manufacture(case, grid, params).case is case
+
+
+@pytest.mark.parametrize("name,lengths", CASES_AND_BOXES)
 def test_cases_meet_the_boundary_conditions(params, name, lengths):
     """u* vanishes and theta* has zero normal derivative on every face.
     Moving the nodes by one spacing along an axis puts a layer of interior
     nodes (which ``exact_state`` does not clamp) onto each of its faces."""
     d, delta = len(lengths), 1e-4
     grid = Grid((6,) * d, lengths)
-    case = get_case(name, d, lengths)
+    case = get_case(name)
 
     def fields(offset):
         state = ManufacturedProblem(case, _ShiftedGrid(grid, offset),
@@ -229,20 +236,14 @@ def test_default_case_heat_residual_by_finite_differences(params, name, lengths)
 
 def test_manufacture_rejects_nonpositive_temperature(params):
     grid = make_grid(d=2, n=9)
-    case = cooling_case(2, grid.lengths, amplitude=2.5)  # dips below zero
+    case = replace(get_case("cooling"), b=2.5)  # dips below zero
     with pytest.raises(UsageError, match="below"):
         manufacture(case, grid, params)
 
 
-def test_manufacture_rejects_grid_mismatch(params):
-    case = default_case(2, (1.0, 1.0))
-    with pytest.raises(UsageError):
-        manufacture(case, make_grid(d=2, n=9, length=2.0), params)
-
-
 def test_get_case_unknown_name():
     with pytest.raises(UsageError):
-        get_case("nope", 2, (1.0, 1.0))
+        get_case("nope")
 
 
 def test_exact_solution_is_discrete_near_solution(params):
@@ -256,7 +257,7 @@ def test_exact_solution_is_discrete_near_solution(params):
     results = []
     for n, dt in ((9, 0.02), (17, 0.005), (33, 0.00125)):
         grid = make_grid(d=2, n=n)
-        problem = manufacture(default_case(2, grid.lengths), grid, params)
+        problem = manufacture(get_case("default"), grid, params)
         t = 0.1
         old, new = problem.exact_state(t), problem.exact_state(t + dt)
         q1 = lame_operator(new.v, params.lambda1, params.mu1).data

@@ -27,6 +27,7 @@ from kvsim.cli_io import (
 )
 from kvsim.diagnostics import (
     DiagnosticsCollector,
+    availability_decay_check,
     state_integrals,
     theta_lower_bound_check,
     total_energy,
@@ -311,9 +312,7 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
     with and without b.  Built in place, the load is bit for bit that
     arithmetic out of place, and it leaves its arguments as they were."""
     params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6,
-                            alpha=[[0.1, 0.03, -0.02],
-                                   [0.03, 0.25, 0.05],
-                                   [-0.02, 0.05, 0.4]])
+                            alpha=[0.1, 0.25, 0.4, 0.05, -0.02, 0.03])
     pack, dt = linear_step.pack_interior, 0.05
     for nodes, lengths in (((9,), (1.0,)), ((13, 19), (0.8, 1.5)),
                            ((5, 6, 7), (1.0, 2.0, 3.0))):
@@ -684,6 +683,7 @@ def test_run_zero_data_is_stationary(grid2d, params):
     assert l2_diff(final.v, state.v, grid2d) <= 1e-12
     assert l2_diff(final.theta, state.theta, grid2d) <= 1e-12
     assert final.t == pytest.approx(0.5)
+    assert traj.sources == Sources()
     assert traj.source_free
 
 
@@ -742,13 +742,26 @@ def test_run_rejects_bad_horizon(grid2d, params):
         run(SimState.rest(grid2d), params, StepperConfig(dt=0.05), 0.0)
 
 
-def test_run_records_source_extrema(grid2d, params):
+def test_run_keeps_its_sources(grid2d, params):
     sources = Sources.constant(grid2d, g_value=0.5)
     traj = run(SimState.rest(grid2d), params, StepperConfig(dt=0.05), 0.2,
                sources=sources)
+    assert traj.sources is sources
     assert not traj.source_free
-    assert all(v == 0.5 for v in traj.g_min)
-    assert all(v == 0.0 for v in traj.b_max_abs)
+
+
+def test_a_zero_source_callable_is_a_source(params):
+    """``source_free`` asks whether a run has a ``b`` or ``g`` callable,
+    not what it returns: a run whose body force is a callable returning
+    zeros is not source-free, and the availability check refuses it."""
+    grid = make_grid(d=2, n=5)
+    sources = Sources(b=lambda t: VectorField.zeros(grid))
+    traj = run(SimState.rest(grid), params, StepperConfig(dt=0.05), 0.1,
+               sources=sources)
+    assert traj.sources is sources
+    assert not traj.source_free
+    with pytest.raises(UsageError, match="source-free"):
+        availability_decay_check(traj, params)
 
 
 def test_energy_drift_halves_with_dt(params):
