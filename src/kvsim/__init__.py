@@ -53,6 +53,7 @@ from .picard import (
     StepperConfig,
     Trajectory,
     run,
+    steps,
 )
 
 __version__ = "0.1.0"

@@ -83,7 +83,7 @@ from .errors import (
     UsageError,
 )
 from .grid import Grid, ScalarField, VectorField, magnitude
-from .picard import SimState, Sources, StepperConfig, run
+from .picard import SimState, Sources, StepperConfig, run, steps
 
 CHECKPOINT_MAGIC = b"KVSIMCK\x00"
 CHECKPOINT_VERSION = 1
@@ -394,7 +394,9 @@ def _cos_profile(grid):
 
 
 def build_initial_state(config):
-    """Materialize the configured initial condition on the scenario grid."""
+    """Materialize the configured initial condition on the scenario grid;
+    a state that ``SimState.validate`` rejects is refused here, before any
+    record of it is made."""
     grid, spec = config.grid, config.initial
     kind, _, arg = spec.preset.partition(":")
     if kind == "uniform":
@@ -420,7 +422,7 @@ def build_initial_state(config):
             raise UsageError(
                 f"checkpoint grid {ck_grid} does not match scenario grid {grid}"
             )
-        return state
+        return state.validate()
     raise UsageError(f"unknown initial preset {spec.preset!r}")
 
 
@@ -622,25 +624,33 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args):
+    """Stream a scenario's steps into the diagnostics and the snapshots,
+    keeping no states.  When a step or a snapshot fails with a
+    ``KvsimError``, the CSV holds the records of every step accepted
+    before it, and the error reaches ``main``."""
     config = load_config(args.config)
     state = build_initial_state(config)
     sources = build_sources(config)
     collector = DiagnosticsCollector(config.params, initial_state=state)
     every = config.output.snapshot_every
-
-    def snapshot(event):
-        step = event.index + 1
-        if every > 0 and step % every == 0:
-            prefix = f"{config.output.snapshot_prefix}{step:06d}"
-            write_vtk_snapshot(event.state_new, prefix + ".vtk")
-            save_checkpoint(event.state_new, prefix + ".ckpt")
-
-    traj = run(state, config.params, config.stepper, config.t_end,
-               sources=sources, observers=[collector, snapshot])
+    n_steps = 0
+    try:
+        for event in steps(state, config.params, config.stepper,
+                           config.t_end, sources=sources):
+            collector(event)
+            n_steps = event.index + 1
+            if every > 0 and n_steps % every == 0:
+                prefix = f"{config.output.snapshot_prefix}{n_steps:06d}"
+                write_vtk_snapshot(event.state_new, prefix + ".vtk")
+                save_checkpoint(event.state_new, prefix + ".ckpt")
+    except KvsimError:
+        if config.output.csv:
+            write_diagnostics_csv(collector.records, config.output.csv)
+        raise
     if config.output.csv:
         write_diagnostics_csv(collector.records, config.output.csv)
     last = collector.records[-1]
-    print(f"completed {len(traj.traces)} steps to t = {_format_value(last.t)}")
+    print(f"completed {n_steps} steps to t = {_format_value(last.t)}")
     print(f"total energy        {_format_value(last.total_energy)}")
     print(f"temperature range   [{_format_value(last.theta_min)}, "
           f"{_format_value(last.theta_max)}]")

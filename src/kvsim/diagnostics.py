@@ -252,7 +252,7 @@ class DiagnosticsCollector:
 
     Each event must start from the state of the previous record (the
     ``initial_state``, then each event's ``state_new``), as the events of
-    ``picard.run`` do: that record holds the integrals of the step's old
+    ``picard.steps`` do: that record holds the integrals of the step's old
     state, so they are not computed again.
     """
 

@@ -371,31 +371,34 @@ class Trajectory:
         return self.sources.b is None and self.sources.g is None
 
 
-def run(initial, params, config, t_end, sources=None, observers=()):
-    """Advance ``initial`` to ``t_end`` by repeated Picard steps.
+def _run_config(initial, config):
+    """``config`` with the run's temperature floor: its own, or half the
+    initial minimum."""
+    floor = config.theta_floor
+    if floor is None:
+        floor = 0.5 * float(np.min(initial.theta.data))
+    return replace(config, theta_floor=floor)
+
+
+def steps(initial, params, config, t_end, sources=None):
+    """Advance ``initial`` to ``t_end`` by repeated Picard steps, yielding a
+    :class:`StepEvent` after every accepted step.
 
     Step k (from 0) evaluates the sources at, and its state is at,
     ``initial.t + (k + 1) * dt``; the last step's at exactly ``t_end``,
     with a final step of its own length when dt does not divide the span.
-    Observers are invoked with a :class:`StepEvent` after every accepted
-    step.  Fails fast on any step error.  Returns the trajectory (all
-    states, including the initial one, and the sources).
+    The generator keeps only the state it steps from and the one it
+    yields, so a consumer that keeps no events runs in memory that does
+    not grow with the number of steps.  It validates its arguments at
+    the first ``next()`` and fails fast on any step error.
     """
     initial.validate()
     if not t_end > initial.t:
         raise UsageError(f"t_end = {t_end} must exceed initial time {initial.t}")
     if sources is None:
         sources = Sources()
-    span = t_end - initial.t
-    n_steps = max(1, math.ceil(span / config.dt - 1e-9))
-    floor = config.theta_floor
-    if floor is None:
-        floor = 0.5 * float(np.min(initial.theta.data))
-    config = replace(config, theta_floor=floor)
-    stepper = Stepper(initial.grid, params, config)
-
-    traj = Trajectory(grid=initial.grid, config=config, sources=sources)
-    traj.states.append(initial)
+    n_steps = max(1, math.ceil((t_end - initial.t) / config.dt - 1e-9))
+    stepper = Stepper(initial.grid, params, _run_config(initial, config))
     state = initial
     for k in range(n_steps):
         t_new = initial.t + (k + 1) * config.dt
@@ -407,12 +410,26 @@ def run(initial, params, config, t_end, sources=None, observers=()):
         g_field = sources.g(t_new) if sources.g is not None else None
         new_state, trace = stepper.step(state, b=b_field, g=g_field)
         new_state.t = t_new  # not state.t + dt, which drifts by round-off
-        traj.states.append(new_state)
-        traj.traces.append(trace)
-        for observer in observers:
-            observer(StepEvent(
-                index=k, state_old=state, state_new=new_state, trace=trace,
-                b=b_field, g=g_field, dt=stepper.config.dt,
-            ))
+        yield StepEvent(
+            index=k, state_old=state, state_new=new_state, trace=trace,
+            b=b_field, g=g_field, dt=stepper.config.dt,
+        )
         state = new_state
-    return traj
+
+
+def run(initial, params, config, t_end, sources=None, observers=()):
+    """Collect :func:`steps` into a :class:`Trajectory`: all states,
+    including the initial one, their traces, the sources and the config
+    with the run's ``theta_floor``.  Observers are invoked with each
+    :class:`StepEvent` as its step is accepted.
+    """
+    if sources is None:
+        sources = Sources()
+    states, traces = [initial], []
+    for event in steps(initial, params, config, t_end, sources):
+        states.append(event.state_new)
+        traces.append(event.trace)
+        for observer in observers:
+            observer(event)
+    return Trajectory(grid=initial.grid, config=_run_config(initial, config),
+                      states=states, traces=traces, sources=sources)

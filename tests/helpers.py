@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
 import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ import scipy.sparse as sp
 from kvsim import Grid, MaterialParams, ScalarField, SimState, VectorField
 from kvsim.cli_io import _cos_profile, _sin_profile
 from kvsim.constitutive import matrix_from_sym6
-from kvsim import linear_step
+from kvsim import linear_step, picard
 from kvsim.linear_step import SparseOperator, pack_interior, velocity_matrix
 
 
@@ -168,3 +170,36 @@ def double_velocity_operator(grid, dt, lam, mu):
         matrix=op.matrix,
         precondition=linear_step._fast_diagonalization(vectors, divisor),
     )
+
+
+class AcceptedStates:
+    """Watches ``Stepper.step``: keeps a weak reference to the temperature
+    of every state it accepts and, at the start of each step, records how
+    many of those states are still alive.  ``most_alive`` maps each
+    grid's node counts to the most it saw at the start of a step on that
+    grid; ``alive()`` counts them now."""
+
+    def __init__(self, monkeypatch):
+        self.refs = []
+        self.most_alive = {}
+        step = picard.Stepper.step
+
+        def watched(stepper, *args, **kwargs):
+            key = stepper.grid.n
+            self.most_alive[key] = max(self.most_alive.get(key, 0),
+                                       self.alive())
+            new_state, trace = step(stepper, *args, **kwargs)
+            self.refs.append(weakref.ref(new_state.theta.data))
+            return new_state, trace
+
+        monkeypatch.setattr(picard.Stepper, "step", watched)
+
+    def alive(self):
+        """The watched states alive after ``gc.collect()``.  Reference
+        counting frees a state that no cycle holds at once, so the
+        (slow) collection runs only when more than two are left."""
+        count = sum(ref() is not None for ref in self.refs)
+        if count > 2:
+            gc.collect()
+            count = sum(ref() is not None for ref in self.refs)
+        return count

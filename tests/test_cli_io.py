@@ -15,11 +15,13 @@ import pytest
 from kvsim import (
     CheckpointError,
     ConfigError,
+    NonConvergenceError,
     SimState,
     UsageError,
     cli_io,
     linear_step,
     mms,
+    picard,
 )
 from kvsim.cli_io import (
     CHECKPOINT_MAGIC,
@@ -38,7 +40,7 @@ from kvsim.diagnostics import CSV_FIELDS, initial_record, mixed_norm, v2_norm
 from kvsim.grid import magnitude, neumann_matrix
 from kvsim.picard import run
 
-from helpers import bump_state, make_grid
+from helpers import AcceptedStates, bump_state, make_grid
 
 MINIMAL = """
 [grid]
@@ -542,6 +544,87 @@ def test_cli_run_writes_snapshots_at_cadence(tmp_path, monkeypatch):
     assert len(snaps) == 2 and len(ckpts) == 2  # two steps of 0.05 to t=0.1
     state, _ = load_checkpoint(ckpts[-1])
     assert state.t == pytest.approx(0.1)
+
+
+def _fail_at_call(monkeypatch, failing_call, error):
+    """Make the ``failing_call``-th ``Stepper.step`` raise ``error``."""
+    step = picard.Stepper.step
+    calls = []
+
+    def failing(stepper, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise error
+        return step(stepper, *args, **kwargs)
+
+    monkeypatch.setattr(picard.Stepper, "step", failing)
+
+
+def test_cli_run_writes_the_accepted_steps_when_a_step_fails(
+        tmp_path, monkeypatch, capsys):
+    """A step that fails leaves a CSV of the records accepted before it:
+    failing at the third step, the header, the initial record and two
+    steps, the same bytes as the first three rows of the run that
+    succeeds.  The exit code is the failure's."""
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text().replace("t_end = 0.1", "t_end = 0.25")
+    text += "\n[initial]\npreset = bump\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", "--config", str(cfg)]) == 0
+    full = (tmp_path / "diag.csv").read_bytes().splitlines(keepends=True)
+    assert len(full) == 1 + 1 + 5
+    (tmp_path / "diag.csv").unlink()
+    _fail_at_call(monkeypatch, 3, NonConvergenceError("injected"))
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "numerical failure: injected" in capsys.readouterr().err
+    assert (tmp_path / "diag.csv").read_bytes() == b"".join(full[:4])
+
+
+def test_cli_run_refuses_an_invalid_checkpoint_before_any_record(
+        tmp_path, monkeypatch, capsys):
+    """A checkpoint whose temperature is not positive is refused when the
+    initial state is built (exit 3): no CSV holds a record of it."""
+    monkeypatch.chdir(tmp_path)
+    state = SimState.rest(make_grid(d=2, n=9))
+    state.theta.data[4, 4] = -1.0
+    save_checkpoint(state, tmp_path / "cold.ckpt")
+    cfg = write_cfg(tmp_path, run_cfg_text()
+                    + "\n[initial]\npreset = checkpoint:cold.ckpt\n")
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "temperature must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "diag.csv").exists()
+
+
+def test_cli_run_lets_other_exceptions_through(tmp_path, monkeypatch):
+    """Only a ``KvsimError`` writes the partial CSV: any other exception
+    from a step (the benchmark's set-up timer stops a run this way)
+    leaves ``cmd_run`` untouched and writes nothing."""
+
+    class Stop(Exception):
+        pass
+
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, run_cfg_text())
+    _fail_at_call(monkeypatch, 1, Stop())
+    with pytest.raises(Stop):
+        main(["run", "--config", str(cfg)])
+    assert not (tmp_path / "diag.csv").exists()
+
+
+def test_cli_run_keeps_two_states_at_a_time(tmp_path, monkeypatch):
+    """``kvsim run`` streams its steps into the diagnostics and the
+    snapshots: at no step of a 12-step run are more than two earlier
+    accepted states alive, and none is once it returns."""
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text(snapshot_every=5).replace("t_end = 0.1", "t_end = 0.6")
+    cfg = write_cfg(tmp_path, text + "\n[initial]\npreset = bump\n")
+    watch = AcceptedStates(monkeypatch)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert len(watch.refs) == 12
+    assert list(watch.most_alive) == [(9, 9)]
+    assert watch.most_alive[(9, 9)] <= 2
+    assert watch.alive() == 0
+    assert len((tmp_path / "diag.csv").read_text().splitlines()) == 1 + 13
 
 
 def test_cli_exit_code_on_config_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ from kvsim.mms import (
     manufacture,
 )
 
-from helpers import make_grid
+from helpers import AcceptedStates, make_grid
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,21 @@ def test_stationary_case_is_resolved_exactly(params):
         assert level.err_u <= 1e-10
         assert level.err_v <= 1e-10
         assert level.err_theta <= 1e-10
+
+
+def test_convergence_study_keeps_two_states_at_a_time(params, monkeypatch):
+    """Each level of the spatial ladder takes its errors as the steps are
+    accepted: at no step of any level are more than two earlier accepted
+    states alive (the last event's old and new states), where collecting
+    the run would hold every one of them (80 steps at 33^2)."""
+    watch = AcceptedStates(monkeypatch)
+    report = convergence_study("default", params, d=2,
+                               resolutions=(9, 17, 33), mode="spatial")
+    assert [lv.nodes for lv in report.levels] == [9, 17, 33]
+    assert len(watch.refs) == 5 + 20 + 80
+    assert sorted(watch.most_alive) == [(9, 9), (17, 17), (33, 33)]
+    assert max(watch.most_alive.values()) <= 2
+    assert watch.alive() == 0
 
 
 def test_convergence_study_argument_validation(params):

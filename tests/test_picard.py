@@ -17,6 +17,7 @@ from kvsim import (
     UsageError,
     VectorField,
     run,
+    steps,
 )
 from kvsim import grid as grid_module, linear_step, picard
 from kvsim.cli_io import (
@@ -740,6 +741,54 @@ def test_run_states_are_at_their_source_times(params, dt, t_end):
 def test_run_rejects_bad_horizon(grid2d, params):
     with pytest.raises(UsageError):
         run(SimState.rest(grid2d), params, StepperConfig(dt=0.05), 0.0)
+
+
+def test_run_is_steps_collected(params):
+    """``run`` is ``steps`` collected: bit-equal states at the same times,
+    equal traces, and each observer called once per event, in order, with
+    the event ``steps`` yields.  The 0.13 span ends in a shortened step."""
+    grid = make_grid(d=2, n=9)
+    state = bump_state(grid)
+    config = StepperConfig(dt=0.05)
+    sources = Sources.constant(grid, g_value=0.5)
+    events = list(steps(state, params, config, 0.13, sources=sources))
+    seen = []
+    traj = run(state, params, config, 0.13, sources=sources,
+               observers=[seen.append, seen.append])
+    assert [e.index for e in seen] == [0, 0, 1, 1, 2, 2]
+    assert all(a is b for a, b in zip(seen[::2], seen[1::2]))
+    assert traj.states[0] is state
+    assert len(traj.states) == len(events) + 1 == 4
+    for event, observed, old, new, trace in zip(
+            events, seen[::2], traj.states, traj.states[1:], traj.traces):
+        assert observed.state_old is old and observed.state_new is new
+        assert observed.trace is trace
+        assert event.trace == trace
+        assert (event.index, event.dt) == (observed.index, observed.dt)
+        for want, got in ((event.state_old, old), (event.state_new, new)):
+            assert want.t == got.t
+            for name in ("u", "v", "theta"):
+                assert np.array_equal(getattr(want, name).data,
+                                      getattr(got, name).data)
+    assert [e.dt for e in events] == [0.05, 0.05, pytest.approx(0.03)]
+    assert traj.config == StepperConfig(
+        dt=0.05, theta_floor=0.5 * float(np.min(state.theta.data)))
+
+
+def test_steps_validates_at_its_first_next(grid2d, params):
+    """``steps`` is a generator: a horizon at or before the initial time
+    and an initial state that does not vanish on the boundary raise
+    ``UsageError`` at its first ``next()``; ``run`` raises at once."""
+    rest = SimState.rest(grid2d)
+    moving = SimState.rest(grid2d)
+    moving.v.data[0, 0, 0] = 1.0
+    config = StepperConfig(dt=0.05)
+    for initial, t_end in ((rest, 0.0), (rest, -1.0), (moving, 0.5)):
+        events = steps(initial, params, config, t_end)
+        with pytest.raises(UsageError):
+            next(events)
+        with pytest.raises(UsageError):
+            run(initial, params, config, t_end)
 
 
 def test_run_keeps_its_sources(grid2d, params):
