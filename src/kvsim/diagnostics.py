@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -427,24 +428,24 @@ def gronwall_rate_constant(params):
     return coupling_norm_sq / (2.0 * params.viscosity_bounds().a_star)
 
 
-def gronwall_compare(traj1, traj2, params):
-    """Compare two runs on the same grid/time ladder in the difference
-    functional X(t) and flag any escape from the Gronwall envelope."""
-    if traj1.grid != traj2.grid:
-        raise UsageError("runs live on different grids")
-    t1, t2 = traj1.times, traj2.times
-    if len(t1) != len(t2) or np.max(np.abs(t1 - t2)) > 1e-12 * (1 + t1[-1]):
-        raise UsageError("runs have different time ladders")
-    grid = traj1.grid
+def gronwall_compare(run1, run2, params):
+    """Compare two runs on the same grid and time ladder in the difference
+    functional X(t) and flag any escape from the Gronwall envelope.  Each
+    run is an iterable of states in time order (a ``Trajectory``, say),
+    read once, in lockstep with the other: only the last pair is kept."""
     c1 = gronwall_rate_constant(params)
-
-    x = []
-    strains1 = []
-    scale = 0.0
-    for s1, s2 in zip(traj1.states, traj2.states):
+    times, x, a, bound = [], [], [], []
+    scale = acc = 0.0
+    previous = None
+    for s1, s2 in zip_longest(run1, run2):
+        if (s1 is None or s2 is None
+                or abs(s1.t - s2.t) > 1e-12 * (1 + abs(s1.t))):
+            raise UsageError("runs have different time ladders")
+        grid = s1.grid
+        if previous is None and grid != s2.grid:
+            raise UsageError("runs live on different grids")
         du = s1.v.data - s2.v.data
         eps1 = corner_strains(s1.u)
-        strains1.append(eps1)
         eps_diff = eps1 - corner_strains(s2.u)
         dtheta = s1.theta.data - s2.theta.data
         integrand = (
@@ -460,36 +461,29 @@ def gronwall_compare(traj1, traj2, params):
             + params.cv * s1.theta.data**2,
         ))
         scale = max(scale, magnitude)
-    x = np.array(x)
-
-    a = np.zeros(len(x))
-    for k in range(1, len(x)):
-        dt = t1[k] - t1[k - 1]
-        th1_t = ScalarField(
-            grid, (traj1.states[k].theta.data - traj1.states[k - 1].theta.data) / dt
-        )
-        th2_t = ScalarField(
-            grid, (traj2.states[k].theta.data - traj2.states[k - 1].theta.data) / dt
-        )
-        eps1_t_sq = strain_density(
-            (strains1[k] - strains1[k - 1]) / dt, 0.0, 0.5, grid.d)
-        a[k] = (
-            c1
-            + params.k
-            + lp_norm(th1_t, 3) ** 2
-            + lp_norm(th2_t, 3) ** 2
-            + lp_norm(ScalarField(grid, np.sqrt(eps1_t_sq)), 3) ** 2
-            + lp_norm(traj2.states[k].theta, np.inf) ** 2
-        )
-
-    bound = np.empty(len(x))
-    bound[0] = x[0]
-    acc = 0.0
-    for k in range(1, len(x)):
-        acc += a[k] * (t1[k] - t1[k - 1])
-        bound[k] = x[0] * math.exp(acc)
+        if previous is None:
+            a.append(0.0)
+        else:
+            p1, p2, eps1_old = previous
+            dt = s1.t - p1.t
+            th1_t = ScalarField(grid, (s1.theta.data - p1.theta.data) / dt)
+            th2_t = ScalarField(grid, (s2.theta.data - p2.theta.data) / dt)
+            eps1_t_sq = strain_density(
+                (eps1 - eps1_old) / dt, 0.0, 0.5, grid.d)
+            a.append(
+                c1
+                + params.k
+                + lp_norm(th1_t, 3) ** 2
+                + lp_norm(th2_t, 3) ** 2
+                + lp_norm(ScalarField(grid, np.sqrt(eps1_t_sq)), 3) ** 2
+                + lp_norm(s2.theta, np.inf) ** 2
+            )
+            acc += a[-1] * dt
+        bound.append(x[0] * math.exp(acc))
+        times.append(s1.t)
+        previous = s1, s2, eps1
+    x, bound = np.array(x), np.array(bound)
     slack = 1e-12 * (1.0 + scale)
     violation = bool(np.any(x > bound + slack))
-    return GronwallReport(
-        times=t1, x=x, a=a, bound=bound, slack=slack, violation=violation
-    )
+    return GronwallReport(times=np.array(times), x=x, a=np.array(a),
+                          bound=bound, slack=slack, violation=violation)

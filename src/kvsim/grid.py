@@ -211,9 +211,6 @@ class SymTensorField:
     def __post_init__(self):
         self.data = _check_data(self.grid, self.data, (6,))
 
-    def copy(self):
-        return SymTensorField(self.grid, self.data.copy())
-
 
 def boundary_max_abs(field):
     """Largest absolute value the field takes on the boundary nodes."""

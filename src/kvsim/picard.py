@@ -362,9 +362,8 @@ class Trajectory:
     traces: list = field(default_factory=list)
     sources: Sources = field(default_factory=Sources)
 
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
+    def __iter__(self):
+        return iter(self.states)
 
     @property
     def source_free(self):

@@ -36,7 +36,13 @@ from kvsim.cli_io import (
     write_diagnostics_csv,
     write_vtk_snapshot,
 )
-from kvsim.diagnostics import CSV_FIELDS, initial_record, mixed_norm, v2_norm
+from kvsim.diagnostics import (
+    CSV_FIELDS,
+    gronwall_compare,
+    initial_record,
+    mixed_norm,
+    v2_norm,
+)
 from kvsim.grid import magnitude, neumann_matrix
 from kvsim.picard import run
 
@@ -876,10 +882,65 @@ def _never(*args, **kwargs):
 def test_cli_perturb_rejects_non_finite_delta(tmp_path, monkeypatch, capsys,
                                               delta):
     """A non-finite --delta is a usage error (exit 2) before either run."""
-    monkeypatch.setattr(cli_io, "run", _never)
+    monkeypatch.setattr(cli_io, "steps", _never)
     cfg = write_cfg(tmp_path, run_cfg_text())
     assert main(["perturb", "--config", str(cfg), "--delta", delta]) == 2
     assert "perturbation delta must be finite" in capsys.readouterr().err
+
+
+def test_cli_perturb_rejects_a_delta_that_makes_the_temperature_nonpositive(
+        tmp_path, monkeypatch, capsys):
+    """A --delta that drives the initial temperature to zero or below is
+    bad input, a usage error (exit 2) naming the field, the delta and the
+    minimum it gives, before either run and without a report."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_io, "steps", _never)
+    cfg = write_cfg(tmp_path, run_cfg_text())
+    out_file = tmp_path / "gronwall.csv"
+    assert main(["perturb", "--config", str(cfg), "--delta", "-5",
+                 "--out", str(out_file)]) == 2
+    assert ("perturbing theta0 by -5 drives the initial temperature to -4;"
+            in capsys.readouterr().err)
+    assert not out_file.exists()
+
+
+def test_cli_perturb_reads_both_runs_once_in_lockstep(tmp_path, monkeypatch):
+    """`kvsim perturb` hands the Gronwall comparison the two runs as
+    streams of states, drawn in lockstep, and its report equals the
+    comparison of the two collected trajectories bit for bit."""
+    cfg = write_cfg(tmp_path, run_cfg_text().replace(
+        "t_end = 0.1", "t_end = 0.25") +
+        "\n[initial]\npreset = bump\nvelocity_amplitude = 0.1\n")
+    drawn, leads, reports = [0, 0], [], []
+
+    def counted(states, which):
+        for state in states:
+            drawn[which] += 1
+            leads.append(abs(drawn[0] - drawn[1]))
+            yield state
+
+    def compare(run1, run2, params):
+        reports.append(gronwall_compare(counted(run1, 0), counted(run2, 1),
+                                        params))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_io, "gronwall_compare", compare)
+    assert main(["perturb", "--config", str(cfg), "--delta", "1e-6",
+                 "--out", str(tmp_path / "gronwall.csv")]) == 0
+    config = load_config(str(cfg))
+    base_state = build_initial_state(config)
+    sources = build_sources(config)
+    base, other = (run(state, config.params, config.stepper, config.t_end,
+                       sources=sources)
+                   for state in (base_state,
+                                 perturb_state(base_state, "theta0", 1e-6)))
+    expected = gronwall_compare(other, base, config.params)
+    (got,) = reports
+    for name in ("times", "x", "a", "bound"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+    assert (got.slack, got.violation) == (expected.slack, expected.violation)
+    assert drawn == [len(base.states)] * 2 == [6, 6]
+    assert max(leads) == 1
 
 
 def test_cli_mms_rejects_dimension_zero(monkeypatch, capsys):

@@ -526,6 +526,18 @@ def test_gronwall_takes_one_strain_per_state_pair(grid2d, params, monkeypatch):
     assert len(calls) == 2 * len(base.states)
 
 
+def test_gronwall_rejects_runs_of_different_lengths(grid2d, params):
+    """Runs whose times agree as far as the shorter one goes, but which
+    differ in length, have different time ladders, in either order."""
+    state = bump_state(grid2d)
+    short = run(state, params, StepperConfig(dt=0.05), 0.1)
+    long = run(state, params, StepperConfig(dt=0.05), 0.15)
+    assert [s.t for s in short] == [s.t for s in long][:len(short.states)]
+    for run1, run2 in ((short, long), (long, short)):
+        with pytest.raises(UsageError, match="different time ladders"):
+            gronwall_compare(run1, run2, params)
+
+
 def test_gronwall_rejects_mismatched_grids(params):
     a = run(SimState.rest(make_grid(n=9)), params, StepperConfig(dt=0.1), 0.2)
     b = run(SimState.rest(make_grid(n=11)), params, StepperConfig(dt=0.1), 0.2)
