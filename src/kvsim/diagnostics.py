@@ -435,7 +435,7 @@ def gronwall_compare(run1, run2, params):
     read once, in lockstep with the other: only the last pair is kept."""
     c1 = gronwall_rate_constant(params)
     times, x, a, bound = [], [], [], []
-    scale = acc = 0.0
+    scale = acc = rate = 0.0
     previous = None
     for s1, s2 in zip_longest(run1, run2):
         if (s1 is None or s2 is None
@@ -461,16 +461,14 @@ def gronwall_compare(run1, run2, params):
             + params.cv * s1.theta.data**2,
         ))
         scale = max(scale, magnitude)
-        if previous is None:
-            a.append(0.0)
-        else:
+        if previous is not None:
             p1, p2, eps1_old = previous
             dt = s1.t - p1.t
             th1_t = ScalarField(grid, (s1.theta.data - p1.theta.data) / dt)
             th2_t = ScalarField(grid, (s2.theta.data - p2.theta.data) / dt)
             eps1_t_sq = strain_density(
                 (eps1 - eps1_old) / dt, 0.0, 0.5, grid.d)
-            a.append(
+            rate = (
                 c1
                 + params.k
                 + lp_norm(th1_t, 3) ** 2
@@ -478,7 +476,8 @@ def gronwall_compare(run1, run2, params):
                 + lp_norm(ScalarField(grid, np.sqrt(eps1_t_sq)), 3) ** 2
                 + lp_norm(s2.theta, np.inf) ** 2
             )
-            acc += a[-1] * dt
+            acc += rate * dt
+        a.append(rate)
         bound.append(x[0] * math.exp(acc))
         times.append(s1.t)
         previous = s1, s2, eps1
