@@ -275,23 +275,22 @@ class DiagnosticsCollector:
 # trajectory-level checks
 # ---------------------------------------------------------------------------
 
-def availability_decay_check(trajectory, params, beta=None):
+def availability_decay_check(trajectory, params):
     """Verify the Lyapunov property on a source-free run, a run with
     neither a ``b`` nor a ``g`` source (``trajectory.source_free``).
 
-    Passes iff the availability series is non-increasing up to a per-step
-    slack of ten times the absolute energy-balance defect (plus a round-off
-    floor).  Returns (passed, worst_violation, series).
+    Passes iff the availability series, with the weight ``params.beta``,
+    is non-increasing up to a per-step slack of ten times the absolute
+    energy-balance defect (plus a round-off floor).  Returns (passed,
+    worst_violation, series).
     """
     if not trajectory.source_free:
         raise UsageError(
             "availability decay is only guaranteed for source-free runs "
             "(b = 0, g = 0); this trajectory has a b or g source"
         )
-    if beta is None:
-        beta = params.beta
     integrals = [state_integrals(s, params) for s in trajectory.states]
-    series = np.array([i.availability(beta) for i in integrals])
+    series = np.array([i.availability(params.beta) for i in integrals])
     worst = 0.0
     passed = True
     for k in range(1, len(series)):
@@ -323,9 +322,10 @@ def default_theta_decay_rate(params):
     return coupling_norm_sq / (4.0 * a1_star * params.cv)
 
 
-def theta_lower_bound_check(trajectory, params, theta_underbar=None):
+def theta_lower_bound_check(trajectory, params):
     """Check min theta(t) >= theta_underbar * exp(-c0 * t) along the run,
-    with c0 = :func:`default_theta_decay_rate`.
+    with theta_underbar the initial minimum and c0 =
+    :func:`default_theta_decay_rate`.
 
     Requires a nonnegative heat source throughout (the hypothesis of the
     exponential bound), read from ``trajectory.sources`` at each accepted
@@ -341,10 +341,7 @@ def theta_lower_bound_check(trajectory, params, theta_underbar=None):
                 f"this run has min(g) = {g_min}"
             )
     t0 = trajectory.states[0].t
-    if theta_underbar is None:
-        theta_underbar = float(np.min(trajectory.states[0].theta.data))
-    if theta_underbar <= 0.0:
-        raise UsageError("theta_underbar must be positive")
+    theta_underbar = float(np.min(trajectory.states[0].theta.data))
     c0 = default_theta_decay_rate(params)
     margins = []
     passed = True

@@ -25,12 +25,19 @@ previous iterate,
       q = 2 theta_it - theta_old + (dt/cv) (A2 alpha):eps,
   on all nodes with the mirror-ghost Neumann Laplacian, with v the
   velocity the sweep has just solved and eps(v) its corner strains
-  (``grid.strain_matrix``).  ``heat_rhs_vector`` forms the right-hand side
-  and q from one product of the strain map.  The heat matrix differs from
-  the Neumann stiffness only on the diagonal, (cv/dt) w c for a positive
-  coefficient c (q, or the iterate itself in the frozen system that
-  :mod:`kvsim.picard` falls back to), which ``heat_matrix`` rewrites in the
-  stiffness's own matrix each sweep.
+  (``grid.strain_matrix``).  Where q is not positive everywhere, the sweep
+  solves instead the frozen system, whose coefficient is theta_it itself
+  (positive above the step's temperature floor):
+      (cv/dt) theta_it * theta - k Lap theta
+          = (cv/dt) theta_it theta_old - theta_it (A2 alpha):eps
+            + (A1 eps):eps + g,
+  the same heat equation with theta theta_t and the coupling taken at the
+  iterate.  Both systems have the same fixed point.  ``heat_rhs_vector``
+  forms the right-hand side and coefficient of the system a sweep solves
+  from one product of the strain map.  The heat matrix differs from the
+  Neumann stiffness only on the diagonal, (cv/dt) w c for that positive
+  coefficient c, which ``heat_matrix`` rewrites in the stiffness's own
+  matrix each sweep.
 
 The two couplings are weighted adjoints and the viscous heating sums to
 v^T (-W Q1) v, so the systems balance the discrete energy (see
@@ -67,8 +74,9 @@ A solve stops at the relative residual ``SOLVE_TOL`` (1e-12) or, given a
 ``reduction``, once it has cut the residual of its initial guess by that
 factor: a sweep whose iterate the next sweep replaces needs only to beat
 the outer contraction (the forcing term of inexact Newton methods,
-Dembo, Eisenstat & Steihaug 1982).  A solve is single-caller but
-independent solves may run concurrently.
+Dembo, Eisenstat & Steihaug 1982).  It fails after ``SOLVE_MAX``
+iterations.  A solve is single-caller but independent solves may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -332,8 +340,8 @@ def heat_stiffness(grid, k):
 
 def heat_matrix(grid, dt, coefficient, params, stiffness=None):
     """(cv/dt) diag(w * coefficient) + k * weighted Neumann stiffness, for a
-    positive diagonal ``coefficient`` (a ScalarField): the Newton q of
-    :func:`heat_rhs_vector`, or a temperature in the frozen system.
+    positive diagonal ``coefficient`` (a ScalarField), the one that
+    :func:`heat_rhs_vector` returns.
 
     ``stiffness`` is ``heat_stiffness(grid, params.k)``, built here when
     None.  The matrix is ``stiffness.matrix`` with its diagonal rewritten:
@@ -366,19 +374,21 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
 
 
 def heat_rhs_vector(grid, dt, theta_old, theta_it, x_v, strain, g, params):
-    """Newton's heat system at the iterate ``theta_it``, for the packed
-    velocity ``x_v`` and its corner strains eps = ``strain @ x_v``: the
-    weighted right-hand side, over all nodes,
+    """The heat system that a sweep solves at the iterate ``theta_it``, for
+    the packed velocity ``x_v`` and its corner strains eps = ``strain @
+    x_v``: returns (rhs, coefficient, frozen), the weighted right-hand side
+    over all nodes, the diagonal coefficient (a ScalarField) for
+    :func:`heat_matrix` and whether it is the frozen system.
 
-        w * [(cv/dt) theta_it^2 + (A1 eps):eps + g]
+    Newton's system has the right-hand side and coefficient
 
-    and the diagonal coefficient (a ScalarField)
-
+        w * [(cv/dt) theta_it^2 + (A1 eps):eps + g],
         q = 2 theta_it - theta_old + (dt/cv) (A2 alpha):eps
 
-    (the strain terms the corner averages of :mod:`kvsim.grid`).  The
-    frozen system at theta_it has the coefficient theta_it and the
-    right-hand side above minus w (cv/dt) theta_it (q - theta_it).
+    (the strain terms the corner averages of :mod:`kvsim.grid`).  Where q
+    is not positive everywhere, the frozen system replaces it: the
+    coefficient theta_it and the right-hand side above minus
+    w (cv/dt) theta_it (q - theta_it).
     """
     d = grid.d
     strains = (strain @ x_v).reshape(-1, grid.num_nodes)
@@ -390,16 +400,22 @@ def heat_rhs_vector(grid, dt, theta_old, theta_it, x_v, strain, g, params):
         r += g.data.ravel()
     q = 2.0 * theta - theta_old.data.ravel() + strain_contraction(
         params.thermal_coupling(), strains, d) / mass
-    q = ScalarField(grid, q.reshape(grid.shape))
-    return grid.quad_weights.ravel() * r, q
+    w = grid.quad_weights.ravel()
+    rhs = w * r
+    if not float(np.min(q)) > 0.0:
+        rhs -= w * mass * theta * (q - theta)
+        return rhs, theta_it, True
+    return rhs, ScalarField(grid, q.reshape(grid.shape)), False
 
 
 # ---------------------------------------------------------------------------
 # conjugate gradients
 # ---------------------------------------------------------------------------
 
-# relative residual that a solve reaches by default
+# relative residual that a solve reaches, unless given a reduction
 SOLVE_TOL = 1e-12
+# iterations before a solve fails
+SOLVE_MAX = 20000
 # consecutive true-residual re-checks without progress before CG gives up
 _STALLED_RECHECKS = 3
 
@@ -417,22 +433,22 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
-              reduction=0.0):
+def solve_spd(op, rhs, x0=None, reduction=0.0):
     """Preconditioned conjugate gradients for an SPD operator.
 
     Calls ``op.precondition`` once per iteration, on the residual that the
     iteration starts from, so as many times as the report's
     ``iterations``, plus once per restart.  Converges when the true
     residual ||b - A x|| drops to max(tol ||b||, reduction ||b - A x0||),
-    with x0 the initial guess (zero when None): a ``reduction`` in (0, 1)
-    stops the solve once it has cut its own starting residual by that
-    factor, unless ``tol`` is reached first; the default 0 asks for
-    ``tol``.  The report's ``relative_residual`` is ||b - A x|| / ||b||
-    either way; a start that meets the target returns after zero
-    iterations with the one product that formed its residual.  Raises
-    :class:`NonConvergenceError` (carrying the report) when ``max_iter`` is
-    exhausted; when a search direction p has p.Ap <= 0 or not finite (the
+    with tol the module's ``SOLVE_TOL`` and x0 the initial guess (zero
+    when None): a ``reduction`` in (0, 1) stops the solve once it has cut
+    its own starting residual by that factor, unless tol is reached
+    first; the default 0 asks for tol.  The report's
+    ``relative_residual`` is ||b - A x|| / ||b|| either way; a start that
+    meets the target returns after zero iterations with the one product
+    that formed its residual.  Raises
+    :class:`NonConvergenceError` (carrying the report) after ``SOLVE_MAX``
+    iterations; when a search direction p has p.Ap <= 0 or not finite (the
     operator is not positive definite); when a nonzero residual r has
     r.z <= 0 or not finite for z its preconditioned residual (the
     preconditioner is not positive definite); or when three consecutive
@@ -443,8 +459,6 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
     when the right-hand side or the initial guess is not finite.
     Deterministic given identical inputs.
     """
-    if tol <= 0.0:
-        raise UsageError(f"tol must be positive, got {tol}")
     if not 0.0 <= reduction < 1.0:
         raise UsageError(f"reduction must be in [0, 1), got {reduction}")
     a = op.matrix
@@ -463,14 +477,14 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
     precondition = op.precondition
     r = rhs - a @ x
     res = _norm(r)
-    target = tol * rhs_norm
+    target = SOLVE_TOL * rhs_norm
     if reduction:
         target = max(target, reduction * res)
     p = None
     best_true = np.inf
     stalled = 0
     iterations = 0
-    while iterations < max_iter:
+    while iterations < SOLVE_MAX:
         if res <= target:
             # r is the true residual until the first iteration moves x
             if not iterations:
@@ -531,7 +545,7 @@ def solve_spd(op, rhs, tol=SOLVE_TOL, max_iter=20000, x0=None,
     if not report.converged:
         raise NonConvergenceError(
             f"conjugate gradients did not reach relative residual "
-            f"{target / rhs_norm:.3e} within {max_iter} iterations "
+            f"{target / rhs_norm:.3e} within {iterations} iterations "
             f"(relative residual {report.relative_residual:.3e})",
             report=report,
         )

@@ -10,16 +10,14 @@ solves the two linear sub-problems in turn, in Gauss-Seidel order:
    own nonlinearity cv theta theta_t and thermal coupling, with the strain
    rate of the velocity just solved (see :mod:`kvsim.linear_step`).
 
-Newton's heat system has the diagonal coefficient q = 2 theta_it -
-theta_old + (dt/cv) (A2 alpha):eps and is symmetric positive-definite
-while q > 0.  The frozen fallback: a sweep whose q is not positive
-everywhere solves instead the frozen system, whose coefficient is the
-iterate theta_it itself (positive above the step's floor), and the step's
-:class:`PicardTrace` counts it.  Both systems have the same fixed point,
-so the accepted step does not depend on which one a sweep took, only the
-number of sweeps does: Newton's heat error squares from sweep to sweep,
-and what remains to contract is the coupling between the two
-sub-problems.
+Newton's heat system is symmetric positive-definite while its diagonal
+coefficient q is positive; where it is not, a sweep solves the frozen
+system instead, and the step's :class:`PicardTrace` counts it.
+:func:`kvsim.linear_step.heat_rhs_vector` defines both and returns the
+one to solve.  Both systems have the same fixed point, so the accepted
+step does not depend on which one a sweep took, only the number of sweeps
+does: Newton's heat error squares from sweep to sweep, and what remains
+to contract is the coupling between the two sub-problems.
 
 The elastic stress is implicit: with Q2 the compact Navier operator of the
 Lame pair (``grid.navier_matrix`` on the interior box), the velocity matrix
@@ -48,8 +46,9 @@ difference norm
 
 falls below ``PICARD_TOL`` relative to the first difference norm (with a
 round-off floor), mirroring the contraction that makes the scheme converge
-for small dt; a step that has not contracted after ``PICARD_MAX`` sweeps
-fails.  The iteration aborts rather than accept a temperature below the
+for small dt.  A step fails once Y has risen in ``PICARD_RISES``
+consecutive sweeps, or when it has not contracted after ``PICARD_MAX``
+sweeps.  The iteration aborts rather than accept a temperature below the
 step's floor.
 
 Each sweep replaces the iterate it started from, so its two solves need
@@ -86,6 +85,7 @@ from .grid import (
 
 PICARD_TOL = 1e-10  # relative contraction tolerance of a step
 PICARD_MAX = 50  # sweeps before a step fails
+PICARD_RISES = 3  # consecutive rises of Y before a step fails
 SWEEP_REDUCTION = 1e-3  # residual cut of each solve of a step's early sweeps
 
 
@@ -122,10 +122,10 @@ class SimState:
         return self
 
     @classmethod
-    def rest(cls, grid, theta0=1.0, t=0.0):
-        """State at rest with uniform temperature."""
+    def rest(cls, grid, theta0=1.0):
+        """State at rest with uniform temperature, at t = 0."""
         return cls(
-            t=t,
+            t=0.0,
             u=VectorField.zeros(grid),
             v=VectorField.zeros(grid),
             theta=ScalarField.constant(grid, theta0),
@@ -139,8 +139,8 @@ class StepperConfig:
     ``run`` sets ``theta_floor`` to half the initial minimum of the run; a
     bare :meth:`Stepper.step` with ``theta_floor = None`` uses half the
     step's own initial minimum.  The solver tolerances are module constants
-    (``PICARD_TOL``, ``PICARD_MAX``, ``SWEEP_REDUCTION`` and
-    ``linear_step.SOLVE_TOL``).
+    (``PICARD_TOL``, ``PICARD_MAX``, ``PICARD_RISES``, ``SWEEP_REDUCTION``,
+    ``linear_step.SOLVE_TOL`` and ``linear_step.SOLVE_MAX``).
     """
 
     dt: float
@@ -220,38 +220,35 @@ class Stepper:
         """One successive-approximation sweep from the iterate ``x_v`` (the
         packed interior velocity, the velocity solve's initial guess) and
         ``theta``, at which the nonlinearity is linearised.  ``load`` is the
-        step's ``linear_step.velocity_load``.  The heat solve is Newton's
-        system, or the frozen fallback where its coefficient q is not
-        positive everywhere.  Each solve starts from the iterate and stops
-        at ``solve_spd``'s tolerance or, with ``reduction`` > 0, once it has
-        cut its starting residual by that factor.  Returns the next ``x_v``
-        and ``theta``, the velocity and heat
-        :class:`~kvsim.linear_step.LinearSolveReport` and whether the sweep
-        fell back to the frozen system.
+        step's ``linear_step.velocity_load``.  The heat solve is the system
+        of ``linear_step.heat_rhs_vector``: Newton's, or the frozen fallback
+        where Newton's coefficient is not positive everywhere.  Each solve
+        starts from the iterate and stops at ``linear_step.SOLVE_TOL`` or,
+        with ``reduction`` > 0, once it has cut its starting residual by
+        that factor.  Returns the next ``x_v`` and ``theta``, the velocity
+        and heat :class:`~kvsim.linear_step.LinearSolveReport` and whether
+        the sweep fell back to the frozen system.
         """
         grid, dt = self.grid, self.config.dt
         rhs_v = linear_step.velocity_rhs(load, theta, self.params)
         x_v, velocity = linear_step.solve_spd(
             self.velocity_op, rhs_v, x0=x_v, reduction=reduction)
-        rhs_h, coefficient = linear_step.heat_rhs_vector(
+        rhs_h, coefficient, frozen = linear_step.heat_rhs_vector(
             grid, dt, state.theta, theta, x_v, self.strain, g, self.params)
-        x_h = theta.data.ravel()
-        frozen = not float(np.min(coefficient.data)) > 0.0
-        if frozen:
-            mass = grid.quad_weights.ravel() * (self.params.cv / dt)
-            rhs_h -= mass * x_h * (coefficient.data.ravel() - x_h)
-            coefficient = theta
         heat_op = linear_step.heat_matrix(
             grid, dt, coefficient, self.params, stiffness=self.stiffness)
         x_h, heat = linear_step.solve_spd(
-            heat_op, rhs_h, x0=x_h, reduction=reduction)
+            heat_op, rhs_h, x0=theta.data.ravel(), reduction=reduction)
         return (x_v, ScalarField(grid, x_h.reshape(grid.shape)), velocity,
                 heat, frozen)
 
     def step(self, state, b=None, g=None):
         """Advance one time step; returns (new state, Picard trace).  The
         accepted state is the iterate of a sweep that met the Picard
-        threshold with both solves at ``linear_step.SOLVE_TOL``."""
+        threshold with both solves at ``linear_step.SOLVE_TOL``.  A step
+        whose Y rises in ``PICARD_RISES`` consecutive sweeps, or has not
+        met the threshold after ``PICARD_MAX``, raises
+        :class:`NonConvergenceError` carrying the trace of its sweeps."""
         grid, dt = self.grid, self.config.dt
         theta_min = float(np.min(state.theta.data))
         floor = self.config.theta_floor
@@ -267,8 +264,9 @@ class Stepper:
         load = linear_step.velocity_load(
             grid, dt, x_v, state.u, b, self.params)
         ys, velocity_solves, heat_solves = [], [], []
-        frozen_sweeps = 0
+        frozen_sweeps = rises = 0
         reduction = SWEEP_REDUCTION
+        failure = None
         for sweep_count in range(1, PICARD_MAX + 1):
             x_new, theta_new, velocity, heat, frozen = self.sweep(
                 state, x_v, theta, load, g, reduction)
@@ -286,6 +284,7 @@ class Stepper:
                     grid.interior_weights * (x_new - x_v) ** 2)))
                 + l2_norm(grid, theta_new.data - theta.data)
             )
+            rises = rises + 1 if len(ys) > 1 and ys[-1] > ys[-2] else 0
             x_v, theta = x_new, theta_new
             # relative stopping rule, with a round-off floor so a step that
             # starts at a fixed point is accepted immediately
@@ -298,20 +297,22 @@ class Stepper:
                 if residual <= linear_step.SOLVE_TOL:
                     break
                 reduction = 0.0
+            elif rises == PICARD_RISES:
+                failure = (f"Y rose in {rises} consecutive sweeps, to "
+                           f"{ys[-1]:.3e} at sweep {sweep_count}")
+                break
         else:
+            failure = (f"Y stayed above {threshold:.3e} for {PICARD_MAX} "
+                       f"sweeps (last Y = {ys[-1]:.3e})")
+        trace = PicardTrace(ys, velocity_solves, heat_solves, failure is None,
+                            sweep_count, threshold, frozen_sweeps)
+        if failure is not None:
             raise NonConvergenceError(
-                f"successive approximations did not contract below "
-                f"{threshold:.3e} within {PICARD_MAX} sweeps "
-                f"(last Y = {ys[-1]:.3e})",
-                report=PicardTrace(ys, velocity_solves, heat_solves,
-                                   False, PICARD_MAX, threshold,
-                                   frozen_sweeps),
-            )
+                f"successive approximations did not contract: {failure}",
+                report=trace)
         v = linear_step.unpack_interior(grid, x_v)
         u = VectorField(grid, state.u.data + dt * v.data)
-        return SimState(state.t + dt, u, v, theta), PicardTrace(
-            ys, velocity_solves, heat_solves, True, sweep_count, threshold,
-            frozen_sweeps)
+        return SimState(state.t + dt, u, v, theta), trace
 
 
 @dataclass
@@ -386,6 +387,9 @@ def steps(initial, params, config, t_end, sources=None):
     Step k (from 0) evaluates the sources at, and its state is at,
     ``initial.t + (k + 1) * dt``; the last step's at exactly ``t_end``,
     with a final step of its own length when dt does not divide the span.
+    When ``initial.t`` is exactly ``k0 * dt`` for an integer k0, as at a
+    checkpoint of a run from t = 0, that time is ``(k0 + k + 1) * dt``:
+    the time the whole run gave the same step, to the bit.
     The generator keeps only the state it steps from and the one it
     yields, so a consumer that keeps no events runs in memory that does
     not grow with the number of steps.  It validates its arguments at
@@ -398,9 +402,11 @@ def steps(initial, params, config, t_end, sources=None):
         sources = Sources()
     n_steps = max(1, math.ceil((t_end - initial.t) / config.dt - 1e-9))
     stepper = Stepper(initial.grid, params, _run_config(initial, config))
+    k0 = round(initial.t / config.dt)
+    origin, k0 = (0.0, k0) if k0 * config.dt == initial.t else (initial.t, 0)
     state = initial
     for k in range(n_steps):
-        t_new = initial.t + (k + 1) * config.dt
+        t_new = origin + (k0 + k + 1) * config.dt
         if k == n_steps - 1:
             if abs(t_new - t_end) > 1e-12 * max(1.0, abs(t_end)):
                 stepper = stepper.with_dt(t_end - state.t)

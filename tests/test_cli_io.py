@@ -368,7 +368,8 @@ def test_checkpoint_rejects_non_finite_time(tmp_path, bad_t):
     The writer refuses such a state before writing a byte."""
     grid = make_grid(d=2, n=9)
     for k, t in enumerate((0.0, 0.1, 0.2)):
-        save_checkpoint(SimState.rest(grid, t=t), tmp_path / f"{k}.ckpt")
+        save_checkpoint(replace(SimState.rest(grid), t=t),
+                        tmp_path / f"{k}.ckpt")
     # patch the time of the middle file (it follows the magic, version,
     # dimension, nodes and lengths) and recompute the checksum
     path = tmp_path / "1.ckpt"
@@ -382,7 +383,8 @@ def test_checkpoint_rejects_non_finite_time(tmp_path, bad_t):
         load_checkpoint(path)
     assert main(["norms", "--traj", str(tmp_path)]) == 4
     with pytest.raises(CheckpointError, match="time"):
-        save_checkpoint(SimState.rest(grid, t=bad_t), tmp_path / "bad.ckpt")
+        save_checkpoint(replace(SimState.rest(grid), t=bad_t),
+                        tmp_path / "bad.ckpt")
     assert not (tmp_path / "bad.ckpt").exists()
 
 
@@ -552,6 +554,31 @@ def test_cli_run_writes_snapshots_at_cadence(tmp_path, monkeypatch):
     assert state.t == pytest.approx(0.1)
 
 
+def test_cli_resumed_run_repeats_the_whole_run(tmp_path, monkeypatch):
+    """The shipped bump2d resumed from its own step-20 checkpoint writes,
+    from its second row on, the whole run's rows of steps 21 to 50 byte
+    for byte, times included: a checkpoint at k0 * dt steps on to
+    (k0 + k + 1) * dt.  (Formed as t0 + (k + 1) * dt, 8 of those 30 times
+    were one ulp off, such as 0.42000000000000004 for 0.41999999999999998.)
+    """
+    monkeypatch.chdir(tmp_path)
+    text = builtin_scenario("bump2d").read_text()
+    whole = write_cfg(tmp_path, text.replace("snapshot_every = 0",
+                                             "snapshot_every = 20"))
+    assert main(["run", "--config", str(whole)]) == 0
+    resumed = re.sub(r"\n(theta0|velocity_amplitude|theta_amplitude) = .*",
+                     "", text)
+    resumed = resumed.replace(
+        "preset = bump", "preset = checkpoint:out/bump2d_000020.ckpt"
+    ).replace("csv = out/bump2d.csv", "csv = out/resumed.csv")
+    resumed = write_cfg(tmp_path, resumed, name="resumed.cfg")
+    assert main(["run", "--config", str(resumed)]) == 0
+    rows = (tmp_path / "out" / "bump2d.csv").read_text().splitlines()
+    resumed_rows = (tmp_path / "out" / "resumed.csv").read_text().splitlines()
+    assert len(rows) == 52 and len(resumed_rows) == 32
+    assert resumed_rows[2:] == rows[22:]
+
+
 def _fail_at_call(monkeypatch, failing_call, error):
     """Make the ``failing_call``-th ``Stepper.step`` raise ``error``."""
     step = picard.Stepper.step
@@ -675,10 +702,11 @@ def test_cli_rejects_grids_it_cannot_build(tmp_path, capsys, old, new,
 
 
 def test_cli_exit_code_on_numerical_failure(tmp_path, monkeypatch, capsys):
-    """A 9x9 bump with thermal expansion 2 does not contract within the
-    sweep cap at dt 0.5: the velocity-temperature coupling keeps the Y
-    ratios at or above 1.  (A velocity amplitude of 10 at dt 0.05 failed only
-    while the heat capacity was iterated by substitution.)"""
+    """A 9x9 bump with thermal expansion 2 does not contract at dt 0.5:
+    the velocity-temperature coupling lifts the Y ratios above 1, and the
+    step fails at the third consecutive rise.  (A velocity amplitude of 10
+    at dt 0.05 failed only while the heat capacity was iterated by
+    substitution.)"""
     monkeypatch.chdir(tmp_path)
     text = run_cfg_text() + (
         "\n[initial]\npreset = bump\ntheta_amplitude = 0.1\n")
@@ -758,7 +786,8 @@ def test_cli_norms_rejects_bad_exponents(tmp_path, capsys, exponent):
     """A bad --p or --p0 is a usage error (exit 2) before any output."""
     grid = make_grid(d=2, n=9)
     for k in range(2):
-        save_checkpoint(SimState.rest(grid, t=0.1 * k), tmp_path / f"{k}.ckpt")
+        save_checkpoint(replace(SimState.rest(grid), t=0.1 * k),
+                        tmp_path / f"{k}.ckpt")
     for option in ("--p", "--p0"):
         assert main(["norms", "--traj", str(tmp_path), option, exponent]) == 2
         captured = capsys.readouterr()
@@ -770,7 +799,7 @@ def test_cli_norms_rejects_checkpoints_that_share_a_time(tmp_path, capsys):
     before any output, not dt = 0 and zero norms."""
     grid = make_grid(d=2, n=9)
     for k in range(3):
-        save_checkpoint(SimState.rest(grid, theta0=1.0 + k, t=0.1),
+        save_checkpoint(replace(SimState.rest(grid, theta0=1.0 + k), t=0.1),
                         tmp_path / f"{k}.ckpt")
     assert main(["norms", "--traj", str(tmp_path)]) == 2
     captured = capsys.readouterr()

@@ -333,8 +333,10 @@ def _heat_source(grid, p, x_v, g=None, theta=1.0, theta_old=1.0, dt=0.05):
     """The viscous heating plus g and the coupling (A2 alpha):eps at every
     node, read back from Newton's heat system at a uniform iterate."""
     theta_it = ScalarField.constant(grid, theta)
-    rhs, q = heat_rhs_vector(grid, dt, ScalarField.constant(grid, theta_old),
-                             theta_it, x_v, strain_matrix(grid), g, p)
+    rhs, q, frozen = heat_rhs_vector(
+        grid, dt, ScalarField.constant(grid, theta_old), theta_it, x_v,
+        strain_matrix(grid), g, p)
+    assert not frozen
     mass = p.cv / dt
     heating = rhs / grid.quad_weights.ravel() - mass * theta**2
     coupling = mass * (q.data.ravel() - 2.0 * theta + theta_old)

@@ -167,7 +167,7 @@ def test_velocity_one_step_taylor_limit(params):
     zero_th = ScalarField.zeros(grid)
     op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
     rhs = _velocity_rhs(grid, dt, zero_v, zero_v, zero_th, b, params)
-    x, _ = solve_spd(op, rhs, tol=1e-13)
+    x, _ = solve_spd(op, rhs)
     v = unpack_interior(grid, x)
     xg, yg = grid.coords()
     # the viscous layer decays like exp(-dist/sqrt(mu dt)); measure at the core
@@ -210,11 +210,12 @@ def _at_rest(grid):
 
 def test_heat_constant_fixed_point(grid2d, params):
     theta = ScalarField.constant(grid2d, 1.7)
-    rhs, q = heat_rhs_vector(grid2d, 0.05, theta, theta, _at_rest(grid2d),
-                             strain_matrix(grid2d), None, params)
-    assert np.array_equal(q.data, theta.data)
+    rhs, q, frozen = heat_rhs_vector(grid2d, 0.05, theta, theta,
+                                     _at_rest(grid2d), strain_matrix(grid2d),
+                                     None, params)
+    assert np.array_equal(q.data, theta.data) and not frozen
     op = heat_matrix(grid2d, 0.05, q, params)
-    x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
+    x, _ = solve_spd(op, rhs, x0=theta.data.ravel())
     assert np.max(np.abs(x - 1.7)) <= 1e-12
 
 
@@ -225,10 +226,10 @@ def test_heat_uniform_source_update(grid2d, params):
     theta = ScalarField.constant(grid2d, 2.0)
     g = ScalarField.constant(grid2d, 0.8)
     dt = 0.05
-    rhs, q = heat_rhs_vector(grid2d, dt, theta, theta, _at_rest(grid2d),
-                             strain_matrix(grid2d), g, params)
+    rhs, q, _ = heat_rhs_vector(grid2d, dt, theta, theta, _at_rest(grid2d),
+                                strain_matrix(grid2d), g, params)
     op = heat_matrix(grid2d, dt, q, params)
-    x, _ = solve_spd(op, rhs, tol=1e-13, x0=theta.data.ravel())
+    x, _ = solve_spd(op, rhs, x0=theta.data.ravel())
     expected = 2.0 + dt * 0.8 / (params.cv * 2.0)
     assert np.max(np.abs(x - expected)) <= 1e-10
 
@@ -243,9 +244,10 @@ def test_heat_rhs_matches_the_gradient_reference(rng, params, nodes, lengths):
     theta_old, theta = (ScalarField(grid, 1.0 + rng.random(grid.shape))
                         for _ in range(2))
     g = ScalarField(grid, rng.standard_normal(grid.shape))
-    got, q = heat_rhs_vector(grid, 0.02, theta_old, theta,
-                             pack_interior(grid, v.data), strain_matrix(grid),
-                             g, params)
+    got, q, frozen = heat_rhs_vector(grid, 0.02, theta_old, theta,
+                                     pack_interior(grid, v.data),
+                                     strain_matrix(grid), g, params)
+    assert not frozen
     expected, expected_q = reference_heat_rhs_vector(
         grid, 0.02, theta_old, theta, v, g, params)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -258,23 +260,32 @@ def test_heat_newton_system_is_the_frozen_one_at_its_fixed_point(
         rng, params, nodes, lengths):
     """At theta_it = theta both heat systems evaluate the residual of the
     heat equation: (cv/dt) theta (theta - theta_old) + theta (A2 alpha):eps
-    - k Lap theta - (A1 eps):eps - g, weighted.  So Newton's system, with
-    coefficient q, and the frozen one, with coefficient theta and the
-    right-hand side that ``heat_rhs_vector`` documents, leave the same
-    residual at any theta: they share their fixed point."""
+    - k Lap theta - (A1 eps):eps - g, weighted.  So the system that
+    ``heat_rhs_vector`` returns leaves that residual at any theta, whether
+    it is Newton's, with coefficient q, or the frozen one, with
+    coefficient theta where q is not positive everywhere: both share the
+    heat equation's fixed point."""
     grid = Grid(nodes, lengths)
-    x_v = pack_interior(grid, random_boundary_zero_vector(grid, rng).data)
-    theta_old, theta = (ScalarField(grid, 1.0 + rng.random(grid.shape))
-                        for _ in range(2))
-    dt = 0.02
-    rhs, q = heat_rhs_vector(grid, dt, theta_old, theta, x_v,
-                             strain_matrix(grid), None, params)
+    v = random_boundary_zero_vector(grid, rng)
+    theta = ScalarField(grid, 1.0 + rng.random(grid.shape))
     x = theta.data.ravel()
-    newton = rhs - heat_matrix(grid, dt, q, params).matrix @ x
-    frozen_rhs = rhs - (grid.quad_weights.ravel() * (params.cv / dt) * x
-                        * (q.data.ravel() - x))
-    frozen = frozen_rhs - heat_matrix(grid, dt, theta, params).matrix @ x
-    assert np.max(np.abs(newton - frozen)) <= 1e-13 * np.max(np.abs(rhs))
+    dt = 0.02
+    mass = grid.quad_weights.ravel() * (params.cv / dt)
+    stiffness = heat_stiffness(grid, params.k).matrix
+    # theta_old below theta keeps q positive; 2 above it makes q negative
+    for shift, fell_back in ((-0.5, False), (2.0, True)):
+        theta_old = ScalarField(grid, theta.data + shift)
+        rhs, coefficient, frozen = heat_rhs_vector(
+            grid, dt, theta_old, theta, pack_interior(grid, v.data),
+            strain_matrix(grid), None, params)
+        assert frozen == fell_back
+        assert (coefficient is theta) == fell_back
+        residual = rhs - heat_matrix(grid, dt, coefficient, params).matrix @ x
+        newton_rhs, q = reference_heat_rhs_vector(grid, dt, theta_old, theta,
+                                                  v, None, params)
+        expected = newton_rhs - mass * q.ravel() * x - stiffness @ x
+        assert np.max(np.abs(residual - expected)) <= 1e-13 * np.max(
+            np.abs(rhs))
 
 
 def test_heat_matrix_symmetric_and_positive(rng, grid2d, params):
@@ -363,8 +374,8 @@ def test_preconditioned_iterations_are_grid_independent(rng, params, nodes):
 
 def test_cg_stagnation_fails_fast(params):
     """dt = 50 on a 17^2 bump: the heat solve's attainable residual
-    (about 2.5e-12) is above solve_spd's tol = 1e-12.  CG gives up after a
-    few re-checks without progress instead of running out max_iter."""
+    (about 2.5e-12) is above ``SOLVE_TOL`` = 1e-12.  CG gives up after a
+    few re-checks without progress instead of running out ``SOLVE_MAX``."""
     grid = make_grid(d=2, n=17)
     stepper = Stepper(grid, params, StepperConfig(dt=50.0))
     with pytest.raises(NonConvergenceError) as excinfo:
@@ -389,7 +400,7 @@ def _as_op(matrix):
 
 def test_cg_identity_single_iteration(rng):
     rhs = rng.standard_normal(40)
-    x, report = cg(_as_op(np.eye(40)), rhs, tol=1e-12)
+    x, report = cg(_as_op(np.eye(40)), rhs)
     assert np.allclose(x, rhs, atol=1e-13)
     assert report.iterations == 1
 
@@ -398,7 +409,7 @@ def test_cg_small_poisson_matches_direct():
     # 1-d Poisson on 5 nodes, Dirichlet ends: 3 free unknowns
     a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     rhs = np.array([0.0, 1.0, 0.0])
-    x, report = cg(_as_op(a), rhs, tol=1e-12)
+    x, report = cg(_as_op(a), rhs)
     assert np.max(np.abs(x - np.linalg.solve(a, rhs))) <= 1e-10
     assert report.converged
 
@@ -407,7 +418,7 @@ def test_cg_random_spd_matches_dense_solve(rng):
     b_mat = rng.standard_normal((50, 50))
     a = b_mat.T @ b_mat + np.eye(50)
     rhs = rng.standard_normal(50)
-    x, report = cg(_as_op(a), rhs, tol=1e-12, max_iter=2000)
+    x, report = cg(_as_op(a), rhs)
     direct = np.linalg.solve(a, rhs)
     assert np.max(np.abs(x - direct)) <= 1e-8 * (1.0 + np.max(np.abs(direct)))
     assert report.relative_residual <= 1e-12
@@ -417,7 +428,7 @@ def test_cg_residual_report_matches_recomputation(rng):
     b_mat = rng.standard_normal((30, 30))
     a = b_mat.T @ b_mat + np.eye(30)
     rhs = rng.standard_normal(30)
-    x, report = cg(_as_op(a), rhs, tol=1e-10)
+    x, report = cg(_as_op(a), rhs)
     recomputed = np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
     assert abs(report.relative_residual - recomputed) <= 1e-14
     assert np.all(np.isfinite(x))
@@ -447,7 +458,7 @@ def test_cg_breakdown_raises_non_convergence(op, rhs):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_cg_rejects_non_finite_rhs(bad):
     """A non-finite right-hand side is reported up front: with inf it used
-    to pass the residual test at once, with NaN it burned max_iter.  So is
+    to pass the residual test at once, with NaN it burned ``SOLVE_MAX``.  So is
     a non-finite initial guess."""
     rhs = np.array([1.0, bad, 0.0, 2.0])
     with pytest.raises(DomainError):
@@ -457,19 +468,18 @@ def test_cg_rejects_non_finite_rhs(bad):
         cg(_as_op(np.diag([1.0, 2.0, 3.0])), np.ones(3), x0=x0)
 
 
-def test_cg_nonconvergence_raises_with_report(rng):
+def test_cg_nonconvergence_raises_with_report(monkeypatch, rng):
+    """A solve that has not converged after ``SOLVE_MAX`` iterations fails,
+    carrying its report."""
     b_mat = rng.standard_normal((40, 40))
     a = b_mat.T @ b_mat + 1e-8 * np.eye(40)
     rhs = rng.standard_normal(40)
-    with pytest.raises(NonConvergenceError) as excinfo:
-        cg(_as_op(a), rhs, tol=1e-14, max_iter=3)
+    monkeypatch.setattr(linear_step, "SOLVE_MAX", 3)
+    with pytest.raises(NonConvergenceError,
+                       match="within 3 iterations") as excinfo:
+        cg(_as_op(a), rhs)
     assert excinfo.value.report.iterations == 3
     assert not excinfo.value.report.converged
-
-
-def test_cg_rejects_bad_tolerance(rng):
-    with pytest.raises(UsageError):
-        cg(_as_op(np.eye(3)), np.ones(3), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +501,8 @@ def _warm_start(rng, op, rhs, scale=1e-4):
 
 
 @pytest.mark.parametrize("reduction", [1e-3, 0.5])
-def test_cg_reduction_stops_on_the_true_residual_of_its_start(rng, reduction):
+def test_cg_reduction_stops_on_the_true_residual_of_its_start(
+        monkeypatch, rng, reduction):
     """From a warm start, the solve stops once the true residual is at most
     max(tol ||b||, reduction ||b - A x0||), and not an iteration before.
     A target of reduction * ||b|| would accept this warm start untouched."""
@@ -506,9 +517,9 @@ def test_cg_reduction_stops_on_the_true_residual_of_its_start(rng, reduction):
     assert true <= (1.0 + 1e-12) * max(1e-12 * rhs_norm, reduction * start)
     assert report.relative_residual == pytest.approx(true / rhs_norm,
                                                      rel=1e-12)
+    monkeypatch.setattr(linear_step, "SOLVE_MAX", report.iterations - 1)
     with pytest.raises(NonConvergenceError):
-        cg(op, rhs, x0=x0, reduction=reduction,
-           max_iter=report.iterations - 1)
+        cg(op, rhs, x0=x0, reduction=reduction)
 
 
 def _cg_systems(rng, params):
@@ -524,9 +535,8 @@ def _cg_systems(rng, params):
     return [
         (_as_op(np.eye(40)), rng.standard_normal(40), {}),
         (_as_op(poisson), np.array([0.0, 1.0, 0.0]), {}),
-        (_as_op(b_mat.T @ b_mat + np.eye(50)), rng.standard_normal(50),
-         {"max_iter": 2000}),
-        (_laplacian_op(), rng.standard_normal(400), {"tol": 1e-10}),
+        (_as_op(b_mat.T @ b_mat + np.eye(50)), rng.standard_normal(50), {}),
+        (_laplacian_op(), rng.standard_normal(400), {}),
         (velocity, rhs, {"x0": x0}),
     ]
 
@@ -600,16 +610,18 @@ def test_cg_reduction_keeps_the_breakdown_checks(op, rhs):
     assert excinfo.value.report.iterations == 0
 
 
-def test_cg_reduction_keeps_the_stagnation_check(rng):
+def test_cg_reduction_keeps_the_stagnation_check(monkeypatch, rng):
     """A target below what round-off lets the system attain stagnates as
     the tolerance does: from a start at about 3e-13 relative residual, a
-    reduction of 1e-3 asks for about 3e-16."""
+    reduction of 1e-3 asks for about 3e-16 once ``SOLVE_TOL`` lies below
+    it."""
     op = _laplacian_op()
     rhs = rng.standard_normal(op.size)
     x0, _ = cg(op, rhs)
+    monkeypatch.setattr(linear_step, "SOLVE_TOL", 1e-16)
     with pytest.raises(NonConvergenceError,
                        match="attainable relative residual") as excinfo:
-        cg(op, rhs, tol=1e-16, x0=x0, reduction=1e-3)
+        cg(op, rhs, x0=x0, reduction=1e-3)
     report = excinfo.value.report
     assert not report.converged and report.iterations < 20000
     assert report.relative_residual > 1e-14

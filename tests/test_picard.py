@@ -1,7 +1,5 @@
 """Time loop and successive-approximation iteration."""
 
-import inspect
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,7 +42,7 @@ from kvsim.grid import (
     navier_matrix,
     tensor_divergence,
 )
-from kvsim.picard import PICARD_MAX, PICARD_TOL, SWEEP_REDUCTION
+from kvsim.picard import PICARD_MAX, PICARD_RISES, PICARD_TOL, SWEEP_REDUCTION
 
 from helpers import (
     bump_state,
@@ -56,8 +54,8 @@ from helpers import (
     reference_velocity_rhs,
 )
 
-# the tolerance every stepper solve meets: solve_spd's default
-CG_TOL = inspect.signature(linear_step.solve_spd).parameters["tol"].default
+# the tolerance every accepting sweep's solves meet
+CG_TOL = linear_step.SOLVE_TOL
 
 
 def l2_diff(a, b, grid):
@@ -542,21 +540,46 @@ def test_stepper_stores_only_what_a_sweep_multiplies(grid2d):
 def test_picard_nonconvergence_carries_trace():
     """A 9x9 bump with thermal expansion 2 does not contract at dt 0.5:
     the coupling of velocity and temperature, which Newton's heat system
-    does not touch, lifts the Y ratios above 1 from the fifth sweep, and
-    they end at 1.000.  The step fails after the sweep cap, carrying every
-    sweep's trace.  (The earlier input, velocity
-    amplitude 10 at dt 0.05, failed by the substitution in cv theta
-    theta_t; with Newton it converges in 9 sweeps.)"""
+    does not touch, lifts the Y ratios above 1 from the sixth sweep.  The
+    step fails at the third consecutive rise of Y, at sweep 8, carrying
+    every sweep's trace; no sweep has taken the frozen fallback (run to
+    the 50-sweep cap, 27 did).  (The earlier input, velocity amplitude 10
+    at dt 0.05, failed by the substitution in cv theta theta_t; with
+    Newton it converges in 9 sweeps.)"""
     grid = make_grid(d=2, n=9)
     state = bump_state(grid)
     stepper = Stepper(grid, default_params(alpha=2.0), StepperConfig(dt=0.5))
-    with pytest.raises(NonConvergenceError) as excinfo:
+    with pytest.raises(NonConvergenceError,
+                       match=f"rose in {PICARD_RISES} consecutive sweeps"
+                       ) as excinfo:
         stepper.step(state)
     trace = excinfo.value.report
     assert not trace.converged
-    assert len(trace.ys) == PICARD_MAX
-    assert len(trace.velocity_solves) == len(trace.heat_solves) == PICARD_MAX
-    assert all(r > 0.99 for r in trace.ratios()[-10:])
+    assert len(trace.ys) == trace.iterations <= 8
+    assert len(trace.velocity_solves) == len(trace.heat_solves) == len(
+        trace.ys)
+    assert all(r > 1.0 for r in trace.ratios()[-PICARD_RISES:])
+    assert trace.frozen_sweeps == 0
+
+
+def test_picard_sweep_cap_carries_trace(monkeypatch):
+    """A step that contracts but has not met its threshold after
+    ``PICARD_MAX`` sweeps fails, carrying every sweep's trace: a 9x9 bump
+    at dt 0.05 that needs more than two sweeps, with the cap at 2."""
+    grid = make_grid(d=2, n=9)
+    state = bump_state(grid)
+    stepper = Stepper(grid, default_params(), StepperConfig(dt=0.05))
+    _, converged = stepper.step(state)
+    assert converged.iterations > 2
+    monkeypatch.setattr(picard, "PICARD_MAX", 2)
+    with pytest.raises(NonConvergenceError, match="for 2 sweeps") as excinfo:
+        stepper.step(state)
+    trace = excinfo.value.report
+    assert not trace.converged
+    assert len(trace.ys) == trace.iterations == 2
+    assert len(trace.velocity_solves) == len(trace.heat_solves) == 2
+    assert trace.threshold < trace.ys[1] < trace.ys[0]
+    assert trace.ys == converged.ys[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +600,9 @@ def test_heat_only_newton_error_squares(params):
     x_v = linear_step.pack_interior(grid, state.v.data)
     theta, iterates = state.theta, []
     for _ in range(7):
-        rhs, q = linear_step.heat_rhs_vector(
+        rhs, q, frozen = linear_step.heat_rhs_vector(
             grid, dt, state.theta, theta, x_v, stepper.strain, None, params)
+        assert not frozen
         op = linear_step.heat_matrix(grid, dt, q, params,
                                      stiffness=stepper.stiffness)
         x, _ = linear_step.solve_spd(op, rhs, x0=theta.data.ravel())
@@ -599,16 +623,17 @@ def test_nonpositive_newton_coefficient_takes_the_frozen_system(
     """A sweep whose Newton coefficient q is not positive everywhere solves
     the frozen system, (cv/dt) w theta_it theta - k Lap theta =
     w [(cv/dt) theta_it theta_old - theta_it (A2 alpha):eps + (A1 eps):eps],
-    and the trace counts it; every other sweep solves Newton's system.  A
-    33^2 bump of velocity amplitude 80 at dt 0.02 to t 0.2 has one such
-    sweep, and still converges."""
+    and the trace counts it; every other sweep solves Newton's system.
+    The sweep solves the system that ``heat_rhs_vector`` returns, checked
+    here against the per-corner reference.  A 33^2 bump of velocity
+    amplitude 80 at dt 0.02 to t 0.2 has one such sweep, and still
+    converges."""
     grid = make_grid(d=2, n=33)
     dt = 0.02
     linearised, coefficients, heat_rhs = [], [], []
 
     def linearisation(args, result):
-        rhs, q = result
-        linearised.append((args[2].data, args[3].data, rhs.copy(), q))
+        linearised.append((args[2], args[3], args[4].copy()) + result)
 
     def solve(args, result):
         if args[0].size == grid.num_nodes:
@@ -622,19 +647,23 @@ def test_nonpositive_newton_coefficient_takes_the_frozen_system(
                0.2)
     assert all(trace.converged for trace in traj.traces)
     assert len(linearised) == len(coefficients) == len(heat_rhs)
-    frozen = [not np.min(q.data) > 0.0 for *_, q in linearised]
+    frozen = [fell_back for *_, fell_back in linearised]
     assert sum(frozen) == sum(t.frozen_sweeps for t in traj.traces) >= 1
     mass = grid.quad_weights.ravel() * (params.cv / dt)
-    for (theta_old, theta, rhs, q), coefficient, solved, fell_back in zip(
-            linearised, coefficients, heat_rhs, frozen):
+    for (theta_old, theta, x_v, rhs, coefficient, fell_back), matrix_of, \
+            solved in zip(linearised, coefficients, heat_rhs):
+        assert matrix_of is coefficient
+        assert np.array_equal(solved, rhs)
+        newton_rhs, q = reference_heat_rhs_vector(
+            grid, dt, theta_old, theta,
+            linear_step.unpack_interior(grid, x_v), None, params)
+        assert (not np.min(q) > 0.0) == fell_back
         if not fell_back:
-            assert coefficient is q
-            assert np.array_equal(solved, rhs)
             continue
-        assert coefficient.data is theta
-        theta_old, theta = theta_old.ravel(), theta.ravel()
-        coupling = mass * (q.data.ravel() - 2.0 * theta + theta_old)
-        heating = rhs - mass * theta**2
+        assert coefficient is theta
+        theta_old, theta = theta_old.data.ravel(), theta.data.ravel()
+        coupling = mass * (q.ravel() - 2.0 * theta + theta_old)
+        heating = newton_rhs - mass * theta**2
         expected = mass * theta * theta_old - theta * coupling + heating
         assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(
             np.abs(expected))
