@@ -12,8 +12,11 @@ Everything with a discrete realization is checked here:
 * mixed space-time norms used as regularity monitors.
 
 All residuals are relative with a +1 absolute floor, so resting states do
-not divide by zero.  Functions here are pure, operate on immutable
-snapshots, and reduce in a fixed order.
+not divide by zero.  Functions here operate on immutable snapshots and
+reduce in a fixed order.  They take the corner strains of a state's u from
+the state when it holds them (``picard.SimState.strain``), and the
+balances of a step, so its record, leave those of the new state on it,
+for the next step from it to consume; they change nothing else.
 """
 
 from __future__ import annotations
@@ -85,15 +88,29 @@ class StateIntegrals(NamedTuple):
         return self.energy - beta * self.entropy
 
 
+def _strain(state):
+    """The corner strains of u: those ``state`` holds, else formed."""
+    held = state.strain
+    return corner_strains(state.u) if held is None else held
+
+
+def _hold_strain(state):
+    """Leave the corner strains of u on ``state`` for the next step from
+    it, unless it holds them."""
+    if state.strain is None:
+        state.strain = corner_strains(state.u)
+
+
 def state_integrals(state, params):
-    """All integrals of one state, from its corner strains.
+    """All integrals of one state, from the corner strains of its u (those
+    the state holds, else formed here).
 
     The elastic energy sums to 1/2 u^T (-W Q2) u, with Q2 the compact
     elastic operator of the velocity system, and the coupling part of the
     entropy, (A2 alpha) : eps(u), sums to zero for a boundary-zero u.
     """
     grid, d = state.grid, state.grid.d
-    eps = corner_strains(state.u)
+    eps = _strain(state)
     theta = state.theta.data
     coupling = strain_contraction(params.thermal_coupling(), eps, d)
     return StateIntegrals(
@@ -125,7 +142,6 @@ class StepBalances(NamedTuple):
     """Every balance of one step (see :func:`step_balances`)."""
 
     new: StateIntegrals
-    strain_rate: np.ndarray  # the corner strains of v_new
     sigma: ScalarField  # entropy production density at the midpoint
     energy_residual: float  # of E_new - E_old - dt * integral(b . u_t_new + g)
     production: float  # dt * integral(sigma)
@@ -134,6 +150,7 @@ class StepBalances(NamedTuple):
     # - g/theta - sigma), whose flux term integrates to zero; the inequality
     # form holds within it because sigma >= 0 is kept explicit
     clausius_duhem_defect: float
+    strain_rate_dissipation: float  # the record's column
 
 
 def step_balances(state_old, state_new, b, g, dt, params, old=None):
@@ -145,7 +162,9 @@ def step_balances(state_old, state_new, b, g, dt, params, old=None):
     eps(v_new), which equals (eps_new - eps_old)/dt by the displacement
     update rule: the step's exact mean strain rate.  Entropy production
     and the g/theta source use the midpoint-in-time temperature.
-    Residuals are relative with a +1 floor.
+    Residuals are relative with a +1 floor.  It leaves the corner strains
+    of u_new on ``state_new``, formed once those of v_new are freed unless
+    the state holds them.
     """
     grid = state_old.grid
     theta_mid = _midpoint_theta(state_old, state_new)
@@ -153,13 +172,16 @@ def step_balances(state_old, state_new, b, g, dt, params, old=None):
         raise DomainError("the step's balances require positive temperature")
     if old is None:
         old = state_integrals(state_old, params)
-    new = state_integrals(state_new, params)
     rate = corner_strains(state_new.v)
     theta = theta_mid.data
     sigma = ScalarField(grid, (
         params.k * squared_gradient(theta_mid).data / theta**2
         + strain_density(rate, params.lambda1, params.mu1, grid.d) / theta
     ))
+    dissipation = _strain_rate_dissipation(state_new, rate)
+    del rate  # not alive beside the strains of u_new
+    _hold_strain(state_new)
+    new = state_integrals(state_new, params)
     sigma_integral = integrate(sigma)
     work = 0.0
     source_integral = 0.0
@@ -179,12 +201,12 @@ def step_balances(state_old, state_new, b, g, dt, params, old=None):
         new.entropy - old.entropy - production - dt * source_integral)
     return StepBalances(
         new=new,
-        strain_rate=rate,
         sigma=sigma,
         energy_residual=abs(energy_defect) / (1.0 + abs(new.energy)),
         production=production,
         entropy_residual=entropy_defect / (1.0 + abs(new.entropy)),
         clausius_duhem_defect=entropy_defect / dt,
+        strain_rate_dissipation=dissipation,
     )
 
 
@@ -192,14 +214,22 @@ def step_balances(state_old, state_new, b, g, dt, params, old=None):
 # per-step records
 # ---------------------------------------------------------------------------
 
-def _record(state, params, integrals, strain_rate, **step_fields):
-    """One CSV row for ``state``; ``step_fields`` carry the step's balances.
+def _strain_rate_dissipation(state, strain_rate):
+    """|| eps(u_t)/sqrt(theta) ||_L2 of ``state``, with eps:eps the corner
+    average ``grid.strain_density`` of ``strain_rate``, the corner strains
+    of u_t: the discrete value of a dissipative energy-estimate term."""
+    return math.sqrt(integrate(ScalarField(
+        state.grid,
+        strain_density(strain_rate, 0.0, 0.5, state.grid.d)
+        / state.theta.data)))
 
-    The dissipation columns are the discrete values of the two dissipative
-    energy-estimate terms, || grad(theta)/theta ||_L2 and
-    || eps(u_t)/sqrt(theta) ||_L2, with |grad theta|^2 and eps:eps the
-    corner averages ``grid.squared_gradient`` and ``grid.strain_density``
-    (``strain_rate`` holds the corner strains of u_t).
+
+def _record(state, params, integrals, **step_fields):
+    """One CSV row for ``state``; ``step_fields`` carry the step's balances
+    and its ``strain_rate_dissipation``.
+
+    The other dissipation column, || grad(theta)/theta ||_L2, takes
+    |grad theta|^2 as the corner average ``grid.squared_gradient``.
     """
     grid = state.grid
     theta = state.theta.data
@@ -216,9 +246,6 @@ def _record(state, params, integrals, strain_rate, **step_fields):
         grad_theta_dissipation=math.sqrt(integrate(ScalarField(
             grid, squared_gradient(state.theta).data / theta**2
         ))),
-        strain_rate_dissipation=math.sqrt(integrate(ScalarField(
-            grid, strain_density(strain_rate, 0.0, 0.5, grid.d) / theta
-        ))),
         **step_fields,
     )
 
@@ -227,7 +254,8 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params, old=None):
     """The CSV row of one step; ``old`` as for :func:`step_balances`."""
     step = step_balances(state_old, state_new, b, g, dt, params, old)
     return _record(
-        state_new, params, step.new, step.strain_rate,
+        state_new, params, step.new,
+        strain_rate_dissipation=step.strain_rate_dissipation,
         entropy_production=step.production / dt,
         energy_residual=step.energy_residual,
         entropy_residual=step.entropy_residual,
@@ -237,9 +265,13 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params, old=None):
 
 
 def initial_record(state, params):
-    """Row for t = t0: energies and state extrema, zero residuals."""
+    """Row for t = t0: energies and state extrema, zero residuals.  It
+    leaves the corner strains of ``state.u`` on ``state``."""
+    dissipation = _strain_rate_dissipation(state, corner_strains(state.v))
+    _hold_strain(state)
     return _record(
-        state, params, state_integrals(state, params), corner_strains(state.v),
+        state, params, state_integrals(state, params),
+        strain_rate_dissipation=dissipation,
         entropy_production=0.0,
         energy_residual=0.0,
         entropy_residual=0.0,

@@ -75,8 +75,11 @@ A solve stops at the relative residual ``SOLVE_TOL`` (1e-12) or, given a
 factor: a sweep whose iterate the next sweep replaces needs only to beat
 the outer contraction (the forcing term of inexact Newton methods,
 Dembo, Eisenstat & Steihaug 1982).  It fails after ``SOLVE_MAX``
-iterations.  A solve is single-caller but independent solves may run
-concurrently.
+iterations.  Given a ``Product``, a solve from the vector that the last
+solve returned takes that solve's product a @ x as its start's instead of
+forming it again.  A solve is single-caller, and independent solves may
+run concurrently as long as they share no ``Product``: each stepper owns
+the one buffer of its velocity solves, which run one at a time.
 """
 
 from __future__ import annotations
@@ -131,6 +134,20 @@ class LinearSolveReport:
     iterations: int
     relative_residual: float
     converged: bool
+
+
+class Product:
+    """A buffer, allocated once, that carries a @ x from solve to solve for
+    the matrix a of the solves given it: ``value`` holds the product of the
+    vector ``x`` (that array, unchanged since) that the last of them
+    returned while ``x`` is not None, so that a solve from ``x`` does not
+    form it again, and the residual of a solve while it iterates (see
+    :func:`solve_spd`).  One buffer serves one matrix whose values do not
+    change."""
+
+    def __init__(self, size):
+        self.x = None
+        self.value = np.empty(size)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +209,8 @@ def _fast_diagonalization(bases, divisor):
     lead = len(shape) - len(bases)
     views = [shape[:lead + k + 1] + (-1,) for k in range(len(bases) - 1)]
     inner, last = bases[:-1], bases[-1]
-    inverse = (1.0 / divisor).astype(last.dtype).reshape(-1, shape[-1])
+    inverse = (1.0 / divisor).astype(last.dtype, copy=False).reshape(
+        -1, shape[-1])
 
     def precondition(r):
         y = r.astype(last.dtype, copy=False)
@@ -267,19 +285,20 @@ def corner_strains(u):
     return (strain_matrix(grid) @ x).reshape((-1,) + grid.shape)
 
 
-def velocity_load(grid, dt, x_v, u_old, b, params):
+def velocity_load(grid, dt, x_v, strains, b, params):
     """The part of the velocity right-hand side that a step's sweeps share,
     packed over interior nodes: (1/dt) v_old + b + Q2 u_old, with ``x_v``
     the packed v_old and Q2 u_old, by summation by parts, the
-    ``grid.stress_divergence`` of the ``grid.strain_stress`` of its
-    corner strains under (lambda2, mu2).  It changes none of its
-    arguments: both of those work in place on the corner strains it forms,
-    and the sum builds on the new array x_v / dt."""
+    ``grid.stress_divergence`` of the ``grid.strain_stress`` under
+    (lambda2, mu2) of ``strains``, the corner strains of u_old (see
+    :func:`corner_strains`).  Both of those work in place, so it consumes
+    ``strains``; it changes no other argument, since the sum builds on the
+    new array x_v / dt."""
     load = x_v / dt
     if b is not None:
         load += pack_interior(grid, b.data)
     load += stress_divergence(grid, strain_stress(
-        corner_strains(u_old), params.lambda2, params.mu2, grid.d))
+        strains, params.lambda2, params.mu2, grid.d))
     return load
 
 
@@ -305,7 +324,8 @@ class HeatStiffness:
     ``matrix`` is the stiffness as built.  The heat matrix differs from it
     only on the diagonal, so :func:`heat_matrix` makes ``matrix`` the heat
     matrix of each sweep by rewriting its diagonal entries, whose positions
-    in ``matrix.data`` are ``diagonal`` and whose stiffness values are
+    in ``matrix.data`` are ``diagonal`` (``np.intp``, so that writing them
+    converts no index) and whose stiffness values are
     ``diagonal_values``: the owner of a stiffness holds one heat matrix.
     ``bases`` holds per axis the eigenvectors V of the 1-D stiffness against
     the trapezoid weights W (V^T W V = I), and ``eigenvalues`` is k times the
@@ -331,7 +351,7 @@ def heat_stiffness(grid, k):
     ))
     return HeatStiffness(
         matrix=matrix,
-        diagonal=diagonal,
+        diagonal=diagonal.astype(np.intp),
         diagonal_values=matrix.data[diagonal],
         bases=vectors,
         eigenvalues=k * _outer_sum(values),
@@ -433,8 +453,16 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def solve_spd(op, rhs, x0=None, reduction=0.0):
+def solve_spd(op, rhs, x0=None, reduction=0.0, product=None):
     """Preconditioned conjugate gradients for an SPD operator.
+
+    ``product``, a :class:`Product` of ``op.matrix``, carries a @ x from
+    solve to solve: when its ``x`` is ``x0``, its ``value`` is the start's
+    product, which the solve then does not form.  The solve keeps its
+    residual in that buffer, and leaves there the product of the x it
+    returns: that of its true-residual re-check, or at zero iterations the
+    start's product that it formed.  It leaves the buffer empty when it
+    returns a start whose product it took, or raises.
 
     Calls ``op.precondition`` once per iteration, on the residual that the
     iteration starts from, so as many times as the report's
@@ -459,6 +487,11 @@ def solve_spd(op, rhs, x0=None, reduction=0.0):
     when the right-hand side or the initial guess is not finite.
     Deterministic given identical inputs.
     """
+    ax = None
+    if product is not None:
+        if product.x is x0 and x0 is not None:
+            ax = product.value
+        product.x = None
     if not 0.0 <= reduction < 1.0:
         raise UsageError(f"reduction must be in [0, 1), got {reduction}")
     a = op.matrix
@@ -475,7 +508,11 @@ def solve_spd(op, rhs, x0=None, reduction=0.0):
     if not np.all(np.isfinite(x)):
         raise DomainError("initial guess x0 is not finite")
     precondition = op.precondition
-    r = rhs - a @ x
+    if ax is None:
+        ax = a @ x
+    # one vector fewer: the residual takes the product's buffer
+    r = (rhs - ax if product is None
+         else np.subtract(rhs, ax, out=product.value))
     res = _norm(r)
     target = SOLVE_TOL * rhs_norm
     if reduction:
@@ -488,11 +525,15 @@ def solve_spd(op, rhs, x0=None, reduction=0.0):
         if res <= target:
             # r is the true residual until the first iteration moves x
             if not iterations:
+                if ax is not r:
+                    _hand_back(product, x, ax)
                 return x, LinearSolveReport(0, res / rhs_norm, True)
             # guard against recurrence drift: re-check with the true residual
-            r_true = rhs - a @ x
+            ax = a @ x
+            r_true = rhs - ax
             res_true = _norm(r_true)
             if res_true <= target:
+                _hand_back(product, x, ax)
                 return x, LinearSolveReport(iterations, res_true / rhs_norm, True)
             if res_true < best_true:
                 best_true, stalled = res_true, 0
@@ -508,7 +549,9 @@ def solve_spd(op, rhs, x0=None, reduction=0.0):
                     report=LinearSolveReport(iterations, attainable, False),
                 )
             r, p = r_true, None
-        # preconditioned only once the residual has failed the stopping test
+        # preconditioned only once the residual has failed the stopping
+        # test, which leaves no use for the product of x
+        ax = None
         z = precondition(r)
         rz_next = _dot(r, z)
         if p is None:  # the start or a restart
@@ -539,7 +582,8 @@ def solve_spd(op, rhs, x0=None, reduction=0.0):
         r -= alpha * ap
         res = _norm(r)
         iterations += 1
-    res_true = _norm(rhs - a @ x)
+    ax = a @ x
+    res_true = _norm(rhs - ax)
     report = LinearSolveReport(
         iterations, res_true / rhs_norm, res_true <= target)
     if not report.converged:
@@ -549,4 +593,11 @@ def solve_spd(op, rhs, x0=None, reduction=0.0):
             f"(relative residual {report.relative_residual:.3e})",
             report=report,
         )
+    _hand_back(product, x, ax)
     return x, report
+
+
+def _hand_back(product, x, ax):
+    if product is not None:
+        np.copyto(product.value, ax)
+        product.x = x

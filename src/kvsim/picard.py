@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -91,12 +92,20 @@ SWEEP_REDUCTION = 1e-3  # residual cut of each solve of a step's early sweeps
 
 @dataclass
 class SimState:
-    """One time slice: displacement, velocity, temperature at time ``t``."""
+    """One time slice: displacement, velocity, temperature at time ``t``.
+
+    ``strain`` is not part of the state: it is the corner strains of u
+    (``linear_step.corner_strains``) when the state holds them, as a
+    record of the state leaves them for the next step from it, whose load
+    consumes them; None otherwise.
+    """
 
     t: float
     u: VectorField
     v: VectorField
     theta: ScalarField
+    strain: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def grid(self):
@@ -191,6 +200,12 @@ class Stepper:
     velocity matrix (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with
     its preconditioner, also depends on dt; :meth:`with_dt` rebuilds only
     it.  Q is ``grid.navier_matrix`` on the interior box.
+
+    The velocity matrix times the velocity that its last solve returned is
+    the start product of the next velocity solve: a stepper holds it (a
+    ``linear_step.Product`` of its own) from sweep to sweep, and into its
+    next step when that step starts from the state it last returned, of
+    which it keeps only a weak reference.
     """
 
     def __init__(self, grid, params, config):
@@ -207,6 +222,8 @@ class Stepper:
             self.grid, dt, self.params.lambda1 + dt * self.params.lambda2,
             self.params.mu1 + dt * self.params.mu2,
         )
+        self._product = linear_step.Product(self.velocity_op.size)
+        self._returned = None  # weak reference to the last state returned
 
     def with_dt(self, dt):
         """A stepper of this grid and material for steps of ``dt``.  It
@@ -230,9 +247,13 @@ class Stepper:
         the sweep fell back to the frozen system.
         """
         grid, dt = self.grid, self.config.dt
-        rhs_v = linear_step.velocity_rhs(load, theta, self.params)
+        self._returned = None  # the held product is now this sweep's
+        # the right-hand side is freed once solved: the held product
+        # takes its place
         x_v, velocity = linear_step.solve_spd(
-            self.velocity_op, rhs_v, x0=x_v, reduction=reduction)
+            self.velocity_op,
+            linear_step.velocity_rhs(load, theta, self.params),
+            x0=x_v, reduction=reduction, product=self._product)
         rhs_h, coefficient, frozen = linear_step.heat_rhs_vector(
             grid, dt, state.theta, theta, x_v, self.strain, g, self.params)
         heat_op = linear_step.heat_matrix(
@@ -250,6 +271,7 @@ class Stepper:
         met the threshold after ``PICARD_MAX``, raises
         :class:`NonConvergenceError` carrying the trace of its sweeps."""
         grid, dt = self.grid, self.config.dt
+        returned = self._returned and self._returned()
         theta_min = float(np.min(state.theta.data))
         floor = self.config.theta_floor
         if floor is None:
@@ -261,8 +283,11 @@ class Stepper:
             )
         scale = lp_norm(state.theta, 2) + l2_norm(grid, state.v.data)
         x_v, theta = linear_step.pack_interior(grid, state.v.data), state.theta
+        # the held product is that of the accepted x_v, which state.v holds
+        if returned is state:
+            self._product.x = x_v
         load = linear_step.velocity_load(
-            grid, dt, x_v, state.u, b, self.params)
+            grid, dt, x_v, _take_strain(state), b, self.params)
         ys, velocity_solves, heat_solves = [], [], []
         frozen_sweeps = rises = 0
         reduction = SWEEP_REDUCTION
@@ -312,7 +337,18 @@ class Stepper:
                 report=trace)
         v = linear_step.unpack_interior(grid, x_v)
         u = VectorField(grid, state.u.data + dt * v.data)
-        return SimState(state.t + dt, u, v, theta), trace
+        new_state = SimState(state.t + dt, u, v, theta)
+        if self._product.x is x_v:  # the last solve left its product
+            self._returned = weakref.ref(new_state)
+        self._product.x = None  # state.v holds it
+        return new_state, trace
+
+
+def _take_strain(state):
+    """The corner strains of ``state.u``, which the state held or formed
+    here, for a step's load to consume: the state holds them no longer."""
+    strains, state.strain = state.strain, None
+    return linear_step.corner_strains(state.u) if strains is None else strains
 
 
 @dataclass

@@ -172,6 +172,33 @@ def double_velocity_operator(grid, dt, lam, mu):
     )
 
 
+class CountedMatrix:
+    """``matrix`` with its products ``matrix @ x`` counted in
+    ``counts[key]``; every other attribute is the matrix's own."""
+
+    def __init__(self, matrix, counts, key="products"):
+        self.matrix, self.counts, self.key = matrix, counts, key
+
+    def __matmul__(self, x):
+        self.counts[self.key] = self.counts.get(self.key, 0) + 1
+        return self.matrix @ x
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
+def counted(op, counts):
+    """``op`` with its matrix products counted in ``counts["products"]``
+    and its preconditioner applies in ``counts["applies"]``."""
+
+    def precondition(r):
+        counts["applies"] = counts.get("applies", 0) + 1
+        return op.precondition(r)
+
+    return SparseOperator(matrix=CountedMatrix(op.matrix, counts),
+                          precondition=precondition)
+
+
 class AcceptedStates:
     """Watches ``Stepper.step``: keeps a weak reference to the temperature
     of every state it accepts and, at the start of each step, records how

@@ -30,6 +30,7 @@ from kvsim.grid import (
     strain_matrix,
 )
 from kvsim.linear_step import (
+    corner_strains,
     heat_rhs_vector,
     pack_interior,
     unpack_interior,
@@ -125,8 +126,9 @@ def _forces(grid, params, u, v, theta):
     with Q2 u - Div(theta A2 alpha) the velocity right-hand side of a
     step of dt 1 from rest at the displacement u."""
     q1 = navier_matrix(grid, params.lambda1, params.mu1, box=slice(1, -1))
-    load = velocity_load(grid, 1.0, np.zeros_like(u), unpack_interior(grid, u),
-                         None, params)
+    load = velocity_load(grid, 1.0, np.zeros_like(u),
+                         corner_strains(unpack_interior(grid, u)), None,
+                         params)
     return q1 @ v + velocity_rhs(load, theta, params)
 
 

@@ -31,10 +31,10 @@ from kvsim.diagnostics import (
     total_energy,
     v2_norm,
 )
-from kvsim import diagnostics
+from kvsim import diagnostics, grid as grid_module
 from kvsim.grid import lp_norm, neumann_matrix
 
-from helpers import bump_state, default_params, make_grid
+from helpers import CountedMatrix, bump_state, default_params, make_grid
 
 
 @pytest.fixture
@@ -78,34 +78,46 @@ def test_stationary_residuals_vanish(stationary, params):
 
 
 def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
-    """A step record applies the strain map to u_old, u_new and v_new once
-    each, the initial record to u and v; neither calls np.gradient.  The
-    collector takes u_old's integrals from the previous record: two
-    products per step."""
-    traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.05)
-    calls = {"corner_strains": [], "gradient": []}
+    """A recorded step applies the strain map sweeps + 2 times: once per
+    sweep for its heat system, and in its record once each to v_new and
+    u_new.  The step's load takes eps(u_old) from the previous record,
+    which leaves it on its state, and the collector takes u_old's
+    integrals from that record; the initial record applies the map to u
+    and v.  A record of states that hold no strains applies it to u_old,
+    u_new and v_new, and leaves u_new's; a record of a state that holds
+    them applies it to v alone.  None calls np.gradient."""
+    counts = {}
+    monkeypatch.setitem(grid2d._cache, "strain", CountedMatrix(
+        grid_module.strain_matrix(grid2d), counts, "strain"))
+    calls = []
+    gradient = np.gradient
+    monkeypatch.setattr(np, "gradient",
+                        lambda *a, **k: calls.append(a) or gradient(*a, **k))
+    state = bump_state(grid2d)
+    collector = DiagnosticsCollector(params, initial_state=state)
+    assert counts == {"strain": 2} and state.strain is not None
+    per_step = []
 
-    def counting(module, name):
-        real = getattr(module, name)
+    def observe(event):
+        before = counts["strain"]
+        collector(event)
+        per_step.append(counts["strain"] - before)
 
-        def counted(*args, **kwargs):
-            calls[name].append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    counting(diagnostics, "corner_strains")
-    counting(np, "gradient")
+    traj = run(state, params, StepperConfig(dt=0.05), 0.15,
+               observers=[observe])
+    assert len(traj.traces) == 3 and per_step == [2, 2, 2]
+    assert counts["strain"] == 2 + sum(t.iterations + 2 for t in traj.traces)
+    assert traj.states[-1].strain is not None
+    assert all(s.strain is None for s in traj.states[:-1])
+    counts.clear()
     diagnostics.record_for_step(traj.states[0], traj.states[1], traj.traces[0],
                                 None, None, 0.05, params)
-    assert len(calls["corner_strains"]) == 3 and not calls["gradient"]
-    calls["corner_strains"].clear()
-    diagnostics.initial_record(traj.states[0], params)
-    assert len(calls["corner_strains"]) == 2 and not calls["gradient"]
-    calls["corner_strains"].clear()
-    traj, _ = small_run(grid2d, params, dt=0.05, t_end=0.15)
-    assert len(traj.traces) == 3
-    assert len(calls["corner_strains"]) == 2 + 2 * 3 and not calls["gradient"]
+    assert counts == {"strain": 3}
+    counts.clear()
+    # the strains of u_1, which the record above left on its state
+    diagnostics.initial_record(traj.states[1], params)
+    assert counts == {"strain": 1}
+    assert not calls
 
 
 def test_record_fields_equal_public_functions(grid2d, params):

@@ -22,7 +22,9 @@ from kvsim import linear_step
 from kvsim.grid import navier_matrix, strain_matrix
 from kvsim.linear_step import (
     LinearSolveReport,
+    Product,
     SparseOperator,
+    corner_strains,
     heat_matrix,
     heat_rhs_vector,
     heat_stiffness,
@@ -36,6 +38,7 @@ from kvsim.linear_step import (
 
 from helpers import (
     bump_state,
+    counted,
     double_velocity_operator,
     make_grid,
     random_boundary_zero_vector,
@@ -57,8 +60,8 @@ SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
 def _velocity_rhs(grid, dt, v_old, u_old, theta_iter, b, params):
     """One sweep's velocity right-hand side, through ``velocity_load`` and
     ``velocity_rhs``."""
-    load = velocity_load(grid, dt, pack_interior(grid, v_old.data), u_old, b,
-                         params)
+    load = velocity_load(grid, dt, pack_interior(grid, v_old.data),
+                         corner_strains(u_old), b, params)
     return velocity_rhs(load, theta_iter, params)
 
 
@@ -552,22 +555,6 @@ def test_cg_reduction_below_tol_changes_nothing(rng, params, reduction):
         assert other == report
 
 
-def _counted(op, counts):
-    """``op`` with its matrix products and preconditioner applies counted
-    in ``counts``."""
-
-    class Matrix:
-        def __matmul__(self, x):
-            counts["products"] += 1
-            return op.matrix @ x
-
-    def precondition(r):
-        counts["applies"] += 1
-        return op.precondition(r)
-
-    return SparseOperator(matrix=Matrix(), precondition=precondition)
-
-
 def test_cg_preconditions_once_per_iteration(rng, params):
     """A converged solve whose true-residual re-check holds applies the
     preconditioner once per iteration, never to the residual it stops at,
@@ -575,7 +562,7 @@ def test_cg_preconditions_once_per_iteration(rng, params):
     re-check's; it returns what the uncounted solve does, bit for bit."""
     for op, rhs, kwargs in _cg_systems(rng, params):
         counts = {"products": 0, "applies": 0}
-        x, report = cg(_counted(op, counts), rhs, **kwargs)
+        x, report = cg(counted(op, counts), rhs, **kwargs)
         assert report.converged and report.iterations > 0
         assert counts == {"products": report.iterations + 2,
                           "applies": report.iterations}
@@ -586,15 +573,67 @@ def test_cg_preconditions_once_per_iteration(rng, params):
 def test_cg_start_at_its_target_takes_one_product(rng, params):
     """A start that already meets its target returns after zero iterations
     with the one product that formed its residual, and no preconditioner
-    apply: the residual it reports is that of its start."""
+    apply: the residual it reports is that of its start.  Given the
+    product that the solve which returned its start handed back, it forms
+    none; its residual has taken that product's buffer, so it hands none
+    on."""
     for op, rhs, kwargs in _cg_systems(rng, params):
         kwargs.pop("x0", None)
-        x, report = cg(op, rhs, **kwargs)
+        product = Product(op.size)
+        x, report = cg(op, rhs, product=product, **kwargs)
         counts = {"products": 0, "applies": 0}
-        y, again = cg(_counted(op, counts), rhs, x0=x, **kwargs)
+        y, again = cg(counted(op, counts), rhs, x0=x, **kwargs)
         assert counts == {"products": 1, "applies": 0}
         assert again == LinearSolveReport(0, report.relative_residual, True)
         assert y.tobytes() == x.tobytes()
+        counts = {"products": 0, "applies": 0}
+        z, again = cg(counted(op, counts), rhs, x0=x, product=product,
+                      **kwargs)
+        assert counts == {"products": 0, "applies": 0}
+        assert again == LinearSolveReport(0, report.relative_residual, True)
+        assert z.tobytes() == x.tobytes() and product.x is None
+
+
+def test_cg_takes_the_start_product_that_the_last_solve_handed_back(
+        rng, params):
+    """A solve given a ``Product`` leaves in it the product of the x it
+    returns, bit-equal to ``op.matrix @ x``.  A solve from that x takes it
+    as its start's product: it forms iterations + 1 products, not
+    iterations + 2, and returns what a solve without it does, bit for
+    bit.  A solve from another array, even an equal copy, forms its own
+    start product."""
+    for op, rhs, kwargs in _cg_systems(rng, params):
+        product = Product(op.size)
+        x, _ = cg(op, rhs, product=product, **kwargs)
+        assert product.x is x
+        assert product.value.tobytes() == (op.matrix @ x).tobytes()
+        rhs = rhs + 1e-3 * rng.standard_normal(op.size)
+        counts = {"products": 0, "applies": 0}
+        y, report = cg(counted(op, counts), rhs, x0=x, product=product)
+        assert report.converged and report.iterations > 0
+        assert counts == {"products": report.iterations + 1,
+                          "applies": report.iterations}
+        z, other = cg(op, rhs, x0=x)
+        assert y.tobytes() == z.tobytes() and other == report
+        assert product.x is y
+        assert product.value.tobytes() == (op.matrix @ y).tobytes()
+        counts = {"products": 0, "applies": 0}
+        _, report = cg(counted(op, counts), rhs, x0=y.copy(),
+                       product=product)
+        assert counts["products"] == report.iterations + 1 + bool(
+            report.iterations)
+
+
+@BREAKDOWNS
+def test_cg_that_raises_leaves_its_product_empty(op, rhs):
+    """A solve that raises hands no product back, so none is taken from
+    the x it started at."""
+    product = Product(op.size)
+    product.x = np.zeros(op.size)
+    product.value[:] = 0.0
+    with pytest.raises(NonConvergenceError):
+        cg(op, np.array(rhs), x0=product.x, product=product)
+    assert product.x is None
 
 
 @pytest.mark.parametrize("reduction", [-0.1, 1.0, 2.0, np.nan])

@@ -22,7 +22,9 @@ from kvsim.cli_io import (
     build_initial_state,
     build_sources,
     builtin_scenario,
+    load_checkpoint,
     load_config,
+    save_checkpoint,
 )
 from kvsim.diagnostics import (
     DiagnosticsCollector,
@@ -45,7 +47,9 @@ from kvsim.grid import (
 from kvsim.picard import PICARD_MAX, PICARD_RISES, PICARD_TOL, SWEEP_REDUCTION
 
 from helpers import (
+    AcceptedStates,
     bump_state,
+    counted,
     default_params,
     double_velocity_operator,
     make_grid,
@@ -96,7 +100,8 @@ def _sweep_start(stepper, state):
     grid = stepper.grid
     x_v = linear_step.pack_interior(grid, state.v.data)
     load = linear_step.velocity_load(
-        grid, stepper.config.dt, x_v, state.u, None, stepper.params)
+        grid, stepper.config.dt, x_v, linear_step.corner_strains(state.u),
+        None, stepper.params)
     return load, x_v, state.theta
 
 
@@ -328,7 +333,8 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
             SymTensorField(grid, tension)).data)
         given = x_v.copy(), u_old.data.copy()
         for b in (None, b_field):
-            load = linear_step.velocity_load(grid, dt, x_v, u_old, b, params)
+            load = linear_step.velocity_load(
+                grid, dt, x_v, linear_step.corner_strains(u_old), b, params)
             reference = x_v / dt
             if b is not None:
                 reference = reference + pack(grid, b.data)
@@ -535,6 +541,97 @@ def test_stepper_stores_only_what_a_sweep_multiplies(grid2d):
         if array.size == q2.nnz:
             assert any(np.shares_memory(array, getattr(m, name))
                        for m in velocity for name in ("data", "indices"))
+
+
+def _bit_equal(a, b):
+    return all(getattr(a, name).data.tobytes()
+               == getattr(b, name).data.tobytes()
+               for name in ("u", "v", "theta"))
+
+
+def test_velocity_solves_take_the_product_the_last_one_handed_back(
+        monkeypatch, grid2d, params):
+    """From sweep to sweep and from step to step, a velocity solve takes
+    its start product from the solve before it: over a run at one dt the
+    velocity matrix forms one product per CG iteration and that of each
+    true-residual re-check, and a start product only for the first solve
+    and after a solve that returned the start it took a product for (its
+    residual took the product's buffer)."""
+    counts = {}
+    build = linear_step.velocity_matrix
+    monkeypatch.setattr(linear_step, "velocity_matrix",
+                        lambda *args: counted(build(*args), counts))
+    traj = run(bump_state(grid2d), params, StepperConfig(dt=0.05), 0.2)
+    solves = [r for t in traj.traces for r in t.velocity_solves]
+    assert len(traj.traces) == 4 and len(solves) > 8
+    starts, held = 0, False
+    for r in solves:
+        starts += not held
+        held = not held or r.iterations > 0
+    assert counts["products"] == starts + sum(
+        r.iterations + bool(r.iterations) for r in solves)
+    assert starts < len(solves) / 2
+
+
+def test_held_products_cross_no_change(monkeypatch, tmp_path):
+    """A stepper takes the velocity product into its next step only from
+    the state it last returned, and a state holds the corner strains of
+    its u only from a record of it.  Each of these gives a fresh
+    stepper's state bit for bit: a step of a ``with_dt`` copy from the
+    state the original returned; a step from a state the stepper did not
+    produce; a step after a NonConvergenceError and one after a
+    DegeneracyError in mid-step (raised after a velocity solve has handed
+    its product back), from the state the stepper returned before it; a
+    recorded run resumed from a checkpoint, against the whole run, record
+    for record.  A streamed 33^2 run keeps at most two accepted states."""
+    grid, params = make_grid(d=2, n=17), default_params()
+    config = StepperConfig(dt=0.02)  # every step's last solve iterates
+
+    def fresh(state, dt=0.02):
+        return Stepper(grid, params, StepperConfig(dt=dt)).step(state)[0]
+
+    stepper = Stepper(grid, params, config)
+    state, _ = stepper.step(bump_state(grid))
+    assert _bit_equal(stepper.with_dt(0.05).step(state)[0],
+                      fresh(state, 0.05))
+    other = bump_state(grid, v_amp=0.3)  # while the returned state lives
+    assert _bit_equal(stepper.step(other)[0], fresh(other))
+    state, _ = stepper.step(state)
+    monkeypatch.setattr(picard, "PICARD_MAX", 1)
+    with pytest.raises(NonConvergenceError):
+        stepper.step(state)
+    monkeypatch.setattr(picard, "PICARD_MAX", PICARD_MAX)
+    assert _bit_equal(stepper.step(state)[0], fresh(state))
+    state, _ = stepper.step(state)
+    heat_matrix = linear_step.heat_matrix
+
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError("the heat sub-problem lost parabolicity")
+
+    monkeypatch.setattr(linear_step, "heat_matrix", degenerate)
+    with pytest.raises(DegeneracyError):
+        stepper.step(state)
+    monkeypatch.setattr(linear_step, "heat_matrix", heat_matrix)
+    assert _bit_equal(stepper.step(state)[0], fresh(state))
+
+    initial = bump_state(grid)
+    whole = DiagnosticsCollector(params, initial_state=initial)
+    traj = run(initial, params, config, 0.1, observers=[whole])
+    save_checkpoint(traj.states[2], str(tmp_path / "step2.ckpt"))
+    resumed, _ = load_checkpoint(str(tmp_path / "step2.ckpt"))
+    collector = DiagnosticsCollector(params, initial_state=resumed)
+    rest = run(resumed, params, config, 0.1, observers=[collector])
+    assert len(rest.states) == 4
+    for a, b in zip(rest.states[1:], traj.states[3:]):
+        assert _bit_equal(a, b) and a.t == b.t
+    assert collector.records[1:] == whole.records[3:]
+
+    watch = AcceptedStates(monkeypatch)
+    initial = bump_state(make_grid(d=2, n=33))
+    collector = DiagnosticsCollector(params, initial_state=initial)
+    for event in steps(initial, params, StepperConfig(dt=0.02), 0.1):
+        collector(event)
+    assert len(watch.refs) == 5 and watch.most_alive[(33, 33)] <= 2
 
 
 def test_picard_nonconvergence_carries_trace():
