@@ -12,16 +12,18 @@ Everything with a discrete realization is checked here:
 * mixed space-time norms used as regularity monitors.
 
 All residuals are relative with a +1 absolute floor, so resting states do
-not divide by zero.  Functions here operate on immutable snapshots and
-reduce in a fixed order.  They take the corner strains of a state's u from
-the state when it holds them (``picard.SimState.strain``), and the
-balances of a step, so its record, leave those of the new state on it,
-for the next step from it to consume; they change nothing else.
+not divide by zero.  A step's balances are columns of its
+``DiagnosticsRecord`` (``record_for_step``), the one per-step result.
+Functions here operate on immutable snapshots and reduce in a fixed order.
+They take the corner strains of a state's u from the state when it holds
+them (``picard.SimState.strain``), and a record leaves those of its state
+on it, for the next step from it to consume; they change nothing else.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import zip_longest
 from typing import NamedTuple
@@ -129,88 +131,6 @@ def total_energy(state, params):
 
 
 # ---------------------------------------------------------------------------
-# per-step balances
-# ---------------------------------------------------------------------------
-
-def _midpoint_theta(state_old, state_new):
-    return ScalarField(
-        state_old.grid, 0.5 * (state_old.theta.data + state_new.theta.data)
-    )
-
-
-class StepBalances(NamedTuple):
-    """Every balance of one step (see :func:`step_balances`)."""
-
-    new: StateIntegrals
-    sigma: ScalarField  # entropy production density at the midpoint
-    energy_residual: float  # of E_new - E_old - dt * integral(b . u_t_new + g)
-    production: float  # dt * integral(sigma)
-    entropy_residual: float  # of S_new - S_old - production - dt * int(g/theta)
-    # the same defect per unit time: that of integral(eta_t + div(q/theta)
-    # - g/theta - sigma), whose flux term integrates to zero; the inequality
-    # form holds within it because sigma >= 0 is kept explicit
-    clausius_duhem_defect: float
-    strain_rate_dissipation: float  # the record's column
-
-
-def step_balances(state_old, state_new, b, g, dt, params, old=None):
-    """Every balance of one step, from the corner strains of each state.
-
-    ``b`` and ``g`` are the step's sources at the new time (None when
-    absent).  ``old`` is the :class:`StateIntegrals` of ``state_old`` when
-    the caller holds them, computed here when None.  The strain rate is
-    eps(v_new), which equals (eps_new - eps_old)/dt by the displacement
-    update rule: the step's exact mean strain rate.  Entropy production
-    and the g/theta source use the midpoint-in-time temperature.
-    Residuals are relative with a +1 floor.  It leaves the corner strains
-    of u_new on ``state_new``, formed once those of v_new are freed unless
-    the state holds them.
-    """
-    grid = state_old.grid
-    theta_mid = _midpoint_theta(state_old, state_new)
-    if np.min(theta_mid.data) <= 0.0 or np.min(state_old.theta.data) <= 0.0:
-        raise DomainError("the step's balances require positive temperature")
-    if old is None:
-        old = state_integrals(state_old, params)
-    rate = corner_strains(state_new.v)
-    theta = theta_mid.data
-    sigma = ScalarField(grid, (
-        params.k * squared_gradient(theta_mid).data / theta**2
-        + strain_density(rate, params.lambda1, params.mu1, grid.d) / theta
-    ))
-    dissipation = _strain_rate_dissipation(state_new, rate)
-    del rate  # not alive beside the strains of u_new
-    _hold_strain(state_new)
-    new = state_integrals(state_new, params)
-    sigma_integral = integrate(sigma)
-    work = 0.0
-    source_integral = 0.0
-    if b is not None:
-        work += integrate(
-            ScalarField(grid, np.sum(b.data * state_new.v.data, axis=-1))
-        )
-    if g is not None:
-        work += integrate(g)
-        source_integral = integrate(ScalarField(grid, g.data / theta))
-    # The entropy flux div(q/theta) integrates to zero: the insulated walls
-    # annihilate it, and so does the discrete weak form, whose test
-    # function 1 has no corner gradient.  So the defect holds no flux term.
-    energy_defect = new.energy - old.energy - dt * work
-    production = dt * sigma_integral
-    entropy_defect = abs(
-        new.entropy - old.entropy - production - dt * source_integral)
-    return StepBalances(
-        new=new,
-        sigma=sigma,
-        energy_residual=abs(energy_defect) / (1.0 + abs(new.energy)),
-        production=production,
-        entropy_residual=entropy_defect / (1.0 + abs(new.entropy)),
-        clausius_duhem_defect=entropy_defect / dt,
-        strain_rate_dissipation=dissipation,
-    )
-
-
-# ---------------------------------------------------------------------------
 # per-step records
 # ---------------------------------------------------------------------------
 
@@ -250,16 +170,66 @@ def _record(state, params, integrals, **step_fields):
     )
 
 
-def record_for_step(state_old, state_new, trace, b, g, dt, params, old=None):
-    """The CSV row of one step; ``old`` as for :func:`step_balances`."""
-    step = step_balances(state_old, state_new, b, g, dt, params, old)
+def record_for_step(state_old, state_new, trace, b, g, dt, params, old):
+    """The CSV row of one step, from the corner strains of each state.
+
+    ``old`` is the :class:`StateIntegrals` of ``state_old``; ``b`` and ``g``
+    are the step's sources at the new time (None when absent).  The strain
+    rate is eps(v_new) = (eps_new - eps_old)/dt by the displacement update
+    rule, the step's exact mean strain rate; sigma, the entropy production
+    density, and the g/theta source take the midpoint-in-time temperature.
+    It leaves the corner strains of u_new on ``state_new``, formed once
+    those of v_new are freed unless the state holds them.  The balances:
+
+    * ``energy_residual``: |E_new - E_old - dt * integral(b . u_t_new + g)|
+      over 1 + |E_new|;
+    * ``entropy_production``: dt * integral(sigma) over dt;
+    * ``entropy_residual``: the entropy defect |S_new - S_old -
+      dt * integral(sigma) - dt * integral(g/theta)| over 1 + |S_new|;
+    * ``clausius_duhem_defect``: that defect over dt, that of
+      integral(eta_t + div(q/theta) - g/theta - sigma), whose flux term
+      integrates to zero; the inequality form holds within it because
+      sigma >= 0 is kept explicit.
+    """
+    grid = state_old.grid
+    theta_mid = ScalarField(
+        grid, 0.5 * (state_old.theta.data + state_new.theta.data))
+    if np.min(theta_mid.data) <= 0.0 or np.min(state_old.theta.data) <= 0.0:
+        raise DomainError("the step's balances require positive temperature")
+    rate = corner_strains(state_new.v)
+    theta = theta_mid.data
+    sigma = ScalarField(grid, (
+        params.k * squared_gradient(theta_mid).data / theta**2
+        + strain_density(rate, params.lambda1, params.mu1, grid.d) / theta
+    ))
+    dissipation = _strain_rate_dissipation(state_new, rate)
+    del rate  # not alive beside the strains of u_new
+    _hold_strain(state_new)
+    new = state_integrals(state_new, params)
+    sigma_integral = integrate(sigma)
+    work = 0.0
+    source_integral = 0.0
+    if b is not None:
+        work += integrate(
+            ScalarField(grid, np.sum(b.data * state_new.v.data, axis=-1))
+        )
+    if g is not None:
+        work += integrate(g)
+        source_integral = integrate(ScalarField(grid, g.data / theta))
+    # The entropy flux div(q/theta) integrates to zero: the insulated walls
+    # annihilate it, and so does the discrete weak form, whose test
+    # function 1 has no corner gradient.  So the defect holds no flux term.
+    energy_defect = new.energy - old.energy - dt * work
+    production = dt * sigma_integral
+    entropy_defect = abs(
+        new.entropy - old.entropy - production - dt * source_integral)
     return _record(
-        state_new, params, step.new,
-        strain_rate_dissipation=step.strain_rate_dissipation,
-        entropy_production=step.production / dt,
-        energy_residual=step.energy_residual,
-        entropy_residual=step.entropy_residual,
-        clausius_duhem_defect=step.clausius_duhem_defect,
+        state_new, params, new,
+        strain_rate_dissipation=dissipation,
+        entropy_production=production / dt,
+        energy_residual=abs(energy_defect) / (1.0 + abs(new.energy)),
+        entropy_residual=entropy_defect / (1.0 + abs(new.entropy)),
+        clausius_duhem_defect=entropy_defect / dt,
         picard_iterations=trace.iterations,
     )
 
@@ -286,14 +256,21 @@ class DiagnosticsCollector:
     Each event must start from the state of the previous record (the
     ``initial_state``, then each event's ``state_new``), as the events of
     ``picard.steps`` do: that record holds the integrals of the step's old
-    state, so they are not computed again.
+    state, so they are not computed again.  An event that starts from any
+    other state is a ``UsageError``.  The collector holds that state by a
+    weak reference only, so it keeps no state alive.
     """
 
     def __init__(self, params, initial_state):
         self.params = params
         self.records = [initial_record(initial_state, params)]
+        self._last = weakref.ref(initial_state)
 
     def __call__(self, event):
+        if event.state_old is not self._last():
+            raise UsageError(
+                "a step event must start from the state of the collector's "
+                "last record")
         last = self.records[-1]
         old = StateIntegrals(last.kinetic_energy, last.elastic_energy,
                              last.thermal_energy, last.entropy)
@@ -301,6 +278,7 @@ class DiagnosticsCollector:
             event.state_old, event.state_new, event.trace,
             event.b, event.g, event.dt, self.params, old,
         ))
+        self._last = weakref.ref(event.state_new)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +342,13 @@ def theta_lower_bound_check(trajectory, params):
     state's time, where the run evaluated it.  Returns (passed, margins)
     where margins[k] is min theta(t_k) minus the bound.
     """
+    if not trajectory.states:
+        raise UsageError("the trajectory holds no state, not even its "
+                         "initial one")
     g = trajectory.sources.g
     if g is not None:
-        g_min = min(float(np.min(g(s.t).data)) for s in trajectory.states[1:])
+        g_min = min((float(np.min(g(s.t).data))
+                     for s in trajectory.states[1:]), default=0.0)
         if g_min < 0.0:
             raise UsageError(
                 "the temperature lower bound assumes g >= 0 throughout; "

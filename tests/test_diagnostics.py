@@ -1,6 +1,7 @@
 """Energy/entropy/availability monitors, norms, and the Gronwall comparison."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from kvsim import (
     SimState,
     Sources,
     StepperConfig,
+    Trajectory,
     UsageError,
     integrate,
     run,
+    steps,
 )
 from kvsim.cli_io import perturb_state
 from kvsim.diagnostics import (
@@ -25,14 +28,20 @@ from kvsim.diagnostics import (
     gronwall_rate_constant,
     initial_record,
     mixed_norm,
+    record_for_step,
     state_integrals,
-    step_balances,
     theta_lower_bound_check,
     total_energy,
     v2_norm,
 )
 from kvsim import diagnostics, grid as grid_module
-from kvsim.grid import lp_norm, neumann_matrix
+from kvsim.grid import (
+    lp_norm,
+    neumann_matrix,
+    squared_gradient,
+    strain_density,
+)
+from kvsim.linear_step import corner_strains
 
 from helpers import CountedMatrix, bump_state, default_params, make_grid
 
@@ -40,6 +49,10 @@ from helpers import CountedMatrix, bump_state, default_params, make_grid
 @pytest.fixture
 def stationary(grid2d):
     return SimState.rest(grid2d, theta0=1.5)
+
+
+# the Picard trace of a step built by hand, for a record of it
+ONE_SWEEP = SimpleNamespace(iterations=1)
 
 
 def small_run(grid, params, dt=0.05, t_end=0.25, state=None, sources=None):
@@ -71,10 +84,11 @@ def test_total_energy_is_exact_sum(grid2d, params):
 
 def test_stationary_residuals_vanish(stationary, params):
     new = SimState(0.05, stationary.u, stationary.v, stationary.theta)
-    step = step_balances(stationary, new, None, None, 0.05, params)
-    assert step.energy_residual <= 1e-15
-    assert step.entropy_residual <= 1e-15 and step.production == 0.0
-    assert step.clausius_duhem_defect <= 1e-13
+    rec = record_for_step(stationary, new, ONE_SWEEP, None, None, 0.05,
+                          params, state_integrals(stationary, params))
+    assert rec.energy_residual <= 1e-15
+    assert rec.entropy_residual <= 1e-15 and rec.entropy_production == 0.0
+    assert rec.clausius_duhem_defect <= 1e-13
 
 
 def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
@@ -83,9 +97,10 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     u_new.  The step's load takes eps(u_old) from the previous record,
     which leaves it on its state, and the collector takes u_old's
     integrals from that record; the initial record applies the map to u
-    and v.  A record of states that hold no strains applies it to u_old,
-    u_new and v_new, and leaves u_new's; a record of a state that holds
-    them applies it to v alone.  None calls np.gradient."""
+    and v.  A record given u_old's integrals, of a new state that holds
+    no strains, applies it to v_new and u_new, and leaves u_new's; a
+    record of a state that holds them applies it to v alone.  None calls
+    np.gradient."""
     counts = {}
     monkeypatch.setitem(grid2d._cache, "strain", CountedMatrix(
         grid_module.strain_matrix(grid2d), counts, "strain"))
@@ -109,10 +124,11 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     assert counts["strain"] == 2 + sum(t.iterations + 2 for t in traj.traces)
     assert traj.states[-1].strain is not None
     assert all(s.strain is None for s in traj.states[:-1])
+    old = state_integrals(traj.states[0], params)
     counts.clear()
-    diagnostics.record_for_step(traj.states[0], traj.states[1], traj.traces[0],
-                                None, None, 0.05, params)
-    assert counts == {"strain": 3}
+    record_for_step(traj.states[0], traj.states[1], traj.traces[0],
+                    None, None, 0.05, params, old)
+    assert counts == {"strain": 2}
     counts.clear()
     # the strains of u_1, which the record above left on its state
     diagnostics.initial_record(traj.states[1], params)
@@ -120,22 +136,47 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     assert not calls
 
 
+def _midpoint_sigma(old, new, params):
+    """The midpoint temperature of a step and its entropy production
+    density k |grad theta|^2/theta^2 + eps(v_new):A1 eps(v_new)/theta."""
+    grid = old.grid
+    theta_mid = ScalarField(grid, 0.5 * (old.theta.data + new.theta.data))
+    theta = theta_mid.data
+    return theta, ScalarField(grid, (
+        params.k * squared_gradient(theta_mid).data / theta**2
+        + strain_density(corner_strains(new.v), params.lambda1, params.mu1,
+                         grid.d) / theta
+    ))
+
+
 def test_record_fields_equal_public_functions(grid2d, params):
-    """Each record field equals the direct computation, bit for bit."""
+    """Each record field equals the direct computation from the states'
+    integrals, the sources and sigma, bit for bit."""
+    dt = 0.05
     sources = Sources.constant(grid2d, b_value=(0.1, -0.05), g_value=0.3)
-    traj, records = small_run(grid2d, params, dt=0.05, t_end=0.2,
+    traj, records = small_run(grid2d, params, dt=dt, t_end=0.2,
                               sources=sources)
     for old, new, rec in zip(traj.states, traj.states[1:], records[1:]):
         b, g = sources.b(new.t), sources.g(new.t)
-        step = step_balances(old, new, b, g, 0.05, params)
-        assert rec.energy_residual == step.energy_residual
-        assert rec.entropy_residual == step.entropy_residual
-        assert rec.entropy_production == step.production / 0.05
-        assert rec.clausius_duhem_defect == step.clausius_duhem_defect
-        integrals = state_integrals(new, params)
-        assert integrals == step.new
-        assert rec.entropy == integrals.entropy
-        assert rec.availability == integrals.availability(params.beta)
+        theta, sigma = _midpoint_sigma(old, new, params)
+        before, after = state_integrals(old, params), state_integrals(new, params)
+        work = (integrate(ScalarField(grid2d, np.sum(b.data * new.v.data,
+                                                     axis=-1)))
+                + integrate(g))
+        production = dt * integrate(sigma)
+        entropy_defect = abs(
+            after.entropy - before.entropy - production
+            - dt * integrate(ScalarField(grid2d, g.data / theta)))
+        assert rec.energy_residual == (
+            abs(after.energy - before.energy - dt * work)
+            / (1.0 + abs(after.energy)))
+        assert rec.entropy_residual == (
+            entropy_defect / (1.0 + abs(after.entropy)))
+        assert rec.entropy_production == production / dt
+        assert rec.clausius_duhem_defect == entropy_defect / dt
+        assert (rec.kinetic_energy, rec.elastic_energy, rec.thermal_energy,
+                rec.entropy) == after
+        assert rec.availability == after.availability(params.beta)
         assert rec.total_energy == total_energy(new, params)
 
 
@@ -144,7 +185,28 @@ def test_entropy_balance_requires_positive_theta(grid2d, params):
     bad = state.copy()
     bad.theta.data[:] = -1.0
     with pytest.raises(DomainError):
-        step_balances(state, bad, None, None, 0.05, params)
+        record_for_step(state, bad, ONE_SWEEP, None, None, 0.05, params,
+                        state_integrals(state, params))
+
+
+def test_collector_refuses_an_event_out_of_sequence(grid2d, params):
+    """An event must start from the state of the collector's last record:
+    one from another initial state, a skipped event and a repeated one are
+    refused, and write no record."""
+    rest = DiagnosticsCollector(params, initial_state=SimState.rest(grid2d))
+    state = bump_state(grid2d)
+    collector = DiagnosticsCollector(params, initial_state=state)
+    events = steps(state, params, StepperConfig(dt=0.05), 0.15)
+    first = next(events)
+    with pytest.raises(UsageError, match="last record"):
+        rest(first)
+    collector(first)
+    with pytest.raises(UsageError, match="last record"):
+        collector(first)
+    next(events)
+    with pytest.raises(UsageError, match="last record"):
+        collector(next(events))
+    assert len(rest.records) == 1 and len(collector.records) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +330,21 @@ def test_theta_lower_bound_reads_the_source_at_every_accepted_time(grid2d,
     assert float(np.min(g(traj.states[1].t).data)) >= 0.0
     with pytest.raises(UsageError, match=r"min\(g\) = -0\.01$"):
         theta_lower_bound_check(traj, params)
+
+
+def test_theta_lower_bound_of_a_trajectory_without_steps(grid2d, params):
+    """A trajectory holding only its initial state, with a heat source,
+    has no accepted state to check: it passes with the initial margin 0.
+    One holding no state at all is a usage error."""
+    sources = Sources.constant(grid2d, g_value=0.1)
+    config = StepperConfig(dt=0.1)
+    alone = Trajectory(grid=grid2d, config=config,
+                       states=[SimState.rest(grid2d)], sources=sources)
+    passed, margins = theta_lower_bound_check(alone, params)
+    assert passed and margins.tolist() == [0.0]
+    empty = Trajectory(grid=grid2d, config=config, sources=sources)
+    with pytest.raises(UsageError, match="holds no state"):
+        theta_lower_bound_check(empty, params)
 
 
 def _fabricated_trajectory(grid, states):
@@ -548,6 +625,5 @@ def test_record_for_step_production_matches_sigma(grid2d, params):
     state = bump_state(grid2d)
     traj, records = small_run(grid2d, params, dt=0.05, t_end=0.1, state=state)
     got = records[1].entropy_production
-    step = step_balances(traj.states[0], traj.states[1], None, None, 0.05, params)
-    want = integrate(step.sigma)
-    assert got == pytest.approx(want, rel=1e-12)
+    _, sigma = _midpoint_sigma(traj.states[0], traj.states[1], params)
+    assert got == pytest.approx(integrate(sigma), rel=1e-12)

@@ -1,5 +1,7 @@
 """Time loop and successive-approximation iteration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -160,13 +162,27 @@ def test_converged_step_is_insensitive_to_extra_sweeps(grid2d, params):
 # the elastic split and the sweep order on the shipped scenarios
 # ---------------------------------------------------------------------------
 
+# large data: bump2d on 17^2 at these velocity amplitudes, to t 0.2
+LARGE_DATA = {f"large{amplitude}": amplitude for amplitude in (5, 10, 20, 40)}
+
+
+def _large_data_config(amplitude):
+    cfg = load_config(builtin_scenario("bump2d"))
+    return replace(
+        cfg, grid=Grid((17, 17), (1.0, 1.0)), t_end=0.2,
+        initial=replace(cfg.initial, velocity_amplitude=amplitude))
+
+
 @pytest.fixture(scope="module")
 def shipped_runs():
-    """Each shipped bump scenario's and ``heated2d``'s config, trajectory
-    and diagnostics records, run once."""
+    """Each shipped bump scenario's, ``heated2d``'s and each large-data
+    run's config, trajectory and diagnostics records, run once."""
+    configs = {name: load_config(builtin_scenario(name))
+               for name in ("bump2d", "bump3d", "heated2d")}
+    configs.update((name, _large_data_config(amplitude))
+                   for name, amplitude in LARGE_DATA.items())
     runs = {}
-    for name in ("bump2d", "bump3d", "heated2d"):
-        cfg = load_config(builtin_scenario(name))
+    for name, cfg in configs.items():
         state = build_initial_state(cfg)
         collector = DiagnosticsCollector(cfg.params, initial_state=state)
         traj = run(state, cfg.params, cfg.stepper, cfg.t_end,
@@ -981,7 +997,7 @@ def _backward_euler_dissipation(grid, params, old, new):
                   + params.cv * np.sum(grid.quad_weights * d_theta**2))
 
 
-@pytest.mark.parametrize("name", ["bump2d", "bump3d", "heated2d"])
+@pytest.mark.parametrize("name", ["bump2d", "bump3d", "heated2d", *LARGE_DATA])
 def test_accepted_steps_balance_the_discrete_energy(shipped_runs, name):
     """E_new - E_old - dt * work + ND = 0 at every step, with ND backward
     Euler's dissipation, within PICARD_TOL * (1 + |E_new|); and the
@@ -994,7 +1010,8 @@ def test_accepted_steps_balance_the_discrete_energy(shipped_runs, name):
     accepted one by at most that; the defect is that miss times the step's
     change of theta, weighted by cv, and the CG residuals (1e-12 relative)
     add less.  Both stay far below PICARD_TOL times the energy scale
-    (measured: at most 6.4e-13 relative on these runs)."""
+    (measured: at most 6.4e-13 relative on the shipped runs, 6.2e-13 on
+    the large-data ones, whose ND fraction peaks at 0.30-0.71)."""
     cfg, traj, records = shipped_runs[name]
     grid, params = traj.grid, cfg.params
     sources = build_sources(cfg)
@@ -1012,6 +1029,17 @@ def test_accepted_steps_balance_the_discrete_energy(shipped_runs, name):
         scale = 1.0 + abs(energy)
         assert abs(change - dt * work + dissipation) <= PICARD_TOL * scale
         assert abs(record.energy_residual - dissipation / scale) <= PICARD_TOL
+
+
+@pytest.mark.parametrize("name", LARGE_DATA)
+def test_large_data_passes_the_trajectory_checks(shipped_runs, name):
+    """At large data the availability decays and the temperature stays
+    above its exponential lower bound, and no sweep takes the frozen
+    fallback of the heat system."""
+    cfg, traj, _ = shipped_runs[name]
+    assert availability_decay_check(traj, cfg.params)[0]
+    assert theta_lower_bound_check(traj, cfg.params)[0]
+    assert all(trace.frozen_sweeps == 0 for trace in traj.traces)
 
 
 def test_run_on_anisotropic_grid(params):
