@@ -328,7 +328,7 @@ def load_config(path):
         try:
             stepper = StepperConfig(dt=keys["dt"])
         except UsageError as exc:
-            violations += [f"stepper: {v}" for v in str(exc).split("; ")]
+            violations.append(f"stepper: {exc}")
     if t_end is not None and t_end <= 0.0:
         violations.append(f"stepper.t_end: t_end = {t_end} must be positive")
 

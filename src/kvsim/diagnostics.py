@@ -299,6 +299,9 @@ def availability_decay_check(trajectory, params):
             "availability decay is only guaranteed for source-free runs "
             "(b = 0, g = 0); this trajectory has a b or g source"
         )
+    if not trajectory.states:
+        raise UsageError("the trajectory holds no state, not even its "
+                         "initial one")
     integrals = [state_integrals(s, params) for s in trajectory.states]
     series = np.array([i.availability(params.beta) for i in integrals])
     worst = 0.0
@@ -492,6 +495,8 @@ def gronwall_compare(run1, run2, params):
         bound.append(x[0] * math.exp(acc))
         times.append(s1.t)
         previous = s1, s2, eps1
+    if previous is None:
+        raise UsageError("runs hold no state to compare")
     x, bound = np.array(x), np.array(bound)
     slack = 1e-12 * (1.0 + scale)
     violation = bool(np.any(x > bound + slack))

@@ -521,13 +521,13 @@ def solve_spd(op, rhs, x0=None, reduction=0.0, product=None):
     best_true = np.inf
     stalled = 0
     iterations = 0
-    while iterations < SOLVE_MAX:
-        if res <= target:
-            # r is the true residual until the first iteration moves x
-            if not iterations:
-                if ax is not r:
-                    _hand_back(product, x, ax)
-                return x, LinearSolveReport(0, res / rhs_norm, True)
+    while True:
+        # r is the true residual until the first iteration moves x
+        if not iterations and res <= target:
+            if ax is not r:
+                _hand_back(product, x, ax)
+            return x, LinearSolveReport(0, res / rhs_norm, True)
+        if res <= target or iterations == SOLVE_MAX:
             # guard against recurrence drift: re-check with the true residual
             ax = a @ x
             r_true = rhs - ax
@@ -535,6 +535,14 @@ def solve_spd(op, rhs, x0=None, reduction=0.0, product=None):
             if res_true <= target:
                 _hand_back(product, x, ax)
                 return x, LinearSolveReport(iterations, res_true / rhs_norm, True)
+            if iterations == SOLVE_MAX:
+                raise NonConvergenceError(
+                    f"conjugate gradients did not reach relative residual "
+                    f"{target / rhs_norm:.3e} within {iterations} iterations "
+                    f"(relative residual {res_true / rhs_norm:.3e})",
+                    report=LinearSolveReport(
+                        iterations, res_true / rhs_norm, False),
+                )
             if res_true < best_true:
                 best_true, stalled = res_true, 0
             else:
@@ -582,19 +590,6 @@ def solve_spd(op, rhs, x0=None, reduction=0.0, product=None):
         r -= alpha * ap
         res = _norm(r)
         iterations += 1
-    ax = a @ x
-    res_true = _norm(rhs - ax)
-    report = LinearSolveReport(
-        iterations, res_true / rhs_norm, res_true <= target)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"conjugate gradients did not reach relative residual "
-            f"{target / rhs_norm:.3e} within {iterations} iterations "
-            f"(relative residual {report.relative_residual:.3e})",
-            report=report,
-        )
-    _hand_back(product, x, ax)
-    return x, report
 
 
 def _hand_back(product, x, ax):

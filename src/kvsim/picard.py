@@ -49,7 +49,7 @@ round-off floor), mirroring the contraction that makes the scheme converge
 for small dt.  A step fails once Y has risen in ``PICARD_RISES``
 consecutive sweeps, or when it has not contracted after ``PICARD_MAX``
 sweeps.  The iteration aborts rather than accept a temperature below the
-step's floor.
+stepper's floor (see :class:`Stepper`).
 
 Each sweep replaces the iterate it started from, so its two solves need
 only beat the contraction: until a sweep meets the threshold, every solve
@@ -67,7 +67,7 @@ from __future__ import annotations
 import copy
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,7 +75,6 @@ import numpy as np
 from . import linear_step
 from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageError
 from .grid import (
-    Grid,
     ScalarField,
     VectorField,
     boundary_max_abs,
@@ -143,33 +142,23 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """The time step, and the temperature floor of every step.
-
-    ``run`` sets ``theta_floor`` to half the initial minimum of the run; a
-    bare :meth:`Stepper.step` with ``theta_floor = None`` uses half the
-    step's own initial minimum.  The solver tolerances are module constants
-    (``PICARD_TOL``, ``PICARD_MAX``, ``PICARD_RISES``, ``SWEEP_REDUCTION``,
-    ``linear_step.SOLVE_TOL`` and ``linear_step.SOLVE_MAX``).
-    """
+    """The time step.  The temperature floor is the :class:`Stepper`'s, and
+    the solver's tolerances and caps are module constants (``PICARD_*``,
+    ``SWEEP_REDUCTION`` and ``linear_step.SOLVE_TOL``/``SOLVE_MAX``)."""
 
     dt: float
-    theta_floor: Optional[float] = None
 
     def __post_init__(self):
-        problems = []
         if not self.dt > 0.0:
-            problems.append(f"dt = {self.dt} must be positive")
-        if self.theta_floor is not None and not self.theta_floor > 0.0:
-            problems.append(f"theta_floor = {self.theta_floor} must be positive")
-        if problems:
-            raise UsageError("; ".join(problems))
+            raise UsageError(f"dt = {self.dt} must be positive")
 
 
 @dataclass
 class PicardTrace:
     """Contraction diagnostics of one step's successive approximations.
 
-    ``ys`` holds the iterate difference norms that drive the stopping rule.
+    ``ys`` holds the iterate difference norms that drive the stopping rule,
+    one per sweep, so ``iterations``, the number of sweeps, is ``len(ys)``.
     ``velocity_solves`` and ``heat_solves`` hold each sweep's
     :class:`~kvsim.linear_step.LinearSolveReport`: CG iterations and final
     relative residual of the two sub-problems.  ``frozen_sweeps`` counts
@@ -181,9 +170,12 @@ class PicardTrace:
     velocity_solves: list
     heat_solves: list
     converged: bool
-    iterations: int
     threshold: float
     frozen_sweeps: int
+
+    @property
+    def iterations(self):
+        return len(self.ys)
 
     def ratios(self):
         """Contraction ratios Y_{n+1} / Y_n (skipping zero denominators)."""
@@ -205,7 +197,9 @@ class Stepper:
     the start product of the next velocity solve: a stepper holds it (a
     ``linear_step.Product`` of its own) from sweep to sweep, and into its
     next step when that step starts from the state it last returned, of
-    which it keeps only a weak reference.
+    which it keeps only a weak reference.  No step accepts a temperature
+    below the stepper's floor: half the minimum temperature of the state
+    its first step starts from, which :meth:`with_dt` copies keep once set.
     """
 
     def __init__(self, grid, params, config):
@@ -213,6 +207,7 @@ class Stepper:
         self.params = params
         self.strain = strain_matrix(grid)
         self.stiffness = linear_step.heat_stiffness(grid, params.k)
+        self._floor = None  # set by the first step
         self._set_dt(config)
 
     def _set_dt(self, config):
@@ -230,7 +225,7 @@ class Stepper:
         shares everything that does not depend on dt; only the velocity
         matrix and its preconditioner are built."""
         other = copy.copy(self)
-        other._set_dt(replace(self.config, dt=dt))
+        other._set_dt(StepperConfig(dt))
         return other
 
     def sweep(self, state, x_v, theta, load, g, reduction=0.0):
@@ -273,9 +268,9 @@ class Stepper:
         grid, dt = self.grid, self.config.dt
         returned = self._returned and self._returned()
         theta_min = float(np.min(state.theta.data))
-        floor = self.config.theta_floor
-        if floor is None:
-            floor = 0.5 * theta_min
+        if self._floor is None:
+            self._floor = 0.5 * theta_min
+        floor = self._floor
         if theta_min < floor:
             raise DegeneracyError(
                 f"initial temperature of the step is below the floor "
@@ -330,7 +325,7 @@ class Stepper:
             failure = (f"Y stayed above {threshold:.3e} for {PICARD_MAX} "
                        f"sweeps (last Y = {ys[-1]:.3e})")
         trace = PicardTrace(ys, velocity_solves, heat_solves, failure is None,
-                            sweep_count, threshold, frozen_sweeps)
+                            threshold, frozen_sweeps)
         if failure is not None:
             raise NonConvergenceError(
                 f"successive approximations did not contract: {failure}",
@@ -393,8 +388,6 @@ class Trajectory:
     """All accepted states of a run, their Picard traces, and the sources
     the run evaluated at each accepted state's time."""
 
-    grid: Grid
-    config: StepperConfig
     states: list = field(default_factory=list)
     traces: list = field(default_factory=list)
     sources: Sources = field(default_factory=Sources)
@@ -405,15 +398,6 @@ class Trajectory:
     @property
     def source_free(self):
         return self.sources.b is None and self.sources.g is None
-
-
-def _run_config(initial, config):
-    """``config`` with the run's temperature floor: its own, or half the
-    initial minimum."""
-    floor = config.theta_floor
-    if floor is None:
-        floor = 0.5 * float(np.min(initial.theta.data))
-    return replace(config, theta_floor=floor)
 
 
 def steps(initial, params, config, t_end, sources=None):
@@ -429,7 +413,8 @@ def steps(initial, params, config, t_end, sources=None):
     The generator keeps only the state it steps from and the one it
     yields, so a consumer that keeps no events runs in memory that does
     not grow with the number of steps.  It validates its arguments at
-    the first ``next()`` and fails fast on any step error.
+    the first ``next()`` and fails fast on any step error.  No step
+    accepts a temperature below half the initial minimum.
     """
     initial.validate()
     if not t_end > initial.t:
@@ -437,7 +422,7 @@ def steps(initial, params, config, t_end, sources=None):
     if sources is None:
         sources = Sources()
     n_steps = max(1, math.ceil((t_end - initial.t) / config.dt - 1e-9))
-    stepper = Stepper(initial.grid, params, _run_config(initial, config))
+    stepper = Stepper(initial.grid, params, config)
     k0 = round(initial.t / config.dt)
     origin, k0 = (0.0, k0) if k0 * config.dt == initial.t else (initial.t, 0)
     state = initial
@@ -460,9 +445,9 @@ def steps(initial, params, config, t_end, sources=None):
 
 def run(initial, params, config, t_end, sources=None, observers=()):
     """Collect :func:`steps` into a :class:`Trajectory`: all states,
-    including the initial one, their traces, the sources and the config
-    with the run's ``theta_floor``.  Observers are invoked with each
-    :class:`StepEvent` as its step is accepted.
+    including the initial one, their traces and the sources; no step
+    accepts a temperature below half the initial minimum.  Observers are
+    invoked with each :class:`StepEvent` as its step is accepted.
     """
     if sources is None:
         sources = Sources()
@@ -472,5 +457,4 @@ def run(initial, params, config, t_end, sources=None, observers=()):
         traces.append(event.trace)
         for observer in observers:
             observer(event)
-    return Trajectory(grid=initial.grid, config=_run_config(initial, config),
-                      states=states, traces=traces, sources=sources)
+    return Trajectory(states=states, traces=traces, sources=sources)

@@ -82,7 +82,6 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
 def test_minimal_config_gets_documented_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, MINIMAL))
     assert cfg.grid.n == (9, 9)
-    assert cfg.stepper.theta_floor is None
     assert cfg.params.beta == 1.0
     assert cfg.initial.preset == "uniform"
     assert cfg.initial.theta0 == 1.0

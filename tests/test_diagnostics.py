@@ -333,25 +333,28 @@ def test_theta_lower_bound_reads_the_source_at_every_accepted_time(grid2d,
 
 
 def test_theta_lower_bound_of_a_trajectory_without_steps(grid2d, params):
-    """A trajectory holding only its initial state, with a heat source,
-    has no accepted state to check: it passes with the initial margin 0.
-    One holding no state at all is a usage error."""
-    sources = Sources.constant(grid2d, g_value=0.1)
-    config = StepperConfig(dt=0.1)
-    alone = Trajectory(grid=grid2d, config=config,
-                       states=[SimState.rest(grid2d)], sources=sources)
-    passed, margins = theta_lower_bound_check(alone, params)
-    assert passed and margins.tolist() == [0.0]
-    empty = Trajectory(grid=grid2d, config=config, sources=sources)
-    with pytest.raises(UsageError, match="holds no state"):
-        theta_lower_bound_check(empty, params)
+    """A trajectory holding only its initial state, with a heat source or
+    none, has no accepted state to check: it passes with the initial
+    margin 0, and, source-free, the availability check with its one
+    value.  One holding no state at all is a usage error to both."""
+    for sources in (Sources.constant(grid2d, g_value=0.1), Sources()):
+        alone = Trajectory(states=[SimState.rest(grid2d)], sources=sources)
+        passed, margins = theta_lower_bound_check(alone, params)
+        assert passed and margins.tolist() == [0.0]
+        empty = Trajectory(sources=sources)
+        checks = [theta_lower_bound_check]
+        if sources.g is None:
+            passed, worst, series = availability_decay_check(alone, params)
+            assert passed and worst == 0.0 and len(series) == 1
+            checks.append(availability_decay_check)
+        for check in checks:
+            with pytest.raises(UsageError, match="holds no state"):
+                check(empty, params)
 
 
-def _fabricated_trajectory(grid, states):
+def _fabricated_trajectory(states):
     """Source-free trajectory wrapper around hand-built states."""
-    from kvsim import StepperConfig, Trajectory
-    return Trajectory(grid=grid, config=StepperConfig(dt=0.1), states=states,
-                      traces=[None] * (len(states) - 1))
+    return Trajectory(states=states, traces=[None] * (len(states) - 1))
 
 
 def test_theta_lower_bound_nontrivial_dip():
@@ -385,7 +388,7 @@ def test_theta_lower_bound_detects_violation(grid2d, params):
                 t=t)
         for t in (0.0, 1.0, 2.0)
     ]
-    traj = _fabricated_trajectory(grid2d, states)
+    traj = _fabricated_trajectory(states)
     passed, margins = theta_lower_bound_check(traj, params)
     assert not passed
     assert margins[-1] < 0.0
@@ -404,7 +407,7 @@ def test_availability_check_detects_entropy_decrease(grid2d, params):
     profile *= np.sqrt(target / integrate_theta_sq_field(grid2d, profile))
     shaped.theta.data[:] = profile
     shaped.t = 0.1
-    traj = _fabricated_trajectory(grid2d, [uniform, shaped])
+    traj = _fabricated_trajectory([uniform, shaped])
     passed, worst, _ = availability_decay_check(traj, params)
     assert not passed
     assert worst > 0.0
@@ -604,13 +607,16 @@ def test_gronwall_takes_one_strain_per_state_pair(grid2d, params, monkeypatch):
 
 def test_gronwall_rejects_runs_of_different_lengths(grid2d, params):
     """Runs whose times agree as far as the shorter one goes, but which
-    differ in length, have different time ladders, in either order."""
+    differ in length, have different time ladders, in either order; two
+    empty runs have nothing to compare."""
     state = bump_state(grid2d)
     short = run(state, params, StepperConfig(dt=0.05), 0.1)
     long = run(state, params, StepperConfig(dt=0.05), 0.15)
     assert [s.t for s in short] == [s.t for s in long][:len(short.states)]
-    for run1, run2 in ((short, long), (long, short)):
-        with pytest.raises(UsageError, match="different time ladders"):
+    for run1, run2, match in ((short, long, "different time ladders"),
+                              (long, short, "different time ladders"),
+                              ([], [], "no state")):
+        with pytest.raises(UsageError, match=match):
             gronwall_compare(run1, run2, params)
 
 

@@ -202,7 +202,7 @@ def test_accepted_steps_solve_the_unsplit_jacobi_systems(shipped_runs):
     heat system linearised at the accepted temperature, both with the
     strains of the per-corner reference."""
     cfg, traj, _ = shipped_runs["bump2d"]
-    grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
+    grid, params, dt = cfg.grid, cfg.params, cfg.stepper.dt
     velocity_op = linear_step.velocity_matrix(
         grid, dt, params.lambda1, params.mu1)
     for old, new in zip(traj.states[:10], traj.states[1:11]):
@@ -313,7 +313,7 @@ def test_inexact_sweeps_match_full_tolerance_sweeps(shipped_runs):
     matches sweeps driven by hand at full tolerance to 1e-10 relative, in
     every state."""
     cfg, traj, _ = shipped_runs["bump2d"]
-    stepper = Stepper(traj.grid, cfg.params, traj.config)
+    stepper = Stepper(cfg.grid, cfg.params, cfg.stepper)
     state = traj.states[0]
     for accepted in traj.states[1:]:
         state = _full_tolerance_step(stepper, state)
@@ -394,7 +394,7 @@ def test_step_takes_no_field_derivative(monkeypatch, shipped_runs):
     stepper's maps: no np.gradient call.  The sweep calls its right-hand
     sides and heat matrix through ``linear_step``, once per sweep."""
     cfg, traj, _ = shipped_runs["bump2d"]
-    stepper = Stepper(traj.grid, cfg.params, traj.config)
+    stepper = Stepper(cfg.grid, cfg.params, cfg.stepper)
     calls = {}
     _counting(monkeypatch, [np], "gradient", calls)
     for name in ("sym_gradient", "tensor_divergence"):
@@ -415,7 +415,7 @@ def test_step_packs_and_unpacks_the_velocity_once(monkeypatch, shipped_runs):
     that packed velocity and packs only ``state.u`` (and b, which bump2d
     has not), once per step."""
     cfg, traj, _ = shipped_runs["bump2d"]
-    stepper = Stepper(traj.grid, cfg.params, traj.config)
+    stepper = Stepper(cfg.grid, cfg.params, cfg.stepper)
     state = traj.states[3]
     calls, packed = {}, []
     _counting(monkeypatch, [linear_step], "pack_interior", calls,
@@ -437,8 +437,8 @@ def test_stepper_rewrites_one_heat_matrix(monkeypatch, shipped_runs):
     to a freshly built ``heat_matrix`` of that sweep's diagonal
     coefficient, Newton's q."""
     cfg, traj, _ = shipped_runs["bump2d"]
-    grid, params, dt = traj.grid, cfg.params, cfg.stepper.dt
-    stepper = Stepper(grid, params, traj.config)
+    grid, params, dt = cfg.grid, cfg.params, cfg.stepper.dt
+    stepper = Stepper(grid, params, cfg.stepper)
     fresh_heat_matrix = linear_step.heat_matrix
     sweeps, newton = [], []
 
@@ -814,6 +814,38 @@ def test_degeneracy_error_when_cooling_below_floor(grid2d, params):
         Stepper(grid2d, params, StepperConfig(dt=0.05)).step(state, g=sink)
 
 
+def test_a_run_keeps_the_floor_of_its_initial_state(params):
+    """A stepper's floor is half the minimum temperature of the state its
+    first step starts from.  So a run's floor is half its initial minimum
+    for every step: a steady heat sink cools a 9² rest state until the
+    step after t = 0.70 drops below 0.5, which a stepper starting there,
+    with half that state's own minimum as its floor, accepts.  A
+    ``with_dt`` copy keeps the floor once a step set it; a copy made
+    before any step sets its own."""
+    grid = make_grid(d=2, n=9)
+    sources = Sources.constant(grid, g_value=-0.5)
+    accepted = [SimState.rest(grid)]
+    with pytest.raises(DegeneracyError, match=r"below the floor 0\.5 \(min"):
+        for event in steps(accepted[0], params, StepperConfig(dt=0.05), 1.0,
+                           sources=sources):
+            accepted.append(event.state_new)
+    last = accepted[-1]
+    assert last.t == pytest.approx(0.70)
+    assert 0.5 < float(np.min(last.theta.data)) < 1.0
+    Stepper(grid, params, StepperConfig(dt=0.05)).step(
+        last, g=sources.g(last.t + 0.05))
+
+    stepper = Stepper(grid, params, StepperConfig(dt=0.05))
+    early = stepper.with_dt(0.02)
+    stepper.step(SimState.rest(grid))
+    late = stepper.with_dt(0.02)
+    cold = SimState.rest(grid, theta0=0.4)
+    for floored in (stepper, late):
+        with pytest.raises(DegeneracyError, match=r"floor 0\.5: min = 0\.4$"):
+            floored.step(cold)
+    early.step(cold)
+
+
 # ---------------------------------------------------------------------------
 # the outer loop
 # ---------------------------------------------------------------------------
@@ -913,8 +945,6 @@ def test_run_is_steps_collected(params):
                 assert np.array_equal(getattr(want, name).data,
                                       getattr(got, name).data)
     assert [e.dt for e in events] == [0.05, 0.05, pytest.approx(0.03)]
-    assert traj.config == StepperConfig(
-        dt=0.05, theta_floor=0.5 * float(np.min(state.theta.data)))
 
 
 def test_steps_validates_at_its_first_next(grid2d, params):
@@ -1013,7 +1043,7 @@ def test_accepted_steps_balance_the_discrete_energy(shipped_runs, name):
     (measured: at most 6.4e-13 relative on the shipped runs, 6.2e-13 on
     the large-data ones, whose ND fraction peaks at 0.30-0.71)."""
     cfg, traj, records = shipped_runs[name]
-    grid, params = traj.grid, cfg.params
+    grid, params = cfg.grid, cfg.params
     sources = build_sources(cfg)
     for old, new, record in zip(traj.states, traj.states[1:], records[1:]):
         dt = new.t - old.t
@@ -1069,5 +1099,3 @@ def test_stepper_config_validation():
         StepperConfig(dt=-1.0)
     with pytest.raises(UsageError):
         StepperConfig(dt=0.0)
-    with pytest.raises(UsageError):
-        StepperConfig(dt=0.1, theta_floor=0.0)
