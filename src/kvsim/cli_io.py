@@ -484,12 +484,15 @@ def _format_value(value):
 
 def write_diagnostics_csv(records, path):
     """Fixed-schema CSV: header = record fields in declared order."""
-    lines = [",".join(CSV_FIELDS)]
-    for rec in records:
-        lines.append(",".join(
-            _format_value(getattr(rec, name)) for name in CSV_FIELDS
-        ))
-    _write_lines(path, lines)
+    _write_csv(path, CSV_FIELDS, (
+        [getattr(rec, name) for name in CSV_FIELDS] for rec in records))
+
+
+def _write_csv(path, header, rows):
+    """Write the column names ``header`` and then each row of numbers, one
+    line each, every number in the form of :func:`_format_value`."""
+    _write_lines(path, [",".join(header)] + [
+        ",".join(_format_value(value) for value in row) for row in rows])
 
 
 def _ensure_parent(path):
@@ -631,8 +634,9 @@ def load_checkpoint(path):
 def cmd_run(args):
     """Stream a scenario's steps into the diagnostics and the snapshots,
     keeping no states.  When a step or a snapshot fails with a
-    ``KvsimError``, the CSV holds the records of every step accepted
-    before it, and the error reaches ``main``."""
+    ``KvsimError`` or an ``OSError``, the CSV holds the records of every
+    step accepted before it, and the error reaches ``main``; any other
+    exception leaves no CSV."""
     config = load_config(args.config)
     state = build_initial_state(config)
     sources = build_sources(config)
@@ -648,7 +652,7 @@ def cmd_run(args):
                 prefix = f"{config.output.snapshot_prefix}{n_steps:06d}"
                 write_vtk_snapshot(event.state_new, prefix + ".vtk")
                 save_checkpoint(event.state_new, prefix + ".ckpt")
-    except KvsimError:
+    except (KvsimError, OSError):
         if config.output.csv:
             write_diagnostics_csv(collector.records, config.output.csv)
         raise
@@ -715,13 +719,9 @@ def cmd_perturb(args):
 
     report = gronwall_compare(states(perturbed_state), states(base_state),
                               config.params)
-    lines = ["t,x,rate,bound"]
-    for k in range(len(report.times)):
-        lines.append(",".join(_format_value(v) for v in (
-            report.times[k], report.x[k], report.a[k], report.bound[k]
-        )))
     out_path = args.out or f"{args.config}.gronwall-{args.field}.csv"
-    _write_lines(out_path, lines)
+    _write_csv(out_path, ("t", "x", "rate", "bound"),
+               zip(report.times, report.x, report.a, report.bound))
     verdict = "violated" if report.violation else "respected"
     print(f"perturbation of {args.field} by {args.delta:g}: "
           f"Gronwall envelope {verdict}")

@@ -239,7 +239,7 @@ def velocity_matrix(grid, dt, lam, mu):
     in single precision: in the eigenbasis of the 1-D second differences,
     component i's block is 1/dt + mu * sum_k l_k + (lam + mu) * l_i.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN too
         raise UsageError(f"dt must be positive, got {dt}")
     # every row of the interior box stores its diagonal entry, so setting
     # the diagonal keeps the Navier matrix's sparsity pattern
@@ -393,12 +393,13 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 
-def heat_rhs_vector(grid, dt, theta_old, theta_it, x_v, strain, g, params):
+def heat_rhs_vector(grid, dt, theta_old, theta_it, x_v, g, params):
     """The heat system that a sweep solves at the iterate ``theta_it``, for
-    the packed velocity ``x_v`` and its corner strains eps = ``strain @
-    x_v``: returns (rhs, coefficient, frozen), the weighted right-hand side
-    over all nodes, the diagonal coefficient (a ScalarField) for
-    :func:`heat_matrix` and whether it is the frozen system.
+    the packed velocity ``x_v`` and its corner strains eps, the product of
+    ``grid.strain_matrix`` and ``x_v``: returns (rhs, coefficient, frozen),
+    the weighted right-hand side over all nodes, the diagonal coefficient
+    (a ScalarField) for :func:`heat_matrix` and whether it is the frozen
+    system.
 
     Newton's system has the right-hand side and coefficient
 
@@ -411,7 +412,7 @@ def heat_rhs_vector(grid, dt, theta_old, theta_it, x_v, strain, g, params):
     w (cv/dt) theta_it (q - theta_it).
     """
     d = grid.d
-    strains = (strain @ x_v).reshape(-1, grid.num_nodes)
+    strains = (strain_matrix(grid) @ x_v).reshape(-1, grid.num_nodes)
     theta = theta_it.data.ravel()
     mass = params.cv / dt
     r = mass * theta * theta + strain_density(

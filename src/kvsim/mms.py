@@ -299,11 +299,12 @@ def _fit_order(hs, errs):
 def convergence_study(case_name, params, d=2, resolutions=(9, 17, 33),
                       dt0=0.05, t_end=0.25, mode="spatial", dts=None):
     """Measure the solver's observed convergence orders against a case on
-    the unit box, with the default :class:`StepperConfig` at each dt.
+    the unit box, with a :class:`StepperConfig` of each level's dt.
 
     ``mode="spatial"`` refines the grid geometrically with dt proportional
     to h^2 (so both error sources scale together at second order in h);
-    ``mode="temporal"`` fixes the finest grid and sweeps ``dts``.
+    ``mode="temporal"`` fixes the finest grid, with one manufactured
+    problem for every dt, and sweeps ``dts``.
     """
     if d not in (1, 2, 3):
         raise UsageError(f"dimension must be 1, 2, or 3, got {d}")
@@ -311,31 +312,25 @@ def convergence_study(case_name, params, d=2, resolutions=(9, 17, 33),
         raise UsageError("a convergence ladder needs at least 3 resolutions")
     lengths = (1.0,) * d
     case = get_case(case_name)
-    levels = []
     if mode == "spatial":
         h0 = lengths[0] / (resolutions[0] - 1)
-        for n in resolutions:
-            grid = Grid((n,) * d, lengths)
-            h = grid.h[0]
-            dt = dt0 * (h / h0) ** 2
-            problem = manufacture(case, grid, params)
-            errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
-            levels.append(OrderLevel(n, h, dt, errs["u"], errs["v"], errs["theta"]))
-        xs = [lv.h for lv in levels]
+        problems = (manufacture(case, Grid((n,) * d, lengths), params)
+                    for n in resolutions)
+        ladder = ((p, dt0 * (p.grid.h[0] / h0) ** 2) for p in problems)
     elif mode == "temporal":
         if dts is None or len(dts) < 3:
             raise UsageError("temporal mode needs at least 3 dt values")
-        n = resolutions[-1]
-        grid = Grid((n,) * d, lengths)
-        problem = manufacture(case, grid, params)
-        for dt in dts:
-            errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
-            levels.append(OrderLevel(n, grid.h[0], dt,
-                                     errs["u"], errs["v"], errs["theta"]))
-        xs = [lv.dt for lv in levels]
+        problem = manufacture(
+            case, Grid((resolutions[-1],) * d, lengths), params)
+        ladder = ((problem, dt) for dt in dts)
     else:
         raise UsageError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
-
+    levels = []
+    for problem, dt in ladder:
+        errs = _linf_l2_errors(problem, StepperConfig(dt=dt), t_end)
+        levels.append(OrderLevel(problem.grid.n[0], problem.grid.h[0], dt,
+                                 errs["u"], errs["v"], errs["theta"]))
+    xs = [lv.h if mode == "spatial" else lv.dt for lv in levels]
     orders = {
         "u": _fit_order(xs, [lv.err_u for lv in levels]),
         "v": _fit_order(xs, [lv.err_v for lv in levels]),

@@ -58,8 +58,13 @@ stops once it has cut its own starting residual by ``SWEEP_REDUCTION``
 two solves reached ``SOLVE_TOL``; when the sweep that met the threshold
 stopped early, the step sweeps on at full tolerance until one meets it.
 
-The time loop is strictly sequential; observers receive immutable
-snapshots and must not mutate them.
+The time loop is strictly sequential, and observers receive its states
+as snapshots.  One change to a snapshot is kept: a diagnostics record
+(``diagnostics.initial_record``, ``diagnostics.record_for_step``) may
+attach the corner strains of its state's displacement
+(``SimState.strain``), which the load of the next step from that state
+consumes and detaches.  Nothing else changes a snapshot; an observer
+must not.
 """
 
 from __future__ import annotations
@@ -80,7 +85,6 @@ from .grid import (
     boundary_max_abs,
     l2_norm,
     lp_norm,
-    strain_matrix,
 )
 
 PICARD_TOL = 1e-10  # relative contraction tolerance of a step
@@ -185,13 +189,15 @@ class PicardTrace:
 class Stepper:
     """Caches the assembly work that is constant across a run.
 
-    The strain map ``grid.strain_matrix``, whose adjoint gives the
-    velocity system Q2 u_old and the thermal stress divergence, depends
-    only on the grid, and the Neumann stiffness with its eigenbasis and
-    the heat matrix it owns on the grid and the conductivity.  The
+    The Neumann stiffness with its eigenbasis and the heat matrix it owns
+    depend on the grid and the conductivity.  The strain map, whose
+    adjoint gives the velocity system Q2 u_old and the thermal stress
+    divergence, is the grid's own (``grid.strain_matrix``): a sweep
+    reaches it through the grid, and a stepper keeps no copy.  The
     velocity matrix (1/dt) I - Q(lambda1 + dt lambda2, mu1 + dt mu2), with
-    its preconditioner, also depends on dt; :meth:`with_dt` rebuilds only
-    it.  Q is ``grid.navier_matrix`` on the interior box.
+    its preconditioner, also depends on ``dt``, the step length a stepper
+    keeps; :meth:`with_dt` rebuilds only it.  Q is ``grid.navier_matrix``
+    on the interior box.
 
     The velocity matrix times the velocity that its last solve returned is
     the start product of the next velocity solve: a stepper holds it (a
@@ -205,14 +211,12 @@ class Stepper:
     def __init__(self, grid, params, config):
         self.grid = grid
         self.params = params
-        self.strain = strain_matrix(grid)
         self.stiffness = linear_step.heat_stiffness(grid, params.k)
         self._floor = None  # set by the first step
-        self._set_dt(config)
+        self._set_dt(config.dt)
 
-    def _set_dt(self, config):
-        self.config = config
-        dt = config.dt
+    def _set_dt(self, dt):
+        self.dt = dt
         self.velocity_op = linear_step.velocity_matrix(
             self.grid, dt, self.params.lambda1 + dt * self.params.lambda2,
             self.params.mu1 + dt * self.params.mu2,
@@ -225,7 +229,7 @@ class Stepper:
         shares everything that does not depend on dt; only the velocity
         matrix and its preconditioner are built."""
         other = copy.copy(self)
-        other._set_dt(StepperConfig(dt))
+        other._set_dt(dt)
         return other
 
     def sweep(self, state, x_v, theta, load, g, reduction=0.0):
@@ -241,7 +245,7 @@ class Stepper:
         and heat :class:`~kvsim.linear_step.LinearSolveReport` and whether
         the sweep fell back to the frozen system.
         """
-        grid, dt = self.grid, self.config.dt
+        grid, dt = self.grid, self.dt
         self._returned = None  # the held product is now this sweep's
         # the right-hand side is freed once solved: the held product
         # takes its place
@@ -250,7 +254,7 @@ class Stepper:
             linear_step.velocity_rhs(load, theta, self.params),
             x0=x_v, reduction=reduction, product=self._product)
         rhs_h, coefficient, frozen = linear_step.heat_rhs_vector(
-            grid, dt, state.theta, theta, x_v, self.strain, g, self.params)
+            grid, dt, state.theta, theta, x_v, g, self.params)
         heat_op = linear_step.heat_matrix(
             grid, dt, coefficient, self.params, stiffness=self.stiffness)
         x_h, heat = linear_step.solve_spd(
@@ -265,7 +269,7 @@ class Stepper:
         whose Y rises in ``PICARD_RISES`` consecutive sweeps, or has not
         met the threshold after ``PICARD_MAX``, raises
         :class:`NonConvergenceError` carrying the trace of its sweeps."""
-        grid, dt = self.grid, self.config.dt
+        grid, dt = self.grid, self.dt
         returned = self._returned and self._returned()
         theta_min = float(np.min(state.theta.data))
         if self._floor is None:
@@ -438,7 +442,7 @@ def steps(initial, params, config, t_end, sources=None):
         new_state.t = t_new  # not state.t + dt, which drifts by round-off
         yield StepEvent(
             index=k, state_old=state, state_new=new_state, trace=trace,
-            b=b_field, g=g_field, dt=stepper.config.dt,
+            b=b_field, g=g_field, dt=stepper.dt,
         )
         state = new_state
 

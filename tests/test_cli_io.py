@@ -612,6 +612,27 @@ def test_cli_run_writes_the_accepted_steps_when_a_step_fails(
     assert (tmp_path / "diag.csv").read_bytes() == b"".join(full[:4])
 
 
+def test_cli_run_writes_the_accepted_steps_when_a_snapshot_fails(
+        tmp_path, monkeypatch, capsys):
+    """A snapshot write that fails with an ``OSError``, here because its
+    prefix lies under a regular file, leaves a CSV of the records accepted
+    up to it: snapshotting every second step, the header, the initial
+    record and two steps, the same bytes as the first rows of the run
+    without snapshots.  The exit code is that of an i/o error."""
+    monkeypatch.chdir(tmp_path)
+    bump = "\n[initial]\npreset = bump\n"
+    text = run_cfg_text().replace("t_end = 0.1", "t_end = 0.25") + bump
+    assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 0
+    full = (tmp_path / "diag.csv").read_bytes().splitlines(keepends=True)
+    assert len(full) == 1 + 1 + 5
+    (tmp_path / "diag.csv").unlink()
+    (tmp_path / "snaps").write_text("a regular file\n")
+    text = text.replace("snapshot_every = 0", "snapshot_every = 2")
+    assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert (tmp_path / "diag.csv").read_bytes() == b"".join(full[:4])
+
+
 def test_cli_run_refuses_an_invalid_checkpoint_before_any_record(
         tmp_path, monkeypatch, capsys):
     """A checkpoint whose temperature is not positive is refused when the
@@ -628,9 +649,9 @@ def test_cli_run_refuses_an_invalid_checkpoint_before_any_record(
 
 
 def test_cli_run_lets_other_exceptions_through(tmp_path, monkeypatch):
-    """Only a ``KvsimError`` writes the partial CSV: any other exception
-    from a step (the benchmark's set-up timer stops a run this way)
-    leaves ``cmd_run`` untouched and writes nothing."""
+    """Only a ``KvsimError`` or an ``OSError`` writes the partial CSV: any
+    other exception from a step (the benchmark's set-up timer stops a run
+    this way) leaves ``cmd_run`` untouched and writes nothing."""
 
     class Stop(Exception):
         pass

@@ -336,8 +336,7 @@ def _heat_source(grid, p, x_v, g=None, theta=1.0, theta_old=1.0, dt=0.05):
     node, read back from Newton's heat system at a uniform iterate."""
     theta_it = ScalarField.constant(grid, theta)
     rhs, q, frozen = heat_rhs_vector(
-        grid, dt, ScalarField.constant(grid, theta_old), theta_it, x_v,
-        strain_matrix(grid), g, p)
+        grid, dt, ScalarField.constant(grid, theta_old), theta_it, x_v, g, p)
     assert not frozen
     mass = p.cv / dt
     heating = rhs / grid.quad_weights.ravel() - mass * theta**2

@@ -19,7 +19,7 @@ from kvsim import (
     solve_spd,
 )
 from kvsim import linear_step
-from kvsim.grid import navier_matrix, strain_matrix
+from kvsim.grid import navier_matrix
 from kvsim.linear_step import (
     LinearSolveReport,
     Product,
@@ -214,8 +214,7 @@ def _at_rest(grid):
 def test_heat_constant_fixed_point(grid2d, params):
     theta = ScalarField.constant(grid2d, 1.7)
     rhs, q, frozen = heat_rhs_vector(grid2d, 0.05, theta, theta,
-                                     _at_rest(grid2d), strain_matrix(grid2d),
-                                     None, params)
+                                     _at_rest(grid2d), None, params)
     assert np.array_equal(q.data, theta.data) and not frozen
     op = heat_matrix(grid2d, 0.05, q, params)
     x, _ = solve_spd(op, rhs, x0=theta.data.ravel())
@@ -230,7 +229,7 @@ def test_heat_uniform_source_update(grid2d, params):
     g = ScalarField.constant(grid2d, 0.8)
     dt = 0.05
     rhs, q, _ = heat_rhs_vector(grid2d, dt, theta, theta, _at_rest(grid2d),
-                                strain_matrix(grid2d), g, params)
+                                g, params)
     op = heat_matrix(grid2d, dt, q, params)
     x, _ = solve_spd(op, rhs, x0=theta.data.ravel())
     expected = 2.0 + dt * 0.8 / (params.cv * 2.0)
@@ -248,8 +247,7 @@ def test_heat_rhs_matches_the_gradient_reference(rng, params, nodes, lengths):
                         for _ in range(2))
     g = ScalarField(grid, rng.standard_normal(grid.shape))
     got, q, frozen = heat_rhs_vector(grid, 0.02, theta_old, theta,
-                                     pack_interior(grid, v.data),
-                                     strain_matrix(grid), g, params)
+                                     pack_interior(grid, v.data), g, params)
     assert not frozen
     expected, expected_q = reference_heat_rhs_vector(
         grid, 0.02, theta_old, theta, v, g, params)
@@ -279,8 +277,8 @@ def test_heat_newton_system_is_the_frozen_one_at_its_fixed_point(
     for shift, fell_back in ((-0.5, False), (2.0, True)):
         theta_old = ScalarField(grid, theta.data + shift)
         rhs, coefficient, frozen = heat_rhs_vector(
-            grid, dt, theta_old, theta, pack_interior(grid, v.data),
-            strain_matrix(grid), None, params)
+            grid, dt, theta_old, theta, pack_interior(grid, v.data), None,
+            params)
         assert frozen == fell_back
         assert (coefficient is theta) == fell_back
         residual = rhs - heat_matrix(grid, dt, coefficient, params).matrix @ x

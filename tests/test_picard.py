@@ -50,6 +50,7 @@ from kvsim.picard import PICARD_MAX, PICARD_RISES, PICARD_TOL, SWEEP_REDUCTION
 
 from helpers import (
     AcceptedStates,
+    CountedMatrix,
     bump_state,
     counted,
     default_params,
@@ -102,7 +103,7 @@ def _sweep_start(stepper, state):
     grid = stepper.grid
     x_v = linear_step.pack_interior(grid, state.v.data)
     load = linear_step.velocity_load(
-        grid, stepper.config.dt, x_v, linear_step.corner_strains(state.u),
+        grid, stepper.dt, x_v, linear_step.corner_strains(state.u),
         None, stepper.params)
     return load, x_v, state.theta
 
@@ -304,8 +305,8 @@ def _full_tolerance_step(stepper, state):
         v_new = linear_step.unpack_interior(grid, x_v)
         moves.append(l2_diff(v_new, v, grid) + l2_diff(theta_new, theta, grid))
         v, theta = v_new, theta_new
-    u = VectorField(grid, state.u.data + stepper.config.dt * v.data)
-    return SimState(state.t + stepper.config.dt, u, v, theta)
+    u = VectorField(grid, state.u.data + stepper.dt * v.data)
+    return SimState(state.t + stepper.dt, u, v, theta)
 
 
 def test_inexact_sweeps_match_full_tolerance_sweeps(shipped_runs):
@@ -471,7 +472,6 @@ def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
     calls = {}
     _counting(monkeypatch, [grid_module, linear_step], "navier_matrix", calls)
     _counting(monkeypatch, [grid_module, linear_step], "neumann_matrix", calls)
-    _counting(monkeypatch, [picard], "strain_matrix", calls)
     _counting(monkeypatch, [grid_module], "_kron_csr", calls)
     steppers = []
     _counting(monkeypatch, [linear_step], "velocity_matrix", calls,
@@ -481,31 +481,53 @@ def test_shortened_final_step_rebuilds_only_the_velocity_matrix(
     traj = run(state, params, StepperConfig(dt=0.05), 0.13,
                observers=[collector])
     assert traj.states[-1].t == pytest.approx(0.13)
-    # four matrices are written from bands: the strain map, whose adjoint
-    # the velocity system applies on its arrays, the heat stiffness and two
-    # velocity matrices; the diagnostics read the stepper's map
+    # four matrices are written from bands: the grid's strain map, which
+    # the steps and the diagnostics share, the heat stiffness and two
+    # velocity matrices
     assert calls == {"navier_matrix": 2, "neumann_matrix": 1,
-                     "strain_matrix": 1, "velocity_matrix": 2,
-                     "_kron_csr": 4}
+                     "velocity_matrix": 2, "_kron_csr": 4}
     assert [dt for dt, _ in steppers] == pytest.approx([0.05, 0.03])
 
 
 def test_with_dt_shares_the_elastic_values_on_the_new_pattern(grid2d):
-    """``with_dt`` shares the strain map, whose adjoint carries the
-    elasticity of the load, and the heat stiffness; it builds only the
-    velocity matrix of the new dt."""
+    """``with_dt`` shares the grid, whose strain map's adjoint carries the
+    elasticity of the load, and the heat stiffness; it keeps the new dt
+    and builds only the velocity matrix of it."""
     params = default_params(lambda1=0.4, mu1=0.9, lambda2=1.3, mu2=0.6)
     stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
     short = stepper.with_dt(0.02)
-    assert short.config.dt == 0.02 and stepper.config.dt == 0.05
-    for name in ("strain", "stiffness"):
+    assert short.dt == 0.02 and stepper.dt == 0.05
+    for name in ("grid", "stiffness"):
         assert getattr(short, name) is getattr(stepper, name)
-    assert stepper.strain is grid_module.strain_matrix(grid2d)
     velocity = short.velocity_op.matrix
     assert velocity is not stepper.velocity_op.matrix
     expected = linear_step.velocity_matrix(grid2d, 0.02, 0.4 + 0.02 * 1.3,
                                            0.9 + 0.02 * 0.6).matrix
     assert velocity.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.02, float("nan")])
+def test_with_dt_refuses_a_step_that_is_not_positive(grid2d, params, dt):
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
+    with pytest.raises(UsageError, match="dt must be positive"):
+        stepper.with_dt(dt)
+
+
+def test_steps_apply_the_grids_strain_map(monkeypatch, grid2d, params):
+    """A step reaches the strain map through its grid alone: a map put on
+    the grid after a stepper and its ``with_dt`` copy were built is the one
+    that each of their steps applies, on a 17^2 bump, once for the load's
+    eps(u_old) and once in each sweep's heat system."""
+    stepper = Stepper(grid2d, params, StepperConfig(dt=0.05))
+    short = stepper.with_dt(0.02)
+    counts = {}
+    monkeypatch.setitem(grid2d._cache, "strain", CountedMatrix(
+        grid_module.strain_matrix(grid2d), counts, "strain"))
+    for each in (stepper, short):
+        counts.clear()
+        _, trace = each.step(bump_state(grid2d))
+        assert trace.iterations > 1
+        assert counts == {"strain": trace.iterations + 1}
 
 
 def _reachable(root):
@@ -714,7 +736,7 @@ def test_heat_only_newton_error_squares(params):
     theta, iterates = state.theta, []
     for _ in range(7):
         rhs, q, frozen = linear_step.heat_rhs_vector(
-            grid, dt, state.theta, theta, x_v, stepper.strain, None, params)
+            grid, dt, state.theta, theta, x_v, None, params)
         assert not frozen
         op = linear_step.heat_matrix(grid, dt, q, params,
                                      stiffness=stepper.stiffness)
