@@ -55,20 +55,28 @@ exactly zero.
 
 Solves use conjugate gradients whose inner products sum in numpy's own
 order, not through BLAS, so that the result does not depend on the BLAS
-thread count.  They are preconditioned by fast diagonalization (Lynch, Rice
-& Thomas 1964): each operator carries the exact inverse of its separable
-part, applied in the Kronecker product of per-axis eigenbases.  For the
-velocity system that part drops only the mixed (lam + mu) d_i d_j coupling
-blocks; for the heat system it replaces the diagonal coefficient by its
-mean.
-Both dropped parts are spectrally equivalent, so the iteration counts stay
-bounded as the grid is refined.  The velocity preconditioner runs its
-dense per-axis products in single precision, in less than half the time:
-it is approximate by design, and float32 rounding (about 1e-7) lies far
-below what dropping the mixed blocks costs.  The heat preconditioner,
-exact for a uniform coefficient, stays in double.  Both return float64,
-and the rest of CG (vectors, matrix products, inner products, residual
-re-checks and the stopping test) runs in double.
+thread count.  Both preconditioners work in the Kronecker product of
+per-axis eigenbases (fast diagonalization, Lynch, Rice & Thomas 1964),
+where the separable part of each operator is diagonal.  The heat
+preconditioner is the exact inverse of its separable part, the heat
+matrix with the diagonal coefficient replaced by its mean.  The velocity
+preconditioner keeps the whole Lame system: its diagonal component blocks
+are separable, and in the eigenbasis each mixed (lam + mu) d_i d_j block
+is a Kronecker product of two dense per-axis matrices.  It is the
+symmetric block Gauss-Seidel sweep over the components (the displacement
+decomposition of Blaheta 1994).  For two components it bounds the
+condition number by 1/(1 - gamma^2), where dropping the mixed blocks gave
+(1 + gamma)/(1 - gamma), gamma the strengthened Cauchy-Schwarz constant
+between them (Axelsson): cold velocity solves take 10-11 iterations at
+lam = mu where the component-diagonal inverse took 19-21.  Both
+preconditioners are spectrally equivalent to their operators, so the
+iteration counts stay bounded as the grid is refined.  The velocity
+preconditioner runs its dense per-axis products in single precision: it
+is approximate by design, and float32 rounding (about 1e-7) lies far
+below what the sweep leaves out.  The heat preconditioner, exact for a
+uniform coefficient, stays in double.  Both return float64, and the rest
+of CG (vectors, matrix products, inner products, residual re-checks and
+the stopping test) runs in double.
 
 A solve stops at the relative residual ``SOLVE_TOL`` (1e-12) or, given a
 ``reduction``, once it has cut the residual of its initial guess by that
@@ -96,6 +104,7 @@ from .errors import DegeneracyError, DomainError, NonConvergenceError, UsageErro
 from .grid import (
     ScalarField,
     VectorField,
+    central_difference,
     navier_matrix,
     neumann_matrix,
     neumann_stiffness,
@@ -116,9 +125,10 @@ class SparseOperator:
 
     ``precondition`` maps a float64 residual r to the float64
     z = P^{-1} r for a symmetric positive-definite P close to the matrix.
-    ``velocity_matrix`` and ``heat_matrix`` attach the fast-diagonalization
-    inverse of their separable parts, the velocity one applied in single
-    precision and the heat one in double.
+    ``velocity_matrix`` attaches the symmetric block Gauss-Seidel sweep over
+    its components, applied in single precision, and ``heat_matrix`` the
+    exact inverse of its separable part, in double; both work in per-axis
+    eigenbases.
     """
 
     matrix: sp.csr_matrix
@@ -151,7 +161,7 @@ class Product:
 
 
 # ---------------------------------------------------------------------------
-# fast diagonalization: per-axis eigenbases of the separable parts
+# preconditioners in per-axis eigenbases
 # ---------------------------------------------------------------------------
 
 def _read_only(*arrays):
@@ -167,11 +177,16 @@ def _dense(bands):
 
 
 @lru_cache(maxsize=64)
-def _dirichlet_eigen(n, h):
-    """Eigenvalues and orthonormal eigenvectors (columns) of minus the
-    interior block of ``grid.second_difference(n, h)``."""
+def _dirichlet_eigen(n, h, dtype):
+    """Eigenvalues l and orthonormal eigenvectors V (columns) of minus the
+    interior block of ``grid.second_difference(n, h)``, and V^T C V for C
+    the interior block of ``grid.central_difference(n, h)``.  All are
+    formed in double; V and V^T C V are rounded to ``dtype`` once."""
     block = _dense(second_difference(n, h))[1:-1, 1:-1]
-    return _read_only(*np.linalg.eigh(-block))
+    values, vectors = np.linalg.eigh(-block)
+    central = _dense(central_difference(n, h))[1:-1, 1:-1]
+    return _read_only(values, vectors.astype(dtype, copy=False),
+                      (vectors.T @ central @ vectors).astype(dtype, copy=False))
 
 
 @lru_cache(maxsize=64)
@@ -193,33 +208,88 @@ def _outer_sum(values):
     return total
 
 
+def _axis_product(matrix, y, axis):
+    """``matrix`` applied along ``axis`` of ``y``: for the last axis one
+    product of all rows, else one batched product on a view with that axis
+    second to last."""
+    if axis == y.ndim - 1:
+        return (y.reshape(-1, y.shape[-1]) @ matrix.T).reshape(y.shape)
+    if axis == y.ndim - 2:
+        return matrix @ y
+    return (matrix @ y.reshape(y.shape[:axis + 1] + (-1,))).reshape(y.shape)
+
+
+def _in_basis(bases, y, back=False):
+    """V^T y, or V y when ``back``, for V the Kronecker product of
+    ``bases``, one matrix per trailing axis of ``y``; a leading axis beyond
+    them is a batch of components.  V^T y takes the axes in order, V y the
+    last one first and then the others in order: the bits of a 3-D heat
+    apply depend on that order."""
+    lead = y.ndim - len(bases)
+    axes = list(range(len(bases)))
+    if back:
+        axes = axes[-1:] + axes[:-1]
+    for k in axes:
+        y = _axis_product(bases[k] if back else bases[k].T, y, lead + k)
+    return y
+
+
 def _fast_diagonalization(bases, divisor):
-    """Preconditioner r -> V diag(1 / divisor) V^T r.
-
-    V is the Kronecker product of ``bases``, one matrix per trailing axis of
-    ``divisor``; a leading axis beyond them is a batch of components.  Each
-    axis but the last is one batched matrix product on a reshaped view (its
-    axis second to last), the last axis a single product of all rows.
-
-    The dtype of ``bases`` is the working precision: 1 / divisor is formed
-    in double and rounded to it once, each residual is cast to it, and the
-    products and the scaling run in it.  The result is float64 either way.
-    """
-    shape = divisor.shape
-    lead = len(shape) - len(bases)
-    views = [shape[:lead + k + 1] + (-1,) for k in range(len(bases) - 1)]
-    inner, last = bases[:-1], bases[-1]
-    inverse = (1.0 / divisor).astype(last.dtype, copy=False).reshape(
-        -1, shape[-1])
+    """Preconditioner r -> V diag(1 / divisor) V^T r, for V the Kronecker
+    product of ``bases``, one matrix per axis of ``divisor``.  Runs in
+    float64 and returns float64."""
+    inverse = 1.0 / divisor
 
     def precondition(r):
-        y = r.astype(last.dtype, copy=False)
-        for view, v in zip(views, inner):
-            y = v.T @ y.reshape(view)
-        y = ((y.reshape(-1, shape[-1]) @ last) * inverse) @ last.T
-        for view, v in zip(views, inner):
-            y = v @ y.reshape(view)
-        return y.ravel().astype(np.float64, copy=False)
+        y = _in_basis(bases, r.reshape(divisor.shape))
+        y *= inverse
+        return _in_basis(bases, y, back=True).ravel()
+
+    return precondition
+
+
+def _block_gauss_seidel(bases, couplings, divisor, scale):
+    """Preconditioner r -> P^{-1} r, P = (D + L) D^{-1} (D + U), the
+    symmetric block Gauss-Seidel sweep over the components of a block
+    matrix D + L + U whose blocks, in the Kronecker product V of
+    ``bases``, are diagonal on the diagonal, diag(divisor[i]), and
+    -scale * C_i (x) C_j off it, with C_k = ``couplings[k]`` along axis k.
+
+    In that basis, t = V^T r, the forward sweep takes, component by
+    component, t_i += scale * C_i sum_{j<i} C_j y_j with y_i = t_i /
+    divisor_i, and the backward sweep, in reverse order and in place,
+    z_i = (t_i + scale * C_i sum_{j>i} C_j z_j) / divisor_i; the result is
+    V z.  Each sum is one product along axis i of the running sum of the
+    products C_j y_j (C_j z_j).
+
+    The dtype of ``bases`` and ``couplings`` is the working precision:
+    1 / divisor is formed in double and rounded to it once, each residual
+    is cast to it, and the products and the scaling run in it.  The result
+    is float64.
+    """
+    dtype = bases[0].dtype
+    inverse = (1.0 / divisor).astype(dtype, copy=False)
+    scale = dtype.type(scale)
+    axes = range(len(bases))
+
+    def coupled(i, y):
+        return _axis_product(couplings[i], y, i)
+
+    def precondition(r):
+        t = _in_basis(bases, r.astype(dtype, copy=False).reshape(
+            divisor.shape))
+        mixed = 0.0
+        for i in axes[1:]:
+            mixed = mixed + coupled(i - 1, t[i - 1] * inverse[i - 1])
+            t[i] += scale * coupled(i, mixed)
+        t[-1] *= inverse[-1]
+        mixed = 0.0
+        for i in axes[-2::-1]:
+            mixed = mixed + coupled(i + 1, t[i + 1])
+            t[i] += scale * coupled(i, mixed)
+            t[i] *= inverse[i]
+        return _in_basis(bases, t, back=True).ravel().astype(
+            np.float64, copy=False)
 
     return precondition
 
@@ -228,6 +298,11 @@ def _fast_diagonalization(bases, divisor):
 # velocity system
 # ---------------------------------------------------------------------------
 
+def _check_dt(dt):
+    if not 0.0 < dt < math.inf:  # NaN too
+        raise UsageError(f"dt must be positive and finite, got {dt}")
+
+
 def velocity_matrix(grid, dt, lam, mu):
     """(1/dt) I - Q over the interior unknowns (component-major layout),
     with Q the ``grid.navier_matrix`` of (lam, mu) on the interior box, on
@@ -235,20 +310,25 @@ def velocity_matrix(grid, dt, lam, mu):
 
     The unknowns are the interior box, ``grid.interior_shape`` nodes per
     component, so the Dirichlet rows never enter the matrix.  The operator
-    carries the inverse of its diagonal blocks as preconditioner, applied
-    in single precision: in the eigenbasis of the 1-D second differences,
-    component i's block is 1/dt + mu * sum_k l_k + (lam + mu) * l_i.
+    carries as preconditioner the symmetric block Gauss-Seidel sweep over
+    the components (:func:`_block_gauss_seidel`), applied in single
+    precision in the eigenbasis V of the 1-D second differences: there
+    component i's diagonal block is 1/dt + mu * sum_k l_k + (lam + mu) * l_i,
+    and the mixed block (i, j) is -(lam + mu) C^_i (x) C^_j, with
+    C^_k = V_k^T C_k V_k for C_k the interior block of
+    ``grid.central_difference`` (see :func:`_dirichlet_eigen`).
     """
-    if not dt > 0.0:  # NaN too
-        raise UsageError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     # every row of the interior box stores its diagonal entry, so setting
     # the diagonal keeps the Navier matrix's sparsity pattern
     matrix = navier_matrix(grid, lam, mu, box=slice(1, -1))
     matrix.data *= -1.0
     matrix.setdiag(matrix.diagonal() + 1.0 / dt)
 
-    values, vectors = zip(*(
-        _dirichlet_eigen(n, h) for n, h in zip(grid.n, grid.h)
+    # float32: the sweep is an approximate inverse, far coarser than
+    # float32's rounding
+    values, vectors, couplings = zip(*(
+        _dirichlet_eigen(n, h, np.float32) for n, h in zip(grid.n, grid.h)
     ))
     common = 1.0 / dt + mu * _outer_sum(values)
     divisor = np.stack([
@@ -256,10 +336,7 @@ def velocity_matrix(grid, dt, lam, mu):
             [-1 if k == i else 1 for k in range(grid.d)])
         for i in range(grid.d)
     ])
-    # float32 bases: the preconditioner already drops the mixed blocks,
-    # an approximation far coarser than float32's rounding
-    precondition = _fast_diagonalization(
-        [v.astype(np.float32) for v in vectors], divisor)
+    precondition = _block_gauss_seidel(vectors, couplings, divisor, lam + mu)
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 
@@ -371,8 +448,7 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
     so it is exact for a uniform coefficient and has condition number at
     most its max/min otherwise.
     """
-    if dt <= 0.0:
-        raise UsageError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     c_min = float(np.min(coefficient.data))
     if c_min <= 0.0:
         raise DegeneracyError(

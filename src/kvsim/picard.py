@@ -153,8 +153,8 @@ class StepperConfig:
     dt: float
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise UsageError(f"dt = {self.dt} must be positive")
+        if not 0.0 < self.dt < math.inf:  # NaN too
+            raise UsageError(f"dt = {self.dt} must be positive and finite")
 
 
 @dataclass

@@ -154,12 +154,13 @@ def reference_heat_rhs_vector(grid, dt, theta_old, theta_it, v_iter, g,
 
 def double_velocity_operator(grid, dt, lam, mu):
     """``velocity_matrix(grid, dt, lam, mu)`` with its preconditioner
-    applied in double precision: the same matrix, and the fast
-    diagonalization of its component blocks from the float64 bases of
+    applied in double precision: the same matrix, and the symmetric block
+    Gauss-Seidel sweep from the float64 bases and couplings of
     ``_dirichlet_eigen``, with the divisor written out here."""
     op = velocity_matrix(grid, dt, lam, mu)
-    values, vectors = zip(*(
-        linear_step._dirichlet_eigen(n, h) for n, h in zip(grid.n, grid.h)
+    values, vectors, couplings = zip(*(
+        linear_step._dirichlet_eigen(n, h, np.float64)
+        for n, h in zip(grid.n, grid.h)
     ))
     axes = np.ix_(*values)
     divisor = np.stack([
@@ -168,7 +169,8 @@ def double_velocity_operator(grid, dt, lam, mu):
     ])
     return SparseOperator(
         matrix=op.matrix,
-        precondition=linear_step._fast_diagonalization(vectors, divisor),
+        precondition=linear_step._block_gauss_seidel(
+            vectors, couplings, divisor, lam + mu),
     )
 
 
