@@ -78,6 +78,17 @@ uniform coefficient, stays in double.  Both return float64, and the rest
 of CG (vectors, matrix products, inner products, residual re-checks and
 the stopping test) runs in double.
 
+Every 1-D operator on a uniform axis is persymmetric, so each per-axis
+eigenvector is even or odd about the middle node (Solomonoff 1992).  On
+an axis of at least ``_FOLD_MIN`` modes both preconditioners work on the
+folded halves of the axis (see :class:`_AxisBasis`): each product with
+the eigenbasis, and each mixed product, which maps even modes to odd ones
+and odd to even, takes two half-size products, half the flops of the
+dense one.  Shorter axes keep the dense products, whose calls cost less
+there.  At 129^2 the half-size float64 products of the heat
+preconditioner also give the same bits at one and two OpenBLAS threads,
+where the dense ones did not.
+
 A solve stops at the relative residual ``SOLVE_TOL`` (1e-12) or, given a
 ``reduction``, once it has cut the residual of its initial guess by that
 factor: a sweep whose iterate the next sweep replaces needs only to beat
@@ -128,7 +139,8 @@ class SparseOperator:
     ``velocity_matrix`` attaches the symmetric block Gauss-Seidel sweep over
     its components, applied in single precision, and ``heat_matrix`` the
     exact inverse of its separable part, in double; both work in per-axis
-    eigenbases.
+    eigenbases, on the folded halves of each long axis (see
+    :class:`_AxisBasis`).
     """
 
     matrix: sp.csr_matrix
@@ -176,28 +188,205 @@ def _dense(bands):
     return np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
 
 
+# Modes per axis from which an eigenbasis works on the even and odd halves
+# of its axis: below it the fold, the unfold and the twice as many calls
+# cost more than the dense products save (the per-apply ladders of both
+# preconditioners, forced dense against forced folded, cross between 97
+# and 101 modes on 2-D grids).
+_FOLD_MIN = 101
+
+
+def _parity_projections(m):
+    """Orthonormal bases (columns) of the even and of the odd vectors of
+    length ``m`` about its middle: (e_i + e_{m-1-i}) / sqrt(2), plus the
+    middle e_i when ``m`` is odd, and (e_i - e_{m-1-i}) / sqrt(2)."""
+    half = m // 2
+    pairs = np.arange(half)
+    even, odd = np.zeros((m, m - half)), np.zeros((m, half))
+    even[pairs, pairs] = even[m - 1 - pairs, pairs] = math.sqrt(0.5)
+    odd[pairs, pairs] = math.sqrt(0.5)
+    odd[m - 1 - pairs, pairs] = -math.sqrt(0.5)
+    if m % 2:
+        even[half, half] = 1.0
+    return even, odd
+
+
+def _fortran(dtype, *matrices):
+    """``matrices`` rounded to ``dtype`` in Fortran order, read-only."""
+    return _read_only(*(np.asfortranarray(m, dtype) for m in matrices))
+
+
+def _lanes(y, axis):
+    """``y`` with ``axis`` last when it is the last, else second to last
+    with the axes after it merged, and whether it is last."""
+    last = axis == y.ndim - 1
+    return y.reshape((-1,) + y.shape[-1:] if last
+                     else y.shape[:axis + 1] + (-1,)), last
+
+
+def _cut(lanes, last, part):
+    """The ``part`` (a slice) of the lane axis of ``lanes``."""
+    return lanes[..., part] if last else lanes[..., part, :]
+
+
+def _into(matrix, lanes, out, last):
+    """``out`` = ``matrix`` applied along the lane axis of ``lanes``."""
+    if last:
+        np.matmul(lanes, matrix.T, out=out)
+    else:
+        np.matmul(matrix, lanes, out=out)
+
+
+class _AxisBasis:
+    """The eigenbasis V of one axis, applied along one axis of an array:
+    V^T (``forward``), V (``backward``) and C^ = V^T C V (``coupled``) for
+    the axis's central difference C, when built with it.  ``values`` are
+    the eigenvalues in the order of the modes.
+
+    Every 1-D operator on a uniform axis is persymmetric, J A J = A for J
+    the reversal, so each eigenvector is even or odd about the middle
+    (Solomonoff 1992).  On an axis of at least ``_FOLD_MIN`` modes the
+    basis comes from the two half-size eigenproblems on the even and on
+    the odd vectors, and keeps the modes evens first, with E and O the
+    upper halves of the even and the odd eigenvectors (E's rows reach the
+    middle node).  Then V^T y = [E^T (y_top + J y_bot); O^T (y_top -
+    J y_bot)], where the first fold counts the middle node of an odd
+    length twice, so the E it meets has that row halved, and V t is
+    E t_e + O t_o on the upper half and, reversed, E t_e - O t_o on the
+    lower.  The central difference is skew-persymmetric, J C J = -C, so C^
+    maps evens to odds and odds to evens: only its two off-diagonal blocks
+    are kept, and each product is two quarter-size ones.  A shorter axis
+    keeps the dense V and C^.
+
+    ``dtype`` is the working precision: the vectors and couplings are
+    formed in double and rounded to it once.  ``forward`` casts its input
+    to it (a fold as it sums), and ``backward`` returns it unless given
+    another ``dtype``, which the unfold then writes directly.
+    """
+
+    def __init__(self, operator, dtype, scale=None, central=None):
+        """The eigenvectors of the symmetric persymmetric matrix
+        ``operator``, times ``scale`` row by row when given, with the
+        couplings of the matrix ``central`` when given."""
+        m = len(operator)
+        self.dtype = np.dtype(dtype)
+        if m >= _FOLD_MIN:
+            halves = [(p, *np.linalg.eigh(p.T @ operator @ p))
+                      for p in _parity_projections(m)]
+            values = np.concatenate([v for _, v, _ in halves])
+            parts = [p @ x for p, _, x in halves]
+        else:
+            values, vectors = np.linalg.eigh(operator)
+            parts = [vectors]
+        if scale is not None:
+            parts = [scale[:, None] * v for v in parts]
+        couplings = [] if central is None else [
+            a.T @ central @ b for a, b in zip(parts, parts[::-1])]
+        self.folded = len(parts) == 2
+        self.odds = m // 2
+        self.evens = m - self.odds
+        self.values = _read_only(values)[0]
+        if not self.folded:
+            (self.vectors,) = _read_only(parts[0].astype(dtype))
+            self.couplings = _read_only(*(c.astype(dtype) for c in couplings))
+            return
+        even, odd = parts[0][:self.evens], parts[1][:self.odds]
+        halved = even.copy()
+        halved[self.odds:] *= 0.5  # the middle row, when m is odd
+        # in Fortran order, so that along a last axis, where a product
+        # takes the transpose as its second factor, that factor is C order
+        # (1.5 to 1.7 times as fast in OpenBLAS's gemm at these sizes; the
+        # order makes no difference to a product along another axis)
+        self.forward_halves = _fortran(dtype, halved.T, odd.T)
+        self.backward_halves = _fortran(dtype, even, odd)
+        self.couplings = _fortran(dtype, *couplings)
+
+    def _empty(self, count, lanes, last):
+        """A new array of ``lanes``' shape with ``count`` lanes."""
+        shape = list(lanes.shape)
+        shape[-1 if last else -2] = count
+        return np.empty(shape, self.dtype)
+
+    def forward(self, y, axis):
+        """V^T applied along ``axis`` of ``y``, in the working precision."""
+        if not self.folded:
+            return _axis_product(self.vectors.T,
+                                 y.astype(self.dtype, copy=False), axis)
+        evens, odds = slice(self.evens), slice(self.odds)
+        lanes, last = _lanes(y, axis)
+        flip = _cut(lanes, last, slice(None, None, -1))
+        even = np.add(_cut(lanes, last, evens), _cut(flip, last, evens),
+                      out=self._empty(self.evens, lanes, last))
+        odd = np.subtract(_cut(lanes, last, odds), _cut(flip, last, odds),
+                          out=self._empty(self.odds, lanes, last))
+        out = np.empty(y.shape, self.dtype)
+        modes, _ = _lanes(out, axis)
+        to_even, to_odd = self.forward_halves
+        _into(to_even, even, _cut(modes, last, evens), last)
+        _into(to_odd, odd,
+              _cut(modes, last, slice(self.evens, None)), last)
+        return out
+
+    def backward(self, t, axis, dtype=None):
+        """V applied along ``axis`` of ``t``, returned as ``dtype`` (the
+        working precision when None)."""
+        if not self.folded:
+            y = _axis_product(self.vectors, t, axis)
+            return y if dtype is None else y.astype(dtype, copy=False)
+        dtype = self.dtype if dtype is None else dtype
+        odds = slice(self.odds)
+        modes, last = _lanes(t, axis)
+        even = self._empty(self.evens, modes, last)
+        odd = self._empty(self.odds, modes, last)
+        from_even, from_odd = self.backward_halves
+        _into(from_even, _cut(modes, last, slice(self.evens)), even, last)
+        _into(from_odd, _cut(modes, last, slice(self.evens, None)),
+              odd, last)
+        out = np.empty(t.shape, dtype)
+        lanes, _ = _lanes(out, axis)
+        flip = _cut(lanes, last, slice(None, None, -1))
+        upper = _cut(even, last, odds)
+        np.add(upper, odd, out=_cut(lanes, last, odds))
+        np.subtract(upper, odd, out=_cut(flip, last, odds))
+        middle = slice(self.odds, self.evens)
+        _cut(lanes, last, middle)[...] = _cut(even, last, middle)
+        return out
+
+    def coupled(self, y, axis):
+        """C^ applied along ``axis`` of ``y``, in the working precision."""
+        if not self.folded:
+            return _axis_product(self.couplings[0], y, axis)
+        lanes, last = _lanes(y, axis)
+        out = np.empty(y.shape, self.dtype)
+        modes, _ = _lanes(out, axis)
+        evens, odds = slice(self.evens), slice(self.evens, None)
+        _into(self.couplings[0], _cut(lanes, last, odds),
+              _cut(modes, last, evens), last)
+        _into(self.couplings[1], _cut(lanes, last, evens),
+              _cut(modes, last, odds), last)
+        return out
+
+
 @lru_cache(maxsize=64)
 def _dirichlet_eigen(n, h, dtype):
-    """Eigenvalues l and orthonormal eigenvectors V (columns) of minus the
-    interior block of ``grid.second_difference(n, h)``, and V^T C V for C
-    the interior block of ``grid.central_difference(n, h)``.  All are
-    formed in double; V and V^T C V are rounded to ``dtype`` once."""
+    """The eigenbasis (see :class:`_AxisBasis`) of minus the interior block
+    of ``grid.second_difference(n, h)``, with the couplings of C, the
+    interior block of ``grid.central_difference(n, h)``, in the working
+    precision ``dtype``."""
     block = _dense(second_difference(n, h))[1:-1, 1:-1]
-    values, vectors = np.linalg.eigh(-block)
     central = _dense(central_difference(n, h))[1:-1, 1:-1]
-    return _read_only(values, vectors.astype(dtype, copy=False),
-                      (vectors.T @ central @ vectors).astype(dtype, copy=False))
+    return _AxisBasis(-block, dtype, central=central)
 
 
 @lru_cache(maxsize=64)
 def _neumann_eigen(h, weights):
-    """Eigenpairs of ``grid.neumann_stiffness`` against the trapezoid
-    ``weights`` (a tuple, one per node): S V = W V diag(values) with
-    V^T W V = I."""
+    """The eigenbasis (see :class:`_AxisBasis`), in double, of
+    ``grid.neumann_stiffness`` against the trapezoid ``weights`` (a tuple,
+    one per node): S V = W V diag(values) with V^T W V = I."""
     scale = 1.0 / np.sqrt(np.array(weights))
     stiffness = _dense(neumann_stiffness(len(weights), h))
-    values, vectors = np.linalg.eigh(scale[:, None] * stiffness * scale)
-    return _read_only(values, scale[:, None] * vectors)
+    return _AxisBasis(scale[:, None] * stiffness * scale, np.float64,
+                      scale=scale)
 
 
 def _outer_sum(values):
@@ -219,25 +408,28 @@ def _axis_product(matrix, y, axis):
     return (matrix @ y.reshape(y.shape[:axis + 1] + (-1,))).reshape(y.shape)
 
 
-def _in_basis(bases, y, back=False):
-    """V^T y, or V y when ``back``, for V the Kronecker product of
-    ``bases``, one matrix per trailing axis of ``y``; a leading axis beyond
-    them is a batch of components.  V^T y takes the axes in order, V y the
-    last one first and then the others in order: the bits of a 3-D heat
-    apply depend on that order."""
+def _in_basis(bases, y, back=False, dtype=None):
+    """V^T y, or V y returned as ``dtype`` when ``back``, for V the
+    Kronecker product of ``bases`` (:class:`_AxisBasis`), one per trailing
+    axis of ``y``; a leading axis beyond them is a batch of components.
+    V^T y takes the axes in order, V y the last one first and then the
+    others in order: the bits of a 3-D heat apply depend on that order."""
     lead = y.ndim - len(bases)
     axes = list(range(len(bases)))
-    if back:
-        axes = axes[-1:] + axes[:-1]
+    if not back:
+        for k in axes:
+            y = bases[k].forward(y, lead + k)
+        return y
+    axes = axes[-1:] + axes[:-1]
     for k in axes:
-        y = _axis_product(bases[k] if back else bases[k].T, y, lead + k)
+        y = bases[k].backward(y, lead + k, dtype if k == axes[-1] else None)
     return y
 
 
 def _fast_diagonalization(bases, divisor):
     """Preconditioner r -> V diag(1 / divisor) V^T r, for V the Kronecker
-    product of ``bases``, one matrix per axis of ``divisor``.  Runs in
-    float64 and returns float64."""
+    product of ``bases``, one per axis of ``divisor``.  Runs in float64 and
+    returns float64."""
     inverse = 1.0 / divisor
 
     def precondition(r):
@@ -248,12 +440,13 @@ def _fast_diagonalization(bases, divisor):
     return precondition
 
 
-def _block_gauss_seidel(bases, couplings, divisor, scale):
+def _block_gauss_seidel(bases, divisor, scale):
     """Preconditioner r -> P^{-1} r, P = (D + L) D^{-1} (D + U), the
     symmetric block Gauss-Seidel sweep over the components of a block
     matrix D + L + U whose blocks, in the Kronecker product V of
     ``bases``, are diagonal on the diagonal, diag(divisor[i]), and
-    -scale * C_i (x) C_j off it, with C_k = ``couplings[k]`` along axis k.
+    -scale * C_i (x) C_j off it, with C_k the couplings of ``bases[k]``
+    (see :class:`_AxisBasis`).
 
     In that basis, t = V^T r, the forward sweep takes, component by
     component, t_i += scale * C_i sum_{j<i} C_j y_j with y_i = t_i /
@@ -262,34 +455,29 @@ def _block_gauss_seidel(bases, couplings, divisor, scale):
     V z.  Each sum is one product along axis i of the running sum of the
     products C_j y_j (C_j z_j).
 
-    The dtype of ``bases`` and ``couplings`` is the working precision:
-    1 / divisor is formed in double and rounded to it once, each residual
-    is cast to it, and the products and the scaling run in it.  The result
-    is float64.
+    The dtype of ``bases`` is the working precision: 1 / divisor is formed
+    in double and rounded to it once, each residual is cast to it, and the
+    products and the scaling run in it.  The result is float64.
     """
     dtype = bases[0].dtype
     inverse = (1.0 / divisor).astype(dtype, copy=False)
     scale = dtype.type(scale)
     axes = range(len(bases))
 
-    def coupled(i, y):
-        return _axis_product(couplings[i], y, i)
-
     def precondition(r):
-        t = _in_basis(bases, r.astype(dtype, copy=False).reshape(
-            divisor.shape))
+        t = _in_basis(bases, r.reshape(divisor.shape))
         mixed = 0.0
         for i in axes[1:]:
-            mixed = mixed + coupled(i - 1, t[i - 1] * inverse[i - 1])
-            t[i] += scale * coupled(i, mixed)
+            mixed = mixed + bases[i - 1].coupled(t[i - 1] * inverse[i - 1],
+                                                 i - 1)
+            t[i] += scale * bases[i].coupled(mixed, i)
         t[-1] *= inverse[-1]
         mixed = 0.0
         for i in axes[-2::-1]:
-            mixed = mixed + coupled(i + 1, t[i + 1])
-            t[i] += scale * coupled(i, mixed)
+            mixed = mixed + bases[i + 1].coupled(t[i + 1], i + 1)
+            t[i] += scale * bases[i].coupled(mixed, i)
             t[i] *= inverse[i]
-        return _in_basis(bases, t, back=True).ravel().astype(
-            np.float64, copy=False)
+        return _in_basis(bases, t, back=True, dtype=np.float64).ravel()
 
     return precondition
 
@@ -327,16 +515,16 @@ def velocity_matrix(grid, dt, lam, mu):
 
     # float32: the sweep is an approximate inverse, far coarser than
     # float32's rounding
-    values, vectors, couplings = zip(*(
-        _dirichlet_eigen(n, h, np.float32) for n, h in zip(grid.n, grid.h)
-    ))
+    bases = [_dirichlet_eigen(n, h, np.float32)
+             for n, h in zip(grid.n, grid.h)]
+    values = [basis.values for basis in bases]
     common = 1.0 / dt + mu * _outer_sum(values)
     divisor = np.stack([
         common + (lam + mu) * values[i].reshape(
             [-1 if k == i else 1 for k in range(grid.d)])
         for i in range(grid.d)
     ])
-    precondition = _block_gauss_seidel(vectors, couplings, divisor, lam + mu)
+    precondition = _block_gauss_seidel(bases, divisor, lam + mu)
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 
@@ -423,15 +611,14 @@ def heat_stiffness(grid, k):
     the eigenbasis (see :class:`HeatStiffness`)."""
     matrix, diagonal = neumann_matrix(grid)
     matrix.data *= k
-    values, vectors = zip(*(
-        _neumann_eigen(h, tuple(w)) for h, w in zip(grid.h, grid.axis_weights)
-    ))
+    bases = tuple(_neumann_eigen(h, tuple(w))
+                  for h, w in zip(grid.h, grid.axis_weights))
     return HeatStiffness(
         matrix=matrix,
         diagonal=diagonal.astype(np.intp),
         diagonal_values=matrix.data[diagonal],
-        bases=vectors,
-        eigenvalues=k * _outer_sum(values),
+        bases=bases,
+        eigenvalues=k * _outer_sum(basis.values for basis in bases),
     )
 
 
@@ -446,9 +633,17 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
     one heat matrix for all its sweeps.  The preconditioner is the exact
     inverse of the same matrix with the coefficient replaced by its mean,
     so it is exact for a uniform coefficient and has condition number at
-    most its max/min otherwise.
+    most its max/min otherwise.  Raises :class:`DomainError` for a
+    coefficient that is not finite, and :class:`DegeneracyError` for one
+    that is not positive, before it writes the diagonal.
     """
     _check_dt(dt)
+    # a NaN or infinite entry makes the mean NaN or infinite, and is
+    # refused before it reaches the stiffness's shared diagonal
+    mean = float(coefficient.data.mean())
+    if not math.isfinite(mean):
+        raise DomainError(
+            f"heat coefficient must be finite everywhere, its mean is {mean}")
     c_min = float(np.min(coefficient.data))
     if c_min <= 0.0:
         raise DegeneracyError(
@@ -462,7 +657,7 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
     matrix.data[stiffness.diagonal] = stiffness.diagonal_values + (
         w * (params.cv / dt) * coefficient.data.ravel()
     )
-    mean_mass = (params.cv / dt) * float(coefficient.data.mean())
+    mean_mass = (params.cv / dt) * mean
     precondition = _fast_diagonalization(
         stiffness.bases, mean_mass + stiffness.eigenvalues
     )

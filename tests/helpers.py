@@ -155,22 +155,19 @@ def reference_heat_rhs_vector(grid, dt, theta_old, theta_it, v_iter, g,
 def double_velocity_operator(grid, dt, lam, mu):
     """``velocity_matrix(grid, dt, lam, mu)`` with its preconditioner
     applied in double precision: the same matrix, and the symmetric block
-    Gauss-Seidel sweep from the float64 bases and couplings of
-    ``_dirichlet_eigen``, with the divisor written out here."""
+    Gauss-Seidel sweep in the float64 bases of ``_dirichlet_eigen``, with
+    the divisor written out here."""
     op = velocity_matrix(grid, dt, lam, mu)
-    values, vectors, couplings = zip(*(
-        linear_step._dirichlet_eigen(n, h, np.float64)
-        for n, h in zip(grid.n, grid.h)
-    ))
-    axes = np.ix_(*values)
+    bases = [linear_step._dirichlet_eigen(n, h, np.float64)
+             for n, h in zip(grid.n, grid.h)]
+    axes = np.ix_(*(basis.values for basis in bases))
     divisor = np.stack([
         1.0 / dt + mu * sum(axes) + (lam + mu) * axes[i]
         for i in range(grid.d)
     ])
     return SparseOperator(
         matrix=op.matrix,
-        precondition=linear_step._block_gauss_seidel(
-            vectors, couplings, divisor, lam + mu),
+        precondition=linear_step._block_gauss_seidel(bases, divisor, lam + mu),
     )
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from kvsim import (
@@ -24,7 +25,12 @@ from kvsim import (
     solve_spd,
 )
 from kvsim import linear_step
-from kvsim.grid import navier_matrix
+from kvsim.grid import (
+    central_difference,
+    navier_matrix,
+    neumann_stiffness,
+    second_difference,
+)
 from kvsim.linear_step import (
     LinearSolveReport,
     Product,
@@ -51,11 +57,15 @@ from helpers import (
     reference_velocity_rhs,
 )
 
-SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", [
-    ((9,), (1.0,)),
-    ((13, 19), (0.8, 1.5)),
-    ((7, 8, 9), (1.0, 1.2, 0.9)),
-], ids=["1d", "anisotropic", "3d"])
+SMALL = [((9,), (1.0,)), ((13, 19), (0.8, 1.5)), ((7, 8, 9), (1.0, 1.2, 0.9))]
+SMALL_IDS = ["1d", "anisotropic", "3d"]
+SMALL_GRIDS = pytest.mark.parametrize("nodes,lengths", SMALL, ids=SMALL_IDS)
+# grids whose one long axis works on its even and odd halves (see
+# test_only_long_axes_fold)
+FOLDED = [((129, 5), (1.0, 0.3)), ((4, 4, 129), (0.5, 0.7, 1.2))]
+SMALL_AND_FOLDED_GRIDS = pytest.mark.parametrize(
+    "nodes,lengths", SMALL + FOLDED,
+    ids=SMALL_IDS + ["folded-2d", "folded-3d"])
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +345,118 @@ def test_heat_matrix_degenerate_coefficient_rejected(grid2d, params):
         heat_matrix(grid2d, 0.02, theta, params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_heat_matrix_refuses_a_coefficient_that_is_not_finite(params, bad):
+    """A NaN or infinite coefficient raises DomainError, not the
+    DegeneracyError of a coefficient that is not positive, and leaves the
+    stiffness's shared diagonal as it was.  (It used to be written there,
+    and CG then failed with "the preconditioner is not positive
+    definite".)"""
+    grid = make_grid(d=2, n=9)
+    stiffness = heat_stiffness(grid, params.k)
+    before = stiffness.matrix.data.copy()
+    theta = ScalarField.constant(grid, 1.0)
+    theta.data[4, 4] = bad
+    with pytest.raises(DomainError, match="finite") as excinfo:
+        heat_matrix(grid, 0.02, theta, params, stiffness)
+    assert not isinstance(excinfo.value, DegeneracyError)
+    assert np.array_equal(stiffness.matrix.data, before)
+
+
 # ---------------------------------------------------------------------------
 # preconditioners in per-axis eigenbases
 # ---------------------------------------------------------------------------
 
-@SMALL_GRIDS
+def _axis_operator(kind, n):
+    """The float64 basis of ``kind`` on ``n`` nodes of a unit axis, built
+    past the cache, with a dense reference eigenbasis R (columns in the
+    basis's mode order, signs matched) and the coupled matrix C (None for
+    the Neumann basis)."""
+    h = 1.0 / (n - 1)
+    if kind == "dirichlet":
+        basis = linear_step._dirichlet_eigen.__wrapped__(n, h, np.float64)
+        inner = slice(1, -1)
+        operator = -linear_step._dense(second_difference(n, h))[inner, inner]
+        central = linear_step._dense(central_difference(n, h))[inner, inner]
+        values, vectors = np.linalg.eigh(operator)
+    else:
+        weights = Grid((n,), (1.0,)).axis_weights[0]
+        basis = linear_step._neumann_eigen.__wrapped__(h, tuple(weights))
+        central = None
+        values, vectors = scipy.linalg.eigh(
+            linear_step._dense(neumann_stiffness(n, h)), np.diag(weights))
+    order = np.argsort(basis.values, kind="stable")
+    assert np.allclose(basis.values[order], values, rtol=1e-12, atol=1e-9)
+    reference = np.empty_like(vectors)
+    reference[:, order] = vectors
+    columns = basis.backward(np.eye(len(values)), 0)
+    reference *= np.sign(np.sum(columns * reference, axis=0))
+    return basis, reference, central
+
+
+@pytest.mark.parametrize("fold", [True, False], ids=["folded", "dense"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 129, 130])
+def test_axis_basis_products_match_the_dense_eigenbasis(
+        monkeypatch, rng, fold, kind, n):
+    """V^T, V and C^ = V^T C V along each axis of an array, folded (the
+    fold forced on every axis through ``_FOLD_MIN``) or dense, equal the
+    products of a dense float64 eigenbasis to round-off, on odd and even
+    lengths."""
+    monkeypatch.setattr(linear_step, "_FOLD_MIN", 1 if fold else 10**9)
+    basis, ref, central = _axis_operator(kind, n)
+    m = len(ref)
+    assert basis.folded == fold
+    for shape, axis in (((m, 3), 0), ((2, m), 1), ((2, m, 3), 1)):
+        y = rng.standard_normal(shape)
+        lanes = np.moveaxis(y, axis, 0).reshape(m, -1)
+
+        def check(got, want):
+            got = np.moveaxis(got, axis, 0).reshape(m, -1)
+            assert got.dtype == np.float64
+            assert (np.linalg.norm(got - want)
+                    <= 1e-11 * np.linalg.norm(want))
+
+        check(basis.forward(y, axis), ref.T @ lanes)
+        check(basis.backward(y, axis), ref @ lanes)
+        if central is not None:
+            check(basis.coupled(y, axis), ref.T @ central @ ref @ lanes)
+
+
+@pytest.mark.parametrize("n", [5, 8, 129, 130])
+def test_folded_couplings_change_parity(monkeypatch, n):
+    """In the folded basis, modes evens first, C^ = V^T C V is block
+    anti-diagonal: the central difference maps even vectors to odd ones
+    and odd to even, so its same-parity blocks are zero to round-off."""
+    monkeypatch.setattr(linear_step, "_FOLD_MIN", 1)
+    basis, _, central = _axis_operator("dirichlet", n)
+    vectors = basis.backward(np.eye(n - 2), 0)
+    coupling = vectors.T @ central @ vectors
+    evens = basis.evens
+    scale = np.linalg.norm(central)
+    assert np.max(np.abs(coupling[:evens, :evens])) <= 1e-13 * scale
+    assert np.max(np.abs(coupling[evens:, evens:])) <= 1e-13 * scale
+    assert np.max(np.abs(coupling[:evens, evens:])) > 0.1 * scale / n
+
+
+def test_only_long_axes_fold(params):
+    """An axis folds from ``_FOLD_MIN`` modes on (n - 2 for the velocity's
+    interior nodes, n for the heat's): the long axis of the folded test
+    grids does, for both preconditioners, and their short axes and every
+    axis of the shipped 33^2 and 17^3 grids keep the dense products."""
+    fold = linear_step._FOLD_MIN
+    for nodes, lengths in FOLDED + [((33, 33), (1.0, 1.0)),
+                                    ((17, 17, 17), (1.0, 1.0, 1.0))]:
+        grid = Grid(nodes, lengths)
+        assert [linear_step._dirichlet_eigen(n, h, np.float32).folded
+                for n, h in zip(grid.n, grid.h)] == [
+                    n - 2 >= fold for n in nodes]
+        assert [b.folded for b in heat_stiffness(grid, params.k).bases] == [
+            n >= fold for n in nodes]
+    assert 33 < fold <= 127
+
+
+@SMALL_AND_FOLDED_GRIDS
 def test_heat_preconditioner_exact_for_uniform_temperature(rng, params, nodes, lengths):
     """With a uniform frozen temperature the preconditioner is the inverse of
     the heat matrix, so CG stops after one iteration."""
@@ -367,7 +484,7 @@ def _gauss_seidel_matrix(matrix, d):
     return lower @ np.linalg.solve(diagonal, upper)
 
 
-@SMALL_GRIDS
+@SMALL_AND_FOLDED_GRIDS
 def test_velocity_preconditioner_inverts_the_block_gauss_seidel_sweep(
         rng, params, nodes, lengths):
     """The velocity preconditioner is the symmetric block Gauss-Seidel
@@ -404,16 +521,16 @@ def test_velocity_preconditioner_is_symmetric_and_positive(
                   > 0.0)
 
 
-def test_velocity_preconditioner_bits_do_not_depend_on_blas_threads():
-    """The 129^2 velocity preconditioner gives the same bits with one and
-    with two OpenBLAS threads: its float32 products are big enough for
-    OpenBLAS to thread them."""
+def _digests_at_one_and_two_threads(build):
+    """The sha256 of one preconditioner apply on a random residual, in a
+    subprocess with one and with two OpenBLAS threads, for ``build`` an
+    expression of the operator in terms of ``linear_step``'s names."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import hashlib, numpy as np; "
-        "from kvsim import Grid; "
-        "from kvsim.linear_step import velocity_matrix; "
-        "op = velocity_matrix(Grid((129, 129), (1.0, 1.0)), 0.02, 1.0, 1.0); "
+        "from kvsim import Grid, MaterialParams, ScalarField; "
+        "from kvsim.linear_step import *; "
+        f"op = {build}; "
         "r = np.random.default_rng(7).standard_normal(op.size); "
         "print(hashlib.sha256(op.precondition(r).tobytes()).hexdigest())"
     )
@@ -426,7 +543,30 @@ def test_velocity_preconditioner_bits_do_not_depend_on_blas_threads():
                              check=True, capture_output=True, text=True,
                              timeout=120)
         digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
+    return digests
+
+
+def test_velocity_preconditioner_bits_do_not_depend_on_blas_threads():
+    """The 129^2 velocity preconditioner gives the same bits with one and
+    with two OpenBLAS threads: its float32 products are big enough for
+    OpenBLAS to thread them."""
+    first, second = _digests_at_one_and_two_threads(
+        "velocity_matrix(Grid((129, 129), (1.0, 1.0)), 0.02, 1.0, 1.0)")
+    assert first == second
+
+
+def test_heat_preconditioner_bits_do_not_depend_on_blas_threads():
+    """The 129^2 heat preconditioner gives the same bits with one and with
+    two OpenBLAS threads: its float64 products work on the folded halves
+    of both axes.  (Its dense 129 x 129 products, which OpenBLAS threads,
+    rounded differently at two threads.)"""
+    grid = "Grid((129, 129), (1.0, 1.0))"
+    params = ("MaterialParams(lambda1=1.0, mu1=1.0, lambda2=1.0, mu2=1.0, "
+              "k=1.0, cv=1.0, alpha=0.1, beta=1.0)")
+    first, second = _digests_at_one_and_two_threads(
+        f"heat_matrix({grid}, 0.02, ScalarField.constant({grid}, 1.3), "
+        f"{params})")
+    assert first == second
 
 
 @pytest.mark.parametrize("nodes", [(33, 33), (65, 65), (129, 129), (17, 17, 17)],
