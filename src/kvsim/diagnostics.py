@@ -173,7 +173,8 @@ def _record(state, params, integrals, **step_fields):
 def record_for_step(state_old, state_new, trace, b, g, dt, params, old):
     """The CSV row of one step, from the corner strains of each state.
 
-    ``old`` is the :class:`StateIntegrals` of ``state_old``; ``b`` and ``g``
+    ``old`` is the :class:`DiagnosticsRecord` of ``state_old``, whose
+    ``total_energy`` and ``entropy`` the balances take; ``b`` and ``g``
     are the step's sources at the new time (None when absent).  The strain
     rate is eps(v_new) = (eps_new - eps_old)/dt by the displacement update
     rule, the step's exact mean strain rate; sigma, the entropy production
@@ -219,7 +220,7 @@ def record_for_step(state_old, state_new, trace, b, g, dt, params, old):
     # The entropy flux div(q/theta) integrates to zero: the insulated walls
     # annihilate it, and so does the discrete weak form, whose test
     # function 1 has no corner gradient.  So the defect holds no flux term.
-    energy_defect = new.energy - old.energy - dt * work
+    energy_defect = new.energy - old.total_energy - dt * work
     production = dt * sigma_integral
     entropy_defect = abs(
         new.entropy - old.entropy - production - dt * source_integral)
@@ -271,12 +272,9 @@ class DiagnosticsCollector:
             raise UsageError(
                 "a step event must start from the state of the collector's "
                 "last record")
-        last = self.records[-1]
-        old = StateIntegrals(last.kinetic_energy, last.elastic_energy,
-                             last.thermal_energy, last.entropy)
         self.records.append(record_for_step(
             event.state_old, event.state_new, event.trace,
-            event.b, event.g, event.dt, self.params, old,
+            event.b, event.g, event.dt, self.params, self.records[-1],
         ))
         self._last = weakref.ref(event.state_new)
 

@@ -176,10 +176,6 @@ class ScalarField:
         self.data = _check_data(self.grid, self.data, ())
 
     @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)))
 
@@ -410,7 +406,8 @@ def _kron_csr(grid, rows, columns, block_rows):
 def navier_matrix(grid, lam, mu, box=slice(None)):
     """Q = mu Lap + (lam + mu) grad div as a sparse matrix, component-major,
     over the nodes that ``box`` selects on every axis (``slice(1, -1)``: the
-    interior box, where -Q is symmetric positive definite).
+    interior box, where -Q is symmetric positive definite), and the index
+    of each row's diagonal in its ``data`` (see ``_kron_csr``).
 
     With D2_k and C_k the second and central difference of axis k, block
     (i, i) is mu * sum_k D2_k + (lam + mu) * D2_i and block (i, j) is
@@ -424,7 +421,7 @@ def navier_matrix(grid, lam, mu, box=slice(None)):
         [(i, mu, laplace), (i, lam + mu, [laplace[i]])]
         + [(j, lam + mu, [{i: central[i], j: central[j]}])
            for j in range(grid.d) if j != i]
-        for i in range(grid.d)])[0]
+        for i in range(grid.d)])
 
 
 def neumann_matrix(grid, axes=None):
@@ -615,7 +612,7 @@ def lame_operator(u, lam, mu, check_boundary=True):
                 f"displacement field must vanish on the boundary "
                 f"(max boundary magnitude {worst:.3e})"
             )
-    q = navier_matrix(grid, lam, mu) @ np.moveaxis(u.data, -1, 0).ravel()
+    q = navier_matrix(grid, lam, mu)[0] @ np.moveaxis(u.data, -1, 0).ravel()
     out = np.moveaxis(q.reshape((grid.d,) + grid.shape), 0, -1)
     out[grid.boundary_mask] = 0.0
     return VectorField(grid, out)

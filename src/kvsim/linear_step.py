@@ -55,28 +55,28 @@ exactly zero.
 
 Solves use conjugate gradients whose inner products sum in numpy's own
 order, not through BLAS, so that the result does not depend on the BLAS
-thread count.  Both preconditioners work in the Kronecker product of
-per-axis eigenbases (fast diagonalization, Lynch, Rice & Thomas 1964),
-where the separable part of each operator is diagonal.  The heat
-preconditioner is the exact inverse of its separable part, the heat
-matrix with the diagonal coefficient replaced by its mean.  The velocity
-preconditioner keeps the whole Lame system: its diagonal component blocks
-are separable, and in the eigenbasis each mixed (lam + mu) d_i d_j block
-is a Kronecker product of two dense per-axis matrices.  It is the
-symmetric block Gauss-Seidel sweep over the components (the displacement
-decomposition of Blaheta 1994).  For two components it bounds the
-condition number by 1/(1 - gamma^2), where dropping the mixed blocks gave
-(1 + gamma)/(1 - gamma), gamma the strengthened Cauchy-Schwarz constant
-between them (Axelsson): cold velocity solves take 10-11 iterations at
-lam = mu where the component-diagonal inverse took 19-21.  Both
-preconditioners are spectrally equivalent to their operators, so the
-iteration counts stay bounded as the grid is refined.  The velocity
-preconditioner runs its dense per-axis products in single precision: it
-is approximate by design, and float32 rounding (about 1e-7) lies far
-below what the sweep leaves out.  The heat preconditioner, exact for a
-uniform coefficient, stays in double.  Both return float64, and the rest
-of CG (vectors, matrix products, inner products, residual re-checks and
-the stopping test) runs in double.
+thread count.  One preconditioner serves both systems: the symmetric
+block Gauss-Seidel sweep over the components (:func:`_block_gauss_seidel`,
+the displacement decomposition of Blaheta 1994), in the Kronecker product
+of per-axis eigenbases (fast diagonalization, Lynch, Rice & Thomas 1964),
+where the separable part of each operator is diagonal.  The velocity
+system keeps the whole Lame system: its diagonal component blocks are
+separable, and in the eigenbasis each mixed (lam + mu) d_i d_j block is a
+Kronecker product of two dense per-axis matrices.  For two components the
+sweep bounds the condition number by 1/(1 - gamma^2), where dropping the
+mixed blocks gave (1 + gamma)/(1 - gamma), gamma the strengthened
+Cauchy-Schwarz constant between them (Axelsson): cold velocity solves take
+10-11 iterations at lam = mu where the component-diagonal inverse took
+19-21.  The heat system has one component and no mixed block, so its
+sweep is the exact inverse of its separable part, the heat matrix with
+the diagonal coefficient replaced by its mean.  Both preconditioners are
+spectrally equivalent to their operators, so the iteration counts stay
+bounded as the grid is refined.  The velocity sweep runs its dense
+per-axis products in single precision: it is approximate by design, and
+float32 rounding (about 1e-7) lies far below what the sweep leaves out.
+The heat sweep, exact for a uniform coefficient, stays in double.  Both
+return float64, and the rest of CG (vectors, matrix products, inner
+products, residual re-checks and the stopping test) runs in double.
 
 Every 1-D operator on a uniform axis is persymmetric, so each per-axis
 eigenvector is even or odd about the middle node (Solomonoff 1992).  On
@@ -136,10 +136,10 @@ class SparseOperator:
 
     ``precondition`` maps a float64 residual r to the float64
     z = P^{-1} r for a symmetric positive-definite P close to the matrix.
-    ``velocity_matrix`` attaches the symmetric block Gauss-Seidel sweep over
-    its components, applied in single precision, and ``heat_matrix`` the
-    exact inverse of its separable part, in double; both work in per-axis
-    eigenbases, on the folded halves of each long axis (see
+    Both ``velocity_matrix`` and ``heat_matrix`` attach the symmetric block
+    Gauss-Seidel sweep over their components (:func:`_block_gauss_seidel`),
+    over d components in single precision and over one in double, in
+    per-axis eigenbases, on the folded halves of each long axis (see
     :class:`_AxisBasis`).
     """
 
@@ -426,27 +426,16 @@ def _in_basis(bases, y, back=False, dtype=None):
     return y
 
 
-def _fast_diagonalization(bases, divisor):
-    """Preconditioner r -> V diag(1 / divisor) V^T r, for V the Kronecker
-    product of ``bases``, one per axis of ``divisor``.  Runs in float64 and
-    returns float64."""
-    inverse = 1.0 / divisor
-
-    def precondition(r):
-        y = _in_basis(bases, r.reshape(divisor.shape))
-        y *= inverse
-        return _in_basis(bases, y, back=True).ravel()
-
-    return precondition
-
-
 def _block_gauss_seidel(bases, divisor, scale):
     """Preconditioner r -> P^{-1} r, P = (D + L) D^{-1} (D + U), the
     symmetric block Gauss-Seidel sweep over the components of a block
     matrix D + L + U whose blocks, in the Kronecker product V of
     ``bases``, are diagonal on the diagonal, diag(divisor[i]), and
     -scale * C_i (x) C_j off it, with C_k the couplings of ``bases[k]``
-    (see :class:`_AxisBasis`).
+    (see :class:`_AxisBasis`).  ``divisor`` holds one array per
+    component, over the nodes of the unknowns: d for a velocity, or one
+    for a temperature, whose P is D, so that the sweep is
+    V diag(1 / divisor[0]) V^T.
 
     In that basis, t = V^T r, the forward sweep takes, component by
     component, t_i += scale * C_i sum_{j<i} C_j y_j with y_i = t_i /
@@ -462,18 +451,21 @@ def _block_gauss_seidel(bases, divisor, scale):
     dtype = bases[0].dtype
     inverse = (1.0 / divisor).astype(dtype, copy=False)
     scale = dtype.type(scale)
-    axes = range(len(bases))
+    components = range(len(divisor))
+    # the components that each sweep visits after the one it starts from
+    forward, backward = components[1:], components[-2::-1]
+    last = inverse[-1]
 
     def precondition(r):
         t = _in_basis(bases, r.reshape(divisor.shape))
         mixed = 0.0
-        for i in axes[1:]:
+        for i in forward:
             mixed = mixed + bases[i - 1].coupled(t[i - 1] * inverse[i - 1],
                                                  i - 1)
             t[i] += scale * bases[i].coupled(mixed, i)
-        t[-1] *= inverse[-1]
+        t[-1] *= last
         mixed = 0.0
-        for i in axes[-2::-1]:
+        for i in backward:
             mixed = mixed + bases[i + 1].coupled(t[i + 1], i + 1)
             t[i] += scale * bases[i].coupled(mixed, i)
             t[i] *= inverse[i]
@@ -493,25 +485,24 @@ def _check_dt(dt):
 
 def velocity_matrix(grid, dt, lam, mu):
     """(1/dt) I - Q over the interior unknowns (component-major layout),
-    with Q the ``grid.navier_matrix`` of (lam, mu) on the interior box, on
-    the sparsity pattern of Q.
+    with Q the ``grid.navier_matrix`` of (lam, mu) on the interior box: -Q
+    with 1/dt added through the diagonal positions that Q's writer returns.
 
     The unknowns are the interior box, ``grid.interior_shape`` nodes per
     component, so the Dirichlet rows never enter the matrix.  The operator
-    carries as preconditioner the symmetric block Gauss-Seidel sweep over
-    the components (:func:`_block_gauss_seidel`), applied in single
-    precision in the eigenbasis V of the 1-D second differences: there
-    component i's diagonal block is 1/dt + mu * sum_k l_k + (lam + mu) * l_i,
+    carries the preconditioner of both systems, the symmetric block
+    Gauss-Seidel sweep (:func:`_block_gauss_seidel`), here over the d
+    components, applied in single precision in the eigenbasis V of the 1-D
+    second differences: there component i's diagonal block is
+    1/dt + mu * sum_k l_k + (lam + mu) * l_i,
     and the mixed block (i, j) is -(lam + mu) C^_i (x) C^_j, with
     C^_k = V_k^T C_k V_k for C_k the interior block of
     ``grid.central_difference`` (see :func:`_dirichlet_eigen`).
     """
     _check_dt(dt)
-    # every row of the interior box stores its diagonal entry, so setting
-    # the diagonal keeps the Navier matrix's sparsity pattern
-    matrix = navier_matrix(grid, lam, mu, box=slice(1, -1))
+    matrix, diagonal = navier_matrix(grid, lam, mu, box=slice(1, -1))
     matrix.data *= -1.0
-    matrix.setdiag(matrix.diagonal() + 1.0 / dt)
+    matrix.data[diagonal] += 1.0 / dt
 
     # float32: the sweep is an approximate inverse, far coarser than
     # float32's rounding
@@ -630,10 +621,11 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
     ``stiffness`` is ``heat_stiffness(grid, params.k)``, built here when
     None.  The matrix is ``stiffness.matrix`` with its diagonal rewritten:
     each call with one stiffness returns the same matrix, so its owner keeps
-    one heat matrix for all its sweeps.  The preconditioner is the exact
-    inverse of the same matrix with the coefficient replaced by its mean,
-    so it is exact for a uniform coefficient and has condition number at
-    most its max/min otherwise.  Raises :class:`DomainError` for a
+    one heat matrix for all its sweeps.  The preconditioner is the block
+    Gauss-Seidel sweep (:func:`_block_gauss_seidel`) of one component, the
+    exact inverse of the same matrix with the coefficient replaced by its
+    mean, so it is exact for a uniform coefficient and has condition
+    number at most its max/min otherwise.  Raises :class:`DomainError` for a
     coefficient that is not finite, and :class:`DegeneracyError` for one
     that is not positive, before it writes the diagonal.
     """
@@ -658,9 +650,8 @@ def heat_matrix(grid, dt, coefficient, params, stiffness=None):
         w * (params.cv / dt) * coefficient.data.ravel()
     )
     mean_mass = (params.cv / dt) * mean
-    precondition = _fast_diagonalization(
-        stiffness.bases, mean_mass + stiffness.eigenvalues
-    )
+    precondition = _block_gauss_seidel(
+        stiffness.bases, (mean_mass + stiffness.eigenvalues)[None], 0.0)
     return SparseOperator(matrix=matrix, precondition=precondition)
 
 

@@ -421,8 +421,9 @@ def steps(initial, params, config, t_end, sources=None):
     accepts a temperature below half the initial minimum.
     """
     initial.validate()
-    if not t_end > initial.t:
-        raise UsageError(f"t_end = {t_end} must exceed initial time {initial.t}")
+    if not initial.t < t_end < math.inf:  # NaN too
+        raise UsageError(f"t_end = {t_end} must be finite and exceed "
+                         f"initial time {initial.t}")
     if sources is None:
         sources = Sources()
     n_steps = max(1, math.ceil((t_end - initial.t) / config.dt - 1e-9))

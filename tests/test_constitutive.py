@@ -125,7 +125,7 @@ def _forces(grid, params, u, v, theta):
     A1 eps(v) + A2 (eps(u) - theta alpha) on the packed interior nodes,
     with Q2 u - Div(theta A2 alpha) the velocity right-hand side of a
     step of dt 1 from rest at the displacement u."""
-    q1 = navier_matrix(grid, params.lambda1, params.mu1, box=slice(1, -1))
+    q1 = navier_matrix(grid, params.lambda1, params.mu1, box=slice(1, -1))[0]
     load = velocity_load(grid, 1.0, np.zeros_like(u),
                          corner_strains(unpack_interior(grid, u)), None,
                          params)

@@ -85,7 +85,7 @@ def test_total_energy_is_exact_sum(grid2d, params):
 def test_stationary_residuals_vanish(stationary, params):
     new = SimState(0.05, stationary.u, stationary.v, stationary.theta)
     rec = record_for_step(stationary, new, ONE_SWEEP, None, None, 0.05,
-                          params, state_integrals(stationary, params))
+                          params, initial_record(stationary, params))
     assert rec.energy_residual <= 1e-15
     assert rec.entropy_residual <= 1e-15 and rec.entropy_production == 0.0
     assert rec.clausius_duhem_defect <= 1e-13
@@ -95,9 +95,9 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     """A recorded step applies the strain map sweeps + 2 times: once per
     sweep for its heat system, and in its record once each to v_new and
     u_new.  The step's load takes eps(u_old) from the previous record,
-    which leaves it on its state, and the collector takes u_old's
-    integrals from that record; the initial record applies the map to u
-    and v.  A record given u_old's integrals, of a new state that holds
+    which leaves it on its state, and the collector passes that record
+    on as the old state's; the initial record applies the map to u and
+    v.  A record given u_old's record, of a new state that holds
     no strains, applies it to v_new and u_new, and leaves u_new's; a
     record of a state that holds them applies it to v alone.  None calls
     np.gradient."""
@@ -124,10 +124,9 @@ def test_records_take_one_strain_per_state(grid2d, params, monkeypatch):
     assert counts["strain"] == 2 + sum(t.iterations + 2 for t in traj.traces)
     assert traj.states[-1].strain is not None
     assert all(s.strain is None for s in traj.states[:-1])
-    old = state_integrals(traj.states[0], params)
     counts.clear()
     record_for_step(traj.states[0], traj.states[1], traj.traces[0],
-                    None, None, 0.05, params, old)
+                    None, None, 0.05, params, collector.records[0])
     assert counts == {"strain": 2}
     counts.clear()
     # the strains of u_1, which the record above left on its state
@@ -186,7 +185,7 @@ def test_entropy_balance_requires_positive_theta(grid2d, params):
     bad.theta.data[:] = -1.0
     with pytest.raises(DomainError):
         record_for_step(state, bad, ONE_SWEEP, None, None, 0.05, params,
-                        state_integrals(state, params))
+                        initial_record(state, params))
 
 
 def test_collector_refuses_an_event_out_of_sequence(grid2d, params):

@@ -309,16 +309,24 @@ def test_navier_matrix_is_the_kronecker_definition(nodes, lengths, box):
     """Written from the bands of the 1-D factors, the Navier matrix has the
     values of its Kronecker definition, bit for bit, and ascending columns
     in each row.  Its sparsity pattern is the same for every (lam, mu),
-    including pairs that zero some blocks."""
+    including pairs that zero some blocks.  Its diagonal positions index
+    the diagonal entry of every row that stores one: every row of the
+    interior box, and all but the rows of the box's corners, which are
+    empty, over all nodes."""
     grid = Grid(nodes, lengths)
-    first = navier_matrix(grid, 1.0, 1.0, box)
+    first, _ = navier_matrix(grid, 1.0, 1.0, box)
     for lam, mu in ((1.0, 1.0), (0.3, 1.7), (-1.0, 1.0), (1.0, 0.0)):
-        q = navier_matrix(grid, lam, mu, box)
+        q, diagonal = navier_matrix(grid, lam, mu, box)
         assert q.has_sorted_indices
         assert np.array_equal(q.toarray(),
                               _navier_by_kronecker(grid, lam, mu, box).toarray())
         assert np.array_equal(q.indptr, first.indptr)
         assert np.array_equal(q.indices, first.indices)
+        rows = np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))
+        stored = diagonal >= 0
+        assert np.array_equal(diagonal[stored],
+                              np.flatnonzero(q.indices == rows))
+        assert stored.all() == (box == slice(1, -1))
 
 
 def test_lame_operator_zero(grid2d):
@@ -599,7 +607,7 @@ def test_corner_form_is_the_navier_matrix(rng, nodes, lengths):
     grid = Grid(nodes, lengths)
     weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
     for lam, mu in ((1.0, 1.0), (0.3, 1.7), (-0.5, 1.0), (2.0, 0.1)):
-        q = navier_matrix(grid, lam, mu, box=slice(1, -1))
+        q = navier_matrix(grid, lam, mu, box=slice(1, -1))[0]
         for _ in range(3):
             u, v = (random_boundary_zero_vector(grid, rng).data
                     for _ in range(2))

@@ -82,7 +82,7 @@ def _velocity_rhs(grid, dt, v_old, u_old, theta_iter, b, params):
 
 def test_velocity_zero_data_gives_zero_solution(grid2d, params):
     zero_v = VectorField.zeros(grid2d)
-    zero_th = ScalarField.zeros(grid2d)
+    zero_th = ScalarField.constant(grid2d, 0.0)
     op = velocity_matrix(grid2d, 0.01, params.lambda1, params.mu1)
     rhs = _velocity_rhs(grid2d, 0.01, zero_v, zero_v, zero_th, None, params)
     x, report = solve_spd(op, rhs)
@@ -114,13 +114,11 @@ def test_velocity_matrix_positive_definite(rng, params):
     ((7, 8, 9), (1.0, 1.2, 0.9)),
 ])
 def test_velocity_matrix_keeps_the_navier_pattern(params, nodes, lengths):
-    """Setting the diagonal inserts no entry: the velocity matrix has the
-    ``indptr`` and ``indices`` of ``navier_matrix`` on the interior box,
-    so a writer that failed to store a diagonal entry fails here on every
-    scipy version, warning or not."""
+    """Writing the diagonal inserts no entry: the velocity matrix has the
+    ``indptr`` and ``indices`` of ``navier_matrix`` on the interior box."""
     grid = Grid(nodes, lengths)
-    navier = navier_matrix(grid, params.lambda1, params.mu1,
-                           box=slice(1, -1))
+    navier, _ = navier_matrix(grid, params.lambda1, params.mu1,
+                              box=slice(1, -1))
     matrix = velocity_matrix(grid, 0.02, params.lambda1, params.mu1).matrix
     for name in ("indptr", "indices"):
         got, want = getattr(matrix, name), getattr(navier, name)
@@ -182,7 +180,7 @@ def test_velocity_one_step_taylor_limit(params):
         np.array([0.4, -0.2]), grid.shape + (2,)
     ).copy())
     zero_v = VectorField.zeros(grid)
-    zero_th = ScalarField.zeros(grid)
+    zero_th = ScalarField.constant(grid, 0.0)
     op = velocity_matrix(grid, dt, params.lambda1, params.mu1)
     rhs = _velocity_rhs(grid, dt, zero_v, zero_v, zero_th, b, params)
     x, _ = solve_spd(op, rhs)
@@ -456,17 +454,40 @@ def test_only_long_axes_fold(params):
     assert 33 < fold <= 127
 
 
+def _separable_inverse(bases, divisor, r):
+    """V diag(1 / divisor) V^T r in float64, for V the Kronecker product
+    of ``bases``, one per axis of ``divisor``: the arithmetic of a
+    preconditioner that inverts the separable part of the heat matrix
+    directly, with no component axis."""
+    y = linear_step._in_basis(bases, r.reshape(divisor.shape))
+    y *= 1.0 / divisor
+    return linear_step._in_basis(bases, y, back=True).ravel()
+
+
 @SMALL_AND_FOLDED_GRIDS
 def test_heat_preconditioner_exact_for_uniform_temperature(rng, params, nodes, lengths):
     """With a uniform frozen temperature the preconditioner is the inverse of
-    the heat matrix, so CG stops after one iteration."""
+    the heat matrix, so CG stops after one iteration.  It is the block
+    Gauss-Seidel sweep of one component, which gives the bits of
+    V diag(1 / divisor) V^T, divisor the mean mass plus the stiffness's
+    eigenvalues, whatever the coefficient."""
     grid = Grid(nodes, lengths)
-    op = heat_matrix(grid, 0.02, ScalarField.constant(grid, 1.3), params)
+    stiffness = heat_stiffness(grid, params.k)
+    op = heat_matrix(grid, 0.02, ScalarField.constant(grid, 1.3), params,
+                     stiffness)
     rhs = rng.standard_normal(op.size)
     z = op.precondition(rhs)
     assert np.linalg.norm(op.matrix @ z - rhs) <= 1e-13 * np.linalg.norm(rhs)
     _, report = solve_spd(op, rhs)
     assert report.iterations == 1
+    for coefficient in (np.full(grid.shape, 1.3),
+                        rng.uniform(0.5, 2.0, grid.shape)):
+        op = heat_matrix(grid, 0.02, ScalarField(grid, coefficient), params,
+                         stiffness)
+        divisor = ((params.cv / 0.02) * float(coefficient.mean())
+                   + stiffness.eigenvalues)
+        want = _separable_inverse(stiffness.bases, divisor, rhs)
+        assert op.precondition(rhs).tobytes() == want.tobytes()
 
 
 def _gauss_seidel_matrix(matrix, d):

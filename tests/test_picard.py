@@ -338,7 +338,7 @@ def test_stepper_elastic_operator_shares_the_velocity_pattern(rng):
     for nodes, lengths in (((9,), (1.0,)), ((13, 19), (0.8, 1.5)),
                            ((5, 6, 7), (1.0, 2.0, 3.0))):
         grid = Grid(nodes, lengths)
-        q2 = navier_matrix(grid, 1.3, 0.6, box=slice(1, -1))
+        q2 = navier_matrix(grid, 1.3, 0.6, box=slice(1, -1))[0]
         v_old, u_old, b_field = (random_boundary_zero_vector(grid, rng)
                                  for _ in range(3))
         x_v, x_u = pack(grid, v_old.data), pack(grid, u_old.data)
@@ -574,7 +574,7 @@ def test_stepper_stores_only_what_a_sweep_multiplies(grid2d):
     for view in views:
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(view, name), getattr(strain, name))
-    q2 = navier_matrix(grid2d, 1.3, 0.6, box=slice(1, -1))
+    q2 = navier_matrix(grid2d, 1.3, 0.6, box=slice(1, -1))[0]
     for array in arrays:
         if array.size == q2.nnz:
             assert any(np.shares_memory(array, getattr(m, name))
@@ -971,13 +971,16 @@ def test_run_is_steps_collected(params):
 
 def test_steps_validates_at_its_first_next(grid2d, params):
     """``steps`` is a generator: a horizon at or before the initial time
-    and an initial state that does not vanish on the boundary raise
-    ``UsageError`` at its first ``next()``; ``run`` raises at once."""
+    or not finite and an initial state that does not vanish on the
+    boundary raise ``UsageError`` at its first ``next()``; ``run`` raises
+    at once."""
     rest = SimState.rest(grid2d)
     moving = SimState.rest(grid2d)
     moving.v.data[0, 0, 0] = 1.0
     config = StepperConfig(dt=0.05)
-    for initial, t_end in ((rest, 0.0), (rest, -1.0), (moving, 0.5)):
+    for initial, t_end in ((rest, 0.0), (rest, -1.0), (rest, np.inf),
+                           (rest, -np.inf), (rest, np.nan),
+                           (moving, 0.5)):
         events = steps(initial, params, config, t_end)
         with pytest.raises(UsageError):
             next(events)
@@ -1041,7 +1044,7 @@ def _backward_euler_dissipation(grid, params, old, new):
     step, with the weights W of the trapezoid rule."""
     pack = linear_step.pack_interior
     weights = np.tile(grid.quad_weights[grid.interior].ravel(), grid.d)
-    q2 = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))
+    q2 = navier_matrix(grid, params.lambda2, params.mu2, box=slice(1, -1))[0]
     dv = pack(grid, new.v.data - old.v.data)
     du = pack(grid, new.u.data - old.u.data)
     d_theta = new.theta.data - old.theta.data
